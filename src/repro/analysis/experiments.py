@@ -654,6 +654,69 @@ class TrendScenarioRow:
     first_cycle: dict
 
 
+def _trend_stack(sample_every, trend):
+    """SafeMem plus every detector's trend rule, on a fresh machine.
+
+    ``trend`` is the trend-engine spec of the stack's ``monitoring``
+    dict; the stack comes from the one builder, so the scenarios run
+    exactly the listener chain production runs do.
+    """
+    from repro.analysis.runner import (
+        CACHE_SIZE,
+        DRAM_SIZE,
+        make_monitor,
+    )
+    from repro.obs.alerts import default_trend_rules
+    from repro.obs.stack import assemble_monitor_stack
+    from repro.obs.trend import DETECTORS
+
+    machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
+                      cache_ways=16)
+    monitoring = {
+        "sample_every": sample_every,
+        "rules": [rule.to_dict() for detector in DETECTORS
+                  for rule in default_trend_rules(detector)],
+        "trend": trend,
+    }
+    return assemble_monitor_stack(monitoring, machine,
+                                  make_monitor("safemem"))
+
+
+def _run_trend_scenario(stack, name, buggy, requests):
+    """Run one workload on a :func:`_trend_stack`; returns the row
+    fields both scenario rows share."""
+    from repro.common.events import EventKind
+    from repro.obs.trend import DETECTORS
+
+    stack.start()
+    try:
+        result = run_workload(name, "safemem", buggy=buggy,
+                              requests=requests, machine=stack.machine,
+                              monitor=stack.monitor)
+    finally:
+        stack.stop()
+    reports = stack.machine.events.of_kind(EventKind.LEAK_REPORT)
+    fired = {}
+    first_cycle = {}
+    for detector in DETECTORS:
+        rule_name = f"leak-trend-{detector}"
+        firing = [transition.cycle
+                  for transition in stack.engine.transitions
+                  if transition.rule == rule_name
+                  and transition.state == "firing"]
+        fired[detector] = bool(firing)
+        first_cycle[detector] = firing[0] if firing else None
+    return {
+        "workload": name,
+        "buggy": buggy,
+        "cycles": result.cycles,
+        "samples": stack.sampler.samples_taken,
+        "baseline_cycle": reports[0].cycle if reports else None,
+        "fired": fired,
+        "first_cycle": first_cycle,
+    }
+
+
 def trend_scenario_row(name, buggy, requests=None,
                        sample_every=TREND_SAMPLE_EVERY):
     """Run one workload under SafeMem + every trend detector at once.
@@ -665,54 +728,8 @@ def trend_scenario_row(name, buggy, requests=None,
     cycles -- and against the same lifetime-outlier LEAK_REPORT
     baseline -- without re-running the workload.
     """
-    from repro.analysis.runner import (
-        CACHE_SIZE,
-        DRAM_SIZE,
-        make_monitor,
-    )
-    from repro.common.events import EventKind
-    from repro.obs.alerts import AlertEngine, default_trend_rules
-    from repro.obs.sampler import SamplingProfiler, leak_group_source
-    from repro.obs.trend import DETECTORS, TrendEngine
-
-    machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
-                      cache_ways=16)
-    monitor = make_monitor("safemem")
-    sampler = SamplingProfiler(machine, interval_cycles=sample_every,
-                               group_source=leak_group_source(monitor))
-    trend = TrendEngine(machine)
-    rules = [rule for detector in DETECTORS
-             for rule in default_trend_rules(detector)]
-    engine = AlertEngine(rules, events=machine.events,
-                         metrics=machine.metrics, trend_source=trend)
-    sampler.add_listener(trend.observe)
-    sampler.add_listener(engine.evaluate)
-    sampler.start()
-    try:
-        result = run_workload(name, "safemem", buggy=buggy,
-                              requests=requests, machine=machine,
-                              monitor=monitor)
-    finally:
-        sampler.stop()
-    reports = machine.events.of_kind(EventKind.LEAK_REPORT)
-    fired = {}
-    first_cycle = {}
-    for detector in DETECTORS:
-        rule_name = f"leak-trend-{detector}"
-        firing = [transition.cycle for transition in engine.transitions
-                  if transition.rule == rule_name
-                  and transition.state == "firing"]
-        fired[detector] = bool(firing)
-        first_cycle[detector] = firing[0] if firing else None
-    return TrendScenarioRow(
-        workload=name,
-        buggy=buggy,
-        cycles=result.cycles,
-        samples=sampler.samples_taken,
-        baseline_cycle=reports[0].cycle if reports else None,
-        fired=fired,
-        first_cycle=first_cycle,
-    )
+    return TrendScenarioRow(**_run_trend_scenario(
+        _trend_stack(sample_every, trend={}), name, buggy, requests))
 
 
 @dataclass
@@ -877,60 +894,22 @@ def season_scenario_row(name, buggy, requests=None,
     its breach onsets are read from ``TrendEngine.onsets``.  One
     simulation therefore scores both modes on the same cycles.
     """
-    from repro.analysis.runner import (
-        CACHE_SIZE,
-        DRAM_SIZE,
-        make_monitor,
-    )
-    from repro.common.events import EventKind
-    from repro.obs.alerts import AlertEngine, default_trend_rules
-    from repro.obs.sampler import SamplingProfiler, leak_group_source
-    from repro.obs.trend import DETECTORS, TrendEngine
+    from repro.obs.trend import TrendEngine
     from repro.workloads.diurnal import SEASON_PERIOD_CYCLES
 
-    machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
-                      cache_ways=16)
-    monitor = make_monitor("safemem")
-    sampler = SamplingProfiler(machine, interval_cycles=sample_every,
-                               group_source=leak_group_source(monitor))
-    trend = TrendEngine(machine, seasonal_period=SEASON_PERIOD_CYCLES,
-                        seasonal_phases=SEASON_PHASES)
-    flat = TrendEngine(machine, emit_events=False,
+    stack = _trend_stack(sample_every,
+                         trend={"seasonal_period": SEASON_PERIOD_CYCLES,
+                                "seasonal_phases": SEASON_PHASES})
+    # The control emits no events and registers no probes, so listening
+    # after the stack's alert engine changes nothing the stack sees.
+    flat = TrendEngine(stack.machine, emit_events=False,
                        register_probes=False)
-    rules = [rule for detector in DETECTORS
-             for rule in default_trend_rules(detector)]
-    engine = AlertEngine(rules, events=machine.events,
-                         metrics=machine.metrics, trend_source=trend)
-    sampler.add_listener(trend.observe)
-    sampler.add_listener(flat.observe)
-    sampler.add_listener(engine.evaluate)
-    sampler.start()
-    try:
-        result = run_workload(name, "safemem", buggy=buggy,
-                              requests=requests, machine=machine,
-                              monitor=monitor)
-    finally:
-        sampler.stop()
-    reports = machine.events.of_kind(EventKind.LEAK_REPORT)
-    fired = {}
-    first_cycle = {}
-    for detector in DETECTORS:
-        rule_name = f"leak-trend-{detector}"
-        firing = [transition.cycle for transition in engine.transitions
-                  if transition.rule == rule_name
-                  and transition.state == "firing"]
-        fired[detector] = bool(firing)
-        first_cycle[detector] = firing[0] if firing else None
+    stack.sampler.add_listener(flat.observe)
+    fields = _run_trend_scenario(stack, name, buggy, requests)
     flat_group_onsets = [onset for onset in flat.onsets
                          if onset["series"].startswith("group:")]
     return SeasonScenarioRow(
-        workload=name,
-        buggy=buggy,
-        cycles=result.cycles,
-        samples=sampler.samples_taken,
-        baseline_cycle=reports[0].cycle if reports else None,
-        fired=fired,
-        first_cycle=first_cycle,
+        **fields,
         flat_onsets=len(flat_group_onsets),
         flat_first_cycle=(flat_group_onsets[0]["cycle"]
                           if flat_group_onsets else None),

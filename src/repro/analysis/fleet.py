@@ -507,23 +507,8 @@ def _execute_job(spec, dump_dir=None, dump_on_alert=False):
                 # sampler's heap routing are both part of the stream a
                 # bit-exact replay must reproduce.  (The guard skips
                 # the machine's native overhead twin.)
-                config = MonitorStackConfig.from_dict(stacked)
-                monitoring = {}
-                if config.wants_profiler:
-                    from repro.obs.alerts import resolve_rules
-                    monitoring["sample_every"] = config.sample_every
-                    monitoring["rules"] = [
-                        rule.to_dict()
-                        for rule in resolve_rules(config.rules)
-                    ]
-                if config.sampling is not None:
-                    monitoring["sampling"] = config.sampling.to_dict()
-                if config.wants_trend:
-                    from repro.obs.trend import DEFAULT_WINDOW
-                    monitoring["trend"] = {
-                        "detector": config.trend,
-                        "window": config.trend_window or DEFAULT_WINDOW,
-                    }
+                monitoring = MonitorStackConfig.from_dict(
+                    stacked).monitoring()
                 if monitoring:
                     info["monitoring"] = monitoring
             label = ident.replace(":", "-")

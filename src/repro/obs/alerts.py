@@ -198,11 +198,10 @@ class AlertTransition:
 class AlertEngine:
     """Evaluates a rule set against each sample; owns the state machines.
 
-    Wire it as a profiler listener::
-
-        engine = AlertEngine(default_rules(), events=machine.events,
-                             metrics=machine.metrics)
-        sampler.add_listener(engine.evaluate)
+    It runs as a profiler listener, wired by the one stack builder,
+    :func:`~repro.obs.stack.assemble_monitor_stack` (through
+    :func:`~repro.obs.stack.build_monitor_stack` for a config), which
+    subscribes :meth:`evaluate` after the trend engine.
     """
 
     def __init__(self, rules, events=None, metrics=None,

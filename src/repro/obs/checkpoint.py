@@ -35,18 +35,17 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
-from repro.common.errors import ConfigurationError, MachinePanic
-from repro.obs.export import snapshot_document
-from repro.obs.forensics import (
+from repro.common.errors import ConfigurationError
+from repro.obs.snapshot import (
     EVENT_TAIL_LIMIT,
     GROUP_LIMIT,
     HEAP_MAP_LIMIT,
-    _heap_map,
-    _safe_label,
-    event_to_dict,
-    machine_from_config,
+    Rerun,
+    capture_state,
+    read_document,
+    safe_label,
+    write_document,
 )
-from repro.obs.sampler import group_stats
 
 #: schema tag of a checkpoint document.
 CHECKPOINT_SCHEMA = "repro.checkpoint/v1"
@@ -84,44 +83,19 @@ def capture_checkpoint(machine, monitor=None, run_info=None,
     payloads are embedded for durability tests and resume
     verification.
     """
-    cycle = machine.clock.cycles
-    kernel = machine.kernel
-    irq = kernel.interrupts
-    document = {
+    document = capture_state(machine, monitor=monitor, run_info=run_info,
+                             event_tail=event_tail,
+                             heap_map_limit=heap_map_limit,
+                             group_limit=group_limit)
+    document.update({
         "schema": CHECKPOINT_SCHEMA,
-        "cycle": cycle,
-        "idle_cycles": machine.clock.idle_cycles,
         "progress": {
             "request_index": request_index,
             "requests_completed": (request_index + 1
                                    if request_index is not None
                                    else None),
         },
-        "run": dict(run_info or {}),
-        "machine": dict(getattr(machine, "boot_config", {})),
         "dram": machine.dram.digest(),
-        "metrics": snapshot_document(machine.metrics.snapshot()),
-        "events": {
-            "total": len(machine.events),
-            "tail": [event_to_dict(event)
-                     for event in machine.events.query(limit=event_tail)],
-        },
-        "watches": [
-            {"vaddr": region.vaddr, "size": region.size,
-             "lines": [[vline, pline]
-                       for vline, pline in sorted(region.lines.items())]}
-            for region in sorted(kernel.watches.all_regions(),
-                                 key=lambda r: r.vaddr)
-        ],
-        "interrupts": {
-            "delivered": irq.delivered,
-            "panics": irq.panics,
-            "handler_registered": irq.user_handler is not None,
-            "ecc_traps": kernel.ecc_traps,
-            "pinned_pages": kernel.pinned_pages,
-        },
-        "heap": None,
-        "groups": [],
         "monitoring_state": {
             "sampler": (sampler.state_dict()
                         if sampler is not None else None),
@@ -132,42 +106,17 @@ def capture_checkpoint(machine, monitor=None, run_info=None,
             "history": (history.to_dict()
                         if history is not None else None),
         },
-    }
-    program = getattr(monitor, "program", None) if monitor is not None \
-        else None
-    if program is not None and getattr(program, "allocator", None) \
-            is not None:
-        document["heap"] = _heap_map(program.allocator, heap_map_limit)
-    leak = getattr(monitor, "leak", None) if monitor is not None else None
-    if leak is not None:
-        document["groups"] = group_stats(leak.groups, limit=group_limit,
-                                         now=cycle)
+    })
     return document
 
 
-def write_checkpoint(document, path):
-    """Write a checkpoint to ``path`` as indented JSON; returns path."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as stream:
-        json.dump(document, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    return path
+#: write a checkpoint as indented JSON; returns the path.
+write_checkpoint = write_document
 
 
 def load_checkpoint(path):
     """Load and schema-check one ``repro.checkpoint/v1`` document."""
-    with open(path) as stream:
-        document = json.load(stream)
-    if (not isinstance(document, dict)
-            or document.get("schema") != CHECKPOINT_SCHEMA):
-        found = (document.get("schema") if isinstance(document, dict)
-                 else type(document).__name__)
-        raise ConfigurationError(
-            f"{path}: not a {CHECKPOINT_SCHEMA} document "
-            f"(schema={found!r})"
-        )
-    return document
+    return read_document(path, CHECKPOINT_SCHEMA)
 
 
 class CheckpointScheduler:
@@ -198,7 +147,7 @@ class CheckpointScheduler:
         self.trend = trend
         self.history = history
         self.checkpoint_dir = pathlib.Path(checkpoint_dir)
-        self.label = _safe_label(label)
+        self.label = safe_label(label)
         self.max_checkpoints = max_checkpoints
         self.checkpoint_paths = []
         self.checkpoints_skipped = 0
@@ -280,63 +229,6 @@ class ResumeResult:
     panic: object = None
 
 
-def build_monitoring_from_info(machine, monitor, monitoring):
-    """Recreate sampler/trend/alerts/history from a recorded
-    ``monitoring`` dict (the one :meth:`MonitorStack.monitoring_info`
-    writes into run_info).  Returns a dict of live components with the
-    sampler already started; listener order matches
-    :func:`~repro.obs.stack.build_monitor_stack` exactly, which the
-    bit-exact contract depends on.
-    """
-    from repro.obs.alerts import AlertEngine, AlertRule
-    from repro.obs.sampler import SamplingProfiler, leak_group_source
-
-    components = {"sampler": None, "engine": None, "trend": None,
-                  "history": None}
-    if not monitoring.get("sample_every"):
-        return components
-    sampler = SamplingProfiler(
-        machine, interval_cycles=monitoring["sample_every"],
-        group_source=leak_group_source(monitor),
-    )
-    components["sampler"] = sampler
-    trend = None
-    trend_info = monitoring.get("trend")
-    if trend_info:
-        from repro.obs.trend import (
-            DEFAULT_SEASONAL_PHASES,
-            DEFAULT_SEASONAL_WARMUP,
-            DEFAULT_WINDOW,
-            TrendEngine,
-        )
-        trend = TrendEngine(
-            machine,
-            window=trend_info.get("window") or DEFAULT_WINDOW,
-            seasonal_period=trend_info.get("seasonal_period"),
-            seasonal_phases=(trend_info.get("seasonal_phases")
-                             or DEFAULT_SEASONAL_PHASES),
-            seasonal_warmup=(trend_info.get("seasonal_warmup")
-                             or DEFAULT_SEASONAL_WARMUP),
-        )
-        components["trend"] = trend
-        sampler.add_listener(trend.observe)
-    rules = [AlertRule.from_dict(spec)
-             for spec in monitoring.get("rules", [])]
-    if rules:
-        engine = AlertEngine(rules, events=machine.events,
-                             metrics=machine.metrics,
-                             trend_source=trend)
-        components["engine"] = engine
-        sampler.add_listener(engine.evaluate)
-    if monitoring.get("history"):
-        from repro.obs.history import HistoryStore
-        history = HistoryStore(metrics=machine.metrics)
-        components["history"] = history
-        sampler.add_listener(history.observe)
-    sampler.start()
-    return components
-
-
 def resume_checkpoint(checkpoint, requests=None, verify=True):
     """Resume a checkpointed run: re-execute, verify, continue.
 
@@ -346,23 +238,14 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
     recorded request boundary when ``verify`` is on, and continues to
     ``requests`` total requests (default: the recorded horizon).
     """
-    from repro.analysis.runner import HEAP_SIZE, make_monitor
-    from repro.machine.program import Program
-    from repro.workloads.registry import get_workload
-
-    run = dict(checkpoint.get("run") or {})
-    if "workload" not in run or "monitor" not in run:
-        raise ConfigurationError(
-            "checkpoint records no run (workload/monitor); it was "
-            "captured without run_info and cannot be resumed"
-        )
+    rerun = Rerun(checkpoint, "checkpoint", "resumed", requests=requests)
     boundary = (checkpoint.get("progress") or {}).get("request_index")
     if verify and boundary is None:
         raise ConfigurationError(
             "checkpoint records no request boundary; resume it with "
             "verification disabled"
         )
-    target = requests if requests is not None else run.get("requests")
+    target = rerun.requests
     if verify and target is not None and boundary is not None \
             and target <= boundary:
         raise ConfigurationError(
@@ -370,57 +253,33 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
             f"{boundary} but the resumed run stops after {target} "
             f"request(s)"
         )
-    machine = machine_from_config(checkpoint.get("machine"))
-    monitoring = dict(run.get("monitoring") or {})
-    sampling = monitoring.get("sampling")
-    if sampling is not None:
-        from repro.core.sampling import SamplingPolicy
-        sampling = SamplingPolicy.from_dict(sampling)
-    monitor = make_monitor(run["monitor"], sampling=sampling)
-    components = build_monitoring_from_info(machine, monitor, monitoring)
 
     state = {"verified": None, "message": "verification disabled"}
 
     def _hook(index, truth):
         if not verify or index != boundary:
             return
+        stack = rerun.stack
         fresh = capture_checkpoint(
-            machine, monitor=monitor, run_info=run,
-            request_index=index, sampler=components["sampler"],
-            engine=components["engine"], trend=components["trend"],
-            history=components["history"],
+            rerun.machine, monitor=rerun.monitor, run_info=rerun.run_info,
+            request_index=index, sampler=stack.sampler,
+            engine=stack.engine, trend=stack.trend, history=stack.history,
         )
         ok, message = compare_checkpoints(checkpoint, fresh)
         state["verified"] = ok
         state["message"] = message
 
-    truth = panic = None
-    try:
-        program = Program(machine, monitor=monitor,
-                          heap_size=run.get("heap_size", HEAP_SIZE))
-        workload = get_workload(run["workload"], requests=target,
-                                seed=run.get("seed", 0))
-        with machine.tracer.span(f"workload.{run['workload']}",
-                                 monitor=run["monitor"],
-                                 buggy=run.get("buggy", False)):
-            truth = workload.run(program, buggy=run.get("buggy", False),
-                                 request_hook=_hook)
-    except MachinePanic as error:
-        panic = str(error)
-    finally:
-        if components["sampler"] is not None:
-            components["sampler"].stop()
-
+    rerun.run(request_hook=_hook)
     return ResumeResult(
-        machine=machine,
-        monitor=monitor,
-        program=getattr(monitor, "program", None),
-        truth=truth,
-        events=machine.events.query(),
+        machine=rerun.machine,
+        monitor=rerun.monitor,
+        program=getattr(rerun.monitor, "program", None),
+        truth=rerun.truth,
+        events=rerun.machine.events.query(),
         checkpoint_cycle=checkpoint.get("cycle", 0),
         verified=state["verified"],
         verify_message=state["message"],
-        panic=panic,
+        panic=rerun.panic,
     )
 
 

@@ -37,71 +37,29 @@ import pathlib
 import re
 from dataclasses import dataclass, field
 
-from repro.common.errors import (
-    ConfigurationError,
-    MachinePanic,
-    ReproError,
-)
+from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind
-from repro.obs.export import snapshot_document, snapshot_from_document
-from repro.obs.sampler import group_stats
+from repro.obs.export import snapshot_from_document
+from repro.obs.snapshot import (
+    EVENT_TAIL_LIMIT,
+    GROUP_LIMIT,
+    HEAP_MAP_LIMIT,
+    Rerun,
+    capture_state,
+    event_to_dict,
+    jsonable,
+    read_document,
+    safe_label,
+    write_document,
+)
 
 #: schema tag of a forensic bundle document.
 DUMP_SCHEMA = "repro.dump/v1"
-
-#: events kept in a bundle's tail (newest; the full log stays in RAM).
-EVENT_TAIL_LIMIT = 256
-
-#: live allocations listed in a bundle's heap map (largest first).
-HEAP_MAP_LIMIT = 512
-
-#: leak groups listed in a bundle (largest live_bytes first).
-GROUP_LIMIT = 64
 
 
 # ----------------------------------------------------------------------
 # capture
 # ----------------------------------------------------------------------
-def event_to_dict(event):
-    """One :class:`~repro.common.events.Event` as a JSON-able record.
-
-    The same encoding is used at capture time and at replay-verify
-    time, so stream comparison is bit-exact by construction.
-    """
-    return {
-        "kind": event.kind.value,
-        "cycle": event.cycle,
-        "address": event.address,
-        "size": event.size,
-        "detail": {key: _jsonable(value)
-                   for key, value in sorted(event.detail.items())},
-    }
-
-
-def _jsonable(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def _heap_map(allocator, limit):
-    blocks = sorted(allocator.live_allocations(),
-                    key=lambda a: (-a.size, a.address))
-    return {
-        "live_bytes": sum(block.size for block in blocks),
-        "live_blocks": len(blocks),
-        "total_allocs": allocator.total_allocs,
-        "total_frees": allocator.total_frees,
-        "peak_live_bytes": allocator.peak_live_bytes,
-        "truncated": max(0, len(blocks) - limit),
-        "allocations": [
-            {"address": block.address, "size": block.size,
-             "requested_size": block.requested_size}
-            for block in blocks[:limit]
-        ],
-    }
-
-
 def capture_bundle(machine, monitor=None, run_info=None, reason="manual",
                    trigger=None, event_tail=EVENT_TAIL_LIMIT,
                    heap_map_limit=HEAP_MAP_LIMIT, group_limit=GROUP_LIMIT,
@@ -109,92 +67,41 @@ def capture_bundle(machine, monitor=None, run_info=None, reason="manual",
     """Freeze one machine (and its attached monitor) into a bundle dict.
 
     ``run_info`` records how to re-drive the run (workload / monitor /
-    buggy / requests / seed / heap_size, plus an optional ``monitoring``
-    sub-dict with ``sample_every`` and serialized alert rules); without
-    it the bundle is inspectable but not replayable.  ``trend`` is the
+    buggy / requests / seed / heap_size, plus the stack's
+    ``monitoring`` dict, see
+    :meth:`~repro.obs.stack.MonitorStack.monitoring_info`); without it
+    the bundle is inspectable but not replayable.  ``trend`` is the
     run's :class:`~repro.obs.trend.TrendEngine`, whose per-series
     verdicts land under the bundle's ``trends`` key.
     """
-    cycle = machine.clock.cycles
-    snapshot = machine.metrics.snapshot()
+    bundle = capture_state(machine, monitor=monitor, run_info=run_info,
+                           event_tail=event_tail,
+                           heap_map_limit=heap_map_limit,
+                           group_limit=group_limit)
     tracer = machine.tracer
-    kernel = machine.kernel
-    irq = kernel.interrupts
-    bundle = {
+    bundle.update({
         "schema": DUMP_SCHEMA,
         "reason": reason,
-        "trigger": {key: _jsonable(value)
+        "trigger": {key: jsonable(value)
                     for key, value in sorted((trigger or {}).items())},
-        "cycle": cycle,
-        "idle_cycles": machine.clock.idle_cycles,
-        "run": dict(run_info or {}),
-        "machine": dict(getattr(machine, "boot_config", {})),
-        "metrics": snapshot_document(snapshot),
         "spans": {
             "recent": [span.to_dict()
                        for span in tracer.flight_record()],
             "open": [span.to_dict() for span in tracer.active_spans()],
             "panic": tracer.panic_dump,
         },
-        "events": {
-            "total": len(machine.events),
-            "tail": [event_to_dict(event)
-                     for event in machine.events.query(limit=event_tail)],
-        },
-        "watches": [
-            {"vaddr": region.vaddr, "size": region.size,
-             "lines": [[vline, pline]
-                       for vline, pline in sorted(region.lines.items())]}
-            for region in sorted(kernel.watches.all_regions(),
-                                 key=lambda r: r.vaddr)
-        ],
-        "interrupts": {
-            "delivered": irq.delivered,
-            "panics": irq.panics,
-            "handler_registered": irq.user_handler is not None,
-            "ecc_traps": kernel.ecc_traps,
-            "pinned_pages": kernel.pinned_pages,
-        },
-        "heap": None,
-        "groups": [],
         "trends": trend.summary() if trend is not None else None,
-    }
-    program = getattr(monitor, "program", None) if monitor is not None \
-        else None
-    if program is not None and getattr(program, "allocator", None) \
-            is not None:
-        bundle["heap"] = _heap_map(program.allocator, heap_map_limit)
-    leak = getattr(monitor, "leak", None) if monitor is not None else None
-    if leak is not None:
-        bundle["groups"] = group_stats(leak.groups, limit=group_limit,
-                                       now=cycle)
+    })
     return bundle
 
 
-def write_bundle(bundle, path):
-    """Write a bundle to ``path`` as indented JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as stream:
-        json.dump(bundle, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    return path
+#: write a bundle as indented JSON; returns the path.
+write_bundle = write_document
 
 
 def load_bundle(path):
     """Load and schema-check one ``repro.dump/v1`` bundle."""
-    with open(path) as stream:
-        bundle = json.load(stream)
-    if not isinstance(bundle, dict) or bundle.get("schema") != DUMP_SCHEMA:
-        raise ConfigurationError(
-            f"{path}: not a {DUMP_SCHEMA} bundle "
-            f"(schema={bundle.get('schema') if isinstance(bundle, dict) else None!r})"
-        )
-    return bundle
-
-
-def _safe_label(label):
-    return re.sub(r"[^A-Za-z0-9._-]+", "-", str(label)).strip("-") or "run"
+    return read_document(path, DUMP_SCHEMA)
 
 
 class ForensicRecorder:
@@ -216,7 +123,7 @@ class ForensicRecorder:
         self.trend = trend
         self.run_info = dict(run_info or {})
         self.dump_dir = pathlib.Path(dump_dir)
-        self.label = _safe_label(label)
+        self.label = safe_label(label)
         self.max_bundles = max_bundles
         self.event_tail = event_tail
         self.bundle_paths = []
@@ -285,21 +192,6 @@ class ForensicRecorder:
 # ----------------------------------------------------------------------
 # deterministic replay
 # ----------------------------------------------------------------------
-class ReplayBreak(ReproError):
-    """Control-flow exception: a replay breakpoint was reached."""
-
-
-def machine_from_config(config):
-    """Boot a fresh machine from a bundle's recorded ``machine`` dict."""
-    from repro.ecc.controller import EccMode
-    from repro.machine.machine import Machine
-    kwargs = dict(config or {})
-    mode = kwargs.get("ecc_mode")
-    if isinstance(mode, str):
-        kwargs["ecc_mode"] = EccMode(mode)
-    return Machine(**kwargs)
-
-
 def parse_breakpoint(text):
     """``<event-kind|address>`` -> ``(kind, address)`` (one is None)."""
     try:
@@ -343,76 +235,8 @@ def replay_bundle(bundle, until_cycle=None, break_on=None):
     replay of a panicked run re-panics identically; the panic is
     caught and reported on the result.
     """
-    from repro.analysis.runner import HEAP_SIZE, make_monitor
-    from repro.machine.program import Program
-    from repro.workloads.registry import get_workload
-
-    run = dict(bundle.get("run") or {})
-    if "workload" not in run or "monitor" not in run:
-        raise ConfigurationError(
-            "bundle records no run (workload/monitor); it was captured "
-            "without run_info and cannot be replayed"
-        )
-    machine = machine_from_config(bundle.get("machine"))
-    monitoring = dict(run.get("monitoring") or {})
-    sampling = monitoring.get("sampling")
-    if sampling is not None:
-        from repro.core.sampling import SamplingPolicy
-        sampling = SamplingPolicy.from_dict(sampling)
-    monitor = make_monitor(run["monitor"], sampling=sampling)
-
-    # Recreate the monitoring stack the original run carried: the alert
-    # engine emits ALERT events and the allocation sampler steers the
-    # heap layout, so leaving either out would change the replayed
-    # event stream.
-    sampler = None
-    if monitoring.get("sample_every"):
-        from repro.obs.alerts import AlertEngine, AlertRule
-        from repro.obs.sampler import SamplingProfiler, leak_group_source
-        sampler = SamplingProfiler(
-            machine, interval_cycles=monitoring["sample_every"],
-            group_source=leak_group_source(monitor),
-        )
-        trend = None
-        trend_info = monitoring.get("trend")
-        if trend_info:
-            # The trend engine emits TREND events into the log, so a
-            # bundle captured with one only replays bit-exactly when
-            # the replay runs the same engine in the same listener slot
-            # -- including any seasonal baseline the original carried,
-            # which gates and shifts what the detectors see.
-            from repro.obs.trend import (
-                DEFAULT_SEASONAL_PHASES,
-                DEFAULT_SEASONAL_WARMUP,
-                DEFAULT_WINDOW,
-                TrendEngine,
-            )
-            trend = TrendEngine(
-                machine,
-                window=trend_info.get("window") or DEFAULT_WINDOW,
-                seasonal_period=trend_info.get("seasonal_period"),
-                seasonal_phases=(trend_info.get("seasonal_phases")
-                                 or DEFAULT_SEASONAL_PHASES),
-                seasonal_warmup=(trend_info.get("seasonal_warmup")
-                                 or DEFAULT_SEASONAL_WARMUP),
-            )
-            sampler.add_listener(trend.observe)
-        rules = [AlertRule.from_dict(spec)
-                 for spec in monitoring.get("rules", [])]
-        if rules:
-            engine = AlertEngine(rules, events=machine.events,
-                                 metrics=machine.metrics,
-                                 trend_source=trend)
-            sampler.add_listener(engine.evaluate)
-        sampler.start()
-
-    state = {"break_index": None, "break_cycle": None}
-
-    def _break(cycle):
-        state["break_index"] = len(machine.events)
-        state["break_cycle"] = cycle
-        raise ReplayBreak(f"replay breakpoint at cycle {cycle}")
-
+    rerun = Rerun(bundle, "bundle", "replayed")
+    machine = rerun.machine
     timer = None
     tokens = []
     if until_cycle is not None:
@@ -424,7 +248,7 @@ def replay_bundle(bundle, until_cycle=None, break_on=None):
 
         def _on_deadline(clock):
             if clock.cycles >= until_cycle:
-                _break(clock.cycles)
+                rerun.break_here(clock.cycles)
 
         timer = machine.clock.every(until_cycle - machine.clock.cycles,
                                     _on_deadline)
@@ -434,52 +258,32 @@ def replay_bundle(bundle, until_cycle=None, break_on=None):
         def _on_event(event):
             if address is not None and event.address != address:
                 return
-            _break(event.cycle)
+            rerun.break_here(event.cycle)
 
         tokens.append(machine.events.subscribe(_on_event, kind=kind))
 
-    truth = panic = None
     try:
-        program = Program(machine, monitor=monitor,
-                          heap_size=run.get("heap_size", HEAP_SIZE))
-        workload = get_workload(run["workload"],
-                                requests=run.get("requests"),
-                                seed=run.get("seed", 0))
-        with machine.tracer.span(f"workload.{run['workload']}",
-                                 monitor=run["monitor"],
-                                 buggy=run.get("buggy", False)):
-            truth = workload.run(program, buggy=run.get("buggy", False))
-    except ReplayBreak:
-        pass
-    except MachinePanic as error:
-        panic = str(error)
-    except ReproError:
-        # A break raised mid-request can surface as a teardown error
-        # during unwind; the breakpoint state is already recorded.
-        if state["break_index"] is None:
-            raise
+        rerun.run()
     finally:
-        if sampler is not None:
-            sampler.stop()
         if timer is not None:
             machine.clock.cancel(timer)
         for token in tokens:
             machine.events.unsubscribe(token)
 
-    broke = state["break_index"] is not None
+    broke = rerun.break_index is not None
     events = machine.events.query()
     if broke:
-        events = events[:state["break_index"]]
+        events = events[:rerun.break_index]
     return ReplayResult(
         machine=machine,
-        monitor=monitor,
-        program=getattr(monitor, "program", None),
-        truth=truth,
+        monitor=rerun.monitor,
+        program=getattr(rerun.monitor, "program", None),
+        truth=rerun.truth,
         events=events,
         broke=broke,
-        break_cycle=(state["break_cycle"] if broke
+        break_cycle=(rerun.break_cycle if broke
                      else machine.clock.cycles),
-        panic=panic,
+        panic=rerun.panic,
     )
 
 

@@ -7,9 +7,9 @@ classic round-robin-database shape instead: keep **raw** points for the
 recent past and progressively coarser **aggregates** for the deep past,
 so memory stays O(configured capacity) no matter how long the run is.
 
-A :class:`HistoryStore` subscribes to the profiler
-(``sampler.add_listener(store.observe)``) and, for each tracked series,
-maintains:
+A :class:`HistoryStore` observes every profiler sample (subscribed
+last by :func:`~repro.obs.stack.assemble_monitor_stack`) and, for each
+tracked series, maintains:
 
 - a raw ring of the newest ``raw_capacity`` ``(cycle, value)`` points;
 - one bucket ring per retention **tier** ``(bucket_cycles, capacity)``:

@@ -35,6 +35,7 @@ import pathlib
 
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind
+from repro.obs.snapshot import jsonable
 
 EVENTS_SCHEMA = "repro.events/v1"
 
@@ -85,7 +86,7 @@ def event_record(event):
             "kind": event.kind.value,
             "address": event.address,
             "size": event.size,
-            "detail": {key: _jsonable(value)
+            "detail": {key: jsonable(value)
                        for key, value in event.detail.items()},
         },
     }
@@ -97,14 +98,8 @@ def run_record(cycle, **meta):
         "schema": EVENTS_SCHEMA,
         "type": "run",
         "cycle": cycle,
-        "run": {key: _jsonable(value) for key, value in meta.items()},
+        "run": {key: jsonable(value) for key, value in meta.items()},
     }
-
-
-def _jsonable(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
 
 
 class MemorySink:

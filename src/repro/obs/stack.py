@@ -14,7 +14,13 @@ description of a production monitoring stack:
 - :meth:`MonitorStackConfig.from_args` -- flags to config, one way;
 - :func:`build_monitor_stack` -- config to a live :class:`MonitorStack`
   (machine + monitor + profiler + alert engine + stream + recorder)
-  with a start/stop/close lifecycle.
+  with a start/stop/close lifecycle;
+- :func:`assemble_monitor_stack` -- the one wiring of profiler, trend
+  engine, alert engine and history store, from the normalised
+  ``monitoring`` dict (:meth:`MonitorStackConfig.monitoring`) a run
+  records.  ``build_monitor_stack``, forensic replay, checkpoint
+  resume and the trend/season experiment scenarios all call it, so a
+  recorded stack and a rebuilt one are wired identically.
 
 The config crosses process boundaries (fleet workers) through
 ``to_dict``/``from_dict`` and derives per-machine sampling seeds with
@@ -22,12 +28,19 @@ The config crosses process boundaries (fleet workers) through
 """
 
 import argparse
+import copy
 import pathlib
 from dataclasses import dataclass, replace
 
 from repro.common.errors import ConfigurationError
 from repro.core.sampling import SamplingPolicy
-from repro.obs.trend import DEFAULT_WINDOW, DETECTORS, MIN_SLOPE_POINTS
+from repro.obs.trend import (
+    DEFAULT_SEASONAL_PHASES,
+    DEFAULT_SEASONAL_WARMUP,
+    DEFAULT_WINDOW,
+    DETECTORS,
+    MIN_SLOPE_POINTS,
+)
 
 #: default profiler interval the ``repro monitor`` command uses.
 DEFAULT_SAMPLE_EVERY = 100_000
@@ -161,6 +174,34 @@ class MonitorStackConfig:
         """``--checkpoint-every`` without a dir lands in ./checkpoints."""
         return self.checkpoint_dir or (
             "checkpoints" if self.checkpoint_every is not None else None)
+
+    def monitoring(self):
+        """The normalised ``monitoring`` dict this config describes.
+
+        :func:`assemble_monitor_stack` wires a stack from it, and runs
+        record it so replay and resume rebuild the same stack: the
+        allocation ``sampling`` policy and, with the profiler on,
+        ``sample_every``, the resolved rule dicts (the ``rules`` spec
+        plus the trend detector's rules), trend engine parameters and
+        ``history``.
+        """
+        from repro.obs.alerts import default_trend_rules, resolve_rules
+        monitoring = {}
+        if self.sampling is not None:
+            monitoring["sampling"] = self.sampling.to_dict()
+        if not self.wants_profiler:
+            return monitoring
+        rules = resolve_rules(self.rules)
+        monitoring["sample_every"] = self.sample_every
+        if self.wants_trend:
+            rules = rules + default_trend_rules(self.trend)
+            monitoring["trend"] = _trend_spec({
+                "detector": self.trend, "window": self.trend_window,
+                "seasonal_period": self.seasonal_period})
+        monitoring["rules"] = [rule.to_dict() for rule in rules]
+        if self.history:
+            monitoring["history"] = True
+        return monitoring
 
     def for_machine(self, index):
         """Per-fleet-machine config: distinct sampling seed stream."""
@@ -363,28 +404,23 @@ def _labelled_path(path, label):
 class MonitorStack:
     """One live monitoring stack around one machine and monitor.
 
-    Built by :func:`build_monitor_stack`; the owner brackets the
+    Built by :func:`assemble_monitor_stack` (through
+    :func:`build_monitor_stack` for a config); the owner brackets the
     workload with :meth:`start` / :meth:`stop` and finishes with
     :meth:`close` (idempotent, exception-safe) so streams always flush
     and recorders always detach.
     """
 
-    def __init__(self, config, machine, monitor, sampler=None,
-                 engine=None, sink=None, stream=None, recorder=None,
-                 alert_rules=(), trend=None, history=None,
-                 scheduler=None):
-        self.config = config
+    def __init__(self, machine, monitor, monitoring, sampler=None,
+                 engine=None, trend=None, history=None):
         self.machine = machine
         self.monitor = monitor
+        self._monitoring = monitoring
         self.sampler = sampler
         self.engine = engine
-        self.sink = sink
-        self.stream = stream
-        self.recorder = recorder
-        self.alert_rules = list(alert_rules)
         self.trend = trend
         self.history = history
-        self.scheduler = scheduler
+        self.sink = self.stream = self.recorder = self.scheduler = None
         self._closed = False
 
     def start(self):
@@ -406,6 +442,11 @@ class MonitorStack:
             self.stream.close()
 
     # -- summaries -----------------------------------------------------
+    @property
+    def alert_rules(self):
+        return ([alert.rule for alert in self.engine.alerts.values()]
+                if self.engine is not None else [])
+
     def alert_summary(self):
         return self.engine.summary() if self.engine is not None else {}
 
@@ -441,25 +482,73 @@ class MonitorStack:
                 if self.scheduler is not None else None)
 
     def monitoring_info(self):
-        """The ``monitoring`` sub-dict a forensic bundle records."""
-        info = {}
-        if self.config.wants_profiler:
-            info["sample_every"] = self.config.sample_every
-            info["rules"] = [rule.to_dict()
-                             for rule in self.alert_rules]
-        if self.config.sampling is not None:
-            info["sampling"] = self.config.sampling.to_dict()
-        if self.trend is not None:
-            info["trend"] = {
-                "detector": self.config.trend,
-                "window": self.trend.window,
-                "seasonal_period": self.trend.seasonal_period,
-                "seasonal_phases": self.trend.seasonal_phases,
-                "seasonal_warmup": self.trend.seasonal_warmup,
-            }
-        if self.history is not None:
-            info["history"] = True
-        return info
+        """The ``monitoring`` dict bundles and checkpoints record;
+        :func:`assemble_monitor_stack` rebuilds this stack from it."""
+        return copy.deepcopy(self._monitoring)
+
+
+def assemble_monitor_stack(monitoring, machine, monitor):
+    """Wire the monitoring stack a ``monitoring`` dict describes.
+
+    The one place the sampler's listener chain is built: trend engine,
+    then alert engine, then history store, so trend rules judge the
+    current sample's verdicts.  The alert engine exists whenever the
+    profiler does, even with no rules.  ``monitoring`` is the dict
+    :meth:`MonitorStack.monitoring_info` returns (``sample_every``,
+    rule dicts, ``sampling``, trend engine parameters, ``history``);
+    missing trend parameters take their defaults.  The stack records
+    the normalised dict, so rebuilding from what a run recorded wires
+    an identical stack.
+    """
+    from repro.obs.alerts import AlertEngine, AlertRule
+    from repro.obs.history import HistoryStore
+    from repro.obs.sampler import SamplingProfiler, leak_group_source
+    from repro.obs.trend import TrendEngine
+
+    info = {}
+    if monitoring.get("sampling") is not None:
+        info["sampling"] = dict(monitoring["sampling"])
+    if not monitoring.get("sample_every"):
+        return MonitorStack(machine, monitor, info)
+    sampler = SamplingProfiler(
+        machine, interval_cycles=monitoring["sample_every"],
+        group_source=leak_group_source(monitor))
+    rules = [AlertRule.from_dict(spec)
+             for spec in monitoring.get("rules", [])]
+    info["sample_every"] = sampler.interval_cycles
+    info["rules"] = [rule.to_dict() for rule in rules]
+    trend = history = None
+    if monitoring.get("trend") is not None:
+        spec = _trend_spec(monitoring["trend"])
+        trend = TrendEngine(
+            machine, window=spec["window"],
+            seasonal_period=spec["seasonal_period"],
+            seasonal_phases=spec["seasonal_phases"],
+            seasonal_warmup=spec["seasonal_warmup"])
+        sampler.add_listener(trend.observe)
+        info["trend"] = spec
+    engine = AlertEngine(rules, events=machine.events,
+                         metrics=machine.metrics, trend_source=trend)
+    sampler.add_listener(engine.evaluate)
+    if monitoring.get("history"):
+        history = HistoryStore(metrics=machine.metrics)
+        sampler.add_listener(history.observe)
+        info["history"] = True
+    return MonitorStack(machine, monitor, info, sampler=sampler,
+                        engine=engine, trend=trend, history=history)
+
+
+def _trend_spec(spec):
+    """Trend engine parameters with every default filled in."""
+    return {
+        "detector": spec.get("detector"),
+        "window": spec.get("window") or DEFAULT_WINDOW,
+        "seasonal_period": spec.get("seasonal_period"),
+        "seasonal_phases": (spec.get("seasonal_phases")
+                            or DEFAULT_SEASONAL_PHASES),
+        "seasonal_warmup": (spec.get("seasonal_warmup")
+                            or DEFAULT_SEASONAL_WARMUP),
+    }
 
 
 def build_monitor_stack(config, machine=None, monitor=None,
@@ -469,9 +558,12 @@ def build_monitor_stack(config, machine=None, monitor=None,
     ``machine``/``monitor`` reuse pre-built instances (the monitor must
     already match ``config.monitor``/``config.sampling``); when None
     they are created here, which is how every command now boots its
-    stack.  ``run_info`` (workload/monitor/buggy/requests/seed) arms a
-    forensic recorder when the config asks for dumps; ``label``
-    suffixes per-machine stream files and dump bundles in fleet runs.
+    stack.  The monitoring components come from
+    :func:`assemble_monitor_stack` fed :meth:`MonitorStackConfig.
+    monitoring`.  ``run_info`` (workload/monitor/buggy/requests/seed)
+    arms a forensic recorder and checkpoint scheduler when the config
+    asks for them; ``label`` suffixes per-machine stream files and
+    dump bundles in fleet runs.
     """
     # Lazy imports: obs.stack is imported by the CLI front end, while
     # the factories below pull in the whole analysis/machine layer.
@@ -479,82 +571,46 @@ def build_monitor_stack(config, machine=None, monitor=None,
     from repro.machine.machine import Machine
 
     config.validate()
+    monitoring = config.monitoring()
     if machine is None:
         machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
                           cache_ways=16, profile=config.profile)
     if monitor is None:
         monitor = make_monitor(config.monitor, sampling=config.sampling)
+    stack = assemble_monitor_stack(monitoring, machine, monitor)
 
-    sampler = engine = trend = history = None
-    rules = []
-    if config.wants_profiler:
-        from repro.obs.alerts import (
-            AlertEngine,
-            default_trend_rules,
-            resolve_rules,
-        )
-        from repro.obs.sampler import SamplingProfiler, leak_group_source
-        rules = resolve_rules(config.rules)
-        sampler = SamplingProfiler(
-            machine, interval_cycles=config.sample_every,
-            group_source=leak_group_source(monitor))
-        if config.wants_trend:
-            from repro.obs.trend import TrendEngine
-            trend = TrendEngine(
-                machine, window=config.trend_window or DEFAULT_WINDOW,
-                seasonal_period=config.seasonal_period)
-            rules = rules + default_trend_rules(config.trend)
-            # The trend listener must observe before the alert engine
-            # evaluates, so trend rules judge this sample's verdicts.
-            sampler.add_listener(trend.observe)
-        engine = AlertEngine(rules, events=machine.events,
-                             metrics=machine.metrics,
-                             trend_source=trend)
-        sampler.add_listener(engine.evaluate)
-        if config.wants_history:
-            from repro.obs.history import HistoryStore
-            history = HistoryStore(metrics=machine.metrics)
-            sampler.add_listener(history.observe)
-
-    sink = stream = None
     if config.stream is not None:
         from repro.obs.sink import (
             DEFAULT_MAX_BYTES,
             JsonlSink,
             TelemetryStream,
         )
-        sink = JsonlSink(_labelled_path(config.stream, label),
-                         max_bytes=config.stream_max_bytes
-                         or DEFAULT_MAX_BYTES)
-        stream = TelemetryStream(sink, machine=machine,
-                                 sampler=sampler, engine=engine)
-
-    stack = MonitorStack(config, machine, monitor, sampler=sampler,
-                         engine=engine, sink=sink, stream=stream,
-                         alert_rules=rules, trend=trend,
-                         history=history)
-    info = None
-    if run_info is not None:
-        info = dict(run_info)
-        monitoring = stack.monitoring_info()
-        if monitoring:
-            info["monitoring"] = monitoring
-    if config.wants_forensics and info is not None:
+        stack.sink = JsonlSink(_labelled_path(config.stream, label),
+                               max_bytes=config.stream_max_bytes
+                               or DEFAULT_MAX_BYTES)
+        stack.stream = TelemetryStream(stack.sink, machine=machine,
+                                       sampler=stack.sampler,
+                                       engine=stack.engine)
+    if run_info is None:
+        return stack
+    info = dict(run_info)
+    recorded = stack.monitoring_info()
+    if recorded:
+        info["monitoring"] = recorded
+    label = label or info.get("workload", "run")
+    if config.wants_forensics:
         from repro.obs.forensics import ForensicRecorder
         stack.recorder = ForensicRecorder(
             machine, monitor=monitor, run_info=info,
-            dump_dir=config.resolved_dump_dir(),
-            label=label or info.get("workload", "run"),
-            on_alert=config.dump_on_alert,
-            trend=trend,
+            dump_dir=config.resolved_dump_dir(), label=label,
+            on_alert=config.dump_on_alert, trend=stack.trend,
         )
-    if config.wants_checkpoints and info is not None:
+    if config.wants_checkpoints:
         from repro.obs.checkpoint import CheckpointScheduler
         stack.scheduler = CheckpointScheduler(
             machine, config.checkpoint_every, monitor=monitor,
-            run_info=info, sampler=sampler, engine=engine, trend=trend,
-            history=history,
-            checkpoint_dir=config.resolved_checkpoint_dir(),
-            label=label or info.get("workload", "run"),
+            run_info=info, sampler=stack.sampler, engine=stack.engine,
+            trend=stack.trend, history=stack.history,
+            checkpoint_dir=config.resolved_checkpoint_dir(), label=label,
         )
     return stack

@@ -5,8 +5,9 @@ about *individual allocations*; production leak hunting usually starts
 one level up, from the time series the telemetry stack already ships:
 is ``live_bytes`` for some allocation site still climbing after the
 service warmed up?  The :class:`TrendEngine` answers that question
-online.  It subscribes to the sampler (``sampler.add_listener(
-engine.observe)``) and maintains one bounded-window state per series:
+online.  It observes every sampler sample (the stack builder,
+:func:`~repro.obs.stack.assemble_monitor_stack`, subscribes it) and
+maintains one bounded-window state per series:
 
 - ``heap.live_bytes`` -- whole-heap occupancy,
 - ``safemem.watch.armed`` -- watch-pool occupancy,
@@ -246,9 +247,11 @@ def theil_sen_slope(points):
 class TrendEngine:
     """Online slope/changepoint detection over sampler series.
 
-    Attach with ``sampler.add_listener(engine.observe)`` **before** the
-    alert engine's listener, so ``trend``-kind rules judge the verdicts
-    of the sample being evaluated rather than the previous one.
+    Build it through :func:`~repro.obs.stack.assemble_monitor_stack`
+    (or :func:`~repro.obs.stack.build_monitor_stack`), which subscribes
+    :meth:`observe` **before** the alert engine's listener, so
+    ``trend``-kind rules judge the verdicts of the sample being
+    evaluated rather than the previous one.
     """
 
     def __init__(self, machine, window=DEFAULT_WINDOW,

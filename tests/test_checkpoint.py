@@ -35,8 +35,9 @@ from repro.obs.checkpoint import (
     write_checkpoint,
 )
 from repro.obs.export import snapshot_document
-from repro.obs.forensics import event_to_dict, load_document
+from repro.obs.forensics import load_document
 from repro.obs.sampler import Sample, SamplingProfiler
+from repro.obs.snapshot import event_to_dict
 from repro.obs.stack import MonitorStackConfig, build_monitor_stack
 from repro.obs.trend import DETECTORS, TrendEngine
 
@@ -50,13 +51,18 @@ def run_cli(*argv):
 
 
 def run_with_stack(requests, checkpoint_every=None, checkpoint_dir=None,
-                   workload="ypserv1", buggy=True):
-    """One monitored run under the full stack; returns (stack, result)."""
+                   workload="ypserv1", buggy=True, **settings):
+    """One monitored run under the full stack; returns (stack, result).
+
+    ``settings`` override the stack defaults (profiler, theil-sen
+    trend analytics, history)."""
+    settings = {"sample_every": SAMPLE_EVERY, "trend": "theil-sen",
+                "history": True, **settings}
     config = MonitorStackConfig(
-        sample_every=SAMPLE_EVERY, trend="theil-sen", history=True,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=(str(checkpoint_dir)
                         if checkpoint_dir is not None else None),
+        **settings,
     )
     run_info = {"workload": workload, "monitor": "safemem",
                 "buggy": buggy, "requests": requests, "seed": 0}
@@ -175,6 +181,19 @@ class TestDifferentialContract:
         history_doc = checkpoint["monitoring_state"]["history"]
         assert history_doc["schema"] == "repro.history/v1"
         assert history_doc["observations"] > 0
+
+
+def test_resume_verifies_with_rules_none(tmp_path):
+    """Regression: with ``--rules none`` the recorded stack still has
+    an (empty) alert engine, so the resumed stack must rebuild one too
+    or the ``alerts.*`` metrics and monitoring state diverge."""
+    stack, _ = run_with_stack(40, checkpoint_every=10_000_000,
+                              checkpoint_dir=tmp_path, rules="none",
+                              trend=None, history=False)
+    checkpoint = load_checkpoint(stack.checkpoint_paths[0])
+    assert checkpoint["run"]["monitoring"]["rules"] == []
+    resumed = resume_checkpoint(checkpoint, verify=True)
+    assert resumed.verified is True, resumed.verify_message
 
 
 # ----------------------------------------------------------------------

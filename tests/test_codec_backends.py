@@ -212,7 +212,7 @@ class TestChipsetProfiles:
             ChipsetProfile(name="x", fault_noise=-1.0).validate()
 
     def test_machine_boot_config_round_trips_profile(self):
-        from repro.obs.forensics import machine_from_config
+        from repro.obs.snapshot import machine_from_config
         machine = Machine(dram_size=2 * 1024 * 1024,
                           profile="chipkill-server")
         assert machine.profile.name == "chipkill-server"

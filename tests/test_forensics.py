@@ -34,16 +34,14 @@ from repro.common.errors import (
 from repro.common.events import EventKind
 from repro.machine.machine import Machine
 from repro.obs.alerts import AlertEngine, default_rules
-from repro.obs.export import write_metrics_json
+from repro.obs.export import snapshot_document, write_metrics_json
 from repro.obs.forensics import (
     DUMP_SCHEMA,
     ForensicRecorder,
     capture_bundle,
     diff_documents,
-    event_to_dict,
     load_bundle,
     load_document,
-    machine_from_config,
     parse_breakpoint,
     render_bundle_events,
     render_bundle_groups,
@@ -56,7 +54,8 @@ from repro.obs.forensics import (
     write_bundle,
 )
 from repro.obs.sampler import SamplingProfiler, leak_group_source
-from repro.obs.stack import MonitorStackConfig
+from repro.obs.snapshot import event_to_dict, machine_from_config
+from repro.obs.stack import MonitorStackConfig, build_monitor_stack
 
 
 def run_cli(*argv):
@@ -284,6 +283,35 @@ class TestReplay:
         assert replayed == original
         ok, message = verify_replay(bundle, replay)
         assert ok, message
+
+    def test_replay_keeps_history(self):
+        """Regression: a bundle recorded with ``--history`` replays with
+        the history store rebuilt, so its ``history.*`` metrics match."""
+        config = MonitorStackConfig(sample_every=100_000, history=True)
+        _, run_info = _small_run()
+        stack = build_monitor_stack(config, run_info=run_info)
+        stack.start()
+        try:
+            run_workload("gzip", "safemem", buggy=False, requests=10,
+                         seed=7, machine=stack.machine,
+                         monitor=stack.monitor)
+        finally:
+            stack.stop()
+        bundle = capture_bundle(
+            stack.machine, monitor=stack.monitor,
+            run_info={**run_info, "monitoring": stack.monitoring_info()})
+        stack.close()
+        replay = replay_bundle(bundle)
+        assert replay.break_cycle == bundle["cycle"]
+
+        def history_metrics(metrics):
+            return {name: value for name, value in metrics.items()
+                    if name.startswith("history.")}
+
+        recorded = history_metrics(bundle["metrics"]["metrics"])
+        assert recorded["history.observations"] > 0
+        replayed = snapshot_document(replay.machine.metrics.snapshot())
+        assert history_metrics(replayed["metrics"]) == recorded
 
     def test_replay_requires_run_info(self):
         machine = Machine(dram_size=8 * 1024 * 1024)

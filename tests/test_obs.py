@@ -3,11 +3,9 @@
 Covers the redesigned observability API end to end: instrument
 registration and snapshot/delta arithmetic, histogram percentiles,
 span nesting on the simulated clock, the PANIC flight recorder, the
-deprecation shims over the legacy counter dicts, event-log
+removal of the legacy counter-dict shims, event-log
 subscriptions/queries, and the machine-reuse accounting regression.
 """
-
-import warnings
 
 import pytest
 
@@ -18,7 +16,8 @@ from repro.common.errors import ConfigurationError, MachinePanic
 from repro.common.events import EventKind, EventLog
 from repro.core.config import full_config
 from repro.core.safemem import SafeMem
-from repro.machine.machine import Machine, PERF_COUNTER_METRICS
+from repro.machine import machine as machine_module
+from repro.machine.machine import Machine
 from repro.machine.program import Program
 from repro.obs.export import (
     SCHEMA,
@@ -311,11 +310,12 @@ class TestEventLog:
                              address=0x80)) == 1
         assert len(log.query(limit=1)) == 1
 
-    def test_direct_iteration_is_deprecated(self):
+    def test_direct_iteration_is_removed(self):
         _clock, log = self._log()
         log.emit(EventKind.WATCH)
-        with pytest.warns(DeprecationWarning):
-            assert len(list(log)) == 1
+        with pytest.raises(TypeError):
+            iter(log)
+        assert len(log.query()) == 1
 
     def test_mid_run_subscriber_sees_only_subsequent_events(self):
         # A consumer that subscribes mid-run (e.g. a telemetry stream
@@ -368,66 +368,49 @@ class TestEventLog:
         assert log.count(EventKind.ALERT) == 1
 
 
-class TestDeprecationShims:
-    def test_perf_counters_warns_and_matches_registry(self):
-        machine = Machine(dram_size=8 * 1024 * 1024)
-        machine.kernel.mmap(0x4000_0000, PAGE_SIZE)
-        machine.store(0x4000_0000, b"x" * 8)
-        machine.load(0x4000_0000, 8)
-        with pytest.warns(DeprecationWarning):
-            legacy = machine.perf_counters()
-        snapshot = machine.metrics.snapshot()
-        for key, name in PERF_COUNTER_METRICS.items():
-            assert legacy[key] == snapshot[name]
+class TestRemovedShims:
+    """The legacy counter dicts finished their deprecation lifecycle;
+    the registry snapshot is the only way to read telemetry."""
 
-    def test_statistics_warns_and_matches_registry(self):
+    def test_perf_counters_is_removed(self):
+        machine = Machine(dram_size=8 * 1024 * 1024)
+        with pytest.raises(AttributeError):
+            machine.perf_counters()
+        assert not hasattr(machine_module, "PERF_COUNTER_METRICS")
+
+    def test_statistics_is_removed(self):
+        with pytest.raises(AttributeError):
+            SafeMem().statistics()
         machine = Machine(dram_size=16 * 1024 * 1024)
         safemem = SafeMem(full_config())
-        program = Program(machine, monitor=safemem,
-                          heap_size=4 * 1024 * 1024)
-        buf = program.malloc(64)
-        program.free(buf)
-        with pytest.warns(DeprecationWarning):
-            legacy = safemem.statistics()
-        snapshot = safemem.telemetry()
-        assert legacy["watch_arms"] == \
-            snapshot["safemem.watch.arms"]
-        assert legacy["corruption_reports"] == \
-            snapshot["safemem.corruption.reports"]
-        assert legacy["fast_loads"] == snapshot["machine.load.fast"]
-
-    def test_statistics_before_attach_warns_and_zeroes(self):
-        safemem = SafeMem()
-        with pytest.warns(DeprecationWarning):
-            stats = safemem.statistics()
-        assert stats["watch_arms"] == 0
-        assert "tlb_hits" not in stats  # no machine attached
+        Program(machine, monitor=safemem, heap_size=4 * 1024 * 1024)
+        with pytest.raises(AttributeError):
+            safemem.statistics()
 
 
 class TestBenchParity:
     def test_delta_reproduces_legacy_hot_loop_counters(self):
         # The BENCH_memfast hot loop: unwatched machine, 16 hot lines,
         # every access a TLB hit + cache hit on the short-circuit
-        # path.  The registry delta must reproduce the legacy counter
-        # values exactly.
+        # path.  The registry delta must reproduce the machine's own
+        # hot-path counters exactly.
         machine = Machine(dram_size=8 * 1024 * 1024)
         base = 0x4000_0000
         machine.kernel.mmap(base, 4 * PAGE_SIZE)
         addresses = [base + i * CACHE_LINE_SIZE for i in range(16)]
         for address in addresses:
             machine.store(address, bytes(8))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_before = machine.perf_counters()
-            before = machine.metrics.snapshot()
-            for i in range(2000):
-                machine.load(addresses[i & 15], 8)
-            delta = machine.metrics.snapshot() - before
-            legacy_after = machine.perf_counters()
+        fast_before, slow_before = machine.fast_loads, machine.slow_loads
+        before = machine.metrics.snapshot()
+        for i in range(2000):
+            machine.load(addresses[i & 15], 8)
+        delta = machine.metrics.snapshot() - before
         assert delta["machine.load.fast"] == 2000
-        for key, name in PERF_COUNTER_METRICS.items():
-            assert delta[name] == \
-                legacy_after[key] - legacy_before[key], name
+        assert delta["machine.load.fast"] == \
+            machine.fast_loads - fast_before
+        assert delta["machine.load.slow"] == \
+            machine.slow_loads - slow_before
+        assert delta["mmu.tlb.miss"] == 0
 
 
 class TestMachineReuseAccounting:

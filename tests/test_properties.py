@@ -3,13 +3,15 @@
 These check the simulated machine against simple reference models:
 memory behaves like a byte array regardless of cache/paging/ECC
 activity, watchpoints never corrupt data, and the allocator never
-hands out overlapping or out-of-arena blocks.
+hands out overlapping or out-of-arena blocks, and a monitoring stack
+rebuilt from what a run records is wired exactly like the original.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.runner import make_monitor
 from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
 from repro.core.config import full_config
 from repro.core.safemem import SafeMem
@@ -18,6 +20,12 @@ from repro.ecc.codec import SecDedCodec, DecodeStatus
 from repro.heap.allocator import Allocator
 from repro.machine.machine import Machine
 from repro.machine.program import Program
+from repro.obs.stack import (
+    MonitorStackConfig,
+    assemble_monitor_stack,
+    build_monitor_stack,
+)
+from repro.obs.trend import DETECTORS, MIN_SLOPE_POINTS
 
 BASE = 0x4000_0000
 REGION_PAGES = 8
@@ -256,3 +264,56 @@ class TestAllocatorProperties:
         )
         for (s1, e1), (s2, _e2) in zip(spans, spans[1:]):
             assert e1 <= s2
+
+
+# ----------------------------------------------------------------------
+# the monitoring-stack builder: recorded stack == rebuilt stack
+# ----------------------------------------------------------------------
+@st.composite
+def stack_configs(draw):
+    sample_every = draw(st.one_of(st.none(),
+                                  st.integers(1, 10 ** 8)))
+    rules = draw(st.sampled_from(["default", "none"]))
+    if sample_every is None:
+        return MonitorStackConfig(rules=rules)
+    trend = draw(st.one_of(st.none(), st.sampled_from(DETECTORS)))
+    trend_window = seasonal_period = None
+    if trend is not None:
+        trend_window = draw(st.one_of(
+            st.none(), st.integers(MIN_SLOPE_POINTS, 256)))
+        seasonal_period = draw(st.one_of(
+            st.none(), st.integers(1, 10 ** 9)))
+    return MonitorStackConfig(
+        sample_every=sample_every, rules=rules, trend=trend,
+        trend_window=trend_window, seasonal_period=seasonal_period,
+        history=draw(st.booleans()))
+
+
+def _listener_names(stack):
+    if stack.sampler is None:
+        return []
+    return [listener.__qualname__
+            for listener in stack.sampler._listeners]
+
+
+class TestMonitorStackBuilder:
+    @given(stack_configs())
+    @settings(max_examples=40)
+    def test_rebuild_from_monitoring_info_is_a_fixed_point(self, config):
+        built = build_monitor_stack(
+            config, machine=Machine(dram_size=4 * 1024 * 1024))
+        info = built.monitoring_info()
+        assert info == config.monitoring()
+        rebuilt = assemble_monitor_stack(
+            info, Machine(dram_size=4 * 1024 * 1024),
+            make_monitor(config.monitor))
+        expected = []
+        if config.sample_every is not None:
+            expected = (["TrendEngine.observe"] if config.trend else []) \
+                + ["AlertEngine.evaluate"] \
+                + (["HistoryStore.observe"] if config.history else [])
+        assert _listener_names(built) == expected
+        assert _listener_names(rebuilt) == expected
+        assert list(rebuilt.machine.metrics.instruments()) == \
+            list(built.machine.metrics.instruments())
+        assert rebuilt.monitoring_info() == info

@@ -10,23 +10,46 @@ reaches DRAM and trips the watchpoint.
 This model reproduces those mechanics: LRU set-associative lookup,
 write-back of dirty victims, explicit ``clflush``, and line fills that
 go through the ECC controller (and may therefore raise ECC faults).
+
+Line data is stored per physical frame: each frame with a resident
+line owns one page-sized buffer, and every resident line's ``data`` is
+a view of its 64-byte slot.  A span that hits only resident lines of
+one frame therefore moves its bytes with one buffer slice.
 """
 
-from repro.common.constants import CACHE_LINE_SIZE, line_base
+from repro.common.constants import (
+    CACHE_LINE_SIZE,
+    LINES_PER_PAGE,
+    PAGE_SIZE,
+    line_base,
+)
 from repro.common.errors import ConfigurationError
 from repro.obs.metrics import attr_reader as _attr_reader
 
 
 class _Line:
-    """One resident cache line."""
+    """One resident cache line; ``data`` is a view into its frame."""
 
     __slots__ = ("tag", "data", "dirty", "stamp")
 
     def __init__(self, tag, data, stamp):
         self.tag = tag
-        self.data = bytearray(data)
+        self.data = data
         self.dirty = False
         self.stamp = stamp
+
+
+class _Frame:
+    """The resident lines of one physical frame and their bytes."""
+
+    __slots__ = ("buffer", "view", "lines", "resident")
+
+    def __init__(self):
+        self.buffer = bytearray(PAGE_SIZE)
+        self.view = memoryview(self.buffer)
+        #: the resident ``_Line`` of each slot, ``None`` where absent.
+        self.lines = [None] * LINES_PER_PAGE
+        self.resident = 0
 
 
 class Cache:
@@ -44,6 +67,9 @@ class Cache:
         self.ways = ways
         self.num_sets = size // (ways * CACHE_LINE_SIZE)
         self._sets = [dict() for _ in range(self.num_sets)]
+        #: frame base -> _Frame, for exactly the frames with a
+        #: resident line.
+        self._frames = {}
         self._tick = 0
         self.clock = clock
         self.cost_model = cost_model
@@ -80,28 +106,121 @@ class Cache:
     def load(self, paddr, size):
         """Read ``size`` bytes at physical address ``paddr``.
 
-        Splits accesses that straddle cache lines.  A miss fills the
-        line through the ECC controller; an armed watchpoint on that
-        line raises :class:`UncorrectableEccError` out of this call.
+        Any span, split at cache lines.  A miss fills the line through
+        the ECC controller; an armed watchpoint on that line raises
+        :class:`UncorrectableEccError` out of this call.
         """
-        out = bytearray()
-        for chunk_addr, chunk_size in _chunks(paddr, size):
-            line = self._access_line(chunk_addr, for_write=False)
-            offset = chunk_addr - line_base(chunk_addr)
-            out += line.data[offset:offset + chunk_size]
-        return bytes(out)
+        return self._span(paddr, size, None)
 
     def store(self, paddr, data):
-        """Write bytes at ``paddr`` (write-allocate: misses fill first)."""
-        position = 0
-        for chunk_addr, chunk_size in _chunks(paddr, len(data)):
-            line = self._access_line(chunk_addr, for_write=True)
-            offset = chunk_addr - line_base(chunk_addr)
-            line.data[offset:offset + chunk_size] = (
-                data[position:position + chunk_size]
-            )
-            line.dirty = True
-            position += chunk_size
+        """Write bytes at ``paddr`` (write-allocate: misses fill first).
+
+        ``data`` may be any buffer, including a memoryview.
+        """
+        self._span(paddr, len(data), data)
+
+    #: names kept for the per-layer host-time tracer, which wraps them.
+    load_span = load
+    store_span = store
+
+    def _span(self, paddr, size, data):
+        """The one span walk: a read when ``data`` is None, else a write.
+
+        Every line costs what one :meth:`_access_line` call costs, in
+        the same order: a tick, an LRU stamp, a hit or a fill, and the
+        cycle charge.  Two liberties are taken, both unobservable
+        while no clock timer is registered (nothing can run between
+        two hits then):
+
+        - consecutive hit charges batch into one ``clock.tick``;
+        - a span inside one frame whose lines are all resident is
+          accounted in one step and moves its bytes with one slice.
+
+        With a timer registered, the hit count and tick are published
+        before every charge, exactly as a per-line walk would.
+        """
+        if size <= 0:
+            if size < 0:
+                raise ConfigurationError(f"negative access size: {size}")
+            return None if data is not None else b""
+        clock = self.clock
+        charging = clock is not None and self.cost_model is not None
+        hit_cost = self.cost_model.cache_hit if charging else 0
+        defer = not charging or clock.timer_count == 0
+        offset = paddr % PAGE_SIZE
+        if defer and offset + size <= PAGE_SIZE:
+            frame = self._frames.get(paddr - offset)
+            if frame is not None:
+                lines = frame.lines[
+                    offset // CACHE_LINE_SIZE:
+                    (offset + size - 1) // CACHE_LINE_SIZE + 1]
+                if all(lines):
+                    tick = self._tick
+                    for line in lines:
+                        tick += 1
+                        line.stamp = tick
+                    self._tick = tick
+                    self.hits += len(lines)
+                    if charging:
+                        clock.tick(len(lines) * hit_cost)
+                    if data is None:
+                        return frame.view[offset:offset + size].tobytes()
+                    frame.buffer[offset:offset + size] = data
+                    for line in lines:
+                        line.dirty = True
+                    return None
+
+        sets = self._sets
+        num_sets = self.num_sets
+        out = bytearray() if data is None else None
+        tick = self._tick
+        hits = 0
+        pending = 0
+        cursor = paddr
+        end = paddr + size
+        while cursor < end:
+            base = cursor - (cursor % CACHE_LINE_SIZE)
+            stop = min(end, base + CACHE_LINE_SIZE)
+            line = sets[(base // CACHE_LINE_SIZE) % num_sets].get(base)
+            if line is None:
+                # Miss: publish the exact cache/clock state, then take
+                # the one fill path (an armed line raises out of it
+                # with all accumulated state already applied).
+                self._tick = tick
+                self.hits += hits
+                hits = 0
+                if pending:
+                    clock.tick(pending)
+                    pending = 0
+                line = self._access_line(base, for_write=data is not None)
+                tick = self._tick
+                defer = not charging or clock.timer_count == 0
+            else:
+                tick += 1
+                hits += 1
+                line.stamp = tick
+                if defer:
+                    pending += hit_cost
+                else:
+                    # A timer may fire inside this charge and read the
+                    # counters: publish them first.
+                    self._tick = tick
+                    self.hits += hits
+                    hits = 0
+                    clock.tick(hit_cost)
+                    tick = self._tick
+            if data is None:
+                out += line.data[cursor - base:stop - base]
+            else:
+                line.data[cursor - base:stop - base] = \
+                    data[cursor - paddr:stop - paddr]
+                line.dirty = True
+            cursor = stop
+        self._tick = tick
+        self.hits += hits
+        if pending:
+            clock.tick(pending)
+        return bytes(out) if data is None else None
 
     # ------------------------------------------------------------------
     # short-circuit access path (machine fast path)
@@ -125,7 +244,7 @@ class Cache:
         line.stamp = self._tick
         self._charge_hit()
         offset = paddr - base
-        return bytes(line.data[offset:offset + size])
+        return line.data[offset:offset + size].tobytes()
 
     def fast_write(self, paddr, data):
         """Write into a resident line; ``False`` when not resident.
@@ -146,123 +265,6 @@ class Cache:
         line.data[offset:offset + len(data)] = data
         line.dirty = True
         return True
-
-    # ------------------------------------------------------------------
-    # span access path (machine batch engine)
-    # ------------------------------------------------------------------
-    def load_span(self, paddr, size):
-        """Read ``size`` bytes, amortizing per-line Python overhead.
-
-        Simulation-equivalent to :meth:`load`: identical hit/miss/LRU
-        bookkeeping and cycle charges, applied in the same order.  The
-        only liberty taken is batching the ``cache_hit`` charges of
-        consecutive hits into one ``clock.tick`` -- legal while no
-        timers are armed (checked up front and after every miss);
-        otherwise each hit charges inline exactly like :meth:`load`.
-        Any miss flushes the batched state first and goes through
-        :meth:`_access_line`, so fills, evictions, write-backs, and
-        ECC faults behave identically to the scalar path.
-        """
-        if size < 0:
-            raise ConfigurationError(f"negative access size: {size}")
-        sets = self._sets
-        num_sets = self.num_sets
-        clock = self.clock
-        charging = clock is not None and self.cost_model is not None
-        hit_cost = self.cost_model.cache_hit if charging else 0
-        defer = charging and clock.timer_count == 0
-        tick = self._tick
-        hits = 0
-        pending = 0
-        out = bytearray()
-        cursor = paddr
-        remaining = size
-        while remaining > 0:
-            base = cursor - (cursor % CACHE_LINE_SIZE)
-            take = min(remaining, base + CACHE_LINE_SIZE - cursor)
-            line = sets[(base // CACHE_LINE_SIZE) % num_sets].get(base)
-            if line is None:
-                # Miss: restore exact cache/clock state, then take the
-                # one true fill path (an armed line raises out of it
-                # with all accumulated state already applied).
-                self._tick = tick
-                self.hits += hits
-                hits = 0
-                if pending:
-                    clock.tick(pending)
-                    pending = 0
-                line = self._access_line(base, for_write=False)
-                tick = self._tick
-                defer = charging and clock.timer_count == 0
-            else:
-                tick += 1
-                hits += 1
-                line.stamp = tick
-                if defer:
-                    pending += hit_cost
-                elif charging:
-                    clock.tick(hit_cost)
-            offset = cursor - base
-            out += line.data[offset:offset + take]
-            cursor += take
-            remaining -= take
-        self._tick = tick
-        self.hits += hits
-        if pending:
-            clock.tick(pending)
-        return bytes(out)
-
-    def store_span(self, paddr, data):
-        """Write ``data`` at ``paddr``; span twin of :meth:`store`.
-
-        Same equivalence contract as :meth:`load_span` (write-allocate
-        misses go through :meth:`_access_line` with flushed state).
-        ``data`` may be any buffer, including a memoryview.
-        """
-        sets = self._sets
-        num_sets = self.num_sets
-        clock = self.clock
-        charging = clock is not None and self.cost_model is not None
-        hit_cost = self.cost_model.cache_hit if charging else 0
-        defer = charging and clock.timer_count == 0
-        tick = self._tick
-        hits = 0
-        pending = 0
-        position = 0
-        cursor = paddr
-        remaining = len(data)
-        while remaining > 0:
-            base = cursor - (cursor % CACHE_LINE_SIZE)
-            take = min(remaining, base + CACHE_LINE_SIZE - cursor)
-            line = sets[(base // CACHE_LINE_SIZE) % num_sets].get(base)
-            if line is None:
-                self._tick = tick
-                self.hits += hits
-                hits = 0
-                if pending:
-                    clock.tick(pending)
-                    pending = 0
-                line = self._access_line(base, for_write=True)
-                tick = self._tick
-                defer = charging and clock.timer_count == 0
-            else:
-                tick += 1
-                hits += 1
-                line.stamp = tick
-                if defer:
-                    pending += hit_cost
-                elif charging:
-                    clock.tick(hit_cost)
-            offset = cursor - base
-            line.data[offset:offset + take] = data[position:position + take]
-            line.dirty = True
-            position += take
-            cursor += take
-            remaining -= take
-        self._tick = tick
-        self.hits += hits
-        if pending:
-            clock.tick(pending)
 
     # ------------------------------------------------------------------
     # maintenance operations
@@ -290,7 +292,8 @@ class Cache:
         start = end = None
         for paddr in paddrs:
             base = paddr - (paddr % CACHE_LINE_SIZE)
-            line = sets[(base // CACHE_LINE_SIZE) % num_sets].pop(base, None)
+            line = self._drop(sets[(base // CACHE_LINE_SIZE) % num_sets],
+                              base)
             self.flushes += 1
             if line is None or not line.dirty:
                 continue
@@ -300,6 +303,8 @@ class Cache:
                     self.controller.write_line(start, b"".join(burst))
                 burst = []
                 start = base
+            # A dropped line's slot keeps its bytes until the next fill
+            # of that line, and nothing fills before the burst goes out.
             burst.append(line.data)
             end = base + CACHE_LINE_SIZE
         if burst:
@@ -307,12 +312,12 @@ class Cache:
 
     def flush_all(self):
         """Write back and invalidate every resident line."""
-        for index, cache_set in enumerate(self._sets):
-            for base, line in list(cache_set.items()):
+        for cache_set in self._sets:
+            for base in list(cache_set):
+                line = self._drop(cache_set, base)
                 if line.dirty:
                     self.controller.write_line(base, bytes(line.data))
                     self.writebacks += 1
-            cache_set.clear()
 
     def contains(self, paddr):
         """True when the line holding ``paddr`` is resident."""
@@ -322,7 +327,7 @@ class Cache:
     def invalidate_line(self, paddr):
         """Drop a line without writing it back (test helper)."""
         base = line_base(paddr)
-        self._sets[self._set_index(base)].pop(base, None)
+        self._drop(self._sets[self._set_index(base)], base)
 
     # ------------------------------------------------------------------
     # internals
@@ -347,13 +352,37 @@ class Cache:
         # The fill goes through the controller: this is where an armed
         # watchpoint fires.  If it raises, no line is installed.
         data = self.controller.read_line(base)
-        line = _Line(base, data, self._tick)
+        offset = base % PAGE_SIZE
+        frame = self._frames.get(base - offset)
+        if frame is None:
+            frame = self._frames[base - offset] = _Frame()
+        frame.buffer[offset:offset + CACHE_LINE_SIZE] = data
+        line = _Line(base, frame.view[offset:offset + CACHE_LINE_SIZE],
+                     self._tick)
+        frame.lines[offset // CACHE_LINE_SIZE] = line
+        frame.resident += 1
         cache_set[base] = line
+        return line
+
+    def _drop(self, cache_set, base):
+        """Remove the line at ``base`` from its set and its frame.
+
+        Returns the line, or ``None`` when it was not resident.  A
+        frame leaves the index with its last line.
+        """
+        line = cache_set.pop(base, None)
+        if line is not None:
+            offset = base % PAGE_SIZE
+            frame = self._frames[base - offset]
+            frame.lines[offset // CACHE_LINE_SIZE] = None
+            frame.resident -= 1
+            if not frame.resident:
+                del self._frames[base - offset]
         return line
 
     def _evict_lru(self, cache_set):
         victim_base = min(cache_set, key=lambda b: cache_set[b].stamp)
-        victim = cache_set.pop(victim_base)
+        victim = self._drop(cache_set, victim_base)
         self.evictions += 1
         if victim.dirty:
             self.controller.write_line(victim_base, bytes(victim.data))
@@ -374,17 +403,3 @@ class Cache:
     def _charge_writeback(self):
         if self.clock is not None and self.cost_model is not None:
             self.clock.tick(self.cost_model.writeback)
-
-
-def _chunks(address, size):
-    """Split ``[address, address+size)`` at cache-line boundaries."""
-    if size < 0:
-        raise ConfigurationError(f"negative access size: {size}")
-    remaining = size
-    cursor = address
-    while remaining > 0:
-        line_end = line_base(cursor) + CACHE_LINE_SIZE
-        chunk = min(remaining, line_end - cursor)
-        yield cursor, chunk
-        cursor += chunk
-        remaining -= chunk

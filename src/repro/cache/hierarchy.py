@@ -12,7 +12,7 @@ dirty L2 victims write back to memory.  ``flush_line`` walks both
 levels top-down.
 """
 
-from repro.common.constants import line_base
+from repro.common.constants import CACHE_LINE_SIZE
 from repro.cache.cache import Cache
 
 
@@ -28,7 +28,6 @@ class _LevelBackend:
         self.lower = lower
 
     def read_line(self, address):
-        from repro.common.constants import CACHE_LINE_SIZE
         return self.lower.load(address, CACHE_LINE_SIZE)
 
     def write_line(self, address, data):
@@ -64,14 +63,6 @@ class CacheHierarchy:
 
     def store(self, paddr, data):
         self.l1.store(paddr, data)
-
-    def load_span(self, paddr, size):
-        """Span read through L1 (L1 misses fill from L2 as usual)."""
-        return self.l1.load_span(paddr, size)
-
-    def store_span(self, paddr, data):
-        """Span write through L1, write-allocate like :meth:`store`."""
-        self.l1.store_span(paddr, data)
 
     def fast_read(self, paddr, size):
         """Short-circuit read: L1-resident lines only (else ``None``)."""
@@ -138,8 +129,3 @@ class CacheHierarchy:
             "l2_misses": self.l2.misses,
             "l2_writebacks": self.l2.writebacks,
         }
-
-
-def is_line_resident(hierarchy, paddr):
-    """True when the line holding ``paddr`` is in any level."""
-    return hierarchy.contains(line_base(paddr))

@@ -214,21 +214,17 @@ class Machine:
         self.slow_stores += 1
         self._access_with_retry(vaddr, len(data), True, data)
 
-    def _access_with_retry(self, vaddr, size, write, data=None,
-                           span=False):
+    def _access_with_retry(self, vaddr, size, write, data=None):
         """The fault-retry loop shared by every non-short-circuit path.
 
-        One ``walk`` attempt per delivered-and-handled fault, up to the
-        livelock budget; ``span=True`` moves whole-line spans through
-        the cache (:meth:`_span_walk`), which is bookkeeping-identical
-        to the scalar :meth:`_walk` but amortizes Python overhead.
+        One :meth:`_walk` attempt per delivered-and-handled fault, up
+        to the livelock budget.
         """
-        walk = self._span_walk if span else self._walk
         access = "write" if write else "read"
         budget = _retry_budget(size)
         for _ in range(budget):
             try:
-                return walk(vaddr, size, write, data)
+                return self._walk(vaddr, size, write, data)
             except UncorrectableEccError as exc:
                 self.kernel.handle_uncorrectable_fault(exc.fault,
                                                        access=access)
@@ -250,9 +246,10 @@ class Machine:
         The batched engine resolves translation once per page run
         (a per-plan page->frame cache, discarded on any TLB shootdown),
         serves resident single-line ops inline, and moves everything
-        else through whole-line span walks.  Any op that overlaps an
-        armed/watched line -- and any zero-sized op -- falls back to
-        the scalar :meth:`load`/:meth:`store`, so watchpoint semantics
+        else through :meth:`_walk`, the span walk scalar accesses use.
+        Any op that overlaps an armed/watched line -- and any
+        zero-sized op -- falls back to the scalar
+        :meth:`load`/:meth:`store`, so watchpoint semantics
         and cycle accounting are identical to scalar execution; a
         tier-1 differential test pins that equivalence.  The only
         observable differences are instrumentation: ``mmu.tlb.hit``
@@ -517,13 +514,11 @@ class Machine:
                     tick_clock(hits * hit_cost)
                     nstores = 0
                 if write:
-                    self._access_with_retry(vaddr, size, True, data,
-                                            span=True)
+                    self._access_with_retry(vaddr, size, True, data)
                     self.batched_stores += 1
                     append(None)
                 else:
-                    append(self._access_with_retry(vaddr, size, False,
-                                                   span=True))
+                    append(self._access_with_retry(vaddr, size, False))
                     self.batched_loads += 1
                 slow = True
             if slow:
@@ -624,30 +619,11 @@ class Machine:
     # internals
     # ------------------------------------------------------------------
     def _walk(self, vaddr, size, write, data=None):
-        """One attempt at the access, split at page boundaries."""
-        out = bytearray() if not write else None
-        cursor = vaddr
-        end = vaddr + size
-        position = 0
-        while cursor < end:
-            page_end = align_down(cursor, PAGE_SIZE) + PAGE_SIZE
-            take = min(end - cursor, page_end - cursor)
-            paddr = self.mmu.translate(cursor, write=write)
-            if write:
-                self.cache.store(paddr, data[position:position + take])
-            else:
-                out += self.cache.load(paddr, take)
-            cursor += take
-            position += take
-        return bytes(out) if not write else None
+        """One attempt at the access: one cache span per page.
 
-    def _span_walk(self, vaddr, size, write, data=None):
-        """One attempt at a batched access: whole-line span moves.
-
-        Splits at page boundaries like :meth:`_walk`, but each page
-        chunk goes through the cache's span path, amortizing per-line
-        Python overhead while keeping identical hit/miss/LRU/cycle
-        bookkeeping (see ``Cache.load_span``).
+        Splits at page boundaries, translates each page once, and
+        moves each page's bytes through the cache in one call (see
+        ``Cache.load``), for scalar and batched accesses alike.
         """
         cache = self.cache
         mmu = self.mmu
@@ -661,9 +637,9 @@ class Machine:
             take = min(end - cursor, page_end - cursor)
             paddr = mmu.translate(cursor, write=write)
             if write:
-                cache.store_span(paddr, view[position:position + take])
+                cache.store(paddr, view[position:position + take])
             else:
-                out += cache.load_span(paddr, take)
+                out += cache.load(paddr, take)
             cursor += take
             position += take
         return bytes(out) if not write else None

@@ -77,6 +77,26 @@ class TestDifferentialEquivalence:
         plan += [("load", BASE + i * 64, 64) for i in range(600)]
         _run_twins(plan, machine_kwargs={"cache_levels": 2})
 
+    def test_timer_inside_a_span_sees_scalar_hit_counts(self):
+        # A clock timer that fires between two line hits of one access
+        # must read the hit count a per-line walk has published by
+        # then, on the batched path as on the scalar one.
+        observed = []
+
+        def prepare(machine):
+            machine.store(BASE, bytes(2 * PAGE_SIZE))
+            seen = []
+            observed.append(seen)
+            machine.clock.every(7, lambda clock: seen.append(
+                (clock.cycles, machine.cache.hits)))
+
+        plan = [("load", BASE, 2 * PAGE_SIZE),
+                ("store", BASE + PAGE_SIZE, b"\x5a" * PAGE_SIZE)]
+        _run_twins(plan, prepare=prepare)
+        batched_seen, scalar_seen = observed
+        assert batched_seen
+        assert batched_seen == scalar_seen
+
     def test_misaligned_and_line_straddling_ops(self):
         plan = [("store", BASE + 60, b"straddle!"),
                 ("load", BASE + 60, 9),

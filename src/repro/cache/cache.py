@@ -79,6 +79,8 @@ class Cache:
         self.evictions = 0
         self.writebacks = 0
         self.flushes = 0
+        #: lines currently resident, across every set.
+        self.resident_lines = 0
         if metrics is not None:
             self.register_metrics(metrics)
 
@@ -94,11 +96,8 @@ class Cache:
         ):
             metrics.probe(name, _attr_reader(self, attr),
                           kind="counter")
-        metrics.probe(
-            f"{prefix}.resident_lines",
-            lambda: sum(len(s) for s in self._sets),
-            kind="gauge",
-        )
+        metrics.probe(f"{prefix}.resident_lines",
+                      _attr_reader(self, "resident_lines"), kind="gauge")
 
     # ------------------------------------------------------------------
     # program-visible access path
@@ -362,6 +361,7 @@ class Cache:
         frame.lines[offset // CACHE_LINE_SIZE] = line
         frame.resident += 1
         cache_set[base] = line
+        self.resident_lines += 1
         return line
 
     def _drop(self, cache_set, base):
@@ -372,6 +372,7 @@ class Cache:
         """
         line = cache_set.pop(base, None)
         if line is not None:
+            self.resident_lines -= 1
             offset = base % PAGE_SIZE
             frame = self._frames[base - offset]
             frame.lines[offset // CACHE_LINE_SIZE] = None

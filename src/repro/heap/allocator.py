@@ -13,6 +13,7 @@ cost, both of which are modelled.
 """
 
 import bisect
+from itertools import compress
 
 from repro.common.constants import align_up
 from repro.common.errors import (
@@ -99,12 +100,15 @@ class Allocator:
             )
         self._charge()
         granted = align_up(size, MIN_ALIGNMENT)
-        for index in range(len(self._free_addrs)):
+        sizes = self._free_sizes
+        # First fit over the extents at least ``granted`` long: a
+        # shorter one can never hold the block, so skipping it leaves
+        # the chosen extent unchanged.
+        for index in compress(range(len(sizes)), map(granted.__le__,
+                                                      sizes)):
             extent_addr = self._free_addrs[index]
-            extent_size = self._free_sizes[index]
             aligned = align_up(extent_addr, alignment)
-            waste_front = aligned - extent_addr
-            if waste_front + granted > extent_size:
+            if aligned - extent_addr + granted > sizes[index]:
                 continue
             self._carve(index, aligned, granted)
             allocation = Allocation(aligned, granted, size)

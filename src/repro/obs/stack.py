@@ -498,13 +498,16 @@ def assemble_monitor_stack(monitoring, machine, monitor):
     rule dicts, ``sampling``, trend engine parameters, ``history``);
     missing trend parameters take their defaults.  The stack records
     the normalised dict, so rebuilding from what a run recorded wires
-    an identical stack.
+    an identical stack.  A malformed ``sample_every`` or ``trend``
+    (read back from a bundle or checkpoint) raises
+    :class:`ConfigurationError` naming the field.
     """
     from repro.obs.alerts import AlertEngine, AlertRule
     from repro.obs.history import HistoryStore
     from repro.obs.sampler import SamplingProfiler, leak_group_source
     from repro.obs.trend import TrendEngine
 
+    _check_monitoring(monitoring)
     info = {}
     if monitoring.get("sampling") is not None:
         info["sampling"] = dict(monitoring["sampling"])
@@ -536,6 +539,33 @@ def assemble_monitor_stack(monitoring, machine, monitor):
         info["history"] = True
     return MonitorStack(machine, monitor, info, sampler=sampler,
                         engine=engine, trend=trend, history=history)
+
+
+def _check_monitoring(monitoring):
+    """Reject a ``sample_every`` or ``trend`` the assembler cannot use.
+
+    Absent (or None) fields are fine: they mean "no profiler" and "no
+    trend engine", and a missing trend parameter takes its default.
+    """
+    def positive_int(field, value):
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, int)
+                                  or value < 1):
+            raise ConfigurationError(
+                f"monitoring field {field!r} must be a positive "
+                f"integer, got {value!r}")
+
+    positive_int("sample_every", monitoring.get("sample_every"))
+    trend = monitoring.get("trend")
+    if trend is None:
+        return
+    if not isinstance(trend, dict):
+        raise ConfigurationError(
+            f"monitoring field 'trend' must be a dict of trend engine "
+            f"parameters, got {trend!r}")
+    for key in ("window", "seasonal_period", "seasonal_phases",
+                "seasonal_warmup"):
+        positive_int(f"trend.{key}", trend.get(key))
 
 
 def _trend_spec(spec):

@@ -20,9 +20,13 @@ experiment comparable without re-running workloads):
 
 ``theil-sen``
     Robust slope: the median of all pairwise slopes over the window,
-    reported in **bytes per megacycle**.  Judged only once the window
-    is *full* -- the median then dilutes a one-off level step (a
-    buffer pool warming up) to ~0, so only a *sustained* ramp breaches.
+    reported in **bytes per megacycle**.  Each series keeps those
+    slopes sorted and updates them in place (the evicted point's
+    slopes out, the new point's in), so an observation computes
+    O(window) slopes instead of sorting all O(window**2).  Judged only
+    once the window is *full* -- the median then dilutes a one-off
+    level step (a buffer pool warming up) to ~0, so only a
+    *sustained* ramp breaches.
     Insensitive to up to ~29% outlier samples (GC pauses, burst
     frees), but the slowest to react.
 ``cusum``
@@ -77,6 +81,7 @@ reflect the previous observation, because the sampler snapshots
 metrics before listeners run.
 """
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -86,7 +91,10 @@ from repro.common.events import EventKind
 #: detector names accepted in ``trend``-rule selectors and ``--trend``.
 DETECTORS = ("theil-sen", "cusum", "page-hinkley")
 
-#: samples per series window (Theil-Sen pairs grow quadratically).
+#: samples per series window.  Each series keeps its window's sorted
+#: pairwise slopes, so memory stays quadratic in the window, but an
+#: observation computes only the 2 * (window - 1) slopes of the point
+#: it evicts and the point it adds: linear in the window.
 DEFAULT_WINDOW = 32
 
 #: minimum points before :func:`theil_sen_slope` reports (else 0.0);
@@ -187,13 +195,15 @@ class TrendVerdict:
 class _SeriesState:
     """Detector state for one tracked series."""
 
-    __slots__ = ("window", "last_value", "cusum", "ph_count", "ph_mean",
-                 "ph_m", "ph_min", "breached", "last_cycle",
+    __slots__ = ("window", "slopes", "last_value", "cusum", "ph_count",
+                 "ph_mean", "ph_m", "ph_min", "breached", "last_cycle",
                  "points_seen", "season_bins", "baseline")
 
     def __init__(self, window, seasonal_phases=None):
         #: (cycle, value) ring for the Theil-Sen window.
         self.window = deque(maxlen=window)
+        #: every pairwise slope of ``window``, sorted (derived state).
+        self.slopes = []
         self.last_value = None
         self.cusum = 0.0
         self.ph_count = 0
@@ -210,14 +220,42 @@ class _SeriesState:
         #: per-phase frozen medians (None until the baseline freezes).
         self.baseline = None
 
+    def push(self, cycle, value):
+        """Append a point to the window, keeping :attr:`slopes` exact.
 
-def _median(values):
-    """Median of a non-empty list (sorted internally)."""
-    ordered = sorted(values)
+        On a full window the evicted oldest point's slopes are bisected
+        out before the new point's are inserted.  Each slope is
+        recomputed from the same two points with the same operands as
+        :func:`theil_sen_slope`, so removal by value is exact; values
+        are never -0.0 and a kept pair's cycle difference is positive,
+        so no slope can be mistaken for its signed zero twin.
+        """
+        window = self.window
+        slopes = self.slopes
+        if len(window) == window.maxlen:
+            old_cycle, old_value = window.popleft()
+            for cycle_j, value_j in window:
+                if cycle_j != old_cycle:
+                    del slopes[bisect_left(
+                        slopes,
+                        (value_j - old_value) / (cycle_j - old_cycle))]
+        for cycle_i, value_i in window:
+            if cycle != cycle_i:
+                insort(slopes, (value - value_i) / (cycle - cycle_i))
+        window.append((cycle, value))
+
+
+def _middle(ordered):
+    """Median of a non-empty sorted list."""
     mid = len(ordered) // 2
     if len(ordered) % 2:
         return ordered[mid]
     return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def _median(values):
+    """Median of a non-empty list (sorted internally)."""
+    return _middle(sorted(values))
 
 
 def theil_sen_slope(points):
@@ -238,10 +276,7 @@ def theil_sen_slope(points):
     if not slopes:
         return 0.0
     slopes.sort()
-    mid = len(slopes) // 2
-    if len(slopes) % 2:
-        return slopes[mid]
-    return (slopes[mid - 1] + slopes[mid]) / 2.0
+    return _middle(slopes)
 
 
 class TrendEngine:
@@ -448,7 +483,7 @@ class TrendEngine:
                 state.points_seen += 1
                 return
         previous = state.last_value
-        state.window.append((cycle, value))
+        state.push(cycle, value)
         state.last_cycle = cycle
         state.points_seen += 1
         # CUSUM over increments (needs a previous point).
@@ -465,9 +500,11 @@ class TrendEngine:
         # Theil-Sen is judged only on a full window: the median of
         # pairwise slopes then dilutes a one-off level step (clean
         # warmup) to ~0, so only a sustained ramp reports a slope.
+        # The median is read off the sorted slopes; it equals
+        # theil_sen_slope(state.window).
         slope = 0.0
-        if len(state.window) == self.window:
-            slope = theil_sen_slope(state.window) * MEGACYCLE
+        if len(state.window) == self.window and state.slopes:
+            slope = _middle(state.slopes) * MEGACYCLE
         statistics = {
             "theil-sen": slope,
             "cusum": state.cusum,
@@ -660,7 +697,7 @@ class TrendEngine:
                 seasonal_phases=(self.seasonal_phases
                                  if self.seasonal_period else None))
             for cycle, value in record["window"]:
-                state.window.append((cycle, value))
+                state.push(cycle, value)
             state.last_value = record["last_value"]
             state.cusum = record["cusum"]
             state.ph_count = record["ph_count"]

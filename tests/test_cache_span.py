@@ -9,8 +9,10 @@ the span at cache lines and take every piece through
 random access sequence, one through each, and must agree on every
 returned byte, every counter, every resident line (stamp, dirty bit,
 data), the clock and what a clock timer observes, and the DRAM
-contents after a final ``flush_all``.  The frame index is checked
-after every access.
+contents after a final ``flush_all``.  The random sequences also
+interleave ``flush_lines`` and ``invalidate_line``, applied to both
+twins.  The frame index and the ``resident_lines`` counter are
+checked after every operation.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import Cache
+from repro.cache.hierarchy import CacheHierarchy
 from repro.common.clock import VirtualClock
 from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE, line_base
 from repro.common.costs import default_cost_model
@@ -25,6 +28,7 @@ from repro.ecc.codec import get_codec
 from repro.ecc.controller import MemoryController
 from repro.ecc.dram import PhysicalMemory
 from repro.ecc.faults import UncorrectableEccError
+from repro.obs.metrics import MetricsRegistry
 
 #: accesses start in the first three frames and span up to three pages.
 DRAM_SIZE = 8 * PAGE_SIZE
@@ -94,8 +98,10 @@ class _Rig:
 
 
 def assert_frame_index(cache):
-    """``_frames`` holds exactly the frames with resident lines, and
-    each frame's slots and count match the set dicts."""
+    """``_frames`` holds exactly the frames with resident lines, each
+    frame's slots and count match the set dicts, and the
+    ``resident_lines`` counter matches their total."""
+    assert cache.resident_lines == sum(len(s) for s in cache._sets)
     expected = {}
     for cache_set in cache._sets:
         for base, line in cache_set.items():
@@ -126,7 +132,8 @@ sizes = st.one_of(
                      PAGE_SIZE + 1, 2 * PAGE_SIZE, 3 * PAGE_SIZE]),
     st.integers(0, 3 * PAGE_SIZE))
 accesses = st.lists(
-    st.tuples(st.booleans(), addresses, sizes, st.integers(0, 255)),
+    st.tuples(st.sampled_from(["load", "store", "flush", "invalidate"]),
+              addresses, sizes, st.integers(0, 255)),
     min_size=1, max_size=12)
 
 
@@ -138,19 +145,30 @@ accesses = st.lists(
 def test_span_walk_matches_per_line_reference(size, ways, cadence, plan):
     for timer in (None, cadence):
         span, reference = _Rig(size, ways, timer), _Rig(size, ways, timer)
-        for write, paddr, length, seed in plan:
-            if write:
+        for kind, paddr, length, seed in plan:
+            if kind == "store":
                 data = PATTERN[seed:seed + length]
                 span.cache.store(paddr, data)
                 reference_store(reference.cache, paddr, data)
-            else:
+            elif kind == "load":
                 assert span.cache.load(paddr, length) == \
                     reference_load(reference.cache, paddr, length)
+            else:
+                # Maintenance runs the same code on both twins.
+                for rig in (span, reference):
+                    if kind == "flush":
+                        rig.cache.flush_lines(range(
+                            line_base(paddr), paddr + length,
+                            CACHE_LINE_SIZE))
+                    else:
+                        rig.cache.invalidate_line(paddr)
             assert span.state() == reference.state()
             assert_frame_index(span.cache)
+            assert_frame_index(reference.cache)
         span.cache.flush_all()
         reference.cache.flush_all()
         assert span.cache._frames == {}
+        assert span.cache.resident_lines == 0
         assert span.state() == reference.state()
         assert span.controller.dram.digest() == \
             reference.controller.dram.digest()
@@ -187,3 +205,33 @@ def test_fault_mid_span_leaves_reference_state(cadence, write):
         assert_frame_index(rig.cache)
         rigs.append(rig.state())
     assert rigs[0] == rigs[1]
+
+
+def test_resident_lines_gauges_read_each_level():
+    """``cache.l1.resident_lines`` and ``cache.l2.resident_lines`` are
+    each level's own counter, through fills, evictions, flushes and an
+    invalidate."""
+    controller = MemoryController(PhysicalMemory(DRAM_SIZE))
+    metrics = MetricsRegistry()
+    hierarchy = CacheHierarchy(controller, l1_size=1024, l1_ways=2,
+                               l2_size=8192, l2_ways=4, metrics=metrics)
+
+    def assert_gauges():
+        for level in (hierarchy.l1, hierarchy.l2):
+            assert_frame_index(level)
+            assert metrics.value(f"cache.{level.level}.resident_lines") \
+                == sum(len(s) for s in level._sets)
+
+    hierarchy.load(0, 2 * PAGE_SIZE)
+    assert_gauges()
+    # 2 pages = 128 lines: L1 holds 16 of them, L2 all 128.
+    assert metrics.value("cache.l1.resident_lines") == 16
+    assert metrics.value("cache.l2.resident_lines") == 128
+    hierarchy.store(PAGE_SIZE + 8, b"\xa5" * 300)
+    hierarchy.flush_lines(range(0, 4 * CACHE_LINE_SIZE, CACHE_LINE_SIZE))
+    hierarchy.invalidate_line(PAGE_SIZE)
+    assert_gauges()
+    hierarchy.flush_all()
+    assert_gauges()
+    assert metrics.value("cache.l1.resident_lines") == 0
+    assert metrics.value("cache.l2.resident_lines") == 0

@@ -12,8 +12,10 @@ cycle), the ``load_checkpoint``/``load_document`` schema errors, and
 the ``repro resume`` / ``repro inspect`` CLI surface.
 """
 
+import copy
 import io
 import json
+import re
 
 import pytest
 
@@ -35,7 +37,7 @@ from repro.obs.checkpoint import (
     write_checkpoint,
 )
 from repro.obs.export import snapshot_document
-from repro.obs.forensics import load_document
+from repro.obs.forensics import capture_bundle, load_document, replay_bundle
 from repro.obs.sampler import Sample, SamplingProfiler
 from repro.obs.snapshot import event_to_dict
 from repro.obs.stack import MonitorStackConfig, build_monitor_stack
@@ -194,6 +196,52 @@ def test_resume_verifies_with_rules_none(tmp_path):
     assert checkpoint["run"]["monitoring"]["rules"] == []
     resumed = resume_checkpoint(checkpoint, verify=True)
     assert resumed.verified is True, resumed.verify_message
+
+
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    """A real ypserv1 checkpoint and a bundle of the same run, both
+    recording the full monitoring stack."""
+    tmp = tmp_path_factory.mktemp("recorded")
+    stack, _ = run_with_stack(40, checkpoint_every=10_000_000,
+                              checkpoint_dir=tmp)
+    checkpoint = load_checkpoint(stack.checkpoint_paths[0])
+    bundle = capture_bundle(stack.machine, monitor=stack.monitor,
+                            run_info=checkpoint["run"])
+    return checkpoint, bundle
+
+
+def _with_monitoring_field(document, field, value):
+    """A copy of ``document`` whose ``run.monitoring`` has ``field``
+    (``outer`` or ``outer.inner``) set to ``value``."""
+    document = copy.deepcopy(document)
+    monitoring = document["run"]["monitoring"]
+    *outer, name = field.split(".")
+    for key in outer:
+        monitoring = monitoring[key]
+    monitoring[name] = value
+    return document
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sample_every", "x"),
+    ("sample_every", 0),
+    ("sample_every", True),
+    ("trend", 5),
+    ("trend.window", "32"),
+    ("trend.seasonal_warmup", 0),
+])
+def test_malformed_recorded_monitoring_is_a_named_error(recorded_run,
+                                                        field, value):
+    """Resume and replay rebuild the recorded stack; a malformed
+    ``sample_every`` or ``trend`` must raise ConfigurationError naming
+    the field, not a TypeError, and never run without the sampler."""
+    checkpoint, bundle = recorded_run
+    named = re.escape(repr(field))
+    with pytest.raises(ConfigurationError, match=named):
+        resume_checkpoint(_with_monitoring_field(checkpoint, field, value))
+    with pytest.raises(ConfigurationError, match=named):
+        replay_bundle(_with_monitoring_field(bundle, field, value))
 
 
 # ----------------------------------------------------------------------

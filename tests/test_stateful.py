@@ -1,8 +1,9 @@
 """Stateful property testing (hypothesis rule-based machines).
 
 Random interleavings of program operations against reference models:
-the allocator against an interval bookkeeper, and a SafeMem-monitored
-program against a plain dict of expected buffer contents.
+the allocator against an interval bookkeeper and a plain first-fit
+placement loop, and a SafeMem-monitored program against a plain dict
+of expected buffer contents.
 """
 
 import pytest
@@ -16,9 +17,11 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
+from repro.common.constants import align_up
+from repro.common.errors import OutOfMemory
 from repro.core.config import full_config
 from repro.core.safemem import SafeMem
-from repro.heap.allocator import Allocator
+from repro.heap.allocator import MIN_ALIGNMENT, Allocator
 from repro.machine.machine import Machine
 from repro.machine.program import Program
 
@@ -26,24 +29,65 @@ ARENA_BASE = 0x2000_0000
 ARENA_SIZE = 256 * 1024
 
 
+def first_fit(free_addrs, free_sizes, size, alignment):
+    """Reference placement: the aligned address in the first free
+    extent, in address order, that holds the block; None when none
+    does.  Visits every extent, with no size prefilter."""
+    granted = align_up(size, MIN_ALIGNMENT)
+    for index in range(len(free_addrs)):
+        extent_addr = free_addrs[index]
+        extent_size = free_sizes[index]
+        aligned = align_up(extent_addr, alignment)
+        waste_front = aligned - extent_addr
+        if waste_front + granted > extent_size:
+            continue
+        return aligned
+    return None
+
+
 class AllocatorMachine(RuleBasedStateMachine):
-    """The allocator never overlaps, never escapes, always coalesces."""
+    """The allocator places first-fit, never overlaps, never escapes,
+    always coalesces."""
 
     def __init__(self):
         super().__init__()
         self.allocator = Allocator(ARENA_BASE, ARENA_SIZE)
         self.live = {}
 
+    def _malloc(self, size, alignment):
+        allocator = self.allocator
+        expected = first_fit(list(allocator._free_addrs),
+                             list(allocator._free_sizes), size, alignment)
+        if expected is None:
+            # OOM under fragmentation is legal, and only then.
+            with pytest.raises(OutOfMemory):
+                allocator.malloc(size, alignment=alignment)
+            return None
+        address = allocator.malloc(size, alignment=alignment)
+        assert address == expected
+        assert address % alignment == 0
+        self.live[address] = allocator.lookup(address).size
+        return address
+
     @rule(size=st.integers(min_value=1, max_value=4096),
           alignment=st.sampled_from([16, 32, 64, 4096]))
     def malloc(self, size, alignment):
-        try:
-            address = self.allocator.malloc(size, alignment=alignment)
-        except Exception:
-            return  # OOM under fragmentation is legal
-        assert address % alignment == 0
-        granted = self.allocator.lookup(address).size
-        self.live[address] = granted
+        self._malloc(size, alignment)
+
+    @precondition(lambda self: self.allocator._free_sizes)
+    @rule(index=st.integers(min_value=0, max_value=10 ** 6))
+    def malloc_exact_fit(self, index):
+        """Request exactly one free extent's size (the first extent's
+        often), so an extent with ``granted == extent size`` is the
+        one first-fit takes."""
+        allocator = self.allocator
+        index %= len(allocator._free_sizes)
+        extent_addr = allocator._free_addrs[index]
+        address = self._malloc(allocator._free_sizes[index],
+                               MIN_ALIGNMENT)
+        if address == extent_addr:
+            # The whole extent is consumed; none is left at its start.
+            assert extent_addr not in allocator._free_addrs
 
     @precondition(lambda self: self.live)
     @rule(index=st.integers(min_value=0, max_value=10 ** 6))

@@ -12,8 +12,11 @@ attached.
 
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.common.errors import ConfigurationError
@@ -128,6 +131,108 @@ class TestTheilSenSlope:
     def test_coincident_cycles_are_zero(self):
         assert theil_sen_slope([(5, 1.0), (5, 2.0), (5, 3.0),
                                 (5, 4.0)]) == 0.0
+
+
+# ----------------------------------------------------------------------
+# incremental Theil-Sen vs the reference helper (differential property)
+# ----------------------------------------------------------------------
+#: (size, call signature) of the group series a stream can carry.
+GROUP_KEYS = ((16, 0x7), (48, 0x2A), (64, 0x10), (128, 0x99))
+
+#: byte levels, with repeats common so equal slopes (ties) occur.
+levels = st.one_of(st.integers(0, 1 << 20), st.sampled_from([0, 4096]))
+
+#: group series switched on or off by one sample: usually none, so
+#: groups often persist long enough to fill their windows.
+toggles = st.one_of(
+    st.just(frozenset()), st.just(frozenset()), st.just(frozenset()),
+    st.frozensets(st.integers(0, len(GROUP_KEYS) - 1), min_size=1,
+                  max_size=2))
+
+#: per sample: cycle advance (0 repeats the previous cycle, as the
+#: end-of-run ``sample_now`` can), heap bytes, armed watches, the
+#: groups toggled (a group switched off ends its series, and switching
+#: it back on starts a fresh one) and every group's bytes.  Streams
+#: are longer than the largest window, so every stream evicts.
+trend_steps = st.lists(
+    st.tuples(st.sampled_from([0, 1, 40_000, 100_000, 250_000]),
+              levels, st.integers(0, 64), toggles,
+              st.tuples(*[levels] * len(GROUP_KEYS))),
+    min_size=42, max_size=90)
+
+#: None (flat) or (period, phases, warmup periods).
+seasons = st.one_of(st.none(),
+                    st.tuples(st.integers(200_000, 2_000_000),
+                              st.integers(1, 8), st.integers(1, 2)))
+
+
+def _trend_stream(steps):
+    cycle = 100_000
+    present = frozenset()
+    for index, (advance, heap, armed, toggled, group_bytes) in \
+            enumerate(steps):
+        cycle += advance
+        present ^= toggled
+        rows = [group_row(*GROUP_KEYS[key], group_bytes[key])
+                for key in sorted(present)]
+        yield make_sample(cycle, heap=heap, armed=armed, groups=rows,
+                          index=index)
+
+
+def _engine_for(window, season):
+    seasonal = {}
+    if season is not None:
+        period, phases, warmup = season
+        seasonal = {"seasonal_period": period, "seasonal_phases": phases,
+                    "seasonal_warmup": warmup}
+    return TrendEngine(Machine(dram_size=1024 * 1024), window=window,
+                       **seasonal)
+
+
+def _pairwise_slopes(points):
+    return sorted(
+        (value_j - value_i) / (cycle_j - cycle_i)
+        for i, (cycle_i, value_i) in enumerate(points)
+        for cycle_j, value_j in points[i + 1:]
+        if cycle_j != cycle_i)
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestIncrementalTheilSen:
+    @given(window=st.integers(MIN_SLOPE_POINTS, 40), season=seasons,
+           steps=trend_steps, restore_at=st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_and_survives_restore(self, window, season,
+                                                    steps, restore_at):
+        """After every observation each series' Theil-Sen verdict is
+        the reference slope of its window (0.0 until the window is
+        full), its sorted slopes are exactly the window's pairwise
+        slopes, and an engine restored from a JSON round trip of
+        ``state_dict()`` at a random step tracks the uninterrupted one
+        at every later step."""
+        engine = _engine_for(window, season)
+        samples = list(_trend_stream(steps))
+        restore_at %= len(samples)
+        restored = None
+        for index, sample in enumerate(samples):
+            if index == restore_at:
+                restored = _engine_for(window, season).load_state(
+                    json.loads(json.dumps(engine.state_dict())))
+            engine.observe(sample)
+            for verdict in engine.judge("theil-sen/*"):
+                state = engine._series[verdict.series]
+                points = list(state.window)
+                assert state.slopes == _pairwise_slopes(points)
+                expected = (theil_sen_slope(points) * MEGACYCLE
+                            if len(points) == window else 0.0)
+                assert _same_float(verdict.value, expected)
+            if restored is not None:
+                restored.observe(sample)
+                assert restored.state_dict() == engine.state_dict()
+                assert restored.summary() == engine.summary()
 
 
 # ----------------------------------------------------------------------

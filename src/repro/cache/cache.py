@@ -58,12 +58,22 @@ class Cache:
     def __init__(self, controller, size=64 * 1024, ways=8,
                  clock=None, cost_model=None, metrics=None,
                  level="l1"):
+        if size <= 0:
+            raise ConfigurationError(
+                f"{level} cache size must be positive, got {size}")
+        if ways < 1:
+            raise ConfigurationError(
+                f"{level} cache ways must be at least 1, got {ways}")
         if size % (ways * CACHE_LINE_SIZE):
             raise ConfigurationError(
                 f"cache size {size} not divisible into {ways}-way sets of "
                 f"{CACHE_LINE_SIZE}-byte lines"
             )
         self.controller = controller
+        #: the controller's multi-line read, or ``None`` when this cache
+        #: fills from another cache level (an L1 over an L2), whose
+        #: fills must each go through that level.
+        self._read_lines = getattr(controller, "read_lines", None)
         self.ways = ways
         self.num_sets = size // (ways * CACHE_LINE_SIZE)
         self._sets = [dict() for _ in range(self.num_sets)]
@@ -137,6 +147,17 @@ class Cache:
 
         With a timer registered, the hit count and tick are published
         before every charge, exactly as a per-line walk would.
+
+        A third liberty, under the same condition and only where the
+        controller's multi-line read is at hand: a miss whose line
+        starts a run of absent lines inside its frame and the span
+        reads the whole run with one burst.  Each line of the run
+        still takes its own fill, in address order, with the bytes of
+        the burst; the first line whose check bytes differ takes the
+        one-line read, which corrects or raises as it always does.
+        Nothing the fills do can change the run's DRAM in between:
+        write-backs only go to resident lines, and the run's lines are
+        absent until filled.
         """
         if size <= 0:
             if size < 0:
@@ -171,10 +192,15 @@ class Cache:
 
         sets = self._sets
         num_sets = self.num_sets
+        read_lines = self._read_lines
         out = bytearray() if data is None else None
         tick = self._tick
         hits = 0
         pending = 0
+        # The last burst: its bytes, where they start, where its clean
+        # prefix ends, and the first unclean line (-1: none).
+        burst = None
+        burst_start = burst_end = unclean = -1
         cursor = paddr
         end = paddr + size
         while cursor < end:
@@ -191,7 +217,21 @@ class Cache:
                 if pending:
                     clock.tick(pending)
                     pending = 0
-                line = self._access_line(base, for_write=data is not None)
+                fill = None
+                if base < burst_end:
+                    fill = burst[base - burst_start:
+                                 base - burst_start + CACHE_LINE_SIZE]
+                elif base != unclean and defer and read_lines is not None:
+                    count = self._absent_run(base, end)
+                    if count > 1:
+                        burst = read_lines(base, count)
+                        burst_start = base
+                        burst_end = base + len(burst)
+                        if len(burst) < count * CACHE_LINE_SIZE:
+                            unclean = burst_end
+                        if burst:
+                            fill = burst[:CACHE_LINE_SIZE]
+                line = self._access_line(base, data is not None, fill)
                 tick = self._tick
                 defer = not charging or clock.timer_count == 0
             else:
@@ -309,6 +349,27 @@ class Cache:
         if burst:
             self.controller.write_line(start, b"".join(burst))
 
+    def flush_range(self, paddr, size):
+        """clflush every line of ``[paddr, paddr+size)``.
+
+        The outcome of :meth:`flush_lines` over the range's lines:
+        ``flushes`` counts every line, resident or not, but only the
+        resident ones are visited.
+        """
+        first = paddr - (paddr % CACHE_LINE_SIZE)
+        self.flushes += (paddr + size - first - 1) // CACHE_LINE_SIZE + 1
+        self._drop_range(first, paddr + size, True)
+
+    def flush_resident(self, paddr, size):
+        """clflush only the resident lines of ``[paddr, paddr+size)``;
+        ``flushes`` counts those lines."""
+        self.flushes += self._drop_range(paddr, paddr + size, True)
+
+    def invalidate_range(self, paddr, size):
+        """Drop the resident lines of ``[paddr, paddr+size)`` without
+        writing them back."""
+        self._drop_range(paddr, paddr + size, False)
+
     def flush_all(self):
         """Write back and invalidate every resident line."""
         for cache_set in self._sets:
@@ -331,7 +392,28 @@ class Cache:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _access_line(self, paddr, for_write):
+    def _absent_run(self, base, end):
+        """Number of lines from the absent line at ``base`` up to the
+        first resident one, the end of its frame, or ``end``."""
+        offset = base % PAGE_SIZE
+        first = offset // CACHE_LINE_SIZE
+        stop = min(LINES_PER_PAGE,
+                   (offset + end - base - 1) // CACHE_LINE_SIZE + 1)
+        frame = self._frames.get(base - offset)
+        if frame is None:
+            return stop - first
+        lines = frame.lines
+        slot = first + 1
+        while slot < stop and lines[slot] is None:
+            slot += 1
+        return slot - first
+
+    def _access_line(self, paddr, for_write, data=None):
+        """One line's access: a hit, or a fill through the controller.
+
+        ``data``, when given, is the line's bytes from a burst that
+        already read it; a fill then skips its own controller read.
+        """
         base = line_base(paddr)
         index = self._set_index(base)
         cache_set = self._sets[index]
@@ -350,7 +432,8 @@ class Cache:
             self._evict_lru(cache_set)
         # The fill goes through the controller: this is where an armed
         # watchpoint fires.  If it raises, no line is installed.
-        data = self.controller.read_line(base)
+        if data is None:
+            data = self.controller.read_line(base)
         offset = base % PAGE_SIZE
         frame = self._frames.get(base - offset)
         if frame is None:
@@ -380,6 +463,61 @@ class Cache:
             if not frame.resident:
                 del self._frames[base - offset]
         return line
+
+    def _drop_range(self, start, end, write_back):
+        """Drop every resident line touching ``[start, end)``.
+
+        Visits only the indexed frames of the range and walks their
+        slots in address order.  With ``write_back``, dirty lines go
+        to memory, each run of consecutive dirty lines in one burst.
+        Returns the number of lines dropped.
+        """
+        frames = self._frames
+        sets = self._sets
+        num_sets = self.num_sets
+        dropped = 0
+        frame_base = start - (start % PAGE_SIZE)
+        while frame_base < end:
+            frame = frames.get(frame_base)
+            if frame is not None:
+                lines = frame.lines
+                stop = min(LINES_PER_PAGE,
+                           (end - frame_base - 1) // CACHE_LINE_SIZE + 1)
+                count = 0
+                dirty = -1          # first slot of the pending burst
+                for slot in range(
+                        max(start - frame_base, 0) // CACHE_LINE_SIZE,
+                        stop):
+                    line = lines[slot]
+                    if line is not None:
+                        lines[slot] = None
+                        base = line.tag
+                        del sets[(base // CACHE_LINE_SIZE) % num_sets][base]
+                        count += 1
+                        if write_back and line.dirty:
+                            self.writebacks += 1
+                            if dirty < 0:
+                                dirty = slot
+                            continue
+                    if dirty >= 0:
+                        self._write_slots(frame_base, frame, dirty, slot)
+                        dirty = -1
+                if dirty >= 0:
+                    self._write_slots(frame_base, frame, dirty, stop)
+                frame.resident -= count
+                if not frame.resident:
+                    del frames[frame_base]
+                dropped += count
+            frame_base += PAGE_SIZE
+        self.resident_lines -= dropped
+        return dropped
+
+    def _write_slots(self, frame_base, frame, first, stop):
+        """Write slots ``[first, stop)`` of a frame back as one burst."""
+        self.controller.write_line(
+            frame_base + first * CACHE_LINE_SIZE,
+            bytes(frame.view[first * CACHE_LINE_SIZE:
+                             stop * CACHE_LINE_SIZE]))
 
     def _evict_lru(self, cache_set):
         victim_base = min(cache_set, key=lambda b: cache_set[b].stamp)

@@ -12,7 +12,7 @@ dirty L2 victims write back to memory.  ``flush_line`` walks both
 levels top-down.
 """
 
-from repro.common.constants import CACHE_LINE_SIZE
+from repro.common.constants import CACHE_LINE_SIZE, line_base
 from repro.cache.cache import Cache
 
 
@@ -85,6 +85,24 @@ class CacheHierarchy:
         """
         for paddr in paddrs:
             self.flush_line(paddr)
+
+    def flush_range(self, paddr, size):
+        """:meth:`flush_line` for every line of the range, in order."""
+        self.flush_lines(range(line_base(paddr), paddr + size,
+                               CACHE_LINE_SIZE))
+
+    def flush_resident(self, paddr, size):
+        """:meth:`flush_line` for each line of the range that is
+        resident in either level when the walk reaches it."""
+        for line in range(line_base(paddr), paddr + size, CACHE_LINE_SIZE):
+            if self.contains(line):
+                self.flush_line(line)
+
+    def invalidate_range(self, paddr, size):
+        # Invalidation writes nothing back, so the levels cannot
+        # interact and each drops its own lines in one pass.
+        self.l1.invalidate_range(paddr, size)
+        self.l2.invalidate_range(paddr, size)
 
     def flush_all(self):
         self.l1.flush_all()

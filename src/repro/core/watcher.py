@@ -43,16 +43,17 @@ class Watch:
     started_cycle: int
     payload: dict = field(default_factory=dict)
 
-    def line_bases(self):
-        return range(self.vaddr, self.vaddr + self.size, CACHE_LINE_SIZE)
-
     def original_line(self, vline):
         offset = vline - self.vaddr
         return self.original[offset:offset + CACHE_LINE_SIZE]
 
 
 class EccWatchManager:
-    """All of SafeMem's active watchpoints, indexed by cache line."""
+    """All of SafeMem's active watchpoints.
+
+    Watches are keyed by region start; a line resolves to its region
+    through the kernel's watch registry, the one line index.
+    """
 
     def __init__(self, machine):
         self.machine = machine
@@ -61,7 +62,6 @@ class EccWatchManager:
         # kernel armed the lines with (chipset profiles vary it).
         self._scramble_bytes = self.kernel.controller.codec.scramble_bytes
         self._by_region = {}
-        self._by_line = {}
         self.arm_count = 0
         self.disarm_count = 0
         self.pin_failures = 0
@@ -119,8 +119,6 @@ class EccWatchManager:
             payload=payload or {},
         )
         self._by_region[vaddr] = watch
-        for vline in watch.line_bases():
-            self._by_line[vline] = watch
         self.arm_count += 1
         return watch
 
@@ -128,8 +126,6 @@ class EccWatchManager:
         """Disarm; by default the saved original contents are restored."""
         if self._by_region.pop(watch.vaddr, None) is None:
             return
-        for vline in watch.line_bases():
-            self._by_line.pop(vline, None)
         self.kernel.disable_watch_memory(
             watch.vaddr,
             restore_data=watch.original if restore else None,
@@ -137,12 +133,15 @@ class EccWatchManager:
         self.disarm_count += 1
 
     def is_watched(self, vaddr):
-        vline = vaddr - (vaddr % CACHE_LINE_SIZE)
-        return vline in self._by_line
+        return self.watch_for(vaddr) is not None
 
     def watch_for(self, vaddr):
-        vline = vaddr - (vaddr % CACHE_LINE_SIZE)
-        return self._by_line.get(vline)
+        """This manager's watch over the line holding ``vaddr``."""
+        region = self.kernel.watches.region_of_vline(
+            vaddr - (vaddr % CACHE_LINE_SIZE))
+        if region is None:
+            return None
+        return self._by_region.get(region.vaddr)
 
     def active_watches(self):
         return list(self._by_region.values())
@@ -178,7 +177,7 @@ class EccWatchManager:
             self.unclaimed_faults += 1
             return False
         vline = info.vaddr - (info.vaddr % CACHE_LINE_SIZE)
-        watch = self._by_line.get(vline)
+        watch = self.watch_for(vline)
         if watch is None:
             self.unclaimed_faults += 1
             return False

@@ -206,6 +206,37 @@ class MemoryController:
             out += word.to_bytes(ECC_GROUP_BYTES, "little")
         return bytes(out)
 
+    def read_lines(self, address, count):
+        """Read a burst of ``count`` consecutive lines; return the
+        bytes of its clean prefix.
+
+        One DRAM read and one encode cover the whole burst.  The
+        returned prefix ends before the first line whose stored check
+        bytes differ from the re-encoded data, and ``reads`` and
+        ``clean_line_reads`` advance once per returned line, exactly
+        as that many clean :meth:`read_line` calls would.  Nothing is
+        corrected or reported here: the caller reads the first unclean
+        line with :meth:`read_line`, which does both.
+        """
+        self._require_line(address)
+        data, checks = self.dram.read_groups(address,
+                                             count * GROUPS_PER_LINE)
+        if not self.checking_active:
+            self.reads += count
+            return data
+        computed = self.codec.encode_words(data)
+        clean = count
+        if computed != checks:
+            width = GROUPS_PER_LINE * self.codec.check_bytes
+            clean = 0
+            while (computed[clean * width:(clean + 1) * width]
+                   == checks[clean * width:(clean + 1) * width]):
+                clean += 1
+            data = data[:clean * CACHE_LINE_SIZE]
+        self.reads += clean
+        self.clean_line_reads += clean
+        return data
+
     def write_line(self, address, data):
         """Write one cache line, or a burst of consecutive lines.
 

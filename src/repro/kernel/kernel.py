@@ -29,23 +29,6 @@ from repro.kernel.watchregistry import WatchedRegion, WatchRegistry
 from repro.mmu.pagetable import PROT_RW
 
 
-def _physical_runs(plines):
-    """Split line addresses into maximal physically contiguous runs.
-
-    Yields ``(start, length)`` in input order; each run is one burst
-    for the memory controller.
-    """
-    start = end = None
-    for pline in plines:
-        if pline != end:
-            if start is not None:
-                yield start, end - start
-            start = pline
-        end = pline + CACHE_LINE_SIZE
-    if start is not None:
-        yield start, end - start
-
-
 class Kernel:
     """OS services over the machine's hardware components."""
 
@@ -134,16 +117,21 @@ class Kernel:
             raise
 
         # One translation per page: every line of a page shares its
-        # (pinned, now resident) frame.
+        # (pinned, now resident) frame.  Pages whose frames adjoin
+        # extend the same physically contiguous run.
         end = vaddr + size
-        line_map = {}
+        runs = []
         for page in pages:
-            frame = self.mmu.resident_frame(page)
-            for vline in range(max(page, vaddr), min(page + PAGE_SIZE, end),
-                               CACHE_LINE_SIZE):
-                line_map[vline] = frame + (vline - page)
+            start = max(page, vaddr)
+            length = min(page + PAGE_SIZE, end) - start
+            pstart = self.mmu.resident_frame(start)
+            if runs and runs[-1][1] + runs[-1][2] == pstart:
+                vstart, run_pstart, run_length = runs[-1]
+                runs[-1] = (vstart, run_pstart, run_length + length)
+            else:
+                runs.append((start, pstart, length))
 
-        region = WatchedRegion(vaddr=vaddr, size=size, lines=line_map)
+        region = WatchedRegion(vaddr, size, runs)
         try:
             self.watches.add(region)
         except SyscallError:
@@ -153,8 +141,8 @@ class Kernel:
 
         # Write back + invalidate so DRAM holds the current data and the
         # next access must reach memory.
-        plines = list(line_map.values())
-        self.cache.flush_lines(plines)
+        for _vstart, pstart, length in runs:
+            self.cache.flush_range(pstart, length)
 
         # Scramble window: bus locked, ECC off, data-only writes, one
         # burst per physically contiguous run.  The pattern comes from
@@ -164,9 +152,9 @@ class Kernel:
         self.controller.lock_bus()
         self.controller.disable_ecc()
         try:
-            for start, length in _physical_runs(plines):
-                current = self.dram.read_raw(start, length)
-                self.controller.write_line(start, scramble(current))
+            for _vstart, pstart, length in runs:
+                current = self.dram.read_raw(pstart, length)
+                self.controller.write_line(pstart, scramble(current))
         finally:
             self.controller.enable_ecc()
             self.controller.unlock_bus()
@@ -196,22 +184,20 @@ class Kernel:
                 f"restore data is {len(restore_data)} bytes for a "
                 f"{region.size}-byte region"
             )
-        self.clock.tick(self.costs.disable_watch_cost(len(region.lines)))
+        self.clock.tick(self.costs.disable_watch_cost(region.line_count))
         self.watches.remove(vaddr)
 
         # Drop any cached copies, then re-encode one burst per
         # physically contiguous run (in region order, so a run's slice
         # of ``restore_data`` starts where the previous run ended).
-        plines = [pline for _, pline in sorted(region.lines.items())]
-        for pline in plines:
-            self.cache.invalidate_line(pline)
         offset = 0
-        for start, length in _physical_runs(plines):
+        for _vstart, pstart, length in region.runs:
+            self.cache.invalidate_range(pstart, length)
             if restore_data is not None:
                 chunk = restore_data[offset:offset + length]
             else:
-                chunk = self.dram.read_raw(start, length)
-            self.controller.write_line(start, chunk)
+                chunk = self.dram.read_raw(pstart, length)
+            self.controller.write_line(pstart, chunk)
             offset += length
 
         for page in region.pages:
@@ -236,17 +222,14 @@ class Kernel:
 
     def munmap(self, vaddr, size):
         """Unmap a region, releasing frames and swap slots."""
-        for region in self.watches.all_regions():
-            if vaddr <= region.vaddr < vaddr + size:
-                raise SyscallError(
-                    f"cannot unmap: region {region.vaddr:#x} is watched"
-                )
+        if self.watches.overlaps_range(vaddr, size):
+            raise SyscallError(
+                f"cannot unmap {vaddr:#x}+{size:#x}: it overlaps a "
+                f"watched region"
+            )
         for entry in self.page_table.unmap_region(vaddr, size):
             if entry.present:
-                frame_base = entry.pfn * PAGE_SIZE
-                for line in range(frame_base, frame_base + PAGE_SIZE,
-                                  CACHE_LINE_SIZE):
-                    self.cache.invalidate_line(line)
+                self.cache.invalidate_range(entry.pfn * PAGE_SIZE, PAGE_SIZE)
                 self.mmu.frames.release(entry.pfn)
             if entry.in_swap:
                 self.mmu.swap.drop(entry.vpn)
@@ -333,8 +316,8 @@ class Kernel:
         region = self.watches.region_of_vline(vline)
         if region is None:
             raise SyscallError(f"line {vline:#x} is not watched")
-        pline = region.lines[vline]
-        return self.dram.read_raw(pline, CACHE_LINE_SIZE)
+        return self.dram.read_raw(region.physical_line(vline),
+                                  CACHE_LINE_SIZE)
 
     # ------------------------------------------------------------------
     # scrub coordination

@@ -2,58 +2,98 @@
 
 The kernel needs two lookups:
 
-- by *virtual* line, to validate WatchMemory/DisableWatchMemory calls,
+- by *virtual* address, to validate WatchMemory/DisableWatchMemory
+  calls and to screen accesses for armed lines,
 - by *physical* line, to attribute an ECC fault back to the virtual
   region the user handler reasons about.
 
-Pinning guarantees the physical mapping of a watched region cannot
-change while it is registered, so the physical index stays valid.
+A region is one virtual range stored as its physically contiguous
+runs, so both indexes hold ranges, never single lines.  Pinning
+guarantees the physical mapping of a watched region cannot change
+while it is registered, so the physical index stays valid.
 """
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
 
 from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE, page_base
 from repro.common.errors import SyscallError
 
 
-@dataclass
 class WatchedRegion:
-    """One registered watch: a cache-line-aligned virtual range."""
+    """One registered watch: a cache-line-aligned virtual range.
 
-    vaddr: int
-    size: int
-    #: virtual line base -> physical line base at registration time.
-    lines: dict = field(default_factory=dict)
+    ``runs`` are its physically contiguous pieces, ``(vstart, pstart,
+    length)`` in virtual order, covering ``[vaddr, vaddr+size)``.  A
+    region may instead be given as ``lines``, a mapping of virtual
+    line base to physical line base, from which the runs are built.
+    """
+
+    __slots__ = ("vaddr", "size", "runs")
+
+    def __init__(self, vaddr, size, runs=None, lines=None):
+        self.vaddr = vaddr
+        self.size = size
+        if runs is None:
+            runs = []
+            for vline, pline in sorted((lines or {}).items()):
+                if runs and (runs[-1][0] + runs[-1][2] == vline
+                             and runs[-1][1] + runs[-1][2] == pline):
+                    vstart, pstart, length = runs[-1]
+                    runs[-1] = (vstart, pstart, length + CACHE_LINE_SIZE)
+                else:
+                    runs.append((vline, pline, CACHE_LINE_SIZE))
+        self.runs = runs
+
+    def __repr__(self):
+        return (f"WatchedRegion(vaddr={self.vaddr:#x}, size={self.size}, "
+                f"runs={len(self.runs)})")
 
     @property
-    def vline_bases(self):
-        return list(self.lines.keys())
+    def lines(self):
+        """Virtual line base -> physical line base, from the runs."""
+        return {vstart + offset: pstart + offset
+                for vstart, pstart, length in self.runs
+                for offset in range(0, length, CACHE_LINE_SIZE)}
+
+    @property
+    def line_count(self):
+        return self.size // CACHE_LINE_SIZE
 
     @property
     def pages(self):
         """Base addresses of the virtual pages this region touches."""
-        seen = []
-        for vline in self.lines:
-            base = page_base(vline)
-            if base not in seen:
-                seen.append(base)
-        return seen
+        return list(range(page_base(self.vaddr), self.vaddr + self.size,
+                          PAGE_SIZE))
+
+    def physical_line(self, vline):
+        """The physical line under virtual line ``vline``."""
+        for vstart, pstart, length in self.runs:
+            if vstart <= vline < vstart + length:
+                return pstart + (vline - vstart)
+        raise KeyError(vline)
 
     def __contains__(self, vaddr):
         return self.vaddr <= vaddr < self.vaddr + self.size
 
 
 class WatchRegistry:
-    """All currently armed watch regions, with both-direction indexes."""
+    """All currently armed watch regions, indexed by range both ways.
+
+    - Virtually, regions never overlap, so the sorted region starts
+      answer any address or range query with one bisection.
+    - Physically, every run is listed under each frame it touches,
+      keyed by its virtual start; a faulting line scans only the runs
+      of its own frame.
+    """
 
     def __init__(self):
         self._regions = {}
-        self._by_vline = {}
-        self._by_pline = {}
-        #: virtual page base -> number of armed lines on that page.
-        #: Lets ``overlaps_range`` skip whole pages of a span without
-        #: probing every line (the batch engine's armed-line screen).
-        self._armed_pages = {}
+        #: every region's ``vaddr``, ascending.
+        self._starts = []
+        #: physical frame base -> {run vstart: (pstart, pend, region)}
+        #: for every run touching that frame.
+        self._frames = {}
+        self._armed_lines = 0
         #: Called with the registry after every add/remove.  The machine
         #: registers a listener here to disable its short-circuit access
         #: path the moment any line is armed -- the hook that keeps the
@@ -69,7 +109,7 @@ class WatchRegistry:
     @property
     def armed_line_count(self):
         """Number of cache lines currently armed across all regions."""
-        return len(self._by_vline)
+        return self._armed_lines
 
     def add_listener(self, listener):
         """Register a callback invoked (with the registry) on changes."""
@@ -80,36 +120,49 @@ class WatchRegistry:
             listener(self)
 
     def add(self, region):
-        if region.vaddr in self._regions:
+        vaddr = region.vaddr
+        if vaddr in self._regions:
+            raise SyscallError(f"region at {vaddr:#x} is already watched")
+        starts = self._starts
+        index = bisect_left(starts, vaddr)
+        if index < len(starts) and starts[index] < vaddr + region.size:
             raise SyscallError(
-                f"region at {region.vaddr:#x} is already watched"
-            )
-        for vline in region.lines:
-            if vline in self._by_vline:
+                f"line {starts[index]:#x} already belongs to a watched "
+                f"region")
+        if index:
+            before = self._regions[starts[index - 1]]
+            if before.vaddr + before.size > vaddr:
                 raise SyscallError(
-                    f"line {vline:#x} already belongs to a watched region"
-                )
-        self._regions[region.vaddr] = region
-        for vline, pline in region.lines.items():
-            self._by_vline[vline] = region
-            self._by_pline[pline] = (region, vline)
-            page = page_base(vline)
-            self._armed_pages[page] = self._armed_pages.get(page, 0) + 1
+                    f"line {vaddr:#x} already belongs to a watched region")
+        starts.insert(index, vaddr)
+        self._regions[vaddr] = region
+        frames = self._frames
+        for vstart, pstart, length in region.runs:
+            entry = (pstart, pstart + length, region)
+            for frame in range(page_base(pstart), pstart + length,
+                               PAGE_SIZE):
+                runs = frames.get(frame)
+                if runs is None:
+                    frames[frame] = {vstart: entry}
+                else:
+                    runs[vstart] = entry
+        self._armed_lines += region.line_count
         self._notify()
 
     def remove(self, vaddr):
         region = self._regions.pop(vaddr, None)
         if region is None:
             raise SyscallError(f"no watched region at {vaddr:#x}")
-        for vline, pline in region.lines.items():
-            self._by_vline.pop(vline, None)
-            self._by_pline.pop(pline, None)
-            page = page_base(vline)
-            remaining = self._armed_pages.get(page, 0) - 1
-            if remaining > 0:
-                self._armed_pages[page] = remaining
-            else:
-                self._armed_pages.pop(page, None)
+        del self._starts[bisect_left(self._starts, vaddr)]
+        frames = self._frames
+        for vstart, pstart, length in region.runs:
+            for frame in range(page_base(pstart), pstart + length,
+                               PAGE_SIZE):
+                runs = frames[frame]
+                del runs[vstart]
+                if not runs:
+                    del frames[frame]
+        self._armed_lines -= region.line_count
         self._notify()
         return region
 
@@ -117,42 +170,42 @@ class WatchRegistry:
         return self._regions.get(vaddr)
 
     def region_of_vline(self, vline):
-        return self._by_vline.get(vline)
+        """The region holding the line at ``vline``, or ``None``."""
+        index = bisect_right(self._starts, vline)
+        if index:
+            region = self._regions[self._starts[index - 1]]
+            if vline < region.vaddr + region.size:
+                return region
+        return None
 
     def resolve_physical_line(self, pline):
         """Return ``(region, virtual_line)`` for a physical line or None."""
-        return self._by_pline.get(pline)
+        runs = self._frames.get(pline - (pline % PAGE_SIZE), {})
+        for vstart, (pstart, pend, region) in runs.items():
+            if pstart <= pline < pend:
+                return region, vstart + (pline - pstart)
+        return None
 
     def covers_virtual(self, vaddr):
         """True when ``vaddr`` lies inside any watched region."""
-        vline = vaddr - (vaddr % CACHE_LINE_SIZE)
-        return vline in self._by_vline
+        return self.region_of_vline(vaddr) is not None
 
     def overlaps_range(self, vaddr, size):
         """True when ``[vaddr, vaddr+size)`` touches any armed line.
 
         The batch engine's screen: it must route every op that could
-        trip a watchpoint to the scalar path.  Page-granular first
-        (most pages of a span carry no watches), then per-line within
-        armed pages only.
+        trip a watchpoint to the scalar path.  Regions never overlap
+        and are line-aligned, so only the last one that starts at or
+        before the range's last byte can reach into the range.
         """
-        if not self._by_vline or size <= 0:
+        if size <= 0:
             return False
-        by_vline = self._by_vline
-        armed_pages = self._armed_pages
-        last = vaddr + size - 1
-        page = page_base(vaddr)
-        end_page = page_base(last)
-        while page <= end_page:
-            if page in armed_pages:
-                line = max(page, vaddr - (vaddr % CACHE_LINE_SIZE))
-                stop = min(page + PAGE_SIZE - 1, last)
-                while line <= stop:
-                    if line in by_vline:
-                        return True
-                    line += CACHE_LINE_SIZE
-            page += PAGE_SIZE
-        return False
+        starts = self._starts
+        index = bisect_right(starts, vaddr + size - 1)
+        if not index:
+            return False
+        region = self._regions[starts[index - 1]]
+        return region.vaddr + region.size > vaddr
 
     def all_regions(self):
         return list(self._regions.values())

@@ -13,7 +13,6 @@ from repro.common.constants import (
     CACHE_LINE_SIZE,
     PAGE_SIZE,
     align_down,
-    line_base,
 )
 from repro.common.costs import default_cost_model
 from repro.common.errors import (
@@ -57,6 +56,9 @@ class Machine:
                  cache_ways=8, ecc_mode=EccMode.CORRECT_ERROR,
                  cost_model=None, max_pinned_pages=None, cache_levels=1,
                  l1_size=16 * 1024, l1_ways=4, profile=None):
+        if cache_levels not in (1, 2):
+            raise ConfigurationError(
+                f"cache_levels must be 1 or 2, got {cache_levels!r}")
         #: the chipset profile (codec, scrub cadence, fault noise)
         #: this machine's memory system is built for.
         self.profile = get_profile(profile)
@@ -596,7 +598,7 @@ class Machine:
                 frame_base = entry.pfn * PAGE_SIZE
                 offset = cursor - page
                 # Flush any dirty cached lines so DRAM is current.
-                self._sync_lines(frame_base + offset, take)
+                self.cache.flush_resident(frame_base + offset, take)
                 out += self.dram.read_raw(frame_base + offset, take)
             elif entry.in_swap:
                 data = self.swap.peek(entry.vpn)
@@ -606,14 +608,6 @@ class Machine:
                 out += bytes(take)
             cursor += take
         return bytes(out)
-
-    def _sync_lines(self, paddr, size):
-        first = line_base(paddr)
-        last = line_base(paddr + size - 1)
-        self.cache.flush_lines(
-            line for line in range(first, last + CACHE_LINE_SIZE,
-                                   CACHE_LINE_SIZE)
-            if self.cache.contains(line))
 
     # ------------------------------------------------------------------
     # internals

@@ -8,7 +8,7 @@ Translation is the seam where the two guard mechanisms differ:
   later, in the memory controller, at cache-line granularity.
 """
 
-from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
+from repro.common.constants import PAGE_SIZE
 from repro.common.errors import PageFault, ProtectionFault
 from repro.mmu.pagetable import PROT_READ, PROT_WRITE
 from repro.mmu.swap import EvictionPolicy
@@ -179,9 +179,7 @@ class Mmu:
         pfn = self.evictor.obtain_frame()
         frame_base = pfn * PAGE_SIZE
         # Drop any stale cache lines from the frame's previous owner.
-        for line in range(frame_base, frame_base + PAGE_SIZE,
-                          CACHE_LINE_SIZE):
-            self.cache.invalidate_line(line)
+        self.cache.invalidate_range(frame_base, PAGE_SIZE)
         if entry.in_swap:
             data = self.swap.load(entry.vpn)
             entry.in_swap = False

@@ -9,7 +9,7 @@ page would be destroyed.  Pinned pages are never evicted, which is why
 ``WatchMemory`` pins.
 """
 
-from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
+from repro.common.constants import PAGE_SIZE
 from repro.common.errors import OutOfMemory
 
 
@@ -101,10 +101,7 @@ class EvictionPolicy:
         frame_base = entry.pfn * PAGE_SIZE
         # Write back any cached lines of the frame first, then copy the
         # page out through the raw (DMA-like) path.
-        self.cache.flush_lines(
-            line for line in range(frame_base, frame_base + PAGE_SIZE,
-                                   CACHE_LINE_SIZE)
-            if self.cache.contains(line))
+        self.cache.flush_resident(frame_base, PAGE_SIZE)
         self.swap.store(entry.vpn, self.dram.read_raw(frame_base, PAGE_SIZE))
         self.frames.release(entry.pfn)
         entry.pfn = None

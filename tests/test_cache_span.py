@@ -2,17 +2,26 @@
 
 ``Cache.load``/``Cache.store`` move a whole span per call: a span of
 resident lines inside one frame is accounted in one step and copied
-with one slice, and any other span walks line by line with batched hit
-charges.  The reference below is the per-line loop it replaced: split
-the span at cache lines and take every piece through
-``Cache._access_line``, the one fill path.  Twin caches run the same
-random access sequence, one through each, and must agree on every
-returned byte, every counter, every resident line (stamp, dirty bit,
-data), the clock and what a clock timer observes, and the DRAM
-contents after a final ``flush_all``.  The random sequences also
-interleave ``flush_lines`` and ``invalidate_line``, applied to both
-twins.  The frame index and the ``resident_lines`` counter are
-checked after every operation.
+with one slice, a run of absent lines inside one frame fills from one
+controller burst, and any other span walks line by line with batched
+hit charges.  The reference below is the per-line loop it replaced:
+split the span at cache lines and take every piece through
+``Cache._access_line`` with its own one-line controller read.  Twin
+caches run the same random access sequence, one through each, and must
+agree on every returned byte, every raised fault and the line it
+names, every cache and controller counter, every reported ECC fault
+and its cycle, every resident line (stamp, dirty bit, data), the clock
+and what a clock timer observes, and the DRAM contents after a final
+``flush_all``.  Before the sequence runs, random lines are armed (data
+scrambled under the bus-locked window) and random single data bits
+flipped, so bursts meet unclean lines at every position.
+
+The random sequences also interleave the range operations, each
+against its per-line loop: ``flush_range`` against ``flush_lines``
+over the range, ``flush_resident`` against ``flush_lines`` over the
+resident lines, and ``invalidate_range`` against one
+``invalidate_line`` per line.  The frame index and the
+``resident_lines`` counter are checked after every operation.
 """
 
 import pytest
@@ -33,6 +42,8 @@ from repro.obs.metrics import MetricsRegistry
 #: accesses start in the first three frames and span up to three pages.
 DRAM_SIZE = 8 * PAGE_SIZE
 PATTERN = bytes(range(256)) * (3 * PAGE_SIZE // 256 + 1)
+#: lines an access can reach: the first six frames.
+REACHABLE_LINES = 6 * PAGE_SIZE // CACHE_LINE_SIZE
 
 
 def _chunks(address, size):
@@ -65,36 +76,78 @@ def reference_store(cache, paddr, data):
         position += chunk_size
 
 
-class _Rig:
-    """One cache over its own DRAM and clock, optionally with a timer."""
+SCRAMBLE = get_codec("secded").scramble_bytes
 
-    def __init__(self, size, ways, cadence):
+
+def arm(controller, line):
+    """Scramble one line under the bus-locked, ECC-off window, as
+    ``WatchMemory`` does, so its next fill raises."""
+    data = controller.dram.read_raw(line, CACHE_LINE_SIZE)
+    controller.lock_bus()
+    controller.disable_ecc()
+    controller.write_line(line, SCRAMBLE(data))
+    controller.enable_ecc()
+    controller.unlock_bus()
+
+
+class _Rig:
+    """One cache (or an L1 over an L2) over its own DRAM and clock,
+    optionally with a timer, with ``armed`` lines scrambled and the
+    ``flipped`` ``(line, byte, bit)`` data bits flipped."""
+
+    def __init__(self, size, ways, cadence, armed=(), flipped=(),
+                 levels=1):
         dram = PhysicalMemory(DRAM_SIZE)
         self.controller = MemoryController(dram)
         # Distinct line contents, so a misplaced byte shows.
         self.controller.write_line(
             0, (bytes(range(251)) * (DRAM_SIZE // 251 + 1))[:DRAM_SIZE])
+        for line in armed:
+            arm(self.controller, line * CACHE_LINE_SIZE)
+        for line, byte, bit in flipped:
+            dram.flip_data_bit(line * CACHE_LINE_SIZE + byte, bit)
         self.clock = VirtualClock()
-        self.cache = Cache(self.controller, size=size, ways=ways,
-                           clock=self.clock,
-                           cost_model=default_cost_model())
+        self.faults = []
+        self.controller.fault_listener = self._on_fault
+        if levels == 1:
+            self.cache = Cache(self.controller, size=size, ways=ways,
+                               clock=self.clock,
+                               cost_model=default_cost_model())
+            self.levels = (self.cache,)
+        else:
+            self.cache = CacheHierarchy(
+                self.controller, l1_size=size, l1_ways=ways,
+                l2_size=4 * size, l2_ways=ways, clock=self.clock,
+                cost_model=default_cost_model())
+            self.levels = (self.cache.l1, self.cache.l2)
         self.observed = []
         if cadence is not None:
             self.clock.every(cadence, self._observe)
 
+    def _on_fault(self, fault):
+        self.faults.append((self.clock.cycles, fault))
+
     def _observe(self, clock):
-        cache = self.cache
-        self.observed.append((clock.cycles, cache.hits, cache.misses,
-                              cache._tick))
+        self.observed.append((clock.cycles, self.controller.reads)
+                             + tuple((level.hits, level.misses,
+                                      level._tick)
+                                     for level in self.levels))
 
     def state(self):
-        cache = self.cache
-        return (cache.hits, cache.misses, cache.evictions,
-                cache.writebacks, cache._tick, self.clock.cycles,
-                sorted((base, line.stamp, line.dirty, bytes(line.data))
-                       for cache_set in cache._sets
-                       for base, line in cache_set.items()),
-                self.observed)
+        controller = self.controller
+        return (tuple((level.hits, level.misses, level.evictions,
+                       level.writebacks, level.flushes, level._tick,
+                       sorted((base, line.stamp, line.dirty,
+                               bytes(line.data))
+                              for cache_set in level._sets
+                              for base, line in cache_set.items()))
+                      for level in self.levels),
+                self.clock.cycles,
+                (controller.reads, controller.clean_line_reads,
+                 controller.corrected_errors,
+                 controller.uncorrectable_errors,
+                 controller.group_decodes),
+                self.faults, self.observed)
 
 
 def assert_frame_index(cache):
@@ -132,46 +185,122 @@ sizes = st.one_of(
                      PAGE_SIZE + 1, 2 * PAGE_SIZE, 3 * PAGE_SIZE]),
     st.integers(0, 3 * PAGE_SIZE))
 accesses = st.lists(
-    st.tuples(st.sampled_from(["load", "store", "flush", "invalidate"]),
+    st.tuples(st.sampled_from(["load", "store", "flush", "flush_resident",
+                               "invalidate"]),
               addresses, sizes, st.integers(0, 255)),
     min_size=1, max_size=12)
+armed_lines = st.lists(st.integers(0, REACHABLE_LINES - 1), max_size=4,
+                       unique=True)
+flipped_bits = st.lists(
+    st.tuples(st.integers(0, REACHABLE_LINES - 1), st.integers(0, 63),
+              st.integers(0, 7)),
+    max_size=4)
+
+
+def apply(rig, kind, paddr, length, seed, reference):
+    """One op on one twin: through the span path and the range
+    operations, or (``reference``) through the per-line loops.  Returns
+    the loaded bytes, or the fault a raising span reported."""
+    cache = rig.cache
+    top = rig.levels[0]
+    lines = range(line_base(paddr), paddr + length, CACHE_LINE_SIZE)
+    try:
+        if kind == "load":
+            if reference:
+                return reference_load(top, paddr, length)
+            return cache.load(paddr, length)
+        if kind == "store":
+            data = PATTERN[seed:seed + length]
+            if reference:
+                reference_store(top, paddr, data)
+            else:
+                cache.store(paddr, data)
+        elif kind == "flush":
+            if reference:
+                cache.flush_lines(lines)
+            else:
+                cache.flush_range(paddr, length)
+        elif kind == "flush_resident":
+            if reference:
+                cache.flush_lines(line for line in lines
+                                  if cache.contains(line))
+            else:
+                cache.flush_resident(paddr, length)
+        elif reference:
+            for line in lines:
+                cache.invalidate_line(line)
+        else:
+            cache.invalidate_range(paddr, length)
+    except UncorrectableEccError as exc:
+        return exc.fault
+    return None
+
+
+def assert_twins_agree(make_rig, plan):
+    span, reference = make_rig(), make_rig()
+    for kind, paddr, length, seed in plan:
+        assert apply(span, kind, paddr, length, seed, False) == \
+            apply(reference, kind, paddr, length, seed, True)
+        assert span.state() == reference.state()
+        for level in span.levels + reference.levels:
+            assert_frame_index(level)
+    span.cache.flush_all()
+    reference.cache.flush_all()
+    for level in span.levels:
+        assert level._frames == {}
+        assert level.resident_lines == 0
+    assert span.state() == reference.state()
+    assert span.controller.dram.digest() == \
+        reference.controller.dram.digest()
 
 
 @given(size=st.sampled_from([1024, 2048, 4096, 8192]),
        ways=st.sampled_from([1, 2, 4, 8]),
        cadence=st.integers(1, 500),
+       armed=armed_lines, flipped=flipped_bits,
        plan=accesses)
 @settings(max_examples=60, deadline=None)
-def test_span_walk_matches_per_line_reference(size, ways, cadence, plan):
+def test_span_walk_matches_per_line_reference(size, ways, cadence, armed,
+                                              flipped, plan):
+    # Without a timer a span fills runs of absent lines from bursts;
+    # with one, every fill is a one-line read.
     for timer in (None, cadence):
-        span, reference = _Rig(size, ways, timer), _Rig(size, ways, timer)
-        for kind, paddr, length, seed in plan:
-            if kind == "store":
-                data = PATTERN[seed:seed + length]
-                span.cache.store(paddr, data)
-                reference_store(reference.cache, paddr, data)
-            elif kind == "load":
-                assert span.cache.load(paddr, length) == \
-                    reference_load(reference.cache, paddr, length)
-            else:
-                # Maintenance runs the same code on both twins.
-                for rig in (span, reference):
-                    if kind == "flush":
-                        rig.cache.flush_lines(range(
-                            line_base(paddr), paddr + length,
-                            CACHE_LINE_SIZE))
-                    else:
-                        rig.cache.invalidate_line(paddr)
-            assert span.state() == reference.state()
-            assert_frame_index(span.cache)
-            assert_frame_index(reference.cache)
-        span.cache.flush_all()
-        reference.cache.flush_all()
-        assert span.cache._frames == {}
-        assert span.cache.resident_lines == 0
-        assert span.state() == reference.state()
-        assert span.controller.dram.digest() == \
-            reference.controller.dram.digest()
+        assert_twins_agree(
+            lambda: _Rig(size, ways, timer, armed, flipped), plan)
+
+
+@given(size=st.sampled_from([1024, 2048]),
+       ways=st.sampled_from([1, 2, 4]),
+       cadence=st.one_of(st.none(), st.integers(1, 500)),
+       armed=armed_lines, flipped=flipped_bits,
+       plan=accesses)
+@settings(max_examples=25, deadline=None)
+def test_hierarchy_matches_per_line_reference(size, ways, cadence, armed,
+                                              flipped, plan):
+    """An L1 over an L2: the L1 never bursts (its fills read through
+    the L2), and the hierarchy's range operations keep the per-line
+    L1 -> L2 order."""
+    assert_twins_agree(
+        lambda: _Rig(size, ways, cadence, armed, flipped, levels=2), plan)
+
+
+def test_burst_stops_at_the_first_unclean_line():
+    """A store over a page of absent lines: one burst reads the clean
+    prefix, the corrected line and the armed line each take their own
+    read, and the span raises from the armed line with the lines before
+    it filled."""
+    rig = _Rig(16 * 1024, 4, None, armed=[9], flipped=[(4, 3, 5)])
+    fault = apply(rig, "store", 0, PAGE_SIZE, 0, False)
+    assert fault.line_address == 9 * CACHE_LINE_SIZE
+    controller = rig.controller
+    # Lines 0-8 filled (line 4 corrected); the read of line 9 raised.
+    assert rig.cache.misses == 10
+    assert controller.reads == 10
+    assert controller.clean_line_reads == 8
+    assert controller.corrected_errors == 1
+    assert controller.uncorrectable_errors == 1
+    assert [fault.line_address for _, fault in rig.faults] == \
+        [4 * CACHE_LINE_SIZE, 9 * CACHE_LINE_SIZE]
 
 
 @pytest.mark.parametrize("cadence", [None, 3])
@@ -179,20 +308,13 @@ def test_span_walk_matches_per_line_reference(size, ways, cadence, plan):
 def test_fault_mid_span_leaves_reference_state(cadence, write):
     # Lines 0-3 resident, line 2 then flushed and armed: the span hits
     # lines 0 and 1, and its fill of line 2 raises out of the call.
-    scramble = get_codec("secded").scramble_bytes
     rigs = []
     for walk in (True, False):
         rig = _Rig(8192, 2, cadence)
         rig.cache.load(0, 4 * CACHE_LINE_SIZE)
         armed = 2 * CACHE_LINE_SIZE
         rig.cache.flush_line(armed)
-        controller = rig.controller
-        line = controller.read_line(armed)
-        controller.lock_bus()
-        controller.disable_ecc()
-        controller.write_line(armed, scramble(line))
-        controller.enable_ecc()
-        controller.unlock_bus()
+        arm(rig.controller, armed)
         with pytest.raises(UncorrectableEccError):
             if walk and write:
                 rig.cache.store(8, b"\x5a" * 200)

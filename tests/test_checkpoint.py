@@ -244,6 +244,27 @@ def test_malformed_recorded_monitoring_is_a_named_error(recorded_run,
         replay_bundle(_with_monitoring_field(bundle, field, value))
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"cache_ways": -1}, "cache ways must be at least 1, got -1"),
+    ({"cache_ways": 0}, "cache ways must be at least 1, got 0"),
+    ({"cache_size": 0}, "cache size must be positive, got 0"),
+    ({"cache_levels": 2, "l1_ways": -1},
+     "l1 cache ways must be at least 1, got -1"),
+    ({"cache_levels": 3}, "cache_levels must be 1 or 2, got 3"),
+], ids=["cache_ways=-1", "cache_ways=0", "cache_size=0", "l1_ways=-1",
+        "cache_levels=3"])
+def test_invalid_recorded_cache_geometry_is_a_named_error(recorded_run,
+                                                          fields, named):
+    """Resume boots the recorded machine; an impossible cache geometry
+    must raise ConfigurationError naming the field, not an IndexError
+    or ZeroDivisionError, and never boot a different machine."""
+    checkpoint, _ = recorded_run
+    document = copy.deepcopy(checkpoint)
+    document["machine"].update(fields)
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        resume_checkpoint(document)
+
+
 # ----------------------------------------------------------------------
 # capture contents + observation-only invariant
 # ----------------------------------------------------------------------

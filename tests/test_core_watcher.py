@@ -1,6 +1,8 @@
 """Tests for the user-level ECC watch manager."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
 from repro.common.errors import MachinePanic
@@ -166,3 +168,58 @@ class TestAccounting:
                               lambda w, i: True)
         assert watcher.watch_for(BASE + 10) is watch
         assert watcher.watch_for(BASE + CACHE_LINE_SIZE) is None
+
+
+#: lines of the four-page area the model test arms regions in.
+MODEL_LINES = 4 * PAGE_SIZE // CACHE_LINE_SIZE
+
+
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(["watch", "kernel", "unwatch"]),
+              st.integers(0, MODEL_LINES - 1), st.integers(1, 80)),
+    min_size=1, max_size=16))
+@settings(max_examples=20, deadline=None)
+def test_line_lookups_match_a_per_line_model(ops):
+    """``is_watched``/``watch_for`` resolve through the kernel registry
+    and the manager's own regions; they must answer as a per-line dict
+    of the manager's watches would.  Regions span pages whose frames
+    are not contiguous, and some are armed straight through the kernel
+    (not the manager's), which must resolve to no watch."""
+    machine = Machine(dram_size=8 * 1024 * 1024)
+    machine.kernel.mmap(BASE, 4 * PAGE_SIZE)
+    for page in (2, 0, 3, 1):
+        machine.store(BASE + page * PAGE_SIZE, b"\1")
+    watcher = EccWatchManager(machine)
+    mine = {}                   # virtual line -> the manager's watch
+    armed = set()               # every armed virtual line
+    for kind, line, lines in ops:
+        vaddr = BASE + line * CACHE_LINE_SIZE
+        vlines = range(vaddr, vaddr + min(lines, MODEL_LINES - line)
+                       * CACHE_LINE_SIZE, CACHE_LINE_SIZE)
+        overlapping = any(vline in armed for vline in vlines)
+        if kind == "watch":
+            watch = watcher.watch(vaddr, len(vlines) * CACHE_LINE_SIZE,
+                                  WatchTag.PAD, lambda w, i: True)
+            assert (watch is None) == overlapping
+            if watch is not None:
+                mine.update(dict.fromkeys(vlines, watch))
+                armed.update(vlines)
+        elif kind == "kernel":
+            if overlapping:
+                continue
+            machine.kernel.watch_memory(vaddr,
+                                        len(vlines) * CACHE_LINE_SIZE)
+            armed.update(vlines)
+        elif vaddr in mine:
+            watch = mine[vaddr]
+            watcher.unwatch(watch)
+            for vline in watch_lines(watch):
+                del mine[vline]
+                armed.discard(vline)
+        for vline in range(BASE, BASE + 4 * PAGE_SIZE, CACHE_LINE_SIZE):
+            assert watcher.watch_for(vline + 5) is mine.get(vline)
+            assert watcher.is_watched(vline) == (vline in mine)
+
+
+def watch_lines(watch):
+    return range(watch.vaddr, watch.vaddr + watch.size, CACHE_LINE_SIZE)

@@ -1,7 +1,8 @@
 """Burst transfers are equivalent to their per-line counterparts.
 
-``MemoryController.write_line`` accepts multi-line bursts and
-``Cache.flush_lines`` coalesces contiguous dirty write-backs.  Both are
+``MemoryController.write_line`` accepts multi-line bursts,
+``MemoryController.read_lines`` reads a burst's clean prefix, and
+``Cache.flush_lines`` coalesces contiguous dirty write-backs.  All are
 pure host-time optimizations: each test drives twin objects, one with
 the burst call and one with the per-line loop it replaces, and requires
 identical DRAM contents (data and check bits), counters and cache state.
@@ -15,8 +16,9 @@ from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
 from repro.common.errors import BusError
-from repro.ecc.controller import MemoryController
+from repro.ecc.controller import EccMode, MemoryController
 from repro.ecc.dram import PhysicalMemory
+from repro.ecc.faults import UncorrectableEccError
 from repro.ecc.profile import PROFILES, get_profile
 from repro.obs.metrics import MetricsRegistry
 
@@ -100,6 +102,64 @@ class TestBurstWrite:
         with pytest.raises(BusError):
             controller.write_line(address, bytes(length))
         assert controller.dram.digest() == before
+
+
+# ----------------------------------------------------------------------
+# read_lines == one clean read_line per line, up to the first unclean
+# ----------------------------------------------------------------------
+class TestBurstRead:
+    @staticmethod
+    def _twin(profile, address, flips):
+        controller, metrics = _controller(profile)
+        controller.write_line(0, bytes(range(256)) * (DRAM_SIZE // 256))
+        for line, byte, bit in flips:
+            controller.dram.flip_data_bit(
+                address + line * CACHE_LINE_SIZE + byte, bit)
+        return controller, metrics
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @given(first=st.integers(0, DRAM_SIZE // CACHE_LINE_SIZE - 1),
+           data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_burst_returns_the_clean_prefix(self, profile, first, data):
+        count = data.draw(st.integers(
+            1, min(2 * LINES_PER_PAGE,
+                   DRAM_SIZE // CACHE_LINE_SIZE - first)))
+        flips = data.draw(st.lists(
+            st.tuples(st.integers(0, count - 1),
+                      st.integers(0, CACHE_LINE_SIZE - 1),
+                      st.integers(0, 7)), max_size=3))
+        address = first * CACHE_LINE_SIZE
+        # Find the first unclean line with one-line reads on a probe.
+        probe, _ = self._twin(profile, address, flips)
+        clean = 0
+        while clean < count:
+            before = probe.clean_line_reads
+            try:
+                probe.read_line(address + clean * CACHE_LINE_SIZE)
+            except UncorrectableEccError:
+                break
+            if probe.clean_line_reads == before:
+                break
+            clean += 1
+        reference, reference_metrics = self._twin(profile, address, flips)
+        expected = b"".join(
+            reference.read_line(address + line * CACHE_LINE_SIZE)
+            for line in range(clean))
+        burst, burst_metrics = self._twin(profile, address, flips)
+        assert burst.read_lines(address, count) == expected
+        assert burst.dram.digest() == reference.dram.digest()
+        assert _ecc_counters(burst_metrics) == \
+            _ecc_counters(reference_metrics)
+
+    def test_unchecked_burst_returns_every_line(self):
+        controller, _ = _controller()
+        controller.dram.flip_data_bit(CACHE_LINE_SIZE, 0)
+        controller.set_mode(EccMode.DISABLED)
+        raw = controller.dram.read_raw(0, 4 * CACHE_LINE_SIZE)
+        assert controller.read_lines(0, 4) == raw
+        assert controller.reads == 4
+        assert controller.clean_line_reads == 0
 
 
 # ----------------------------------------------------------------------

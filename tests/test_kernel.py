@@ -288,6 +288,20 @@ class TestMunmap:
         with pytest.raises(SyscallError):
             machine.kernel.munmap(BASE, PAGE_SIZE)
 
+    def test_munmap_of_a_watched_tail_rejected(self, machine):
+        """A region that starts before the unmapped range but ends
+        inside it pins a page of the range: munmap must refuse, not
+        release the pinned, armed frame."""
+        start = BASE + PAGE_SIZE - CACHE_LINE_SIZE
+        arm(machine, start, 2 * CACHE_LINE_SIZE)
+        assert machine.kernel.pinned_pages == 2
+        with pytest.raises(SyscallError):
+            machine.kernel.munmap(BASE + PAGE_SIZE, PAGE_SIZE)
+        assert machine.kernel.pinned_pages == 2
+        machine.kernel.disable_watch_memory(start)
+        assert machine.kernel.pinned_pages == 0
+        machine.kernel.munmap(BASE + PAGE_SIZE, PAGE_SIZE)
+
     def test_munmap_releases_frames(self, machine):
         machine.store(BASE, b"x")
         free_before = machine.frames.free_frames

@@ -2,8 +2,9 @@
 
 Random interleavings of program operations against reference models:
 the allocator against an interval bookkeeper and a plain first-fit
-placement loop, and a SafeMem-monitored program against a plain dict
-of expected buffer contents.
+placement loop, the range-indexed watch registry against per-line
+dicts, and a SafeMem-monitored program against a plain dict of
+expected buffer contents.
 """
 
 import pytest
@@ -17,11 +18,17 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.common.constants import align_up
-from repro.common.errors import OutOfMemory
+from repro.common.constants import (
+    CACHE_LINE_SIZE,
+    PAGE_SIZE,
+    align_up,
+    line_base,
+)
+from repro.common.errors import OutOfMemory, SyscallError
 from repro.core.config import full_config
 from repro.core.safemem import SafeMem
 from repro.heap.allocator import MIN_ALIGNMENT, Allocator
+from repro.kernel.watchregistry import WatchedRegion, WatchRegistry
 from repro.machine.machine import Machine
 from repro.machine.program import Program
 
@@ -112,6 +119,114 @@ class AllocatorMachine(RuleBasedStateMachine):
         assert self.allocator.free_bytes() == ARENA_SIZE
 
 
+#: the registry machine's virtual pages, mapped onto a random choice of
+#: frames among twice as many.
+VBASE = 0x4000_0000
+VPAGES = 6
+VLINES = VPAGES * PAGE_SIZE // CACHE_LINE_SIZE
+
+
+class WatchRegistryMachine(RuleBasedStateMachine):
+    """The range-indexed watch registry answers as per-line dicts do.
+
+    The model is the per-line design the registry replaced: virtual
+    line -> region and physical line -> (region, virtual line).
+    Regions span pages whose frames are a random permutation, so their
+    runs split where frames do not adjoin and merge where they do.
+    """
+
+    @initialize(frames=st.permutations(range(2 * VPAGES)))
+    def boot(self, frames):
+        self.frames = frames[:VPAGES]
+        self.registry = WatchRegistry()
+        self.by_vline = {}
+        self.by_pline = {}
+
+    def physical(self, vline):
+        page, offset = divmod(vline - VBASE, PAGE_SIZE)
+        return self.frames[page] * PAGE_SIZE + offset
+
+    def kernel_runs(self, vaddr, size):
+        """The runs the kernel builds: one translation per page, and
+        adjoining frames extend the previous run."""
+        runs = []
+        page = vaddr - (vaddr - VBASE) % PAGE_SIZE
+        while page < vaddr + size:
+            start = max(page, vaddr)
+            length = min(page + PAGE_SIZE, vaddr + size) - start
+            pstart = self.physical(start)
+            if runs and runs[-1][1] + runs[-1][2] == pstart:
+                runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + length)
+            else:
+                runs.append((start, pstart, length))
+            page += PAGE_SIZE
+        return runs
+
+    @rule(line=st.integers(0, VLINES - 1), lines=st.integers(1, 150),
+          by_lines=st.booleans())
+    def add(self, line, lines, by_lines):
+        vaddr = VBASE + line * CACHE_LINE_SIZE
+        size = min(lines, VLINES - line) * CACHE_LINE_SIZE
+        line_map = {vline: self.physical(vline)
+                    for vline in range(vaddr, vaddr + size,
+                                       CACHE_LINE_SIZE)}
+        runs = self.kernel_runs(vaddr, size)
+        from_lines = WatchedRegion(vaddr, size, lines=line_map)
+        assert from_lines.runs == runs
+        region = from_lines if by_lines else \
+            WatchedRegion(vaddr, size, runs)
+        assert region.lines == line_map
+        if any(vline in self.by_vline for vline in line_map):
+            with pytest.raises(SyscallError):
+                self.registry.add(region)
+            return
+        self.registry.add(region)
+        for vline, pline in line_map.items():
+            self.by_vline[vline] = region
+            self.by_pline[pline] = (region, vline)
+
+    @precondition(lambda self: self.by_vline)
+    @rule(index=st.integers(min_value=0, max_value=10 ** 6))
+    def remove(self, index):
+        regions = sorted({id(r): r for r in self.by_vline.values()}
+                         .values(), key=lambda r: r.vaddr)
+        region = regions[index % len(regions)]
+        assert self.registry.remove(region.vaddr) is region
+        for vline, pline in region.lines.items():
+            del self.by_vline[vline]
+            del self.by_pline[pline]
+
+    @rule(line=st.integers(-2, VLINES + 1),
+          delta=st.sampled_from([0, 1, 32, CACHE_LINE_SIZE - 1]),
+          size=st.one_of(st.sampled_from([-1, 0, 1, CACHE_LINE_SIZE - 1,
+                                          CACHE_LINE_SIZE,
+                                          CACHE_LINE_SIZE + 1]),
+                         st.integers(0, 3 * PAGE_SIZE)))
+    def overlaps_range(self, line, delta, size):
+        vaddr = VBASE + line * CACHE_LINE_SIZE + delta
+        expected = size > 0 and any(
+            vline in self.by_vline
+            for vline in range(line_base(vaddr), vaddr + size,
+                               CACHE_LINE_SIZE))
+        assert self.registry.overlaps_range(vaddr, size) == expected
+
+    @invariant()
+    def lookups_match_the_per_line_model(self):
+        registry = self.registry
+        assert registry.armed_line_count == len(self.by_vline)
+        for vline in range(VBASE - CACHE_LINE_SIZE,
+                           VBASE + VPAGES * PAGE_SIZE + CACHE_LINE_SIZE,
+                           CACHE_LINE_SIZE):
+            region = self.by_vline.get(vline)
+            assert registry.region_of_vline(vline) is region
+            assert registry.covers_virtual(vline + 7) == (region is not None)
+        for frame in range(2 * VPAGES):
+            for pline in range(frame * PAGE_SIZE, (frame + 1) * PAGE_SIZE,
+                               CACHE_LINE_SIZE):
+                assert registry.resolve_physical_line(pline) == \
+                    self.by_pline.get(pline)
+
+
 class MonitoredProgramMachine(RuleBasedStateMachine):
     """A SafeMem-monitored program behaves like a dict of buffers."""
 
@@ -166,9 +281,13 @@ class MonitoredProgramMachine(RuleBasedStateMachine):
 AllocatorMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None,
 )
+WatchRegistryMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=30, deadline=None,
+)
 MonitoredProgramMachine.TestCase.settings = settings(
     max_examples=10, stateful_step_count=20, deadline=None,
 )
 
 TestAllocatorStateful = AllocatorMachine.TestCase
+TestWatchRegistryStateful = WatchRegistryMachine.TestCase
 TestMonitoredProgramStateful = MonitoredProgramMachine.TestCase

@@ -15,12 +15,10 @@ from repro.analysis.runner import (
     CACHE_SIZE,
     DRAM_SIZE,
     HEAP_SIZE,
-    make_monitor,
+    run_workload,
 )
 from repro.common.constants import CYCLES_PER_SECOND
 from repro.machine.machine import Machine
-from repro.machine.program import Program
-from repro.workloads.registry import get_workload
 
 
 @dataclass
@@ -60,34 +58,22 @@ class HeapProfile:
         return self.samples[-1][1] - self.samples[half][1]
 
 
-class _SamplingHook:
-    """Wraps a workload's handle_request to sample after each request."""
-
-    def __init__(self, workload, program, profile):
-        self.inner = workload.handle_request
-        self.program = program
-        self.profile = profile
-
-    def __call__(self, program, index, buggy, truth):
-        self.inner(program, index, buggy, truth)
-        machine = program.machine
-        self.profile.samples.append((
-            machine.clock.cycles / CYCLES_PER_SECOND,
-            program.allocator.live_bytes,
-        ))
-
-
 def profile_heap(workload_name, monitor_name="native", buggy=False,
                  requests=None, seed=0, dram_size=DRAM_SIZE,
                  heap_size=HEAP_SIZE):
     """Run a workload and sample its live heap after every request."""
     machine = Machine(dram_size=dram_size, cache_size=CACHE_SIZE,
                       cache_ways=16)
-    monitor = make_monitor(monitor_name)
-    program = Program(machine, monitor=monitor, heap_size=heap_size)
-    workload = get_workload(workload_name, requests=requests, seed=seed)
     profile = HeapProfile(workload=workload_name, buggy=buggy)
-    workload.handle_request = _SamplingHook(workload, program, profile)
-    workload.run(program, buggy=buggy)
+
+    def sample(_index, _truth):
+        profile.samples.append((
+            machine.clock.cycles / CYCLES_PER_SECOND,
+            machine.metrics.value("heap.live_bytes"),
+        ))
+
+    run_workload(workload_name, monitor_name, buggy=buggy,
+                 requests=requests, seed=seed, heap_size=heap_size,
+                 machine=machine, request_hook=sample)
     profile.swap_outs = machine.swap.swap_outs
     return profile

@@ -193,10 +193,10 @@ class WatchRegistry:
     def overlaps_range(self, vaddr, size):
         """True when ``[vaddr, vaddr+size)`` touches any armed line.
 
-        The batch engine's screen: it must route every op that could
-        trip a watchpoint to the scalar path.  Regions never overlap
-        and are line-aligned, so only the last one that starts at or
-        before the range's last byte can reach into the range.
+        ``Kernel.munmap``'s check: a range that still holds an armed
+        line must not be unmapped.  Regions never overlap and are
+        line-aligned, so only the last one that starts at or before
+        the range's last byte can reach into the range.
         """
         if size <= 0:
             return False

@@ -47,11 +47,6 @@ def _retry_budget(size):
 class Machine:
     """A booted simulated system with ECC memory."""
 
-    #: Whether :meth:`run_ops` uses the batched engine.  A class
-    #: attribute so differential tests can monkeypatch it off and push
-    #: the same access plan through the scalar path.
-    batching_enabled = True
-
     def __init__(self, dram_size=32 * 1024 * 1024, cache_size=256 * 1024,
                  cache_ways=8, ecc_mode=EccMode.CORRECT_ERROR,
                  cost_model=None, max_pinned_pages=None, cache_levels=1,
@@ -156,20 +151,24 @@ class Machine:
         """Publish the machine's own access-path probes."""
         metrics.probe("machine.load.fast", lambda: self.fast_loads,
                       kind="counter",
-                      description="loads served by the short-circuit path")
+                      description="direct loads served by the "
+                                  "short-circuit path")
         metrics.probe("machine.store.fast", lambda: self.fast_stores,
                       kind="counter")
         metrics.probe("machine.load.slow", lambda: self.slow_loads,
                       kind="counter",
-                      description="loads through the full fault-retry walk")
+                      description="direct loads through the full "
+                                  "fault-retry walk")
         metrics.probe("machine.store.slow", lambda: self.slow_stores,
                       kind="counter")
         metrics.probe("machine.load.batched", lambda: self.batched_loads,
                       kind="counter",
-                      description="loads served by the batched engine")
+                      description="loads issued through an access plan "
+                                  "(run_ops)")
         metrics.probe("machine.store.batched", lambda: self.batched_stores,
                       kind="counter",
-                      description="stores served by the batched engine")
+                      description="stores issued through an access plan "
+                                  "(run_ops)")
         metrics.probe("machine.events", lambda: len(self.events),
                       kind="counter",
                       description="events emitted into the event log")
@@ -236,331 +235,31 @@ class Machine:
         self._retry_panic(vaddr, budget)
 
     # ------------------------------------------------------------------
-    # batched execution engine
+    # access plans
     # ------------------------------------------------------------------
     def run_ops(self, plan):
         """Execute an access plan in one call.
 
-        ``plan`` is a sequence of ops: ``("load", vaddr, size)`` or
-        ``("store", vaddr, data)``.  Returns one entry per op, in plan
-        order: the loaded ``bytes`` for loads, ``None`` for stores.
-
-        The batched engine resolves translation once per page run
-        (a per-plan page->frame cache, discarded on any TLB shootdown),
-        serves resident single-line ops inline, and moves everything
-        else through :meth:`_walk`, the span walk scalar accesses use.
-        Any op that overlaps an armed/watched line -- and any
-        zero-sized op -- falls back to the scalar
-        :meth:`load`/:meth:`store`, so watchpoint semantics
-        and cycle accounting are identical to scalar execution; a
-        tier-1 differential test pins that equivalence.  The only
-        observable differences are instrumentation: ``mmu.tlb.hit``
-        undercounts pages served from the plan cache, and batched ops
-        count under ``machine.*.batched`` instead of fast/slow.
+        ``plan`` is a sequence of ``("load", vaddr, size)`` and
+        ``("store", vaddr, data)`` ops; returns one entry per op, in
+        plan order: the loaded ``bytes``, or ``None`` for a store.
+        Every op takes :meth:`_access_with_retry`, so an op touching an
+        armed line faults on first touch exactly as a scalar access
+        does; ops count under ``machine.*.batched``.
         """
-        if not self.batching_enabled:
-            results = []
-            for op in plan:
-                kind = op[0]
-                if kind == "load":
-                    results.append(self.load(op[1], op[2]))
-                elif kind == "store":
-                    self.store(op[1], op[2])
-                    results.append(None)
-                else:
-                    raise ConfigurationError(
-                        f"unknown op kind {kind!r} in access plan")
-            return results
-
         results = []
-        append = results.append
-        to_bytes = bytes
-        mmu = self.mmu
-        clock = self.clock
-        tick_clock = clock.tick
-        hit_cost = self.costs.cache_hit
-        l1 = getattr(self.cache, "l1", self.cache)
-        sets = l1._sets
-        num_sets = l1.num_sets
-        line_size = CACHE_LINE_SIZE
-        page_size = PAGE_SIZE
-        overlaps = self.kernel.watches.overlaps_range
-        translate = mmu.translate
-        # Per-plan translation cache: page base -> frame base, split by
-        # required permission.  Invalidated wholesale whenever the TLB
-        # shootdown counters move (the same contract TLB entries obey).
-        rcache = {}
-        wcache = {}
-        shootdowns = mmu.tlb_invalidations + mmu.tlb_flushes
-        armed_free = self._fast_path_enabled
-        # While no timers are armed, nothing can observe intermediate
-        # bookkeeping between hits, so the hot path runs on local
-        # mirrors: consecutive hit charges batch into one clock.tick
-        # and hit/LRU/op counters accumulate in locals.  Everything is
-        # flushed back before any operation that can run handler code
-        # (and at the end of the plan), and re-checked after it.
-        defer = clock.timer_count == 0
-        tick = l1._tick
-        # Every deferred hit advances ``tick`` by one and charges
-        # exactly ``hit_cost``, so ``tick - tick_base`` drives the
-        # cycle charge, the cache hit count, and (with ``nstores``)
-        # both batched-op metrics at flush time -- the hot loop pays
-        # one increment, one stamp, and the data move.
-        tick_base = tick
-        nstores = 0
-        # Memoized resident line (defer mode only): bulk plans revisit
-        # the same 64-byte line for many consecutive word ops, which
-        # skips the page/set lookups entirely.  ``NO_LINE`` keeps the
-        # range test false for any real address.
-        NO_LINE = -(1 << 62)
-        last_vbase = NO_LINE
-        last_line = None
-        last_data = None
-        last_frozen = None
-        last_writable = False
-        # Memo hits defer the LRU stamp as well: intermediate stamps of
-        # the same line are overwritten anyway, and eviction decisions
-        # only read stamps in slow paths, which all release the memo
-        # (writing ``last_line.stamp = tick``, the tick of its most
-        # recent hit) first.
-
         for kind, vaddr, arg in plan:
             if kind == "load":
-                delta = vaddr - last_vbase
-                if 0 <= delta and 0 < arg and delta + arg <= line_size:
-                    tick += 1
-                    # Slicing an immutable snapshot of the line is the
-                    # cheapest way to produce bytes; it refreezes only
-                    # after a store dirtied the memoized line.
-                    if last_frozen is None:
-                        last_frozen = to_bytes(last_data)
-                    append(last_frozen[delta:delta + arg])
-                    continue
-                write = False
-                data = None
-                size = arg
+                self.batched_loads += 1
+                results.append(self._access_with_retry(vaddr, arg, False))
             elif kind == "store":
-                size = len(arg)
-                delta = vaddr - last_vbase
-                if last_writable and 0 <= delta and 0 < size \
-                        and delta + size <= line_size:
-                    tick += 1
-                    # dirty was set when the memo was established by a
-                    # write hit, and nothing clears it mid-segment.
-                    last_data[delta:delta + size] = arg
-                    last_frozen = None
-                    nstores += 1
-                    append(None)
-                    continue
-                write = True
-                data = arg
+                self.batched_stores += 1
+                results.append(
+                    self._access_with_retry(vaddr, len(arg), True, arg))
             else:
-                l1._tick = tick
-                if last_line is not None:
-                    last_line.stamp = tick
-                hits = tick - tick_base
-                if hits:
-                    l1.hits += hits
-                    self.batched_loads += hits - nstores
-                    self.batched_stores += nstores
-                    tick_clock(hits * hit_cost)
                 raise ConfigurationError(
                     f"unknown op kind {kind!r} in access plan")
-
-            slow = False
-            if size <= 0 or (not armed_free and overlaps(vaddr, size)):
-                # Scalar fallback: armed/watched lines keep the full
-                # first-touch-faults machinery; degenerate sizes keep
-                # scalar slow-path semantics.
-                l1._tick = tick
-                if last_line is not None:
-                    last_line.stamp = tick
-                    last_line = None
-                    last_data = None
-                    last_writable = False
-                    last_vbase = NO_LINE
-                hits = tick - tick_base
-                if hits:
-                    l1.hits += hits
-                    self.batched_loads += hits - nstores
-                    self.batched_stores += nstores
-                    tick_clock(hits * hit_cost)
-                    nstores = 0
-                tick_base = tick
-                if write:
-                    self.store(vaddr, data)
-                    append(None)
-                else:
-                    append(self.load(vaddr, size))
-                slow = True
-            else:
-                offset = vaddr % page_size
-                frame = None
-                if offset + size <= page_size:
-                    page = vaddr - offset
-                    frame = (wcache if write else rcache).get(page)
-                    if frame is None:
-                        # Resolve through the MMU -- TLB refill, demand
-                        # fill, or swap-in happen here exactly as on
-                        # the scalar path (a swap-out can flush cache
-                        # lines, hence the full flush first).  A
-                        # faulting translation is NOT resolved here:
-                        # the span walk below redoes it at the true
-                        # access address, so page and protection faults
-                        # carry the same address and reach the same
-                        # delivery protocol as scalar execution.
-                        l1._tick = tick
-                        if last_line is not None:
-                            last_line.stamp = tick
-                            last_line = None
-                            last_data = None
-                            last_writable = False
-                            last_vbase = NO_LINE
-                        hits = tick - tick_base
-                        if hits:
-                            l1.hits += hits
-                            self.batched_loads += hits - nstores
-                            self.batched_stores += nstores
-                            tick_clock(hits * hit_cost)
-                            nstores = 0
-                        try:
-                            frame = translate(page, write=write)
-                        except (PageFault, ProtectionFault):
-                            frame = None
-                        else:
-                            armed_free = self._fast_path_enabled
-                            defer = clock.timer_count == 0
-                            marks = (mmu.tlb_invalidations
-                                     + mmu.tlb_flushes)
-                            if marks != shootdowns:
-                                shootdowns = marks
-                                rcache.clear()
-                                wcache.clear()
-                            # The mapping just resolved is
-                            # authoritative even after a shootdown
-                            # triggered by its own demand fill.
-                            rcache[page] = frame
-                            if write:
-                                wcache[page] = frame
-                        tick = tick_base = l1._tick
-                if frame is not None:
-                    paddr = frame + offset
-                    loff = paddr % line_size
-                    if loff + size <= line_size:
-                        base = paddr - loff
-                        line = sets[
-                            (base // line_size) % num_sets
-                        ].get(base)
-                        if line is not None:
-                            # Resident single-line op.  Same ordering
-                            # as Cache.fast_read/fast_write: hit count,
-                            # LRU stamp, cycle charge, then data.  The
-                            # outgoing memo line gets its deferred
-                            # stamp first (its last hit was one tick
-                            # before this op's).
-                            if last_line is not None:
-                                last_line.stamp = tick
-                            tick += 1
-                            line.stamp = tick
-                            if defer:
-                                last_vbase = vaddr - loff
-                                last_line = line
-                                # A memoryview: slice writes through it
-                                # skip bytearray slicing overhead on
-                                # every memo store.
-                                last_data = memoryview(line.data)
-                                last_frozen = None
-                                last_writable = write
-                                if write:
-                                    line.data[loff:loff + size] = data
-                                    line.dirty = True
-                                    nstores += 1
-                                    append(None)
-                                else:
-                                    append(bytes(
-                                        line.data[loff:loff + size]))
-                            else:
-                                # Timers armed: the charge below can run
-                                # handler code, so bookkeeping writes
-                                # through before the tick (exactly like
-                                # the scalar fast path) and locals
-                                # resync after it.
-                                l1._tick = tick
-                                l1.hits += 1
-                                tick_clock(hit_cost)
-                                tick = tick_base = l1._tick
-                                if write:
-                                    line.data[loff:loff + size] = data
-                                    line.dirty = True
-                                    self.batched_stores += 1
-                                    append(None)
-                                else:
-                                    self.batched_loads += 1
-                                    append(bytes(
-                                        line.data[loff:loff + size]))
-                            continue
-                # Line miss or multi-line/multi-page span: the span
-                # walk with full fault-retry semantics.
-                l1._tick = tick
-                if last_line is not None:
-                    last_line.stamp = tick
-                    last_line = None
-                    last_data = None
-                    last_writable = False
-                    last_vbase = NO_LINE
-                hits = tick - tick_base
-                if hits:
-                    l1.hits += hits
-                    self.batched_loads += hits - nstores
-                    self.batched_stores += nstores
-                    tick_clock(hits * hit_cost)
-                    nstores = 0
-                if write:
-                    self._access_with_retry(vaddr, size, True, data)
-                    self.batched_stores += 1
-                    append(None)
-                else:
-                    append(self._access_with_retry(vaddr, size, False))
-                    self.batched_loads += 1
-                slow = True
-            if slow:
-                # A slow op may have run handler code: watches can have
-                # been armed, timers started, TLB entries shot down.
-                armed_free = self._fast_path_enabled
-                defer = clock.timer_count == 0
-                tick = tick_base = l1._tick
-                marks = mmu.tlb_invalidations + mmu.tlb_flushes
-                if marks != shootdowns:
-                    shootdowns = marks
-                    rcache.clear()
-                    wcache.clear()
-
-        l1._tick = tick
-        if last_line is not None:
-            last_line.stamp = tick
-        hits = tick - tick_base
-        if hits:
-            l1.hits += hits
-            self.batched_loads += hits - nstores
-            self.batched_stores += nstores
-            tick_clock(hits * hit_cost)
         return results
-
-    def load_batch(self, addrs, size=8):
-        """Batched word loads: ``size`` bytes at each address."""
-        return self.run_ops([("load", vaddr, size) for vaddr in addrs])
-
-    def store_batch(self, addrs, values):
-        """Batched stores: ``values[i]`` written at ``addrs[i]``."""
-        if len(addrs) != len(values):
-            raise ConfigurationError(
-                f"store_batch: {len(addrs)} addresses for "
-                f"{len(values)} values"
-            )
-        self.run_ops([
-            ("store", vaddr, value)
-            for vaddr, value in zip(addrs, values)
-        ])
 
     def _retry_panic(self, vaddr, budget):
         """Give up on an access whose fault the handler cannot clear.
@@ -617,7 +316,7 @@ class Machine:
 
         Splits at page boundaries, translates each page once, and
         moves each page's bytes through the cache in one call (see
-        ``Cache.load``), for scalar and batched accesses alike.
+        ``Cache.load``), for direct accesses and plan ops alike.
         """
         cache = self.cache
         mmu = self.mmu

@@ -88,8 +88,9 @@ class Program:
         ``before_load``/``before_store`` overrides) see every op in
         plan order through the scalar methods, exactly as if the
         workload had issued them one by one.  Monitors that do not --
-        SafeMem and the native baseline -- let the whole plan go to the
-        machine's batched engine in one call.
+        SafeMem and the native baseline -- hand the whole plan to the
+        machine in one call, which moves each op through the same
+        span walk and counts it under ``machine.*.batched``.
         """
         monitor_type = type(self.monitor)
         if (monitor_type.before_load is Monitor.before_load
@@ -107,22 +108,6 @@ class Program:
                 raise ConfigurationError(
                     f"unknown op kind {kind!r} in access plan")
         return results
-
-    def load_batch(self, addrs, size=WORD_SIZE):
-        """Batched word loads through :meth:`run_ops`."""
-        return self.run_ops([("load", vaddr, size) for vaddr in addrs])
-
-    def store_batch(self, addrs, values):
-        """Batched stores through :meth:`run_ops`."""
-        if len(addrs) != len(values):
-            raise ConfigurationError(
-                f"store_batch: {len(addrs)} addresses for "
-                f"{len(values)} values"
-            )
-        self.run_ops([
-            ("store", vaddr, value)
-            for vaddr, value in zip(addrs, values)
-        ])
 
     def load_word(self, vaddr):
         """Load an 8-byte little-endian word (pointer-sized)."""

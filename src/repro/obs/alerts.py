@@ -80,11 +80,22 @@ class AlertRule:
             raise ConfigurationError(
                 f"alert rule {name!r}: unknown op {op!r}"
             )
-        if for_samples < 1 or resolve_after < 1:
-            raise ConfigurationError(
-                f"alert rule {name!r}: for_samples and resolve_after "
-                f"must be >= 1"
-            )
+        for field, count in (("for_samples", for_samples),
+                             ("resolve_after", resolve_after)):
+            if type(count) is not int or count < 1:
+                raise ConfigurationError(
+                    f"alert rule {name!r}: {field} must be an integer "
+                    f">= 1, got {count!r}"
+                )
+        levels = [("value", value)]
+        if clear_value is not None:
+            levels.append(("clear_value", clear_value))
+        for field, level in levels:
+            if isinstance(level, bool) or not isinstance(level, (int, float)):
+                raise ConfigurationError(
+                    f"alert rule {name!r}: {field} must be a number, "
+                    f"got {level!r}"
+                )
         if kind == "trend":
             try:
                 parse_selector(metric)

@@ -363,7 +363,10 @@ def load_document(path):
     from repro.obs.sink import EVENTS_SCHEMA, read_jsonl
     known = known_document_schemas()
     path = pathlib.Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except (OSError, ValueError) as error:
+        raise ConfigurationError(f"cannot read {path}: {error}") from None
     try:
         document = json.loads(text)
     except ValueError:
@@ -380,8 +383,12 @@ def load_document(path):
             f"{path}: unrecognized schema {schema!r}; this build "
             f"understands: " + ", ".join(sorted(known))
         )
-    records = read_jsonl(path)
-    if records and all(record.get("schema") == EVENTS_SCHEMA
+    try:
+        records = read_jsonl(path)
+    except ValueError:
+        records = None
+    if records and all(isinstance(record, dict)
+                       and record.get("schema") == EVENTS_SCHEMA
                        for record in records):
         return "stream", records
     raise ConfigurationError(

@@ -155,8 +155,14 @@ def write_document(document, path):
 
 def read_document(path, schema):
     """Load one JSON document and check its ``schema`` tag."""
-    with open(path) as stream:
-        document = json.load(stream)
+    try:
+        with open(path) as stream:
+            document = json.load(stream)
+    except (OSError, ValueError) as error:
+        # ValueError covers truncated JSON and undecodable bytes.
+        raise ConfigurationError(
+            f"cannot read a {schema} document from {path}: {error}"
+        ) from None
     if not isinstance(document, dict) or document.get("schema") != schema:
         found = (document.get("schema") if isinstance(document, dict)
                  else type(document).__name__)

@@ -48,9 +48,8 @@ class Gzip(Workload):
         program.set_global(60, output)
 
         # The compression loop: re-read the input, emit the output.
-        # Emitted as one access plan so the machine's batched engine
-        # moves whole blocks per call; op order matches the former
-        # scalar sequence exactly.
+        # One access plan: each op moves a whole block through one span
+        # walk, in the order the scalar sequence would issue them.
         program.compute(self.compute_per_block)
         plan = [
             ("load", self.input_buffer, self.block_size),

@@ -43,7 +43,7 @@ class Tar(Workload):
         program.set_global(60, header)
 
         # Stream the member body through the reused buffer -- one
-        # bulk access plan (same op order as the former scalar pair).
+        # bulk access plan (a store then a load, in scalar op order).
         program.run_ops([
             ("store", self.copy_buffer, self._body_chunk),
             ("load", self.copy_buffer, self.copy_chunk),

@@ -8,8 +8,9 @@ scheduler arithmetic (due multiples, the checkpoint cap, skip
 counting), section-by-section verification (``compare_checkpoints``),
 detector-state durability (sampler ring, alert state machines, trend
 windows/accumulators, a hysteresis latch mid-breach at the checkpoint
-cycle), the ``load_checkpoint``/``load_document`` schema errors, and
-the ``repro resume`` / ``repro inspect`` CLI surface.
+cycle), the ``load_checkpoint``/``load_document`` schema and
+unreadable-file errors, and the ``repro resume`` / ``repro inspect``
+CLI surface.
 """
 
 import copy
@@ -37,7 +38,12 @@ from repro.obs.checkpoint import (
     write_checkpoint,
 )
 from repro.obs.export import snapshot_document
-from repro.obs.forensics import capture_bundle, load_document, replay_bundle
+from repro.obs.forensics import (
+    capture_bundle,
+    load_bundle,
+    load_document,
+    replay_bundle,
+)
 from repro.obs.sampler import Sample, SamplingProfiler
 from repro.obs.snapshot import event_to_dict
 from repro.obs.stack import MonitorStackConfig, build_monitor_stack
@@ -420,6 +426,23 @@ class TestLoadErrors:
         # the error teaches the known formats.
         assert CHECKPOINT_SCHEMA in message
         assert "repro.history/v1" in message
+
+    @pytest.mark.parametrize("loader", [load_checkpoint, load_bundle,
+                                        load_document],
+                             ids=["checkpoint", "bundle", "document"])
+    @pytest.mark.parametrize("content", [
+        b'{"schema": "repro.checkpoint/v1", "run": {"work',
+        b"\xff\xfe not text",
+        b"5\n[1]\n",
+        None,
+    ], ids=["truncated", "not-utf8", "non-object-lines", "missing"])
+    def test_unreadable_document_is_a_named_error(self, tmp_path, loader,
+                                                  content):
+        path = tmp_path / "broken.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigurationError, match="broken.json"):
+            loader(path)
 
     def test_load_document_dispatches_checkpoint(self, tmp_path):
         machine = Machine(dram_size=8 * 1024 * 1024)

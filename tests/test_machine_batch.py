@@ -1,19 +1,24 @@
-"""Tests for the batched execution engine (Machine.run_ops).
+"""Tests for access plans (Machine.run_ops).
 
-The engine's contract is *simulation equivalence*: a plan executed
-batched must produce the same results, the same cycle count, the same
-event stream, and the same detector-visible behavior as the same ops
-issued one by one through the scalar path.  The differential tests here
-pin that contract directly by running twin machines; the edge-case
-tests cover the paths where the engine must leave its hot loop
-(demand fills, swap-ins, armed lines, degenerate plans).
+The contract is *simulation equivalence*: a plan run through
+``run_ops`` must produce the same results, the same cycle count, the
+same event stream, and the same detector-visible behavior as the same
+ops issued one by one through ``load``/``store``.  The differential
+tests here pin that contract directly by running twin machines, on
+hand-picked plans and on random ones (armed lines, a clock timer,
+three cache geometries); the edge-case tests cover plans that reach
+demand fills, swap-ins, armed lines and degenerate sizes.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
 from repro.common.errors import ConfigurationError
+from repro.core.config import full_config
+from repro.core.safemem import SafeMem
 from repro.machine.machine import Machine
+from repro.machine.monitor import Monitor, NullMonitor
 from repro.machine.program import Program
 from repro.workloads.gzip_ import Gzip
 from repro.workloads.tar_ import Tar
@@ -32,24 +37,26 @@ def _event_trace(machine):
     return [(e.kind, e.cycle, e.address) for e in machine.events.query()]
 
 
+def _op_by_op(machine, plan):
+    """The scalar twin: ``plan`` issued through ``load``/``store``."""
+    return [machine.load(vaddr, arg) if kind == "load"
+            else machine.store(vaddr, arg)
+            for kind, vaddr, arg in plan]
+
+
 def _run_twins(plan, prepare=None, machine_kwargs=None):
-    """Run ``plan`` batched and scalar on identically prepared machines.
+    """Run ``plan`` as a plan and op by op on identically prepared
+    machines.
 
     Returns ``(batched_machine, scalar_machine, batched_results,
     scalar_results)`` after asserting the equivalence contract.
     """
     outcomes = []
-    for enabled in (True, False):
+    for run in (Machine.run_ops, _op_by_op):
         machine = _machine(**(machine_kwargs or {}))
         if prepare is not None:
             prepare(machine)
-        original = Machine.batching_enabled
-        Machine.batching_enabled = enabled
-        try:
-            results = machine.run_ops(plan)
-        finally:
-            Machine.batching_enabled = original
-        outcomes.append((machine, results))
+        outcomes.append((machine, run(machine, plan)))
     (batched, b_results), (scalar, s_results) = outcomes
     assert b_results == s_results
     assert batched.clock.cycles == scalar.clock.cycles
@@ -69,7 +76,7 @@ class TestDifferentialEquivalence:
         plan += [("store", BASE + 5, b"\x99" * 3000),
                  ("load", BASE, 3 * PAGE_SIZE)]
         batched, _, results, _ = _run_twins(plan)
-        assert batched.batched_loads + batched.batched_stores > 0
+        assert batched.batched_loads + batched.batched_stores == len(plan)
         assert results[-1][5:8] == b"\x99" * 3
 
     def test_two_level_hierarchy_identical(self):
@@ -80,7 +87,7 @@ class TestDifferentialEquivalence:
     def test_timer_inside_a_span_sees_scalar_hit_counts(self):
         # A clock timer that fires between two line hits of one access
         # must read the hit count a per-line walk has published by
-        # then, on the batched path as on the scalar one.
+        # then, in a plan as on the scalar path.
         observed = []
 
         def prepare(machine):
@@ -106,19 +113,131 @@ class TestDifferentialEquivalence:
         _run_twins(plan)
 
 
+#: the random plans' address range.
+PLAN_PAGES = 6
+PLAN_LINES = PLAN_PAGES * PAGE_SIZE // CACHE_LINE_SIZE
+MAX_OP = 200
+
+#: op offsets: anywhere in the plan pages; near a 2 KiB stride, so
+#: that ops revisit resident lines and contend for the same cache
+#: sets; or just below a page boundary, so that longer ops straddle it.
+_offsets = st.one_of(
+    st.integers(0, PLAN_PAGES * PAGE_SIZE - MAX_OP),
+    st.builds(lambda alias, offset: alias * 2048 + offset,
+              st.integers(0, PLAN_PAGES * PAGE_SIZE // 2048 - 1),
+              st.integers(0, 2 * CACHE_LINE_SIZE)),
+    st.builds(lambda page, back: page * PAGE_SIZE - back,
+              st.integers(1, PLAN_PAGES - 1), st.integers(1, MAX_OP)),
+)
+_ops = st.one_of(
+    st.tuples(st.just("load"), _offsets, st.integers(0, MAX_OP)),
+    st.tuples(st.just("store"), _offsets, st.binary(max_size=MAX_OP)),
+)
+
+
+def _path_counts(machine):
+    """``(plan ops, direct fast + slow accesses)`` counted so far."""
+    return (machine.batched_loads + machine.batched_stores,
+            machine.fast_loads + machine.fast_stores
+            + machine.slow_loads + machine.slow_stores)
+
+
+def _watch_regions(spec):
+    """Non-overlapping line-aligned ``(vaddr, size)`` regions from
+    ``(first line, line count)`` pairs with distinct first lines."""
+    spec = sorted(spec)
+    ends = [line for line, _count in spec[1:]] + [PLAN_LINES]
+    return [(BASE + line * CACHE_LINE_SIZE,
+             min(count, end - line) * CACHE_LINE_SIZE)
+            for (line, count), end in zip(spec, ends)]
+
+
+@given(ops=st.lists(_ops, max_size=40),
+       warm_pages=st.integers(0, PLAN_PAGES),
+       armed=st.lists(st.tuples(st.integers(0, PLAN_LINES - 1),
+                                st.integers(1, 3)),
+                      max_size=4, unique_by=lambda region: region[0]),
+       period=st.none() | st.integers(2, 50),
+       geometry=st.sampled_from([{}, {"cache_levels": 2},
+                                 {"cache_size": 4096, "cache_ways": 2}]))
+@settings(max_examples=150, deadline=None)
+def test_random_plans_match_op_by_op_execution(ops, warm_pages, armed,
+                                               period, geometry):
+    plan = [(kind, BASE + offset, arg) for kind, offset, arg in ops]
+    twins = []
+    for run in (Machine.run_ops, _op_by_op):
+        machine = _machine(**geometry)
+        if warm_pages:
+            machine.store(BASE, bytes(range(256)) * (
+                warm_pages * PAGE_SIZE // 256))
+
+        def disarm_faulting_region(info, machine=machine):
+            vline = info.vaddr - info.vaddr % CACHE_LINE_SIZE
+            region = machine.kernel.watches.region_of_vline(vline)
+            machine.kernel.disable_watch_memory(region.vaddr)
+            return True
+
+        machine.kernel.register_ecc_fault_handler(disarm_faulting_region)
+        for vaddr, size in _watch_regions(armed):
+            machine.kernel.watch_memory(vaddr, size)
+        seen = []
+        if period is not None:
+            machine.clock.every(period, lambda clock, machine=machine:
+                                seen.append((clock.cycles,
+                                             machine.cache.hits)))
+        before = _path_counts(machine)
+        results = run(machine, plan)
+        after = _path_counts(machine)
+        twins.append((machine, results, seen,
+                      tuple(a - b for a, b in zip(after, before))))
+
+    (batched, b_results, b_seen, b_counts), \
+        (scalar, s_results, s_seen, s_counts) = twins
+    assert b_results == s_results
+    assert batched.clock.cycles == scalar.clock.cycles
+    assert _event_trace(batched) == _event_trace(scalar)
+    assert b_seen == s_seen
+    for counter in ("hits", "misses", "writebacks", "evictions"):
+        assert getattr(batched.cache, counter) == \
+            getattr(scalar.cache, counter), counter
+    assert batched.kernel.ecc_traps == scalar.kernel.ecc_traps
+    # Plan ops count as batched; direct calls by the path they took.
+    assert b_counts == (len(plan), 0)
+    assert s_counts == (0, len(plan))
+    batched.cache.flush_all()
+    scalar.cache.flush_all()
+    assert batched.dram.digest() == scalar.dram.digest()
+
+
+def _scalarizing(monitor_cls):
+    """``monitor_cls`` with pass-through access hooks: overriding them
+    makes ``Program.run_ops`` issue each plan op by op."""
+
+    class Scalarizing(monitor_cls):
+        def before_load(self, vaddr, size):
+            super().before_load(vaddr, size)
+
+        def before_store(self, vaddr, size):
+            super().before_store(vaddr, size)
+
+    return Scalarizing
+
+
 class TestWorkloadDifferential:
-    """The rewritten bulk workloads must be batching-invariant."""
+    """The bulk workloads run the same as plans and op by op."""
 
     @pytest.mark.parametrize("workload_cls", [Gzip, Tar])
     @pytest.mark.parametrize("monitor_name", ["native", "safemem"])
-    def test_run_is_batching_invariant(self, monkeypatch, workload_cls,
-                                       monitor_name):
-        from repro.analysis.runner import make_monitor
-
-        def run(enabled):
-            monkeypatch.setattr(Machine, "batching_enabled", enabled)
+    def test_run_is_batching_invariant(self, workload_cls, monitor_name):
+        def run(scalar):
+            monitor_cls, args = {
+                "native": (NullMonitor, ()),
+                "safemem": (SafeMem, (full_config(),)),
+            }[monitor_name]
+            if scalar:
+                monitor_cls = _scalarizing(monitor_cls)
             machine = Machine(cache_levels=2)
-            program = Program(machine, monitor=make_monitor(monitor_name))
+            program = Program(machine, monitor=monitor_cls(*args))
             workload = workload_cls(requests=30)
             if hasattr(workload, "trigger_block"):
                 workload.trigger_block = 15
@@ -127,8 +246,10 @@ class TestWorkloadDifferential:
             truth = workload.run(program, buggy=True)
             return machine, truth
 
-        batched_machine, batched_truth = run(True)
-        scalar_machine, scalar_truth = run(False)
+        batched_machine, batched_truth = run(False)
+        scalar_machine, scalar_truth = run(True)
+        assert batched_machine.batched_loads > 0
+        assert scalar_machine.batched_loads == 0
         assert batched_machine.clock.cycles == scalar_machine.clock.cycles
         assert _event_trace(batched_machine) == _event_trace(scalar_machine)
         assert (batched_truth.detection is None) == \
@@ -194,10 +315,10 @@ class TestBatchEdgeCases:
         # The watchpoint fired exactly once on both paths...
         assert len(fired) == 2  # one per twin machine
         assert batched.kernel.ecc_traps == scalar.kernel.ecc_traps == 1
-        # ...and only the armed line took the scalar slow path: the 31
-        # clean lines still went through the batched engine.
-        assert batched.batched_loads == 31
-        assert batched.slow_loads == 1
+        # ...and every plan op, the armed line's included, counted as
+        # batched: the plan takes the fault-retry walk for each op.
+        assert batched.batched_loads == 32
+        assert batched.slow_loads == 0
 
     def test_empty_plan(self):
         machine = _machine()
@@ -214,31 +335,20 @@ class TestBatchEdgeCases:
         batched, _, results, _ = _run_twins(plan)
         assert results[0] == b""
         assert results[1] is None
-        # Degenerate sizes route through the scalar path (and count
-        # there), exactly like direct load/store calls.
-        assert batched.slow_loads >= 1
-        assert batched.slow_stores >= 1
+        # Degenerate sizes count as plan ops like any other.
+        assert batched.batched_loads == 2
+        assert batched.batched_stores == 1
+        assert batched.slow_loads == batched.slow_stores == 0
 
     def test_unknown_op_kind_rejected(self):
         machine = _machine()
         with pytest.raises(ConfigurationError):
             machine.run_ops([("jump", BASE, 8)])
 
-    def test_load_store_batch_conveniences(self):
-        machine = _machine()
-        addrs = [BASE + i * 8 for i in range(64)]
-        values = [bytes([i]) * 8 for i in range(64)]
-        machine.store_batch(addrs, values)
-        assert machine.load_batch(addrs) == values
-        with pytest.raises(ConfigurationError):
-            machine.store_batch(addrs, values[:-1])
-
     def test_program_batch_api_scalarizes_for_access_monitors(self):
         # A Purify-style monitor overrides before_load/before_store;
         # Program.run_ops must keep feeding it per-op calls.
         seen = []
-
-        from repro.machine.monitor import Monitor
 
         class Spy(Monitor):
             name = "spy"

@@ -306,6 +306,23 @@ class TestAlertRule:
         loaded = resolve_rules(str(path))
         assert [r.name for r in loaded] == ["heap-high"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("resolve_after", "x"),
+        ("for_samples", 2.5),
+        ("for_samples", True),
+        ("value", "high"),
+        ("value", None),
+        ("clear_value", [1]),
+    ])
+    def test_load_rules_rejects_untyped_fields(self, tmp_path, field,
+                                               value):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps([
+            {"name": "typed", "metric": "heap.live_bytes", field: value}
+        ]))
+        with pytest.raises(ConfigurationError, match=f"'typed'.*{field}"):
+            load_rules(path)
+
     def test_load_rules_errors(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_rules(tmp_path / "missing.json")

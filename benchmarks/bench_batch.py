@@ -3,14 +3,15 @@
 Measures simulator throughput (real ops/sec) of two access shapes,
 each issued through ``machine.load``/``machine.store``:
 
-- ``word_loads``   -- 8-byte loads over hot resident lines: the
-  per-access short-circuit path, paying Python dispatch on every op,
+- ``word_loads``   -- 8-byte loads over hot resident lines: one
+  translation and one one-line cache span per op, paying the whole
+  access path's Python dispatch on every op,
 - ``block_copies`` -- 16 KiB stores and loads: one translation per
   page and one cache span per page (``Machine._walk``).
 
-Access plans (``machine.run_ops``) take the same span walk per op, so
-the gate is the span walk's own: one 16 KiB block op must cost less
-than 64 word loads.
+Both shapes take the same fault-retry span walk, as do access plans
+(``machine.run_ops``), so the gate is the span walk's own: one 16 KiB
+block op must cost less than 64 word loads.
 
 Writes ``BENCH_batch.json`` at the repo root and prints a summary.
 Run directly (``python benchmarks/bench_batch.py``) or through pytest

@@ -131,24 +131,6 @@ class _JobKind:
     decode: object   # JSON-able dict -> payload object
 
 
-def _machine_stack_config(params):
-    """The machine's :class:`MonitorStackConfig`, new or legacy params.
-
-    New-style fleet params carry a ``stack`` dict (the per-machine
-    config, sampling seed already derived); legacy dicts carry loose
-    ``sample_every``/``rules`` keys and are normalized here so cached
-    or hand-built job specs keep working.
-    """
-    stack = params.get("stack")
-    if stack is not None:
-        return MonitorStackConfig.from_dict(stack)
-    return MonitorStackConfig(
-        monitor=params["monitor"],
-        sample_every=params.get("sample_every"),
-        rules=params.get("rules", "default"),
-    ).validate()
-
-
 def _machine_detected(workload, buggy, monitor_name, result):
     """Did this machine's monitor catch the workload's injected bug?
 
@@ -182,7 +164,7 @@ def _run_fleet_machine(params):
     ``sampler.*`` / ``alerts.*`` metrics into the fleet merge
     (counters sum, giving fleet-wide totals).
     """
-    config = _machine_stack_config(params)
+    config = MonitorStackConfig.from_dict(params["stack"])
     stack = None
     machine = monitor = None
     run_info = None

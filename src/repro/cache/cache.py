@@ -143,7 +143,8 @@ class Cache:
 
         - consecutive hit charges batch into one ``clock.tick``;
         - a span inside one frame whose lines are all resident is
-          accounted in one step and moves its bytes with one slice.
+          accounted in one step and moves its bytes with one slice
+          (:meth:`fast_read`, :meth:`fast_write`).
 
         With a timer registered, the hit count and tick are published
         before every charge, exactly as a per-line walk would.
@@ -167,28 +168,13 @@ class Cache:
         charging = clock is not None and self.cost_model is not None
         hit_cost = self.cost_model.cache_hit if charging else 0
         defer = not charging or clock.timer_count == 0
-        offset = paddr % PAGE_SIZE
-        if defer and offset + size <= PAGE_SIZE:
-            frame = self._frames.get(paddr - offset)
-            if frame is not None:
-                lines = frame.lines[
-                    offset // CACHE_LINE_SIZE:
-                    (offset + size - 1) // CACHE_LINE_SIZE + 1]
-                if all(lines):
-                    tick = self._tick
-                    for line in lines:
-                        tick += 1
-                        line.stamp = tick
-                    self._tick = tick
-                    self.hits += len(lines)
-                    if charging:
-                        clock.tick(len(lines) * hit_cost)
-                    if data is None:
-                        return frame.view[offset:offset + size].tobytes()
-                    frame.buffer[offset:offset + size] = data
-                    for line in lines:
-                        line.dirty = True
-                    return None
+        if defer:
+            if data is None:
+                hit = self.fast_read(paddr, size)
+                if hit is not None:
+                    return hit
+            elif self.fast_write(paddr, data):
+                return None
 
         sets = self._sets
         num_sets = self.num_sets
@@ -262,47 +248,35 @@ class Cache:
         return bytes(out) if data is None else None
 
     # ------------------------------------------------------------------
-    # short-circuit access path (machine fast path)
+    # the resident step of the span walk
     # ------------------------------------------------------------------
     def fast_read(self, paddr, size):
-        """Serve a single-line read from a resident line, else ``None``.
+        """Read a span inside one frame whose lines are all resident;
+        ``None`` for any other span.
 
-        The caller guarantees ``[paddr, paddr+size)`` stays inside one
-        cache line.  Bookkeeping (hit count, LRU stamp, cycle charge)
-        matches :meth:`load` exactly, so taking this path never changes
-        the simulated statistics or timings -- only the Python overhead.
+        The lines are stamped in order, ``hits`` grows by their number
+        and their hit charges go out in one ``clock.tick``; the bytes
+        move with one slice.  That equals a per-line walk only while no
+        clock timer is registered, which the caller (:meth:`_span`)
+        checks.  No line needs an armed check: ``WatchMemory`` flushes
+        a line when it arms it, and a fill that faults installs
+        nothing, so a resident line is never armed.
         """
-        base = paddr - (paddr % CACHE_LINE_SIZE)
-        line = self._sets[
-            (base // CACHE_LINE_SIZE) % self.num_sets
-        ].get(base)
-        if line is None:
+        offset = paddr % PAGE_SIZE
+        frame = self._hit_resident(paddr - offset, offset, size, False)
+        if frame is None:
             return None
-        self.hits += 1
-        self._tick += 1
-        line.stamp = self._tick
-        self._charge_hit()
-        offset = paddr - base
-        return line.data[offset:offset + size].tobytes()
+        return frame.view[offset:offset + size].tobytes()
 
     def fast_write(self, paddr, data):
-        """Write into a resident line; ``False`` when not resident.
-
-        Single-line only, same bookkeeping contract as :meth:`fast_read`.
-        """
-        base = paddr - (paddr % CACHE_LINE_SIZE)
-        line = self._sets[
-            (base // CACHE_LINE_SIZE) % self.num_sets
-        ].get(base)
-        if line is None:
+        """:meth:`fast_read`'s write: store ``data`` into a span of
+        resident lines of one frame and mark them dirty; ``False`` for
+        any other span."""
+        offset = paddr % PAGE_SIZE
+        frame = self._hit_resident(paddr - offset, offset, len(data), True)
+        if frame is None:
             return False
-        self.hits += 1
-        self._tick += 1
-        line.stamp = self._tick
-        self._charge_hit()
-        offset = paddr - base
-        line.data[offset:offset + len(data)] = data
-        line.dirty = True
+        frame.buffer[offset:offset + len(data)] = data
         return True
 
     # ------------------------------------------------------------------
@@ -407,6 +381,31 @@ class Cache:
         while slot < stop and lines[slot] is None:
             slot += 1
         return slot - first
+
+    def _hit_resident(self, frame_base, offset, size, dirty):
+        """Account ``[offset, offset+size)`` of one frame as hits when
+        every line it covers is resident (marking them dirty with
+        ``dirty``) and return the frame; ``None`` otherwise."""
+        if offset + size > PAGE_SIZE:
+            return None
+        frame = self._frames.get(frame_base)
+        if frame is None:
+            return None
+        lines = frame.lines[offset // CACHE_LINE_SIZE:
+                            (offset + size - 1) // CACHE_LINE_SIZE + 1]
+        if not all(lines):
+            return None
+        tick = self._tick
+        for line in lines:
+            tick += 1
+            line.stamp = tick
+        self._tick = tick
+        if dirty:
+            for line in lines:
+                line.dirty = True
+        self.hits += len(lines)
+        self._charge_hit(len(lines))
+        return frame
 
     def _access_line(self, paddr, for_write, data=None):
         """One line's access: a hit, or a fill through the controller.
@@ -531,9 +530,9 @@ class Cache:
     def _set_index(self, line_address):
         return (line_address // CACHE_LINE_SIZE) % self.num_sets
 
-    def _charge_hit(self):
+    def _charge_hit(self, lines=1):
         if self.clock is not None and self.cost_model is not None:
-            self.clock.tick(self.cost_model.cache_hit)
+            self.clock.tick(lines * self.cost_model.cache_hit)
 
     def _charge_miss(self):
         if self.clock is not None and self.cost_model is not None:

@@ -64,14 +64,6 @@ class CacheHierarchy:
     def store(self, paddr, data):
         self.l1.store(paddr, data)
 
-    def fast_read(self, paddr, size):
-        """Short-circuit read: L1-resident lines only (else ``None``)."""
-        return self.l1.fast_read(paddr, size)
-
-    def fast_write(self, paddr, data):
-        """Short-circuit write: L1-resident lines only (else ``False``)."""
-        return self.l1.fast_write(paddr, data)
-
     def flush_line(self, paddr):
         """Evict from L1 (into L2), then from L2 (into memory)."""
         self.l1.flush_line(paddr)

@@ -70,6 +70,7 @@ from repro.analysis.runner import (
     run_workload,
     slowdown_factor,
 )
+from repro.common.errors import ReproError
 from repro.obs.export import (
     render_metrics_table,
     render_span_tree,
@@ -943,9 +944,19 @@ def command_list(out):
 
 
 def main(argv=None, out=None):
-    out = out or sys.stdout
+    """Run one command; a :class:`ReproError` (a malformed input file,
+    an impossible configuration) prints one ``repro: error:`` line on
+    stderr and returns 2, as an argument error does."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args, out or sys.stdout)
+    except ReproError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args, out):
+    """Run the parsed command; returns its exit code."""
     if args.command == "table2":
         out.write(experiment_table2().render() + "\n")
     elif args.command == "table3":

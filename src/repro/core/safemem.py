@@ -100,10 +100,9 @@ class SafeMem(Monitor):
         if self.sampler is not None and not self.sampler.should_sample():
             # Unsampled fast path: a plain native allocation.  No
             # guards, no leak tracking, no line alignment -- and thus
-            # no armed watchpoints, so the machine's zero-armed-lines
-            # load/store short-circuit stays enabled.  The sampling
-            # decision itself is host-side (a countdown decrement) and
-            # never ticks the simulated clock.
+            # no armed watchpoints.  The sampling decision itself is
+            # host-side (a countdown decrement) and never ticks the
+            # simulated clock.
             address = self.program.allocator.malloc(size)
             self.program.allocator.lookup(address).sampled = False
             self.requested_bytes += size

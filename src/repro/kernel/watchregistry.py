@@ -3,7 +3,7 @@
 The kernel needs two lookups:
 
 - by *virtual* address, to validate WatchMemory/DisableWatchMemory
-  calls and to screen accesses for armed lines,
+  calls and to refuse an unmap of a range that holds an armed line,
 - by *physical* line, to attribute an ECC fault back to the virtual
   region the user handler reasons about.
 
@@ -94,11 +94,6 @@ class WatchRegistry:
         #: for every run touching that frame.
         self._frames = {}
         self._armed_lines = 0
-        #: Called with the registry after every add/remove.  The machine
-        #: registers a listener here to disable its short-circuit access
-        #: path the moment any line is armed -- the hook that keeps the
-        #: fast path from ever swallowing a watchpoint fault.
-        self._listeners = []
 
     def __len__(self):
         return len(self._regions)
@@ -110,14 +105,6 @@ class WatchRegistry:
     def armed_line_count(self):
         """Number of cache lines currently armed across all regions."""
         return self._armed_lines
-
-    def add_listener(self, listener):
-        """Register a callback invoked (with the registry) on changes."""
-        self._listeners.append(listener)
-
-    def _notify(self):
-        for listener in self._listeners:
-            listener(self)
 
     def add(self, region):
         vaddr = region.vaddr
@@ -147,7 +134,6 @@ class WatchRegistry:
                 else:
                     runs[vstart] = entry
         self._armed_lines += region.line_count
-        self._notify()
 
     def remove(self, vaddr):
         region = self._regions.pop(vaddr, None)
@@ -163,7 +149,6 @@ class WatchRegistry:
                 if not runs:
                     del frames[frame]
         self._armed_lines -= region.line_count
-        self._notify()
         return region
 
     def get(self, vaddr):

@@ -132,15 +132,6 @@ class Machine:
             tracer=self.tracer,
             scrub_interval_cycles=self.profile.scrub_interval_cycles,
         )
-        # Short-circuit access path: taken only while *zero* cache lines
-        # are armed (the overwhelmingly common production state).  The
-        # registry listener flips the flag the instant a watch is armed,
-        # so an armed line always sees the full fault-retry machinery
-        # and "first touch faults" is preserved.
-        self._fast_path_enabled = True
-        self.kernel.watches.add_listener(self._on_watch_registry_change)
-        self.fast_loads = 0
-        self.fast_stores = 0
         self.slow_loads = 0
         self.slow_stores = 0
         self.batched_loads = 0
@@ -149,16 +140,10 @@ class Machine:
 
     def register_metrics(self, metrics):
         """Publish the machine's own access-path probes."""
-        metrics.probe("machine.load.fast", lambda: self.fast_loads,
-                      kind="counter",
-                      description="direct loads served by the "
-                                  "short-circuit path")
-        metrics.probe("machine.store.fast", lambda: self.fast_stores,
-                      kind="counter")
         metrics.probe("machine.load.slow", lambda: self.slow_loads,
                       kind="counter",
-                      description="direct loads through the full "
-                                  "fault-retry walk")
+                      description="direct loads (Machine.load calls), "
+                                  "each through the fault-retry walk")
         metrics.probe("machine.store.slow", lambda: self.slow_stores,
                       kind="counter")
         metrics.probe("machine.load.batched", lambda: self.batched_loads,
@@ -173,9 +158,6 @@ class Machine:
                       kind="counter",
                       description="events emitted into the event log")
 
-    def _on_watch_registry_change(self, registry):
-        self._fast_path_enabled = registry.armed_line_count == 0
-
     # ------------------------------------------------------------------
     # program-visible memory access
     # ------------------------------------------------------------------
@@ -186,37 +168,18 @@ class Machine:
         user-level handler claims it (after disarming/restoring the
         line) the access retries and completes, like a resumed
         instruction after a machine-check.
-
-        While no watchpoints are armed, a single-line access whose
-        translation and cache line are both hot short-circuits the
-        fault-retry machinery entirely (identical costs and statistics;
-        a resident cache line can never raise an ECC fault).
         """
-        if (self._fast_path_enabled and 0 < size
-                and (vaddr % CACHE_LINE_SIZE) + size <= CACHE_LINE_SIZE):
-            paddr = self.mmu.translate_fast(vaddr)
-            if paddr is not None:
-                data = self.cache.fast_read(paddr, size)
-                if data is not None:
-                    self.fast_loads += 1
-                    return data
         self.slow_loads += 1
         return self._access_with_retry(vaddr, size, False)
 
     def store(self, vaddr, data):
         """Store bytes to virtual memory (write-allocate, so a store to
         a watched line also trips the watchpoint via its line fill)."""
-        if (self._fast_path_enabled and data
-                and (vaddr % CACHE_LINE_SIZE) + len(data) <= CACHE_LINE_SIZE):
-            paddr = self.mmu.translate_fast(vaddr, write=True)
-            if paddr is not None and self.cache.fast_write(paddr, data):
-                self.fast_stores += 1
-                return
         self.slow_stores += 1
         self._access_with_retry(vaddr, len(data), True, data)
 
     def _access_with_retry(self, vaddr, size, write, data=None):
-        """The fault-retry loop shared by every non-short-circuit path.
+        """The fault-retry loop every access takes, direct or planned.
 
         One :meth:`_walk` attempt per delivered-and-handled fault, up
         to the livelock budget.

@@ -82,25 +82,18 @@ class Mmu:
         :class:`ProtectionFault` when the page's protection bits forbid
         the access (the mprotect-guard path).
         """
-        vpn, offset = divmod(vaddr, PAGE_SIZE)
-        slot = self._tlb[vpn % TLB_SIZE]
-        if (slot is not None and slot[0] == vpn
-                and slot[2] & (PROT_WRITE if write else PROT_READ)):
-            self.tlb_hits += 1
-            self._stamp += 1
-            slot[3].last_access = self._stamp
-            return slot[1] + offset
+        paddr = self.translate_fast(vaddr, write)
+        if paddr is not None:
+            return paddr
         self.tlb_misses += 1
         return self._translate_slow(vaddr, write)
 
     def translate_fast(self, vaddr, write=False):
-        """TLB-hit-only translation: the physical address, or ``None``.
+        """The TLB hit of :meth:`translate`: the physical address, or
+        ``None`` on a miss.
 
-        Never walks the page table, pages anything in, or raises; the
-        machine's short-circuit access path uses this and falls back to
-        :meth:`translate` on ``None``.  (A hit here that later falls
-        back -- e.g. because the cache line was not resident -- counts
-        one extra ``tlb_hits``; the access itself stays correct.)
+        Counts the hit and stamps the page's ``last_access``; never
+        walks the page table, pages anything in, or raises.
         """
         vpn, offset = divmod(vaddr, PAGE_SIZE)
         slot = self._tlb[vpn % TLB_SIZE]

@@ -86,14 +86,60 @@ def safe_label(label):
     return re.sub(r"[^A-Za-z0-9._-]+", "-", str(label)).strip("-") or "run"
 
 
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: every field ``Machine.boot_config`` records -> (its check, what the
+#: check expects); an ``ecc_mode`` name must also be an ``EccMode``.
+_MACHINE_FIELDS = {
+    **{field: (_is_integer, "an integer")
+       for field in ("dram_size", "cache_size", "cache_ways",
+                     "cache_levels", "l1_size", "l1_ways")},
+    "max_pinned_pages": (lambda value: value is None or _is_integer(value),
+                         "null or an integer"),
+    "ecc_mode": (lambda value: isinstance(value, str), "an ECC mode name"),
+    "profile": (lambda value: value is None or isinstance(value, str),
+                "a profile name"),
+}
+
+
 def machine_from_config(config):
-    """Boot a fresh machine from a document's recorded ``machine`` dict."""
+    """Boot a fresh machine from a document's recorded ``machine`` dict.
+
+    A section that is not a dict, an unknown field, a value of the
+    wrong type or an unknown ECC mode raises
+    :class:`ConfigurationError` naming the field; values of the right
+    type that no machine can have (a cache geometry that does not
+    divide, an unknown profile) raise the machine's own.
+    """
     from repro.ecc.controller import EccMode
     from repro.machine.machine import Machine
-    kwargs = dict(config or {})
-    mode = kwargs.get("ecc_mode")
-    if isinstance(mode, str):
-        kwargs["ecc_mode"] = EccMode(mode)
+    if config is None:
+        config = {}
+    if not isinstance(config, dict):
+        raise ConfigurationError(
+            f"recorded machine section must be an object, got "
+            f"{type(config).__name__}")
+    for field, value in config.items():
+        if field not in _MACHINE_FIELDS:
+            raise ConfigurationError(
+                f"recorded machine field {field!r} is unknown; expected "
+                f"one of {', '.join(sorted(_MACHINE_FIELDS))}")
+        check, expected = _MACHINE_FIELDS[field]
+        if not check(value):
+            raise ConfigurationError(
+                f"recorded machine field {field!r} must be {expected}, "
+                f"got {value!r}")
+    kwargs = dict(config)
+    if "ecc_mode" in kwargs:
+        try:
+            kwargs["ecc_mode"] = EccMode(kwargs["ecc_mode"])
+        except ValueError:
+            raise ConfigurationError(
+                f"recorded machine field 'ecc_mode' must be one of "
+                f"{', '.join(mode.value for mode in EccMode)}, got "
+                f"{kwargs['ecc_mode']!r}") from None
     return Machine(**kwargs)
 
 

@@ -271,6 +271,33 @@ def test_invalid_recorded_cache_geometry_is_a_named_error(recorded_run,
         resume_checkpoint(document)
 
 
+@pytest.mark.parametrize("section, named", [
+    ({"cache_sets": 4}, "field 'cache_sets' is unknown"),
+    ({"ecc_mode": "bogus"}, "field 'ecc_mode' must be one of"),
+    ({"dram_size": "x"}, "field 'dram_size' must be an integer"),
+    ({"cache_levels": True}, "field 'cache_levels' must be an integer"),
+    ({"max_pinned_pages": "x"},
+     "field 'max_pinned_pages' must be null or an integer"),
+    ({"profile": ["secded"]}, "field 'profile' must be a profile name"),
+    ([], "machine section must be an object, got list"),
+], ids=["unknown-key", "ecc_mode=bogus", "dram_size=x", "cache_levels=True",
+        "max_pinned_pages=x", "profile=list", "list"])
+def test_malformed_recorded_machine_is_a_named_error(recorded_run,
+                                                     section, named):
+    """Resume and replay boot the recorded machine; a malformed
+    ``machine`` section must raise ConfigurationError naming the field,
+    not a TypeError or ValueError, and never boot silently."""
+    for document, rerun in zip(recorded_run,
+                               (resume_checkpoint, replay_bundle)):
+        document = copy.deepcopy(document)
+        if isinstance(section, dict):
+            document["machine"].update(section)
+        else:
+            document["machine"] = section
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            rerun(document)
+
+
 # ----------------------------------------------------------------------
 # capture contents + observation-only invariant
 # ----------------------------------------------------------------------
@@ -633,8 +660,22 @@ class TestCheckpointCli:
         assert code == 0
         assert "skipped (--no-verify)" in output
 
-    def test_resume_rejects_foreign_document(self, tmp_path):
+    def test_resume_rejects_foreign_document(self, tmp_path, capsys):
         path = tmp_path / "not-a-ckpt.json"
         path.write_text(json.dumps({"schema": "repro.metrics/v1"}))
-        with pytest.raises(ConfigurationError, match="repro.metrics"):
-            run_cli("resume", str(path))
+        code, _ = run_cli("resume", str(path))
+        assert code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("repro: error: ")
+        assert "repro.metrics" in error
+
+    def test_resume_malformed_machine_section_is_one_line(
+            self, recorded_run, tmp_path, capsys):
+        checkpoint = copy.deepcopy(recorded_run[0])
+        checkpoint["machine"]["cache_ways"] = "eight"
+        path = write_checkpoint(checkpoint, tmp_path / "bad.ckpt.json")
+        code, _ = run_cli("resume", str(path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: recorded machine field 'cache_ways' must be "
+            "an integer, got 'eight'\n")

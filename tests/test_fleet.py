@@ -24,6 +24,7 @@ from repro.common.digest import file_digest, package_digest, tree_digest
 from repro.common.errors import ConfigurationError, FleetError
 from repro.obs.merge import dump_registry, merge_dumps, merge_registries
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.stack import MonitorStackConfig
 
 #: request count for the tier-1 differential (full-size validation is a
 #: benchmark concern; identity holds at any deterministic config).
@@ -261,7 +262,8 @@ class TestScheduler:
     def test_workload_jobs_produce_merged_telemetry(self):
         spec = ("fleet-machine", "fleet:gzip:0",
                 {"workload": "gzip", "monitor": "native", "buggy": False,
-                 "requests": 5, "seed": 0, "index": 0})
+                 "requests": 5, "seed": 0, "index": 0,
+                 "stack": MonitorStackConfig(monitor="native").to_dict()})
         outcome = fleet.run_jobs([spec], jobs=1)
         assert outcome.metrics is not None
         assert outcome.metrics.get("cache.l1.hit", 0) > 0

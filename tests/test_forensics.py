@@ -578,7 +578,7 @@ class TestFleetForensics:
         spec = ("fleet-machine", "fleet:gzip:0",
                 {"workload": "gzip", "monitor": "native", "buggy": False,
                  "requests": 5, "seed": 0, "index": 0,
-                 "sample_every": None, "rules": "default",
+                 "stack": MonitorStackConfig(monitor="native").to_dict(),
                  "forensics": True})
         outcome = fleet.run_jobs([spec], jobs=1, dump_dir=tmp_path)
         report = outcome.payloads["fleet:gzip:0"]
@@ -591,7 +591,7 @@ class TestFleetForensics:
         spec = ("fleet-machine", "fleet:bad:0",
                 {"workload": "no-such-workload", "monitor": "native",
                  "buggy": False, "requests": 1, "seed": 0, "index": 0,
-                 "sample_every": None, "rules": "default"})
+                 "stack": MonitorStackConfig(monitor="native").to_dict()})
         with pytest.raises(FleetError) as exc_info:
             fleet.run_jobs([spec], jobs=1)
         assert exc_info.value.bundles == []

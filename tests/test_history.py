@@ -281,20 +281,26 @@ class TestRenderAndCli:
         merged = json.loads(merged_out.read_text())
         assert merged["observations"] == 2
 
-    def test_history_command_rejects_non_history_documents(self, tmp_path):
+    def test_history_command_rejects_non_history_documents(
+            self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(
             {"schema": "repro.metrics/v1", "metrics": {}, "kinds": {},
              "generated": {"cycle": 0, "since_cycle": None}}))
-        with pytest.raises(ConfigurationError,
-                           match="is a metrics document"):
-            run_cli("history", str(path))
+        code, _ = run_cli("history", str(path))
+        assert code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("repro: error: ")
+        assert "is a metrics document" in error
 
-    def test_emit_history_requires_history_flag(self):
-        with pytest.raises(ConfigurationError, match="--history"):
-            run_cli("run", "gzip", "--requests", "2",
-                    "--sample-every", "50000",
-                    "--emit-history", "nowhere.json")
+    def test_emit_history_requires_history_flag(self, capsys):
+        code, _ = run_cli("run", "gzip", "--requests", "2",
+                          "--sample-every", "50000",
+                          "--emit-history", "nowhere.json")
+        assert code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("repro: error: ")
+        assert "--history" in error
 
     def test_inspect_dispatches_history_documents(self, tmp_path):
         store = small_store()

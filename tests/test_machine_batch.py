@@ -136,10 +136,9 @@ _ops = st.one_of(
 
 
 def _path_counts(machine):
-    """``(plan ops, direct fast + slow accesses)`` counted so far."""
+    """``(plan ops, direct accesses)`` counted so far."""
     return (machine.batched_loads + machine.batched_stores,
-            machine.fast_loads + machine.fast_stores
-            + machine.slow_loads + machine.slow_stores)
+            machine.slow_loads + machine.slow_stores)
 
 
 def _watch_regions(spec):
@@ -200,8 +199,11 @@ def test_random_plans_match_op_by_op_execution(ops, warm_pages, armed,
     for counter in ("hits", "misses", "writebacks", "evictions"):
         assert getattr(batched.cache, counter) == \
             getattr(scalar.cache, counter), counter
+    for counter in ("tlb_hits", "tlb_misses"):
+        assert getattr(batched.mmu, counter) == \
+            getattr(scalar.mmu, counter), counter
     assert batched.kernel.ecc_traps == scalar.kernel.ecc_traps
-    # Plan ops count as batched; direct calls by the path they took.
+    # Plan ops count as batched; direct calls as direct accesses.
     assert b_counts == (len(plan), 0)
     assert s_counts == (0, len(plan))
     batched.cache.flush_all()

@@ -175,7 +175,7 @@ class TestSamplingProfiler:
         sampler.sample_now()
         machine.clock.tick(50)
         sampler.sample_now()
-        series = sampler.series("machine.load.fast")
+        series = sampler.series("machine.load.slow")
         assert [cycle for cycle, _ in series] == [0, 50]
 
     def test_active_span_stack_captured(self):
@@ -228,7 +228,7 @@ class TestSamplingProfiler:
         payload = sampler.sample_now().to_dict()
         assert json.dumps(payload)  # JSON-able end to end
         assert payload["cycle"] == 0
-        assert "machine.load.fast" in payload["metrics"]
+        assert "machine.load.slow" in payload["metrics"]
 
     def test_render_top_mentions_vitals(self):
         machine = _machine()

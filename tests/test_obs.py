@@ -391,23 +391,20 @@ class TestRemovedShims:
 class TestBenchParity:
     def test_delta_reproduces_legacy_hot_loop_counters(self):
         # The BENCH_memfast hot loop: unwatched machine, 16 hot lines,
-        # every access a TLB hit + cache hit on the short-circuit
-        # path.  The registry delta must reproduce the machine's own
-        # hot-path counters exactly.
+        # every access a TLB hit + cache hit.  The registry delta must
+        # reproduce the machine's own access counters exactly.
         machine = Machine(dram_size=8 * 1024 * 1024)
         base = 0x4000_0000
         machine.kernel.mmap(base, 4 * PAGE_SIZE)
         addresses = [base + i * CACHE_LINE_SIZE for i in range(16)]
         for address in addresses:
             machine.store(address, bytes(8))
-        fast_before, slow_before = machine.fast_loads, machine.slow_loads
+        slow_before = machine.slow_loads
         before = machine.metrics.snapshot()
         for i in range(2000):
             machine.load(addresses[i & 15], 8)
         delta = machine.metrics.snapshot() - before
-        assert delta["machine.load.fast"] == 2000
-        assert delta["machine.load.fast"] == \
-            machine.fast_loads - fast_before
+        assert delta["machine.load.slow"] == 2000
         assert delta["machine.load.slow"] == \
             machine.slow_loads - slow_before
         assert delta["mmu.tlb.miss"] == 0
@@ -539,7 +536,7 @@ class TestMergeHistogramEdgeCases:
         merged = merge_dumps([dump_registry(machine.metrics)
                               for machine in machines])
         assert merged.cycle == 0
-        assert merged["machine.load.fast"] == 0
+        assert merged["machine.load.slow"] == 0
         assert merged["machine.events"] == 0
 
     def test_mixed_empty_and_populated_workers(self):

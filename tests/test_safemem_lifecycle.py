@@ -46,7 +46,7 @@ class TestDetachedMonitor:
         program.store(buf, b"x")
         program.load(buf, 1)
         snapshot = safemem.telemetry()
-        for name in ("mmu.tlb.hit", "machine.load.fast",
+        for name in ("mmu.tlb.hit", "machine.load.slow",
                      "ecc.codec.lines_batched"):
             assert name in snapshot
 

@@ -18,9 +18,10 @@ The acceptance bar is that the history-enabled hot path stays within
 
 The second half times the long-horizon maintenance operations as plain
 latencies (``*_seconds`` keys, excluded from regression comparison):
-one ``capture_checkpoint`` of a monitored run, and one verified
-``resume_checkpoint`` (which replays the recorded prefix, so it scales
-with the recorded horizon).  Writes ``BENCH_history.json`` at the repo
+one ``capture_checkpoint`` of a monitored run (state image included),
+and one verified ``resume_checkpoint`` (which restores the image, so
+it costs a fixed load plus the continuation, whatever the recorded
+horizon).  Writes ``BENCH_history.json`` at the repo
 root.  Run directly (``python benchmarks/bench_history.py``) or
 through pytest (marked ``slow``, so the tier-1 run never pays for it).
 """

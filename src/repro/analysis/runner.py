@@ -144,7 +144,7 @@ def run_workload(workload_name, monitor_name="native", buggy=False,
                  requests=None, seed=0, dram_size=DRAM_SIZE,
                  heap_size=HEAP_SIZE, cache_size=CACHE_SIZE,
                  monitor=None, machine=None, release=False,
-                 profile=None, request_hook=None):
+                 profile=None, request_hook=None, restore=None):
     """Run one workload under one monitor; return a :class:`RunResult`.
 
     ``buggy=False`` is the paper's overhead-measurement setting (normal
@@ -163,6 +163,12 @@ def run_workload(workload_name, monitor_name="native", buggy=False,
     ``request_hook`` is passed through to
     :meth:`~repro.workloads.base.Workload.run` -- an observation-only
     callback at each request boundary (checkpoint capture).
+
+    ``restore(program, workload)`` continues a checkpointed run instead
+    of starting one: it loads a state image into the freshly built
+    program and workload (which then resumes at the captured request
+    boundary), and the run goes on inside the restored
+    ``workload.<name>`` span.
     """
     if machine is None:
         machine = Machine(dram_size=dram_size, cache_size=cache_size,
@@ -183,10 +189,18 @@ def run_workload(workload_name, monitor_name="native", buggy=False,
         }
         for tap in _BOOT_TAPS:
             tap(machine, monitor, run_info)
-    with machine.tracer.span(f"workload.{workload_name}",
-                             monitor=monitor_name, buggy=buggy):
+    tracer = machine.tracer
+    if restore is None:
+        span = tracer.start(f"workload.{workload_name}",
+                            monitor=monitor_name, buggy=buggy)
+    else:
+        restore(program, workload)
+        span = tracer.current
+    try:
         truth = workload.run(program, buggy=buggy,
                              request_hook=request_hook)
+    finally:
+        tracer.finish(span)
     if release:
         program.release()
     end = machine.metrics.snapshot()

@@ -24,6 +24,16 @@ from repro.common.constants import (
     line_base,
 )
 from repro.common.errors import ConfigurationError
+from repro.common.state import (
+    BOOL,
+    INT,
+    TEXT,
+    decode_bytes,
+    encode_bytes,
+    fields_state,
+    load_fields,
+    table,
+)
 from repro.obs.metrics import attr_reader as _attr_reader
 
 
@@ -54,6 +64,10 @@ class _Frame:
 
 class Cache:
     """Physically-indexed, physically-tagged write-back cache."""
+
+    #: the counters :meth:`state_dict` records next to the lines.
+    STATE_FIELDS = ("_tick", "hits", "misses", "evictions", "writebacks",
+                    "flushes")
 
     def __init__(self, controller, size=64 * 1024, ways=8,
                  clock=None, cost_model=None, metrics=None,
@@ -108,6 +122,52 @@ class Cache:
                           kind="counter")
         metrics.probe(f"{prefix}.resident_lines",
                       _attr_reader(self, "resident_lines"), kind="gauge")
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """The LRU clock, the counters and every resident line as
+        ``[tag, dirty, stamp, data]``, set by set in each set's order.
+
+        Captured without flushing: a flush would change the state, and
+        a cold cache would charge misses the captured run never paid.
+        """
+        return {
+            **fields_state(self, self.STATE_FIELDS),
+            "lines": [[line.tag, line.dirty, line.stamp,
+                       encode_bytes(line.data)]
+                      for cache_set in self._sets
+                      for line in cache_set.values()],
+        }
+
+    def load_state(self, state):
+        """Replace the resident lines and counters with
+        :meth:`state_dict` output (nothing is written back)."""
+        load_fields(self, state, self.STATE_FIELDS)
+        self._sets = [dict() for _ in range(self.num_sets)]
+        self._frames = {}
+        self.resident_lines = 0
+        for tag, dirty, stamp, data in table(
+                state["lines"], (INT, BOOL, INT, TEXT), "lines"):
+            data = decode_bytes(data, "line data")
+            cache_set = self._sets[self._set_index(tag)]
+            if (tag % CACHE_LINE_SIZE or tag in cache_set
+                    or len(cache_set) >= self.ways
+                    or len(data) != CACHE_LINE_SIZE):
+                raise ValueError(f"line {tag:#x} does not fit this cache")
+            offset = tag % PAGE_SIZE
+            frame = self._frames.get(tag - offset)
+            if frame is None:
+                frame = self._frames[tag - offset] = _Frame()
+            frame.buffer[offset:offset + CACHE_LINE_SIZE] = data
+            line = _Line(tag, frame.view[offset:offset + CACHE_LINE_SIZE],
+                         stamp)
+            line.dirty = dirty
+            frame.lines[offset // CACHE_LINE_SIZE] = line
+            frame.resident += 1
+            cache_set[tag] = line
+            self.resident_lines += 1
 
     # ------------------------------------------------------------------
     # program-visible access path

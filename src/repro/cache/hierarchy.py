@@ -56,6 +56,18 @@ class CacheHierarchy:
         self.l2.register_metrics(metrics)
 
     # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """Both levels' :meth:`Cache.state_dict`."""
+        return {"l1": self.l1.state_dict(), "l2": self.l2.state_dict()}
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output into both levels."""
+        self.l1.load_state(state["l1"])
+        self.l2.load_state(state["l2"])
+
+    # ------------------------------------------------------------------
     # Cache-compatible interface
     # ------------------------------------------------------------------
     def load(self, paddr, size):

@@ -19,10 +19,11 @@ Commands:
 - ``replay``  re-runs a forensic bundle's recorded workload
   deterministically to an optional breakpoint and differentially
   verifies the event stream against the recording;
-- ``resume``  resumes a ``repro.checkpoint/v1`` run: re-executes the
-  recorded run from its seed, verifies the reconstructed state
-  bit-exactly at the recorded request boundary, and continues to the
-  requested horizon (``--checkpoint-every`` writes the checkpoints);
+- ``resume``  resumes a ``repro.checkpoint/v1`` run: restores its state
+  image (or, without one, re-executes the recorded run from its
+  seed), verifies the state bit-exactly at the recorded request
+  boundary, and continues to the requested horizon
+  (``--checkpoint-every`` writes the checkpoints);
 - ``history`` renders -- and, given several files, merges -- tiered
   ``repro.history/v1`` metric history (``--history`` records it);
 - ``inspect`` summarizes a ``repro.dump/v1`` bundle, a
@@ -256,8 +257,9 @@ def build_parser():
 
     resume_parser = sub.add_parser(
         "resume",
-        help="resume a checkpointed run: re-execute from the seed, "
-             "verify bit-exactness at the recorded boundary, continue",
+        help="resume a checkpointed run: restore its state image (or "
+             "re-execute from the seed), verify bit-exactness at the "
+             "recorded boundary, continue",
     )
     resume_parser.add_argument(
         "checkpoint", help="repro.checkpoint/v1 document path")
@@ -820,6 +822,9 @@ def command_resume(args, out):
     result = ckpt.resume_checkpoint(document,
                                     requests=args.requests,
                                     verify=not args.no_verify)
+    out.write("resumed:   " + ("restored from the state image"
+                               if result.restored
+                               else "replayed from the seed") + "\n")
     out.write(f"resumed:   to cycle {result.machine.clock.cycles:,} "
               f"(checkpoint was at cycle "
               f"{result.checkpoint_cycle:,})\n")

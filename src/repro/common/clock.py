@@ -20,6 +20,7 @@ only, matching how lifetimes and overhead are accounted.
 """
 
 from repro.common.constants import CYCLES_PER_MICROSECOND, CYCLES_PER_SECOND
+from repro.common.state import integer, record, sequence
 
 
 class ClockTimer:
@@ -155,6 +156,37 @@ class VirtualClock:
     def snapshot(self):
         """Return ``(cycles, idle_cycles)`` for later delta computation."""
         return (self.cycles, self.idle_cycles)
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """Both counters plus each live timer's deadline and firings,
+        in registration order (the callbacks are re-registered by
+        their owners, never stored)."""
+        return {
+            "cycles": self.cycles,
+            "idle_cycles": self.idle_cycles,
+            "timers": [[timer.next_fire, timer.fired]
+                       for timer in self._timers],
+        }
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output; the same timers must
+        already be registered (a restored stack restarts its sampler
+        before the clock loads)."""
+        self.cycles = integer(state["cycles"], "cycles")
+        self.idle_cycles = integer(state["idle_cycles"], "idle_cycles")
+        timers = sequence(state["timers"], "timers")
+        if len(timers) != len(self._timers):
+            raise ValueError(
+                f"{len(timers)} recorded timer(s), {len(self._timers)} "
+                f"registered")
+        for timer, recorded in zip(self._timers, timers):
+            next_fire, fired = record(recorded, 2, "timer")
+            timer.next_fire = integer(next_fire, "timer next_fire")
+            timer.fired = integer(fired, "timer fired")
+        self._reschedule()
 
     def __repr__(self):
         return (

@@ -19,6 +19,9 @@ made every consumer O(total events).
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+
+from repro.common.state import INT, OBJECT, SCALAR, TEXT, table
 
 
 class EventKind(Enum):
@@ -60,6 +63,17 @@ class Event:
             f"[{self.cycle:>12}] {self.kind.value:<18}"
             f" addr={self.address:#010x} size={self.size}{extras}"
         )
+
+
+def jsonable(value):
+    """A scalar as-is; anything else as its string form."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return str(value)
+
+
+#: event kind by its value, for decoding recorded events.
+_KINDS = {kind.value: kind for kind in EventKind}
 
 
 class EventLog:
@@ -151,6 +165,39 @@ class EventLog:
         """Drop all recorded events (subscriptions stay installed)."""
         self._events.clear()
         self._by_kind.clear()
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """Every event as ``[kind, cycle, address, size, detail]``, with
+        non-scalar detail values in their string form (the encoding
+        every event comparison uses)."""
+        return {"events": [
+            [event.kind.value, event.cycle, event.address, event.size,
+             {key: jsonable(value) for key, value in event.detail.items()}]
+            for event in self._events
+        ]}
+
+    def load_state(self, state):
+        """Replace the log with :meth:`state_dict` output; nothing is
+        delivered to subscribers."""
+        rows = table(state["events"], (TEXT, INT, INT, INT, OBJECT),
+                     "events")
+        details = [row[4] for row in rows]
+        if not set(map(type, chain.from_iterable(
+                map(dict.values, details)))) <= SCALAR:
+            raise TypeError("event details must hold only scalars")
+        unknown = {row[0] for row in rows} - set(_KINDS)
+        if unknown:
+            raise ValueError(f"unknown event kind(s) {sorted(unknown)}")
+        events = [Event(_KINDS[kind], cycle, address, size, detail)
+                  for kind, cycle, address, size, detail in rows]
+        by_kind = {}
+        for event in events:
+            by_kind.setdefault(event.kind, []).append(event)
+        self._events = events
+        self._by_kind = by_kind
 
     # ------------------------------------------------------------------
     # size

@@ -22,6 +22,21 @@ from collections import deque
 from repro.common.constants import CACHE_LINE_SIZE, align_up
 from repro.common.errors import InvalidFree, MonitorError
 from repro.common.events import EventKind
+from repro.common.state import (
+    INT,
+    LIST,
+    OBJECT,
+    OPTIONAL_INT,
+    TEXT,
+    fields_state,
+    integer,
+    integers,
+    load_fields,
+    record,
+    scalars,
+    table,
+    text,
+)
 from repro.core.reports import CorruptionKind, CorruptionReport
 from repro.core.watcher import WatchTag
 
@@ -50,6 +65,36 @@ class BufferLayout:
         """Padding + alignment bytes this layout spends on monitoring."""
         return self.block_size - self.user_size
 
+    def as_list(self):
+        """Geometry plus its watches' region starts (``None`` where a
+        watch is absent)."""
+        return [self.block_address, self.block_size, self.user_address,
+                self.user_size, self.user_span, self.pad_bytes,
+                _vaddr(self.left_watch), _vaddr(self.right_watch),
+                [watch.vaddr for watch in self.uninit_watches]]
+
+    #: the column types of :meth:`as_list` rows.
+    COLUMNS = (INT,) * 6 + (OPTIONAL_INT, OPTIONAL_INT, LIST)
+
+    @classmethod
+    def from_row(cls, row):
+        """The layout of a checked :meth:`as_list` row, its watches
+        still unlinked; returns ``(layout, watch vaddrs)``."""
+        *geometry, left, right, uninit = row
+        return cls(*geometry), (left, right,
+                                integers(uninit, "uninit watches"))
+
+    def link(self, vaddrs, watches):
+        """Point the layout at the restored watches by region start."""
+        left, right, uninit = vaddrs
+        self.left_watch = watches.get(left)
+        self.right_watch = watches.get(right)
+        self.uninit_watches = [watches[vaddr] for vaddr in uninit]
+
+
+def _vaddr(watch):
+    return None if watch is None else watch.vaddr
+
 
 class CorruptionDetector:
     """Guards allocations with ECC watchpoints; reports true positives."""
@@ -67,6 +112,96 @@ class CorruptionDetector:
         #: cumulative space accounting for Table 4.
         self.requested_bytes = 0
         self.monitor_waste_bytes = 0
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    #: the counters :meth:`state_dict` records.
+    STATE_FIELDS = ("_quarantine_bytes", "requested_bytes",
+                    "monitor_waste_bytes")
+
+    def state_dict(self):
+        """Reports, live layouts in allocation order, the quarantine as
+        ``[layout, freed watch vaddr]`` in release order, and the
+        counters."""
+        return {
+            **fields_state(self, self.STATE_FIELDS),
+            "reports": [[report.kind.value, report.access_address,
+                         report.access_type, report.buffer_address,
+                         report.buffer_size, report.detected_at_cycle,
+                         dict(report.detail)]
+                        for report in self.reports],
+            "layouts": [layout.as_list()
+                        for layout in self._layouts.values()],
+            "quarantine": [[layout.as_list(), _vaddr(watch)]
+                           for layout, watch in self._quarantine],
+        }
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output, except the watch links.
+
+        Returns every restored layout with its recorded watch starts,
+        for :meth:`resolve_watch` and :meth:`link_watches`.
+        """
+        load_fields(self, state, self.STATE_FIELDS)
+        self.reports = [
+            CorruptionReport(CorruptionKind(kind), access, access_type,
+                             buffer, size, cycle,
+                             scalars(detail, "report detail"))
+            for kind, access, access_type, buffer, size, cycle, detail
+            in table(state["reports"], (TEXT, OPTIONAL_INT, TEXT, INT, INT,
+                                        INT, OBJECT), "reports")]
+        links = []
+        self._layouts = {}
+        for row in table(state["layouts"], BufferLayout.COLUMNS,
+                         "layouts"):
+            layout, vaddrs = BufferLayout.from_row(row)
+            self._layouts[layout.user_address] = layout
+            links.append((layout, vaddrs))
+        quarantine = table(state["quarantine"], (LIST, OPTIONAL_INT),
+                           "quarantine")
+        rows = table([entry for entry, _ in quarantine],
+                     BufferLayout.COLUMNS, "quarantined layouts")
+        self._quarantine = deque()
+        for row, (_, freed) in zip(rows, quarantine):
+            layout, vaddrs = BufferLayout.from_row(row)
+            self._quarantine.append((layout, freed))
+            links.append((layout, vaddrs))
+        return links
+
+    def watch_reference(self, watch):
+        """A guard, freed or uninit watch's payload as ``[user
+        address]`` plus the side of a guard."""
+        reference = [watch.payload["layout"].user_address]
+        if watch.tag is WatchTag.PAD:
+            reference.append(watch.payload["side"])
+        return reference
+
+    def resolve_watch(self, tag, reference, layouts):
+        """``(on_hit, payload)`` of a recorded guard/freed/uninit watch;
+        ``layouts`` maps user addresses to the restored layouts."""
+        if tag is WatchTag.PAD:
+            address, side = record(reference, 2, "guard watch")
+            on_hit = self._on_guard_hit
+            payload = {"side": text(side, "guard side")}
+        else:
+            address, = record(reference, 1, f"{tag.value} watch")
+            on_hit = (self._on_freed_hit if tag is WatchTag.FREED
+                      else self._on_uninit_hit)
+            payload = {}
+        layout = layouts.get(integer(address, "watched buffer"))
+        if layout is None:
+            raise ValueError(f"watch on unknown buffer {address:#x}")
+        return on_hit, {"layout": layout, **payload}
+
+    def link_watches(self, links, watches):
+        """Point layouts and the quarantine at the restored watches
+        (``{vaddr: watch}``)."""
+        for layout, vaddrs in links:
+            layout.link(vaddrs, watches)
+        self._quarantine = deque(
+            (layout, watches.get(vaddr))
+            for layout, vaddr in self._quarantine)
 
     def register_metrics(self, metrics):
         """Publish ``safemem.corruption.*`` probes into a registry."""
@@ -120,6 +255,8 @@ class CorruptionDetector:
         for watch in (layout.left_watch, layout.right_watch):
             if watch is not None:
                 self.watcher.unwatch(watch)
+        # A released layout holds no guard watches.
+        layout.left_watch = layout.right_watch = None
         self._disarm_uninit(layout)
         freed_watch = self.watcher.watch(
             layout.user_address, layout.user_span, WatchTag.FREED,

@@ -12,7 +12,17 @@ Each group tracks:
   basis of ALeak detection.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.common.state import (
+    INT,
+    TEXT,
+    fields_state,
+    integer,
+    load_fields,
+    sequence,
+    table,
+)
 
 
 @dataclass
@@ -32,9 +42,22 @@ class LiveObject:
     def age(self, now):
         return now - self.alloc_cycle
 
+    def as_list(self):
+        return [self.address, self.size, self.alloc_cycle, self.state,
+                self.watch_started_cycle, self.prune_count]
+
+    #: the column types of :meth:`as_list` rows.
+    COLUMNS = (INT, INT, INT, TEXT, INT, INT)
+
 
 class MemoryObjectGroup:
     """All bookkeeping for one ``(size, callsig)`` object group."""
+
+    #: the statistics :meth:`state_dict` records next to the objects.
+    STATE_FIELDS = ("live_count", "live_bytes", "total_allocated",
+                    "total_freed", "last_alloc_cycle", "max_lifetime",
+                    "stable_time", "_last_stat_cycle",
+                    "last_max_update_cycle", "aleak_backoff")
 
     def __init__(self, size, call_signature, tolerance=0.25):
         self.size = size
@@ -66,6 +89,29 @@ class MemoryObjectGroup:
     @property
     def key(self):
         return (self.size, self.call_signature)
+
+    def state_dict(self):
+        """Key, statistics and the live and retired objects, each in
+        allocation order."""
+        return {
+            "size": self.size,
+            "call_signature": self.call_signature,
+            **fields_state(self, self.STATE_FIELDS),
+            "live": [obj.as_list() for obj in self._live.values()],
+            "retired": [obj.as_list() for obj in self._retired.values()],
+        }
+
+    @classmethod
+    def from_state(cls, state, tolerance):
+        group = cls(integer(state["size"], "size"),
+                    integer(state["call_signature"], "call_signature"),
+                    tolerance=tolerance)
+        load_fields(group, state, cls.STATE_FIELDS)
+        for name in ("live", "retired"):
+            objects = getattr(group, f"_{name}")
+            for row in table(state[name], LiveObject.COLUMNS, name):
+                objects[row[0]] = LiveObject(*row)
+        return group
 
     @property
     def ever_freed(self):
@@ -205,3 +251,20 @@ class GroupTable:
 
     def groups(self):
         return list(self._groups.values())
+
+    def state_dict(self):
+        """Every group in creation order (the address index is
+        rebuilt from their objects)."""
+        return {"groups": [group.state_dict()
+                           for group in self._groups.values()]}
+
+    def load_state(self, state):
+        groups = {}
+        by_address = {}
+        for item in sequence(state["groups"], "groups"):
+            group = MemoryObjectGroup.from_state(item, self.tolerance)
+            groups[group.key] = group
+            for obj in group.live_objects():
+                by_address[obj.address] = (group, obj)
+        self._groups = groups
+        self._by_address = by_address

@@ -11,10 +11,11 @@ Three steps, all driven from malloc/free time (never per access):
    first access prunes, a confirmation timeout reports a leak.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.common.constants import CACHE_LINE_SIZE, align_up, line_base
 from repro.common.events import EventKind
+from repro.common.state import INT, TEXT, integer, record, table, text
 from repro.core.groups import GroupTable
 from repro.core.reports import LeakReport, PrunedSuspect
 from repro.core.watcher import WatchTag
@@ -29,6 +30,18 @@ class SuspectRecord:
     call_signature: int
     kind: str
     flagged_at_cycle: int
+
+
+def records_state(items):
+    """Report dataclasses as lists of their field values."""
+    return [[getattr(item, f.name) for f in fields(item)] for item in items]
+
+
+def load_records(cls, items, field):
+    """Rebuild :func:`records_state` output: integer fields, plus a
+    ``kind`` string."""
+    columns = [TEXT if f.name == "kind" else INT for f in fields(cls)]
+    return [cls(*row) for row in table(items, columns, field)]
 
 
 class LeakDetector:
@@ -48,6 +61,64 @@ class LeakDetector:
         self._watched = {}
         self._last_check_cycle = 0
         self.skipped_watches = 0
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """Group tables, reports, pruned and suspicion records, the
+        watched suspects as ``[object address, watch vaddr]`` and the
+        scan clock."""
+        return {
+            "groups": self.groups.state_dict(),
+            "reports": records_state(self.reports),
+            "pruned": records_state(self.pruned),
+            "suspect_records": records_state(self.suspect_records),
+            "watched": [[address, watch.vaddr]
+                        for address, watch in self._watched.items()],
+            "last_check_cycle": self._last_check_cycle,
+            "skipped_watches": self.skipped_watches,
+        }
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output, except the watched map,
+        which :meth:`link_watches` fills once the watches exist."""
+        self.groups.load_state(state["groups"])
+        self.reports = load_records(LeakReport, state["reports"], "reports")
+        self.pruned = load_records(PrunedSuspect, state["pruned"], "pruned")
+        self.suspect_records = load_records(
+            SuspectRecord, state["suspect_records"], "suspect_records")
+        self._last_check_cycle = integer(state["last_check_cycle"],
+                                         "last_check_cycle")
+        self.skipped_watches = integer(state["skipped_watches"],
+                                       "skipped_watches")
+
+    def watch_reference(self, watch):
+        """A suspect watch's payload as ``[object address, kind]``."""
+        return [watch.payload["object"].address, watch.payload["kind"]]
+
+    def resolve_watch(self, reference):
+        """``(on_hit, payload)`` of a recorded suspect watch."""
+        address, kind = record(reference, 2, "suspect watch")
+        group, obj = self.groups.lookup_address(
+            integer(address, "suspect address"))
+        if obj is None:
+            raise ValueError(f"suspect watch on untracked object "
+                             f"{address:#x}")
+        return self._on_suspect_hit, {"group": group, "object": obj,
+                                      "kind": text(kind, "suspect kind")}
+
+    def link_watches(self, state, watches):
+        """Fill the watched map from :meth:`state_dict`'s pairs and the
+        restored watches (``{vaddr: watch}``)."""
+        watched = {}
+        for address, vaddr in table(state["watched"], (INT, INT),
+                                    "watched"):
+            watch = watches.get(vaddr)
+            if watch is None:
+                raise ValueError(f"suspect {address:#x} has no watch")
+            watched[address] = watch
+        self._watched = watched
 
     def register_metrics(self, metrics):
         """Publish ``safemem.leak.*`` probes into a metrics registry."""

@@ -17,10 +17,11 @@ levels (Table 3).
 """
 
 from repro.common.constants import CACHE_LINE_SIZE, align_up
+from repro.common.state import fields_state, load_fields
 from repro.core.config import SafeMemConfig
 from repro.core.corruption import CorruptionDetector
 from repro.core.leak import LeakDetector
-from repro.core.watcher import EccWatchManager
+from repro.core.watcher import EccWatchManager, WatchTag
 from repro.machine.monitor import Monitor
 from repro.obs.metrics import MetricsRegistry
 
@@ -69,6 +70,68 @@ class SafeMem(Monitor):
                 self.corruption.register_metrics(metrics)
         if metrics is not None:
             self.register_metrics(metrics)
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    #: the space counters :meth:`state_dict` records.
+    STATE_FIELDS = ("requested_bytes", "monitor_waste_bytes")
+
+    def state_dict(self):
+        """Space counters plus the sampler, watch manager and detector
+        state (a detector this config disables records ``None``)."""
+        return {
+            **fields_state(self, self.STATE_FIELDS),
+            "sampler": (self.sampler.state_dict()
+                        if self.sampler is not None else None),
+            "leak": (self.leak.state_dict()
+                     if self.leak is not None else None),
+            "corruption": (self.corruption.state_dict()
+                           if self.corruption is not None else None),
+            "watcher": self.watcher.state_dict(self._watch_reference),
+        }
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output into a freshly attached
+        monitor built from the same config."""
+        load_fields(self, state, self.STATE_FIELDS)
+        for name in ("sampler", "leak", "corruption"):
+            if (state[name] is None) != (getattr(self, name) is None):
+                raise ValueError(f"recorded {name} state does not match "
+                                 f"this monitor's config")
+        if self.sampler is not None:
+            self.sampler.load_state(state["sampler"])
+        if self.leak is not None:
+            self.leak.load_state(state["leak"])
+        links = []
+        if self.corruption is not None:
+            links = self.corruption.load_state(state["corruption"])
+        layouts = {layout.user_address: layout for layout, _ in links}
+        self.watcher.load_state(
+            state["watcher"],
+            lambda tag, reference: self._resolve_watch(tag, reference,
+                                                       layouts))
+        watches = {watch.vaddr: watch
+                   for watch in self.watcher.active_watches()}
+        if self.leak is not None:
+            self.leak.link_watches(state["leak"], watches)
+        if self.corruption is not None:
+            self.corruption.link_watches(links, watches)
+
+    def _watch_reference(self, watch):
+        if watch.tag is WatchTag.LEAK_SUSPECT:
+            return self.leak.watch_reference(watch)
+        return self.corruption.watch_reference(watch)
+
+    def _resolve_watch(self, tag, reference, layouts):
+        if tag is WatchTag.LEAK_SUSPECT:
+            if self.leak is None:
+                raise ValueError("suspect watch without a leak detector")
+            return self.leak.resolve_watch(reference)
+        if self.corruption is None:
+            raise ValueError(f"{tag.value} watch without a corruption "
+                             f"detector")
+        return self.corruption.resolve_watch(tag, reference, layouts)
 
     def register_metrics(self, metrics):
         """Publish ``safemem.space.*`` probes into a metrics registry."""

@@ -35,6 +35,13 @@ import random
 from dataclasses import dataclass, replace
 
 from repro.common.errors import ConfigurationError
+from repro.common.state import (
+    fields_state,
+    load_fields,
+    load_rng_state,
+    number,
+    rng_state,
+)
 
 #: Large odd multipliers decorrelating the per-machine sampling seed
 #: stream from the (base_seed + index) workload seed stream.
@@ -141,6 +148,23 @@ class AllocationSampler:
         #: accumulated interval multiplier (1.0 = no backoff).
         self.backoff_factor = 1.0
         self._countdown = self._draw()
+
+    #: the integer counters :meth:`state_dict` records.
+    STATE_FIELDS = ("sampled", "skipped", "budget_exhausted", "live",
+                    "_countdown")
+
+    def state_dict(self):
+        """The schedule RNG, the countdown, the backoff and the
+        counters (the policy comes from the monitor's config)."""
+        return {"rng": rng_state(self._rng),
+                "backoff_factor": self.backoff_factor,
+                **fields_state(self, self.STATE_FIELDS)}
+
+    def load_state(self, state):
+        load_rng_state(self._rng, state["rng"])
+        self.backoff_factor = number(state["backoff_factor"],
+                                     "backoff_factor")
+        load_fields(self, state, self.STATE_FIELDS)
 
     @property
     def base_interval(self):

@@ -20,6 +20,16 @@ from enum import Enum
 
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import PinLimitExceeded, SyscallError
+from repro.common.state import (
+    INT,
+    LIST,
+    TEXT,
+    decode_bytes,
+    encode_bytes,
+    fields_state,
+    load_fields,
+    table,
+)
 
 
 class WatchTag(Enum):
@@ -74,6 +84,46 @@ class EccWatchManager:
         metrics = getattr(machine, "metrics", None)
         if metrics is not None:
             self.register_metrics(metrics)
+
+    #: the counters :meth:`state_dict` records next to the watches.
+    STATE_FIELDS = ("arm_count", "disarm_count", "pin_failures",
+                    "hardware_errors_repaired", "unclaimed_faults")
+
+    def state_dict(self, reference):
+        """Counters and every armed watch as ``[vaddr, size, tag,
+        original, started_cycle, ref]``, in arming order.
+
+        ``reference(watch)`` turns a watch's payload into JSON-able
+        data (the owning detector knows what its payloads point at);
+        the ``on_hit`` callbacks are never stored.
+        """
+        return {
+            **fields_state(self, self.STATE_FIELDS),
+            "watches": [[watch.vaddr, watch.size, watch.tag.value,
+                         encode_bytes(watch.original), watch.started_cycle,
+                         reference(watch)]
+                        for watch in self._by_region.values()],
+        }
+
+    def load_state(self, state, resolve):
+        """Restore :meth:`state_dict` output into an empty manager.
+
+        ``resolve(tag, ref)`` returns the ``(on_hit, payload)`` pair a
+        recorded reference stands for, re-binding each callback by
+        its watch tag.
+        """
+        if self._by_region:
+            raise ValueError("the watch manager is not empty")
+        load_fields(self, state, self.STATE_FIELDS)
+        for vaddr, size, tag, original, started, reference in table(
+                state["watches"], (INT, INT, TEXT, TEXT, INT, LIST),
+                "watches"):
+            tag = WatchTag(tag)
+            on_hit, payload = resolve(tag, reference)
+            self._by_region[vaddr] = Watch(
+                vaddr=vaddr, size=size, tag=tag,
+                original=decode_bytes(original, "watch original"),
+                on_hit=on_hit, started_cycle=started, payload=payload)
 
     def register_metrics(self, metrics):
         """Publish ``safemem.watch.*`` probes into a metrics registry."""

@@ -24,6 +24,12 @@ from repro.common.constants import (
     line_base,
 )
 from repro.common.errors import BusError, ConfigurationError
+from repro.common.state import (
+    boolean,
+    fields_state,
+    load_fields,
+    text,
+)
 from repro.ecc.codec import DecodeStatus, get_codec
 from repro.obs.metrics import attr_reader as _attr_reader
 from repro.ecc.faults import (
@@ -45,6 +51,11 @@ class EccMode(Enum):
 
 class MemoryController:
     """Cache-line-granularity front end over :class:`PhysicalMemory`."""
+
+    #: the counters :meth:`state_dict` records.
+    STATE_FIELDS = ("corrected_errors", "uncorrectable_errors", "reads",
+                    "writes", "clean_line_reads", "group_decodes",
+                    "batched_line_writes")
 
     def __init__(self, dram, mode=EccMode.CORRECT_ERROR, codec=None,
                  metrics=None):
@@ -91,6 +102,22 @@ class MemoryController:
         ):
             metrics.probe(name, _attr_reader(self, attr),
                           kind="counter")
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """Mode, scramble-window flags and counters."""
+        return {"mode": self.mode.value, "bus_locked": self.bus_locked,
+                "ecc_enabled": self.ecc_enabled,
+                **fields_state(self, self.STATE_FIELDS)}
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output."""
+        self.mode = EccMode(text(state["mode"], "mode"))
+        self.bus_locked = boolean(state["bus_locked"], "bus_locked")
+        self.ecc_enabled = boolean(state["ecc_enabled"], "ecc_enabled")
+        load_fields(self, state, self.STATE_FIELDS)
 
     # ------------------------------------------------------------------
     # mode and window control

@@ -11,8 +11,15 @@ code.
 
 import hashlib
 
-from repro.common.constants import ECC_GROUP_BYTES, is_aligned
+from repro.common.constants import ECC_GROUP_BYTES, PAGE_SIZE, is_aligned
 from repro.common.errors import BusError, ConfigurationError
+from repro.common.state import (
+    decode_bytes,
+    encode_bytes,
+    integer,
+    record,
+    sequence,
+)
 
 
 class PhysicalMemory:
@@ -150,15 +157,54 @@ class PhysicalMemory:
     def digest(self):
         """SHA-256 hexdigests of the data and check arrays.
 
-        Checkpoint documents record these instead of the (tens of
-        megabytes of) raw contents: resume re-executes the run
-        deterministically and verifies the reconstructed memory image
-        against the recorded digests.
+        Checkpoint documents record these next to their state image
+        (which carries only the non-zero pages, :meth:`state_dict`):
+        resume verifies the restored or replayed memory against the
+        recorded digests.
         """
         return {
             "data": hashlib.sha256(self._data).hexdigest(),
             "check": hashlib.sha256(self._check).hexdigest(),
         }
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """The data and check bytes of every page that holds a non-zero
+        byte in either, as ``[page, data, check]`` (base64): a run
+        touches a few hundred of the installed pages, so the zero rest
+        is never written out."""
+        data = self._data
+        check = self._check
+        width = PAGE_SIZE // ECC_GROUP_BYTES * self.check_bytes_per_group
+        zero_data = bytes(PAGE_SIZE)
+        zero_check = bytes(width)
+        pages = []
+        for page in range(len(data) // PAGE_SIZE):
+            start = page * PAGE_SIZE
+            data_bytes = data[start:start + PAGE_SIZE]
+            check_bytes = check[page * width:(page + 1) * width]
+            if data_bytes != zero_data or check_bytes != zero_check:
+                pages.append([page, encode_bytes(data_bytes),
+                              encode_bytes(check_bytes)])
+        return {"pages": pages}
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output into zeroed (freshly
+        installed) DRAM."""
+        width = PAGE_SIZE // ECC_GROUP_BYTES * self.check_bytes_per_group
+        for item in sequence(state["pages"], "pages"):
+            page, data_text, check_text = record(item, 3, "page")
+            page = integer(page, "page")
+            data_bytes = decode_bytes(data_text, "page data")
+            check_bytes = decode_bytes(check_text, "page check")
+            if (not 0 <= page < self.size // PAGE_SIZE
+                    or len(data_bytes) != PAGE_SIZE
+                    or len(check_bytes) != width):
+                raise ValueError(f"page {page} does not fit this DRAM")
+            self._data[page * PAGE_SIZE:(page + 1) * PAGE_SIZE] = data_bytes
+            self._check[page * width:(page + 1) * width] = check_bytes
 
     # ------------------------------------------------------------------
     # fault injection (tests / hardware-error simulation)

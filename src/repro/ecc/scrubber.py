@@ -12,7 +12,16 @@ notification hooks the kernel wires up.
 
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import ConfigurationError
+from repro.common.state import (
+    fields_state,
+    integer,
+    load_fields,
+    record,
+    sequence,
+    text,
+)
 from repro.ecc.controller import EccMode
+from repro.ecc.faults import EccFault, FaultOrigin, FaultSeverity
 
 
 class Scrubber:
@@ -54,6 +63,37 @@ class Scrubber:
                 return False
             cycle = self.clock.wall_time
         return cycle - self.last_pass_cycle >= self.interval_cycles
+
+    #: the counters :meth:`state_dict` records next to the faults.
+    STATE_FIELDS = ("last_pass_cycle", "passes_completed",
+                    "lines_scrubbed")
+
+    def state_dict(self):
+        """Counters and the uncorrectable faults found so far (the
+        hooks are re-registered by their owners)."""
+        return {
+            **fields_state(self, self.STATE_FIELDS),
+            "faults_found": [
+                [fault.address, fault.line_address, fault.severity.value,
+                 fault.origin.value, fault.syndrome, fault.codec]
+                for fault in self.faults_found],
+        }
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output."""
+        load_fields(self, state, self.STATE_FIELDS)
+        faults = []
+        for item in sequence(state["faults_found"], "faults_found"):
+            address, line, severity, origin, syndrome, codec = record(
+                item, 6, "fault")
+            faults.append(EccFault(
+                integer(address, "fault address"),
+                integer(line, "fault line"),
+                FaultSeverity(text(severity, "fault severity")),
+                FaultOrigin(text(origin, "fault origin")),
+                integer(syndrome, "fault syndrome"),
+                text(codec, "fault codec")))
+        self.faults_found = faults
 
     def add_hooks(self, pre=None, post=None):
         """Register pre/post scrub callbacks (e.g. SafeMem coordination)."""

@@ -22,6 +22,14 @@ from repro.common.errors import (
     InvalidFree,
     OutOfMemory,
 )
+from repro.common.state import (
+    BOOL,
+    INT,
+    fields_state,
+    integers,
+    load_fields,
+    table,
+)
 
 #: Minimum alignment of any allocation, like glibc malloc.
 MIN_ALIGNMENT = 16
@@ -50,6 +58,10 @@ class Allocation:
 
 class Allocator:
     """First-fit allocator with address-ordered free list and coalescing."""
+
+    #: the counters :meth:`state_dict` records next to the lists.
+    STATE_FIELDS = ("total_allocs", "total_frees", "peak_live_bytes",
+                    "live_bytes")
 
     def __init__(self, base, size, clock=None, costs=None, metrics=None):
         if size <= 0:
@@ -80,6 +92,39 @@ class Allocator:
                       kind="gauge")
         metrics.probe("heap.peak_live_bytes",
                       lambda: self.peak_live_bytes, kind="gauge")
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """Free extents, live blocks (in allocation order, as
+        ``[address, size, requested_size, sampled]``), the freed-address
+        history and the counters."""
+        return {
+            **fields_state(self, self.STATE_FIELDS),
+            "free_addrs": list(self._free_addrs),
+            "free_sizes": list(self._free_sizes),
+            "live": [[block.address, block.size, block.requested_size,
+                      block.sampled] for block in self._live.values()],
+            "freed": sorted(self._freed_history),
+        }
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output."""
+        load_fields(self, state, self.STATE_FIELDS)
+        addrs = integers(state["free_addrs"], "free_addrs")
+        sizes = integers(state["free_sizes"], "free_sizes")
+        if len(addrs) != len(sizes):
+            raise ValueError("free extent lists differ in length")
+        live = {}
+        for address, size, requested, sampled in table(
+                state["live"], (INT, INT, INT, BOOL), "live"):
+            block = live[address] = Allocation(address, size, requested)
+            block.sampled = sampled
+        self._free_addrs = list(addrs)
+        self._free_sizes = list(sizes)
+        self._live = live
+        self._freed_history = set(integers(state["freed"], "freed"))
 
     # ------------------------------------------------------------------
     # allocation

@@ -6,6 +6,8 @@ exclusive-or and rotate functions to the return addresses of the most
 recent four functions in the current stack" (Section 3, footnote 1).
 """
 
+from repro.common.state import integers
+
 SIGNATURE_BITS = 32
 SIGNATURE_MASK = (1 << SIGNATURE_BITS) - 1
 STACK_DEPTH = 4
@@ -58,3 +60,12 @@ class CallStack:
 
     def frames(self):
         return tuple(self._frames)
+
+    def state_dict(self):
+        return {"frames": list(self._frames)}
+
+    def load_state(self, state):
+        frames = integers(state["frames"], "frames")
+        if not frames:
+            raise ValueError("a call stack keeps its entry frame")
+        self._frames = list(frames)

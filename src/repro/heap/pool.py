@@ -10,6 +10,7 @@ hook surface SafeMem's wrapper needs.
 
 from repro.common.constants import CACHE_LINE_SIZE, align_up
 from repro.common.errors import ConfigurationError, DoubleFree, InvalidFree
+from repro.common.state import integer, integers
 
 
 class PoolAllocator:
@@ -46,6 +47,38 @@ class PoolAllocator:
         program.zero_memory(self._directory, 8 * self.MAX_SLABS)
         if root_slot is not None:
             program.set_global(root_slot, self._directory)
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """Geometry, slabs, the free and live objects and the slab
+        directory's address."""
+        return {"object_size": self.object_size,
+                "objects_per_slab": self.objects_per_slab,
+                "site": self.site, "directory": self._directory,
+                "slabs": list(self._slabs), "free": list(self._free),
+                "live": sorted(self._live),
+                "slab_allocations": self.slab_allocations}
+
+    @classmethod
+    def from_state(cls, program, state):
+        """The pool of :meth:`state_dict` output, on ``program``, with
+        nothing allocated (its slabs are in the restored heap)."""
+        pool = cls.__new__(cls)
+        pool.program = program
+        pool.object_size = integer(state["object_size"], "object_size")
+        pool.stride = align_up(pool.object_size, CACHE_LINE_SIZE)
+        pool.objects_per_slab = integer(state["objects_per_slab"],
+                                        "objects_per_slab")
+        pool.site = integer(state["site"], "site")
+        pool._directory = integer(state["directory"], "directory")
+        pool._slabs = list(integers(state["slabs"], "slabs"))
+        pool._free = list(integers(state["free"], "free"))
+        pool._live = set(integers(state["live"], "live"))
+        pool.slab_allocations = integer(state["slab_allocations"],
+                                        "slab_allocations")
+        return pool
 
     # ------------------------------------------------------------------
     # the custom allocation functions SafeMem wraps

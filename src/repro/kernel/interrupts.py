@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import MachinePanic
 from repro.common.events import EventKind
+from repro.common.state import fields_state, load_fields
 
 
 @dataclass
@@ -55,6 +56,16 @@ class InterruptController:
                       kind="counter")
         metrics.probe("kernel.irq.panics", lambda: self.panics,
                       kind="counter")
+
+    #: the counters :meth:`state_dict` records (the handler is
+    #: re-registered by the monitor that owns it).
+    STATE_FIELDS = ("delivered", "panics")
+
+    def state_dict(self):
+        return fields_state(self, self.STATE_FIELDS)
+
+    def load_state(self, state):
+        load_fields(self, state, self.STATE_FIELDS)
 
     def register_handler(self, handler):
         """Install the user-level ECC fault handler (may be ``None``)."""

@@ -23,6 +23,7 @@ from repro.common.constants import (
 )
 from repro.common.errors import PinLimitExceeded, SyscallError
 from repro.common.events import EventKind
+from repro.common.state import fields_state, integers, load_fields, mapping
 from repro.ecc.scrubber import Scrubber
 from repro.kernel.interrupts import EccFaultInfo, InterruptController
 from repro.kernel.watchregistry import WatchedRegion, WatchRegistry
@@ -78,6 +79,35 @@ class Kernel:
         metrics.probe("kernel.watched_lines",
                       lambda: self.watches.armed_line_count,
                       kind="gauge")
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    #: the counters :meth:`state_dict` records.
+    STATE_FIELDS = ("pinned_pages", "ecc_traps")
+
+    def state_dict(self):
+        """Pin and trap counters, per-syscall counts (in first-use
+        order), the watch registry, the scrubber and the interrupt
+        controller.  The user handlers are re-registered by the
+        monitor that owns them."""
+        return {
+            **fields_state(self, self.STATE_FIELDS),
+            "syscall_counts": dict(self.syscall_counts),
+            "watches": self.watches.state_dict(),
+            "scrubber": self.scrubber.state_dict(),
+            "interrupts": self.interrupts.state_dict(),
+        }
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output."""
+        load_fields(self, state, self.STATE_FIELDS)
+        counts = mapping(state["syscall_counts"], "syscall_counts")
+        integers(list(counts.values()), "syscall_counts")
+        self.syscall_counts = dict(counts)
+        self.watches.load_state(state["watches"])
+        self.scrubber.load_state(state["scrubber"])
+        self.interrupts.load_state(state["interrupts"])
 
     def _span(self, name, **attrs):
         if self.tracer is not None:

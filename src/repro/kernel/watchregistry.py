@@ -17,6 +17,7 @@ from bisect import bisect_left, bisect_right
 
 from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE, page_base
 from repro.common.errors import SyscallError
+from repro.common.state import INT, LIST, table
 
 
 class WatchedRegion:
@@ -194,3 +195,24 @@ class WatchRegistry:
 
     def all_regions(self):
         return list(self._regions.values())
+
+    def state_dict(self):
+        """Every region as ``[vaddr, size, runs]`` in arming order (the
+        order the per-frame run maps were filled in)."""
+        return {"regions": [
+            [region.vaddr, region.size,
+             [list(run) for run in region.runs]]
+            for region in self._regions.values()
+        ]}
+
+    def load_state(self, state):
+        """Re-register :meth:`state_dict` output into an empty
+        registry."""
+        if self._regions:
+            raise ValueError("the watch registry is not empty")
+        for vaddr, size, runs in table(state["regions"], (INT, INT, LIST),
+                                       "regions"):
+            self.add(WatchedRegion(
+                vaddr, size,
+                [tuple(run) for run in table(runs, (INT, INT, INT),
+                                             "runs")]))

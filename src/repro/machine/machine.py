@@ -22,6 +22,7 @@ from repro.common.errors import (
     ProtectionFault,
 )
 from repro.common.events import EventKind, EventLog
+from repro.common.state import fields_state, load_fields
 from repro.ecc.controller import EccMode, MemoryController
 from repro.ecc.dram import PhysicalMemory
 from repro.ecc.faults import UncorrectableEccError
@@ -137,6 +138,18 @@ class Machine:
         self.batched_loads = 0
         self.batched_stores = 0
         self.register_metrics(self.metrics)
+
+    #: the access counters :meth:`state_dict` records.
+    STATE_FIELDS = ("slow_loads", "slow_stores", "batched_loads",
+                    "batched_stores")
+
+    def state_dict(self):
+        """The machine's own access counters; each component (clock,
+        caches, kernel, ...) carries its own ``state_dict``."""
+        return fields_state(self, self.STATE_FIELDS)
+
+    def load_state(self, state):
+        load_fields(self, state, self.STATE_FIELDS)
 
     def register_metrics(self, metrics):
         """Publish the machine's own access-path probes."""

@@ -15,6 +15,7 @@ overhead percentages are computed.
 """
 
 from repro.common.errors import ConfigurationError
+from repro.common.state import mapping
 
 
 class Monitor:
@@ -81,3 +82,12 @@ class NullMonitor(Monitor):
     """The native, unmonitored run (baseline for overhead numbers)."""
 
     name = "native"
+
+    def state_dict(self):
+        """Nothing: the native monitor keeps no state of its own."""
+        return {}
+
+    def load_state(self, state):
+        if mapping(state, "native monitor state"):
+            raise ValueError(f"the native monitor keeps no state, got "
+                             f"{sorted(state)}")

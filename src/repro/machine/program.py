@@ -12,6 +12,7 @@ import contextlib
 from repro.common.clock import seconds_to_cycles
 from repro.common.constants import align_up, PAGE_SIZE
 from repro.common.errors import ConfigurationError
+from repro.common.state import boolean
 from repro.heap.allocator import Allocator
 from repro.heap.callstack import CallStack
 from repro.machine.monitor import Monitor, NullMonitor
@@ -45,6 +46,25 @@ class Program:
         self.monitor = monitor if monitor is not None else NullMonitor()
         self.monitor.attach(self)
         self.exited = False
+        #: the :class:`~repro.workloads.base.Workload` driving this
+        #: program, set when its run starts (checkpoint capture reads
+        #: the workload's state through it).
+        self.workload = None
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """The heap and the call stack (the monitor and the workload
+        carry their own state)."""
+        return {"exited": self.exited,
+                "allocator": self.allocator.state_dict(),
+                "stack": self.stack.state_dict()}
+
+    def load_state(self, state):
+        self.exited = boolean(state["exited"], "exited")
+        self.allocator.load_state(state["allocator"])
+        self.stack.load_state(state["stack"])
 
     # ------------------------------------------------------------------
     # computation and time

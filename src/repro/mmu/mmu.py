@@ -10,6 +10,13 @@ Translation is the seam where the two guard mechanisms differ:
 
 from repro.common.constants import PAGE_SIZE
 from repro.common.errors import PageFault, ProtectionFault
+from repro.common.state import (
+    fields_state,
+    integer,
+    load_fields,
+    record,
+    sequence,
+)
 from repro.mmu.pagetable import PROT_READ, PROT_WRITE
 from repro.mmu.swap import EvictionPolicy
 from repro.obs.metrics import attr_reader as _attr_reader
@@ -28,6 +35,11 @@ class Mmu:
     (munmap, mprotect, swap eviction) must explicitly invalidate the
     affected entries -- the same shoot-down contract real hardware has.
     """
+
+    #: the counters :meth:`state_dict` records next to the TLB.
+    STATE_FIELDS = ("_stamp", "demand_fills", "swap_in_faults",
+                    "tlb_hits", "tlb_misses", "tlb_invalidations",
+                    "tlb_flushes")
 
     def __init__(self, page_table, frame_allocator, swap, dram, cache,
                  controller, metrics=None):
@@ -71,6 +83,38 @@ class Mmu:
         ):
             metrics.probe(name, _attr_reader(self, attr),
                           kind="counter")
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """Counters and each TLB slot as ``[vpn, frame_base, prot]``
+        (or ``None``); the entry a slot caches is re-linked by vpn."""
+        return {
+            **fields_state(self, self.STATE_FIELDS),
+            "tlb": [None if slot is None else [slot[0], slot[1], slot[2]]
+                    for slot in self._tlb],
+        }
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output; the page table must
+        already hold the restored entries."""
+        load_fields(self, state, self.STATE_FIELDS)
+        slots = sequence(state["tlb"], "tlb")
+        if len(slots) != TLB_SIZE:
+            raise ValueError(f"{len(slots)} TLB slots, expected {TLB_SIZE}")
+        tlb = []
+        for slot in slots:
+            if slot is None:
+                tlb.append(None)
+                continue
+            vpn, frame_base, prot = record(slot, 3, "TLB slot")
+            entry = self.page_table.entry(integer(vpn, "TLB vpn"))
+            if entry is None:
+                raise ValueError(f"TLB slot caches unmapped page {vpn:#x}")
+            tlb.append((vpn, integer(frame_base, "TLB frame"),
+                        integer(prot, "TLB prot"), entry))
+        self._tlb = tlb
 
     # ------------------------------------------------------------------
     # translation

@@ -12,6 +12,13 @@ from dataclasses import dataclass, field
 
 from repro.common.constants import PAGE_SIZE
 from repro.common.errors import ConfigurationError
+from repro.common.state import (
+    BOOL,
+    INT,
+    OPTIONAL_INT,
+    integers,
+    table,
+)
 
 #: Protection bits (a deliberately tiny POSIX-flavoured subset).
 PROT_NONE = 0
@@ -61,6 +68,17 @@ class FrameAllocator:
 
     def release(self, pfn):
         self._free.append(pfn)
+
+    def state_dict(self):
+        """The free list, in the order frames will be handed out."""
+        return {"free": list(self._free)}
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output."""
+        free = integers(state["free"], "free")
+        if not all(0 <= pfn < self.total_frames for pfn in free):
+            raise ValueError("free list names a frame outside DRAM")
+        self._free = list(free)
 
 
 class PageTable:
@@ -113,3 +131,20 @@ class PageTable:
 
     def __len__(self):
         return len(self._entries)
+
+    def state_dict(self):
+        """Every entry as ``[vpn, prot, pfn, present, pin_count,
+        last_access, in_swap]``, in mapping order (eviction breaks
+        ``last_access`` ties by that order)."""
+        return {"entries": [
+            [entry.vpn, entry.prot, entry.pfn, entry.present,
+             entry.pin_count, entry.last_access, entry.in_swap]
+            for entry in self._entries.values()
+        ]}
+
+    def load_state(self, state):
+        """Replace every mapping with :meth:`state_dict` output."""
+        rows = table(state["entries"],
+                     (INT, INT, OPTIONAL_INT, BOOL, INT, INT, BOOL),
+                     "entries")
+        self._entries = {row[0]: PageTableEntry(*row) for row in rows}

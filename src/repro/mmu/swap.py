@@ -11,6 +11,13 @@ page would be destroyed.  Pinned pages are never evicted, which is why
 
 from repro.common.constants import PAGE_SIZE
 from repro.common.errors import OutOfMemory
+from repro.common.state import (
+    decode_bytes,
+    encode_bytes,
+    integer,
+    record,
+    sequence,
+)
 
 
 class SwapDevice:
@@ -55,6 +62,25 @@ class SwapDevice:
 
     def __len__(self):
         return len(self._slots)
+
+    def state_dict(self):
+        """Counters and every slot as ``[vpn, page bytes]``."""
+        return {"swap_outs": self.swap_outs, "swap_ins": self.swap_ins,
+                "slots": [[vpn, encode_bytes(data)]
+                          for vpn, data in self._slots.items()]}
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output."""
+        self.swap_outs = integer(state["swap_outs"], "swap_outs")
+        self.swap_ins = integer(state["swap_ins"], "swap_ins")
+        slots = {}
+        for item in sequence(state["slots"], "slots"):
+            vpn, data = record(item, 2, "slot")
+            data = decode_bytes(data, "slot data")
+            if len(data) != PAGE_SIZE:
+                raise ValueError(f"swap slot of {len(data)} bytes")
+            slots[integer(vpn, "slot vpn")] = data
+        self._slots = slots
 
 
 class EvictionPolicy:

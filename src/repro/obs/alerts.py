@@ -38,6 +38,7 @@ import json
 
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind
+from repro.common.state import integer, number, optional_integer, text
 from repro.obs.trend import DETECTORS, parse_selector
 
 RULE_KINDS = ("threshold", "rate", "absence", "trend")
@@ -456,24 +457,34 @@ class AlertEngine:
                 f"alert state mismatch: recorded rules "
                 f"{sorted(recorded)}, engine has {sorted(mine)}"
             )
-        self.evaluations = payload["evaluations"]
+        self.evaluations = integer(payload["evaluations"], "evaluations")
         for name, record in payload["alerts"].items():
             alert = self.alerts[name]
+            if record["state"] not in (OK, PENDING, FIRING):
+                raise ConfigurationError(
+                    f"alert {name!r} has unknown state "
+                    f"{record['state']!r}")
             alert.state = record["state"]
-            alert.breach_streak = record["breach_streak"]
-            alert.clear_streak = record["clear_streak"]
-            alert.fired_count = record["fired_count"]
-            alert.resolved_count = record["resolved_count"]
-            alert.last_value = record["last_value"]
-            alert.fired_at_cycle = record["fired_at_cycle"]
-            alert._previous = (tuple(record["previous"])
-                               if record["previous"] is not None
-                               else None)
+            for field in ("breach_streak", "clear_streak", "fired_count",
+                          "resolved_count"):
+                setattr(alert, field, integer(record[field], field))
+            alert.last_value = number(record["last_value"], "last_value")
+            alert.fired_at_cycle = optional_integer(
+                record["fired_at_cycle"], "fired_at_cycle")
+            previous = record["previous"]
+            if previous is not None:
+                cycle, value = previous
+                previous = (integer(cycle, "previous cycle"),
+                            None if value is None
+                            else number(value, "previous value"))
+            alert._previous = previous
         self.transitions = [
-            AlertTransition(record["cycle"], record["rule"],
-                            record["severity"], record["state"],
-                            record["value"])
-            for record in payload.get("transitions", [])
+            AlertTransition(integer(record["cycle"], "transition cycle"),
+                            text(record["rule"], "transition rule"),
+                            text(record["severity"], "transition severity"),
+                            text(record["state"], "transition state"),
+                            number(record["value"], "transition value"))
+            for record in payload["transitions"]
         ]
         return self
 

@@ -11,20 +11,24 @@ requests, where no span is mid-flight and no allocation is half done:
   tail, watch registry, interrupt state, the allocator heap map and
   leak-group tables, plus the profiler ring, alert-engine state
   machines, trend-detector accumulators/latches/seasonal baselines,
-  and history tiers (their ``state_dict`` payloads embedded verbatim);
+  and history tiers (their ``state_dict`` payloads embedded verbatim).
+  Given the live run's ground truth, it also packs a ``state`` image
+  (``repro.state/v1``, :mod:`repro.obs.state`) of everything the run
+  reads after the boundary;
 - :class:`CheckpointScheduler` captures automatically every
   ``--checkpoint-every N`` cycles, evaluated at request boundaries via
   pure arithmetic -- **no clock timer is registered**, so a run
   behaves bit-identically with checkpointing on or off;
-- :func:`resume_checkpoint` implements **reconstructive restore**: the
-  simulation has no wall clock and no unseeded randomness, so resume
-  re-executes the recorded run from its seed, *verifies* the
-  reconstructed state against the checkpoint at the recorded request
-  boundary (every top-level section must match bit-exactly, DRAM via
-  SHA-256 digests), and then continues to the requested horizon.  The
-  differential contract: run-to-N -> checkpoint -> resume-to-M equals
-  a straight run to M in events, metrics, ALERT/TREND cycles, and
-  verdict.
+- :func:`resume_checkpoint` boots the recorded machine, monitor and
+  stack and, when the checkpoint carries a state image, **restores**
+  it and continues from the next request; without one it **replays**
+  the recorded run from its seed (the simulation has no wall clock
+  and no unseeded randomness) to the boundary.  Either way it
+  verifies the state at the boundary against the checkpoint (every
+  verified section must match bit-exactly, DRAM via SHA-256 digests)
+  and continues to the requested horizon.  The differential contract:
+  run-to-N -> checkpoint -> resume-to-M equals a straight run to M in
+  events, metrics, ALERT/TREND cycles, and verdict.
 
 Capture is observation-only (reads registries, rings, digests; never
 ticks the clock or emits events).  See docs/SCHEMAS.md for the field
@@ -36,6 +40,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
+from repro.obs import state as images
 from repro.obs.snapshot import (
     EVENT_TAIL_LIMIT,
     GROUP_LIMIT,
@@ -69,7 +74,7 @@ VERIFIED_SECTIONS = (
 # ----------------------------------------------------------------------
 def capture_checkpoint(machine, monitor=None, run_info=None,
                        request_index=None, sampler=None, engine=None,
-                       trend=None, history=None,
+                       trend=None, history=None, truth=None,
                        event_tail=EVENT_TAIL_LIMIT,
                        heap_map_limit=HEAP_MAP_LIMIT,
                        group_limit=GROUP_LIMIT):
@@ -81,7 +86,10 @@ def capture_checkpoint(machine, monitor=None, run_info=None,
     inspectable but not resumable).  ``sampler``/``engine``/``trend``/
     ``history`` are the live stack components whose ``state_dict``
     payloads are embedded for durability tests and resume
-    verification.
+    verification.  ``truth`` is the live run's ground truth at the
+    boundary: with it, a run the state image covers
+    (:func:`repro.obs.state.covers`) also gets a ``state`` section, so
+    resume restores instead of replaying.
     """
     document = capture_state(machine, monitor=monitor, run_info=run_info,
                              event_tail=event_tail,
@@ -107,6 +115,12 @@ def capture_checkpoint(machine, monitor=None, run_info=None,
                         if history is not None else None),
         },
     })
+    if request_index is not None and images.covers(machine, monitor,
+                                                   run_info, truth):
+        document["state"] = images.encode_image(images.capture_image(
+            machine, monitor, truth,
+            {"sampler": sampler, "alerts": engine, "trend": trend,
+             "history": history}))
     return document
 
 
@@ -167,6 +181,7 @@ class CheckpointScheduler:
             self.machine, monitor=self.monitor, run_info=self.run_info,
             request_index=index, sampler=self.sampler,
             engine=self.engine, trend=self.trend, history=self.history,
+            truth=truth,
         )
         path = self.checkpoint_dir / (
             f"{self.label}-c{cycle}-r{index}.ckpt.json"
@@ -179,22 +194,23 @@ class CheckpointScheduler:
 # ----------------------------------------------------------------------
 # verification
 # ----------------------------------------------------------------------
-def _normalize(value):
-    """JSON round-trip, so tuples/ints/floats compare canonically."""
-    return json.loads(json.dumps(value, sort_keys=True))
+def _canonical(document, section):
+    """One section as key-sorted JSON text, so a freshly captured
+    in-memory document (tuples, insertion-ordered keys) compares
+    cleanly against one loaded from disk."""
+    return json.dumps(document.get(section), sort_keys=True)
 
 
 def compare_checkpoints(recorded, fresh):
     """``(ok, message)``: do two checkpoints agree section by section?
 
-    Both documents are JSON-normalized first, so a freshly captured
-    in-memory document compares cleanly against one loaded from disk.
-    The ``run`` section is excluded (see :data:`VERIFIED_SECTIONS`).
+    Each of the :data:`VERIFIED_SECTIONS` must have the same canonical
+    JSON text in both documents.  The ``run`` section and the state
+    image are excluded (see :data:`VERIFIED_SECTIONS`).
     """
-    recorded = _normalize(recorded)
-    fresh = _normalize(fresh)
     mismatched = [section for section in VERIFIED_SECTIONS
-                  if recorded.get(section) != fresh.get(section)]
+                  if _canonical(recorded, section)
+                  != _canonical(fresh, section)]
     if mismatched:
         return False, (
             "reconstructed state diverged from the checkpoint in: "
@@ -207,7 +223,7 @@ def compare_checkpoints(recorded, fresh):
 
 
 # ----------------------------------------------------------------------
-# resume (reconstructive restore)
+# resume (restore, or replay from the seed)
 # ----------------------------------------------------------------------
 @dataclass
 class ResumeResult:
@@ -227,19 +243,53 @@ class ResumeResult:
     verify_message: str = ""
     #: panic message when the resumed run re-panicked.
     panic: object = None
+    #: True when the run continued from the checkpoint's state image;
+    #: False when it replayed the recorded prefix from the seed.
+    restored: bool = False
+
+
+def _boundary(checkpoint):
+    """The checkpoint's ``progress.request_index`` (None or >= 0)."""
+    progress = checkpoint.get("progress") or {}
+    if not isinstance(progress, dict):
+        raise ConfigurationError(
+            f"checkpoint progress section must be an object, got "
+            f"{type(progress).__name__}")
+    boundary = progress.get("request_index")
+    if boundary is not None and (isinstance(boundary, bool)
+                                 or not isinstance(boundary, int)
+                                 or boundary < 0):
+        raise ConfigurationError(
+            f"checkpoint field 'progress.request_index' must be null or "
+            f"a non-negative integer, got {boundary!r}")
+    return boundary
+
+
+def _capture_rerun(rerun, index):
+    """The verified sections of a rerun at request boundary ``index``."""
+    stack = rerun.stack
+    return capture_checkpoint(
+        rerun.machine, monitor=rerun.monitor, run_info=rerun.run_info,
+        request_index=index, sampler=stack.sampler, engine=stack.engine,
+        trend=stack.trend, history=stack.history)
 
 
 def resume_checkpoint(checkpoint, requests=None, verify=True):
-    """Resume a checkpointed run: re-execute, verify, continue.
+    """Resume a checkpointed run: restore or replay, verify, continue.
 
-    Re-drives the recorded workload from its seed on a freshly booted
-    identical machine (deterministic, so the reconstruction is exact),
-    compares the reconstructed state against the checkpoint at the
-    recorded request boundary when ``verify`` is on, and continues to
-    ``requests`` total requests (default: the recorded horizon).
+    Boots the recorded machine, monitor and monitoring stack.  A
+    checkpoint with a ``state`` image is restored into them and the
+    workload continues from the next request; the image's SHA-256 is
+    always checked.  Without an image (or for a horizon at or before
+    the boundary) the recorded workload re-runs from its seed.  With
+    ``verify`` on, the state at the recorded request boundary must
+    match the checkpoint's verified sections bit-exactly, and a
+    restored state must also re-capture its image exactly; the run
+    then continues to ``requests`` total requests (default: the
+    recorded horizon).
     """
     rerun = Rerun(checkpoint, "checkpoint", "resumed", requests=requests)
-    boundary = (checkpoint.get("progress") or {}).get("request_index")
+    boundary = _boundary(checkpoint)
     if verify and boundary is None:
         raise ConfigurationError(
             "checkpoint records no request boundary; resume it with "
@@ -255,21 +305,46 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
         )
 
     state = {"verified": None, "message": "verification disabled"}
+    section = checkpoint.get("state")
+    restore = (section is not None and boundary is not None
+               and (target is None or target > boundary))
 
     def _hook(index, truth):
         if not verify or index != boundary:
             return
-        stack = rerun.stack
-        fresh = capture_checkpoint(
-            rerun.machine, monitor=rerun.monitor, run_info=rerun.run_info,
-            request_index=index, sampler=stack.sampler,
-            engine=stack.engine, trend=stack.trend, history=stack.history,
-        )
-        ok, message = compare_checkpoints(checkpoint, fresh)
+        ok, message = compare_checkpoints(checkpoint,
+                                          _capture_rerun(rerun, index))
         state["verified"] = ok
         state["message"] = message
 
-    rerun.run(request_hook=_hook)
+    def _restore(program, workload):
+        stack = rerun.stack
+        components = {"sampler": stack.sampler, "alerts": stack.engine,
+                      "trend": stack.trend, "history": stack.history}
+        truth, digests = images.load_image(
+            images.unpack_image(section), rerun.machine, rerun.monitor,
+            program, workload, components)
+        if truth.requests_completed != boundary + 1:
+            raise ConfigurationError(
+                f"state image sits after {truth.requests_completed} "
+                f"request(s), not at request boundary {boundary}")
+        if verify:
+            ok, message = compare_checkpoints(
+                checkpoint, _capture_rerun(rerun, boundary))
+            if ok:
+                ok, diverged = images.verify_image(
+                    digests, rerun.machine, rerun.monitor, truth,
+                    components)
+                if not ok:
+                    message = ("restored state does not re-capture its "
+                               "image in: " + ", ".join(diverged))
+            state["verified"] = ok
+            state["message"] = message
+
+    if restore:
+        rerun.run(restore=_restore)
+    else:
+        rerun.run(request_hook=_hook)
     return ResumeResult(
         machine=rerun.machine,
         monitor=rerun.monitor,
@@ -280,6 +355,7 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
         verified=state["verified"],
         verify_message=state["message"],
         panic=rerun.panic,
+        restored=restore,
     )
 
 
@@ -320,6 +396,12 @@ def render_checkpoint_summary(document):
             f"DRAM, {machine.get('cache_size', 0) >> 10} KiB cache, "
             f"ecc={machine.get('ecc_mode', '?')}"
         )
+    section = document.get("state")
+    if isinstance(section, dict) and isinstance(section.get("image"), str):
+        lines.append(f"  restore:   state image, "
+                     f"{len(section['image']) // 1024:,} KiB")
+    else:
+        lines.append("  restore:   none (resume replays from the seed)")
     dram = document.get("dram") or {}
     if dram:
         lines.append(f"  dram:      data sha256 "

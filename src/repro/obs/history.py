@@ -36,6 +36,7 @@ bit-exactly (``repro.checkpoint/v1`` embeds it verbatim).
 from collections import deque
 
 from repro.common.errors import ConfigurationError
+from repro.common.state import integer, number, numbers, record, sequence
 
 #: schema tag for serialized history documents.
 HISTORY_SCHEMA = "repro.history/v1"
@@ -200,6 +201,9 @@ class HistoryStore:
             },
         }
 
+    #: the checkpoint payload is the history document itself.
+    state_dict = to_dict
+
     @classmethod
     def from_dict(cls, document, metrics=None):
         """Rebuild a store from :meth:`to_dict` output, bit-exactly."""
@@ -209,17 +213,43 @@ class HistoryStore:
         store = cls(series=tuple(document["series"]), tiers=tiers,
                     raw_capacity=document["raw_capacity"],
                     metrics=metrics)
-        store.observations = document["observations"]
-        store.raw_evicted = document.get("raw_evicted", 0)
-        store.buckets_evicted = document.get("buckets_evicted", 0)
-        for name, record in document["series"].items():
-            history = store._series[name]
-            for cycle, value in record["raw"]:
-                history.raw.append((cycle, value))
-            for index, buckets in enumerate(record["tiers"]):
-                for bucket in buckets:
-                    history.tiers[index].append(list(bucket))
-        return store
+        return store.load_state(document)
+
+    def load_state(self, document):
+        """Restore :meth:`to_dict` output into this store, which must
+        track the same series with the same tiers."""
+        check_history_document(document)
+        tiers = [list(tier) for tier in self.tiers]
+        if (document["tiers"] != tiers
+                or document["raw_capacity"] != self.raw_capacity
+                or sorted(document["series"]) != sorted(self.series)):
+            raise ConfigurationError(
+                "history state mismatch: recorded tiers, capacity or "
+                "series differ from this store's")
+        self.observations = integer(document["observations"],
+                                    "observations")
+        self.raw_evicted = integer(document.get("raw_evicted", 0),
+                                   "raw_evicted")
+        self.buckets_evicted = integer(document.get("buckets_evicted", 0),
+                                       "buckets_evicted")
+        for name, record_ in document["series"].items():
+            history = _SeriesHistory(self.raw_capacity, self.tiers)
+            for cycle, value in record_["raw"]:
+                history.raw.append((integer(cycle, "raw cycle"),
+                                    number(value, "raw value")))
+            buckets = sequence(record_["tiers"], "tiers")
+            if len(buckets) != len(self.tiers):
+                raise ValueError(f"{name}: {len(buckets)} tiers recorded")
+            for index, tier in enumerate(buckets):
+                for bucket in tier:
+                    start, low, high, total, count = record(bucket, 5,
+                                                            "bucket")
+                    history.tiers[index].append(
+                        [integer(start, "bucket start"),
+                         *numbers([low, high, total], "bucket"),
+                         integer(count, "bucket count")])
+            self._series[name] = history
+        return self
 
 
 def check_history_document(document):

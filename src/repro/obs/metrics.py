@@ -22,6 +22,14 @@ Two registration styles:
 import math
 
 from repro.common.errors import ConfigurationError
+from repro.common.state import (
+    boolean,
+    number,
+    numbers,
+    record,
+    sequence,
+    text,
+)
 
 _KINDS = ("counter", "gauge", "histogram")
 
@@ -350,6 +358,75 @@ class MetricsRegistry:
 
     def __contains__(self, name):
         return name in self._metrics
+
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """Every metric in registration order as ``[name, kind,
+        description, value]``.
+
+        A probe records only its name (kind ``"probe"``): its value
+        lives in the component it reads.  A histogram's value is its
+        observations in their current order plus whether that order
+        is sorted.
+        """
+        instruments = []
+        for name, metric in self._metrics.items():
+            if isinstance(metric, _Probe):
+                value = None
+                kind = "probe"
+            elif isinstance(metric, Histogram):
+                value = [list(metric._values), metric._sorted]
+                kind = metric.kind
+            else:
+                value = metric.value
+                kind = metric.kind
+            instruments.append([name, kind, metric.description, value])
+        return {"instruments": instruments}
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output, registration order
+        included.
+
+        Every recorded probe must already be registered (the restored
+        components registered them when they were built), and every
+        registered metric must be in the record; owned instruments
+        are created or reset.
+        """
+        classes = {"counter": Counter, "gauge": Gauge,
+                   "histogram": Histogram}
+        metrics = {}
+        for item in sequence(state["instruments"], "instruments"):
+            name, kind, description, value = record(item, 4, "instrument")
+            existing = self._metrics.get(text(name, "instrument name"))
+            if kind == "probe":
+                if not isinstance(existing, _Probe):
+                    raise ValueError(f"probe {name!r} is not registered")
+                metrics[name] = existing
+                continue
+            cls = classes.get(kind)
+            if cls is None:
+                raise ValueError(f"metric {name!r} has unknown kind "
+                                 f"{kind!r}")
+            if existing is not None and type(existing) is not cls:
+                raise ValueError(f"metric {name!r} is registered as "
+                                 f"{existing.kind}, recorded as {kind}")
+            metric = existing or cls(name, text(description,
+                                                "description"))
+            if cls is Histogram:
+                values, ordered = record(value, 2, f"histogram {name}")
+                metric._values = list(numbers(values, name))
+                metric._sorted = boolean(ordered, f"{name} sorted")
+                metric.sum = sum(metric._values)
+            else:
+                metric.value = number(value, name)
+            metrics[name] = metric
+        missing = sorted(set(self._metrics) - set(metrics))
+        if missing:
+            raise ValueError(f"registered metric(s) missing from the "
+                             f"record: {', '.join(missing)}")
+        self._metrics = metrics
 
     def snapshot(self):
         """Flatten every metric into a cycle-stamped :class:`Snapshot`."""

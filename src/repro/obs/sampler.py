@@ -30,6 +30,7 @@ profiler only observes once :meth:`SamplingProfiler.start` runs.
 
 from collections import deque
 
+from repro.common.state import integer, number, scalars, sequence, text
 from repro.obs.metrics import Histogram
 
 #: samples retained by the ring buffer.
@@ -95,13 +96,18 @@ class Sample:
     @classmethod
     def from_dict(cls, record):
         """Rebuild a sample from :meth:`to_dict` output (checkpoints)."""
+        metrics = scalars(record["metrics"], "sample metrics")
         return cls(
-            index=record["index"],
-            cycle=record["cycle"],
-            metrics=dict(record["metrics"]),
-            spans=list(record["spans"]),
-            groups=[dict(group) for group in record["groups"]],
-            overhead_fraction=record["overhead_fraction"],
+            index=integer(record["index"], "sample index"),
+            cycle=integer(record["cycle"], "sample cycle"),
+            metrics=dict(metrics),
+            spans=[text(span, "sample span")
+                   for span in sequence(record["spans"], "sample spans")],
+            groups=[dict(scalars(group, "sample group"))
+                    for group in sequence(record["groups"],
+                                          "sample groups")],
+            overhead_fraction=number(record["overhead_fraction"],
+                                     "overhead_fraction"),
         )
 
     def __repr__(self):
@@ -316,8 +322,10 @@ class SamplingProfiler:
                 f"{payload['interval_cycles']}, profiler has "
                 f"{self.interval_cycles}"
             )
-        self.samples_taken = payload["samples_taken"]
-        self.samples_evicted = payload["samples_evicted"]
+        self.samples_taken = integer(payload["samples_taken"],
+                                     "samples_taken")
+        self.samples_evicted = integer(payload["samples_evicted"],
+                                       "samples_evicted")
         self._ring.clear()
         for record in payload["ring"]:
             self._ring.append(Sample.from_dict(record))

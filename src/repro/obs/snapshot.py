@@ -11,11 +11,14 @@ holds both halves once:
   leak groups); :func:`~repro.obs.forensics.capture_bundle` and
   :func:`~repro.obs.checkpoint.capture_checkpoint` add only their own;
 - :class:`Rerun` -- the one re-execution driver: validate the recorded
-  run, boot an identical machine, rebuild the monitor and the recorded
-  monitoring stack through
+  run (:func:`check_run_info`), boot an identical machine, rebuild the
+  monitor and the recorded monitoring stack through
   :func:`~repro.obs.stack.assemble_monitor_stack`, and run the
-  workload with a request hook.  ``replay_bundle`` arms breakpoints on
-  it; ``resume_checkpoint`` verifies from its request hook.
+  workload with a request hook -- from its seed, or continuing from a
+  checkpoint's state image (:mod:`repro.obs.state`).
+  ``replay_bundle`` arms breakpoints on it; ``resume_checkpoint``
+  restores through it, or replays and verifies from its request
+  hook.
 
 Capture is observation-only: it reads registries, rings and tables but
 never ticks the simulated clock or emits events.
@@ -26,6 +29,7 @@ import pathlib
 import re
 
 from repro.common.errors import ConfigurationError, MachinePanic, ReproError
+from repro.common.events import jsonable
 from repro.obs.export import snapshot_document
 from repro.obs.sampler import group_stats
 
@@ -37,13 +41,6 @@ HEAP_MAP_LIMIT = 512
 
 #: leak groups listed in a document (largest live_bytes first).
 GROUP_LIMIT = 64
-
-
-def jsonable(value):
-    """A scalar as-is; anything else as its string form."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
 
 
 def event_to_dict(event):
@@ -102,6 +99,46 @@ _MACHINE_FIELDS = {
     "profile": (lambda value: value is None or isinstance(value, str),
                 "a profile name"),
 }
+
+
+def _is_positive(value):
+    return _is_integer(value) and value > 0
+
+
+#: every ``run`` field a rerun reads -> (its check, what the check
+#: expects); ``workload`` and ``monitor`` must also be registered names.
+_RUN_FIELDS = {
+    "workload": (lambda value: isinstance(value, str), "a workload name"),
+    "monitor": (lambda value: isinstance(value, str), "a monitor name"),
+    "buggy": (lambda value: isinstance(value, bool), "a boolean"),
+    "requests": (lambda value: value is None or _is_positive(value),
+                 "null or a positive integer"),
+    "heap_size": (_is_positive, "a positive integer"),
+    "seed": (_is_integer, "an integer"),
+    "monitoring": (lambda value: isinstance(value, dict), "an object"),
+}
+
+
+def check_run_info(run):
+    """Reject a recorded ``run`` section a rerun cannot drive.
+
+    A field of the wrong type, or a workload or monitor name nothing
+    registers, raises :class:`ConfigurationError` naming the field;
+    absent optional fields take their defaults.
+    """
+    from repro.analysis.runner import MONITOR_FACTORIES
+    from repro.workloads.registry import WORKLOADS
+    for field, (check, expected) in _RUN_FIELDS.items():
+        if field in run and not check(run[field]):
+            raise ConfigurationError(
+                f"recorded run field {field!r} must be {expected}, got "
+                f"{run[field]!r}")
+    for field, names in (("workload", WORKLOADS),
+                         ("monitor", MONITOR_FACTORIES)):
+        if run[field] not in names:
+            raise ConfigurationError(
+                f"recorded run field {field!r} must be one of "
+                f"{', '.join(sorted(names))}, got {run[field]!r}")
 
 
 def machine_from_config(config):
@@ -223,7 +260,8 @@ class RerunBreak(ReproError):
 
 
 class Rerun:
-    """One re-execution of a recorded run, from its seed.
+    """One re-execution of a recorded run, from its seed or a state
+    image.
 
     ``document`` is a bundle or a checkpoint whose ``run`` section
     names the workload and monitor (``what``/``verb`` word the error
@@ -239,13 +277,18 @@ class Rerun:
         from repro.core.sampling import SamplingPolicy
         from repro.obs.stack import assemble_monitor_stack
 
-        run = dict(document.get("run") or {})
+        run = document.get("run") or {}
+        if not isinstance(run, dict):
+            raise ConfigurationError(
+                f"recorded run section must be an object, got "
+                f"{type(run).__name__}")
         if "workload" not in run or "monitor" not in run:
             raise ConfigurationError(
                 f"{what} records no run (workload/monitor); it was "
                 f"captured without run_info and cannot be {verb}"
             )
-        self.run_info = run
+        check_run_info(run)
+        self.run_info = run = dict(run)
         self.requests = (requests if requests is not None
                          else run.get("requests"))
         self.machine = machine_from_config(document.get("machine"))
@@ -267,8 +310,12 @@ class Rerun:
         self.break_cycle = cycle
         raise RerunBreak(f"replay breakpoint at cycle {cycle}")
 
-    def run(self, request_hook=None):
-        """Run the workload; a panic or a breakpoint ends it quietly."""
+    def run(self, request_hook=None, restore=None):
+        """Run the workload; a panic or a breakpoint ends it quietly.
+
+        ``restore`` continues from a state image instead of the seed
+        (see :func:`~repro.analysis.runner.run_workload`).
+        """
         from repro.analysis.runner import HEAP_SIZE, run_workload
 
         run = self.run_info
@@ -279,7 +326,7 @@ class Rerun:
                 seed=run.get("seed", 0),
                 heap_size=run.get("heap_size", HEAP_SIZE),
                 machine=self.machine, monitor=self.monitor,
-                request_hook=request_hook).truth
+                request_hook=request_hook, restore=restore).truth
         except RerunBreak:
             pass
         except MachinePanic as error:

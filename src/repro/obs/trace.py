@@ -17,7 +17,18 @@ an anecdote.
 import contextlib
 from collections import deque
 
-from repro.common.events import EventKind
+from repro.common.events import EventKind, jsonable
+from repro.common.state import (
+    fields_state,
+    integer,
+    load_fields,
+    mapping,
+    optional_integer,
+    record,
+    scalars,
+    sequence,
+    text,
+)
 
 #: Finished spans retained by the flight recorder.
 DEFAULT_CAPACITY = 256
@@ -140,6 +151,35 @@ class Tracer:
         """Recent finished spans, oldest first."""
         return list(self._recent)
 
+    # ------------------------------------------------------------------
+    # durable state (repro.state/v1)
+    # ------------------------------------------------------------------
+    #: the counters :meth:`state_dict` records next to the spans.
+    STATE_FIELDS = ("spans_started", "spans_dropped")
+
+    def state_dict(self):
+        """Counters, the flight-recorder ring, the open spans (a run
+        captured at a request boundary has its ``workload.<name>``
+        span open) and the frozen panic dump."""
+        return {
+            **fields_state(self, self.STATE_FIELDS),
+            "recent": [_span_state(span) for span in self._recent],
+            "open": [_span_state(span) for span in self._stack],
+            "panic_dump": self.panic_dump,
+        }
+
+    def load_state(self, state):
+        """Restore :meth:`state_dict` output."""
+        load_fields(self, state, self.STATE_FIELDS)
+        self._recent.clear()
+        self._recent.extend(_load_span(item) for item in
+                            sequence(state["recent"], "recent"))
+        self._stack = [_load_span(item)
+                       for item in sequence(state["open"], "open")]
+        panic_dump = state["panic_dump"]
+        self.panic_dump = (None if panic_dump is None
+                           else mapping(panic_dump, "panic_dump"))
+
     def _on_panic_event(self, event):
         self.mark_panic(event.detail.get("reason", "panic"))
 
@@ -152,3 +192,21 @@ class Tracer:
             "open_spans": [span.to_dict() for span in self._stack],
         }
         return self.panic_dump
+
+
+def _span_state(span):
+    """One span as ``[name, path, depth, start, end, attrs]``."""
+    return [span.name, list(span.path), span.depth, span.start_cycle,
+            span.end_cycle,
+            {key: jsonable(value) for key, value in span.attrs.items()}]
+
+
+def _load_span(item):
+    name, path, depth, start, end, attrs = record(item, 6, "span")
+    span = Span(text(name, "span name"),
+                tuple(text(part, "span path")
+                      for part in sequence(path, "span path")),
+                integer(depth, "span depth"), integer(start, "span start"),
+                scalars(attrs, "span attrs"))
+    span.end_cycle = optional_integer(end, "span end")
+    return span

@@ -87,6 +87,14 @@ from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind
+from repro.common.state import (
+    boolean,
+    integer,
+    mapping,
+    number,
+    numbers,
+    text,
+)
 
 #: detector names accepted in ``trend``-rule selectors and ``--trend``.
 DETECTORS = ("theil-sen", "cusum", "page-hinkley")
@@ -616,8 +624,9 @@ class TrendEngine:
         identity.
         """
         series = {}
-        for name in sorted(self._series):
-            state = self._series[name]
+        # Creation order: series that end together emit their TREND
+        # events in this order.
+        for name, state in self._series.items():
             series[name] = {
                 "window": [[cycle, value]
                            for cycle, value in state.window],
@@ -678,17 +687,19 @@ class TrendEngine:
                     f"trend state mismatch: recorded {key}="
                     f"{payload.get(key)!r}, engine has {mine!r}"
                 )
-        if dict(payload.get("thresholds", {})) != self.thresholds:
+        if dict(payload["thresholds"]) != self.thresholds:
             raise ConfigurationError(
                 f"trend state mismatch: recorded thresholds="
                 f"{payload.get('thresholds')!r}, engine has "
                 f"{self.thresholds!r}"
             )
-        self.evaluations = payload["evaluations"]
-        self.series_ended = payload["series_ended"]
-        self.breach_onsets = payload["breach_onsets"]
-        self.onsets = [dict(onset)
-                       for onset in payload.get("onsets", [])]
+        self.evaluations = integer(payload["evaluations"], "evaluations")
+        self.series_ended = integer(payload["series_ended"],
+                                    "series_ended")
+        self.breach_onsets = integer(payload["breach_onsets"],
+                                     "breach_onsets")
+        self.onsets = [dict(mapping(onset, "onset"))
+                       for onset in payload["onsets"]]
         self._series = {}
         self._verdicts = {}
         for name, record in payload["series"].items():
@@ -697,31 +708,35 @@ class TrendEngine:
                 seasonal_phases=(self.seasonal_phases
                                  if self.seasonal_period else None))
             for cycle, value in record["window"]:
-                state.push(cycle, value)
-            state.last_value = record["last_value"]
-            state.cusum = record["cusum"]
-            state.ph_count = record["ph_count"]
-            state.ph_mean = record["ph_mean"]
-            state.ph_m = record["ph_m"]
-            state.ph_min = record["ph_min"]
-            state.breached = {detector: bool(record["breached"][detector])
-                              for detector in DETECTORS}
-            state.last_cycle = record["last_cycle"]
-            state.points_seen = record["points_seen"]
-            if record.get("season_bins") is not None:
-                state.season_bins = [list(bin_values) for bin_values
-                                     in record["season_bins"]]
-            if record.get("baseline") is not None:
-                state.baseline = list(record["baseline"])
+                state.push(integer(cycle, "window cycle"),
+                           number(value, "window value"))
+            last_value = record["last_value"]
+            state.last_value = (None if last_value is None
+                                else number(last_value, "last_value"))
+            for field in ("cusum", "ph_mean", "ph_m", "ph_min"):
+                setattr(state, field, number(record[field], field))
+            state.ph_count = integer(record["ph_count"], "ph_count")
+            state.breached = {
+                detector: boolean(record["breached"][detector], detector)
+                for detector in DETECTORS}
+            state.last_cycle = integer(record["last_cycle"], "last_cycle")
+            state.points_seen = integer(record["points_seen"],
+                                        "points_seen")
+            if record["season_bins"] is not None:
+                state.season_bins = [list(numbers(bin_values, "season bin"))
+                                     for bin_values in record["season_bins"]]
+            if record["baseline"] is not None:
+                state.baseline = list(numbers(record["baseline"],
+                                              "baseline"))
             self._series[name] = state
-        for name, verdicts in payload.get("verdicts", {}).items():
+        for name, verdicts in payload["verdicts"].items():
             self._verdicts[name] = {
                 detector: TrendVerdict(
-                    series=record["series"],
-                    detector=record["detector"],
-                    cycle=record["cycle"],
-                    value=record["value"],
-                    breached=record["breached"],
+                    series=text(record["series"], "verdict series"),
+                    detector=text(record["detector"], "verdict detector"),
+                    cycle=integer(record["cycle"], "verdict cycle"),
+                    value=number(record["value"], "verdict value"),
+                    breached=boolean(record["breached"], "verdict breached"),
                 )
                 for detector, record in verdicts.items()
             }

@@ -21,6 +21,15 @@ import random
 from dataclasses import dataclass, field
 
 from repro.common.errors import MonitorError
+from repro.common.state import (
+    integer,
+    integers,
+    load_rng_state,
+    record,
+    rng_state,
+    text,
+)
+from repro.workloads.fixtures import TouchedCache
 
 
 @dataclass
@@ -43,6 +52,32 @@ class GroundTruth:
     def corruption_detected(self):
         return self.detection is not None
 
+    def state_dict(self):
+        """Everything but ``detection``, which only a finished run
+        has (a detection ends the request loop)."""
+        return {
+            "leaked_addresses": sorted(self.leaked_addresses),
+            "corruption": (list(self.corruption)
+                           if self.corruption is not None else None),
+            "requests_completed": self.requests_completed,
+            "cycle_marks": list(self.cycle_marks),
+        }
+
+    @classmethod
+    def from_state(cls, state):
+        corruption = state["corruption"]
+        if corruption is not None:
+            kind, address = record(corruption, 2, "corruption")
+            corruption = (text(kind, "corruption kind"),
+                          integer(address, "corruption address"))
+        return cls(
+            leaked_addresses=set(integers(state["leaked_addresses"],
+                                          "leaked_addresses")),
+            corruption=corruption,
+            requests_completed=integer(state["requests_completed"],
+                                       "requests_completed"),
+            cycle_marks=list(integers(state["cycle_marks"], "cycle_marks")))
+
 
 class Workload:
     """Base class: subclasses model one application from Table 1."""
@@ -57,11 +92,20 @@ class Workload:
     bug = None
     #: default number of requests for a full experiment run.
     default_requests = 400
+    #: attributes ``setup`` fills with addresses (an int or a list of
+    #: ints) that :meth:`state_dict` records.
+    state_fields = ()
+    #: attributes ``setup`` fills with a :class:`TouchedCache`.
+    fixture_fields = ()
 
     def __init__(self, requests=None, seed=0):
         self.requests = requests or self.default_requests
         self.seed = seed
         self.rng = random.Random(seed)
+        #: the ground truth a state image restored, or None: the next
+        #: :meth:`run` skips setup and continues after its
+        #: ``requests_completed`` requests.
+        self.restored = None
 
     # ------------------------------------------------------------------
     # template method
@@ -79,11 +123,18 @@ class Workload:
         must be observation-only (checkpoint capture, progress
         reporting): ticking the clock or touching program state from
         one would desynchronize the run from its un-hooked twin.
+
+        A workload restored from a state image (:attr:`restored` set)
+        skips setup and continues from the boundary it was captured
+        at.
         """
-        truth = GroundTruth()
-        self.setup(program, truth)
+        program.workload = self
+        truth, self.restored = self.restored, None
+        if truth is None:
+            truth = GroundTruth()
+            self.setup(program, truth)
         try:
-            for index in range(self.requests):
+            for index in range(truth.requests_completed, self.requests):
                 self.handle_request(program, index, buggy, truth)
                 truth.requests_completed = index + 1
                 truth.cycle_marks.append(program.cpu_time)
@@ -95,6 +146,28 @@ class Workload:
             self.teardown(program, truth)
             program.exit()
         return truth
+
+    # durable state (repro.state/v1) ------------------------------------
+    def state_dict(self):
+        """The input RNG and the fields ``setup`` filled."""
+        state = {"rng": rng_state(self.rng)}
+        for name in self.state_fields:
+            value = getattr(self, name)
+            state[name] = list(value) if isinstance(value, list) else value
+        for name in self.fixture_fields:
+            state[name] = getattr(self, name).state_dict()
+        return state
+
+    def load_state(self, program, state):
+        """Restore :meth:`state_dict` output into a fresh instance,
+        in place of ``setup`` (``program`` is the restored program)."""
+        load_rng_state(self.rng, state["rng"])
+        for name in self.state_fields:
+            value = state[name]
+            setattr(self, name, list(integers(value, name))
+                    if isinstance(value, list) else integer(value, name))
+        for name in self.fixture_fields:
+            setattr(self, name, TouchedCache.from_state(state[name]))
 
     # hooks -------------------------------------------------------------
     def setup(self, program, truth):

@@ -90,6 +90,7 @@ class DiurnalWorkload(Workload):
     #: six seasonal periods by default: two warm the baseline, four
     #: remain for detection.
     default_requests = 6 * SEASON_PERIOD_REQUESTS
+    state_fields = ("_sessions",)
 
     def __init__(self, requests=None, seed=0):
         super().__init__(requests=requests, seed=seed)
@@ -120,6 +121,13 @@ class DiurnalWorkload(Workload):
             step = min(SEASON_PAD_CHUNK, deficit)
             program.machine.clock.tick(step)
             deficit -= step
+
+    def state_dict(self):
+        return {**super().state_dict(), "inner": self.inner.state_dict()}
+
+    def load_state(self, program, state):
+        super().load_state(program, state)
+        self.inner.load_state(program, state["inner"])
 
     def teardown(self, program, truth):
         while self._sessions:

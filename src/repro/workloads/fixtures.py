@@ -1,5 +1,7 @@
 """Reusable behavioural building blocks for the workload models."""
 
+from repro.common.state import integer, integers
+
 
 class TouchedCache:
     """Long-lived objects inside a churning object group.
@@ -25,6 +27,25 @@ class TouchedCache:
         self.rare_indexes = set(rare_indexes)
         self.rare_period = rare_period
         self.addresses = []
+
+    def state_dict(self):
+        """Parameters and the long-lived objects' addresses."""
+        return {"site": self.site, "object_size": self.object_size,
+                "count": self.count, "touch_period": self.touch_period,
+                "rare_indexes": sorted(self.rare_indexes),
+                "rare_period": self.rare_period,
+                "addresses": list(self.addresses)}
+
+    @classmethod
+    def from_state(cls, state):
+        cache = cls(integer(state["site"], "site"),
+                    integer(state["object_size"], "object_size"),
+                    integer(state["count"], "count"),
+                    integer(state["touch_period"], "touch_period"),
+                    integers(state["rare_indexes"], "rare_indexes"),
+                    integer(state["rare_period"], "rare_period"))
+        cache.addresses = list(integers(state["addresses"], "addresses"))
+        return cache
 
     def setup(self, program, first_global_slot):
         """Allocate the long-lived objects and root them in globals."""

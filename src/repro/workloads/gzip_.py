@@ -29,18 +29,20 @@ class Gzip(Workload):
     block_size = 4096
     #: block index at which the crafted input appears.
     trigger_block = 300
+    #: the bytes of every input block and of every output block.
+    input_block = b"\x42" * block_size
+    output_block = b"\xab" * block_size
+    state_fields = ("input_buffer",)
 
     def setup(self, program, truth):
         # One reused input staging buffer, rooted for the sweeps.
         with program.frame(INPUT_SITE):
             self.input_buffer = program.malloc(self.block_size)
         program.set_global(0, self.input_buffer)
-        self._input_block = b"\x42" * self.block_size
-        self._output_block = b"\xab" * self.block_size
 
     def handle_request(self, program, index, buggy, truth):
         # Read the next input block (a bulk op: one plan, one call).
-        program.run_ops([("store", self.input_buffer, self._input_block)])
+        program.run_ops([("store", self.input_buffer, self.input_block)])
 
         # Allocate this block's output buffer.
         with program.frame(OUTPUT_SITE):
@@ -53,7 +55,7 @@ class Gzip(Workload):
         program.compute(self.compute_per_block)
         plan = [
             ("load", self.input_buffer, self.block_size),
-            ("store", output, self._output_block),
+            ("store", output, self.output_block),
         ]
         crafted = buggy and index == self.trigger_block
         if crafted:

@@ -13,6 +13,7 @@ object without returning it to the pool -- a custom-allocator leak
 that malloc-interposing tools cannot see at all.
 """
 
+from repro.common.state import integer, record, sequence
 from repro.heap.pool import PoolAllocator
 from repro.workloads.base import Workload, fill
 
@@ -43,6 +44,10 @@ class Httpd(Workload):
             objects_per_slab=16, site=CONNECTION_SITE,
             root_slot=0,
         )
+        self._wrap_pool(program)
+        self._held = []
+
+    def _wrap_pool(self, program):
         monitor = program.monitor
         if hasattr(monitor, "wrap_pool"):
             self.conn_alloc, self.conn_release = monitor.wrap_pool(
@@ -51,7 +56,22 @@ class Httpd(Workload):
         else:
             self.conn_alloc = self.pool.alloc
             self.conn_release = self.pool.release
-        self._held = []
+
+    def state_dict(self):
+        """The pool and the held ``[request, connection]`` pairs."""
+        return {**super().state_dict(), "pool": self.pool.state_dict(),
+                "held": [list(pair) for pair in self._held]}
+
+    def load_state(self, program, state):
+        super().load_state(program, state)
+        self.pool = PoolAllocator.from_state(program, state["pool"])
+        self._wrap_pool(program)
+        self._held = [
+            (integer(start, "held request"),
+             integer(connection, "held connection"))
+            for start, connection in (record(pair, 2, "held pair")
+                                      for pair in sequence(state["held"],
+                                                           "held"))]
 
     def handle_request(self, program, index, buggy, truth):
         # Accept a connection from the pool.

@@ -26,6 +26,7 @@ class Proftpd(Workload):
     default_requests = 500
 
     compute_per_request = 600_000
+    fixture_fields = ("vhosts",)
     transfer_chunk = 8 * 1024
     #: fraction of transfers that abort (the leaky path) in buggy mode.
     abort_rate = 0.05

@@ -49,6 +49,8 @@ class Squid1(Workload):
     rotate_period = 8
     churn_period = 4
     abort_rate = 0.04
+    state_fields = ("pool", "cache_slots")
+    fixture_fields = ("metadata",)
 
     def setup(self, program, truth):
         # 13 cache metadata entries; entry 0 is consulted so rarely
@@ -126,6 +128,7 @@ class Squid2(Workload):
     url_buffer_size = 128
     #: request index at which the crafted ftp:// URL arrives.
     trigger_request = 350
+    state_fields = ("scratch",)
 
     def setup(self, program, truth):
         self.scratch = []

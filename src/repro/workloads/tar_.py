@@ -28,12 +28,14 @@ class Tar(Workload):
     copy_chunk = 16 * 1024
     #: file index of the long-name member triggering the bug.
     trigger_file = 320
+    #: the bytes of every streamed body chunk.
+    body_chunk = b"\x24" * copy_chunk
+    state_fields = ("copy_buffer",)
 
     def setup(self, program, truth):
         with program.frame(COPY_SITE):
             self.copy_buffer = program.malloc(self.copy_chunk)
         program.set_global(0, self.copy_buffer)
-        self._body_chunk = b"\x24" * self.copy_chunk
 
     def handle_request(self, program, index, buggy, truth):
         # Member header block.
@@ -45,7 +47,7 @@ class Tar(Workload):
         # Stream the member body through the reused buffer -- one
         # bulk access plan (a store then a load, in scalar op order).
         program.run_ops([
-            ("store", self.copy_buffer, self._body_chunk),
+            ("store", self.copy_buffer, self.body_chunk),
             ("load", self.copy_buffer, self.copy_chunk),
         ])
         program.compute(self.compute_per_file)

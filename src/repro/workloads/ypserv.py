@@ -31,6 +31,7 @@ class Ypserv1(Workload):
 
     #: simulated instructions per lookup request.
     compute_per_request = 600_000
+    fixture_fields = ("maps",)
 
     def setup(self, program, truth):
         # Seven long-lived map handles sharing the request-buffer group:
@@ -81,6 +82,7 @@ class Ypserv2(Workload):
     default_requests = 600
 
     compute_per_request = 500_000
+    fixture_fields = ("domains",)
     #: in buggy mode, this fraction of requests takes the leaky
     #: error path (an unknown-key lookup).
     error_rate = 0.04

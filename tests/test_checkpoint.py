@@ -13,6 +13,7 @@ unreadable-file errors, and the ``repro resume`` / ``repro inspect``
 CLI surface.
 """
 
+import base64
 import copy
 import io
 import json
@@ -47,6 +48,7 @@ from repro.obs.forensics import (
 from repro.obs.sampler import Sample, SamplingProfiler
 from repro.obs.snapshot import event_to_dict
 from repro.obs.stack import MonitorStackConfig, build_monitor_stack
+from repro.obs.state import encode_image, unpack_image
 from repro.obs.trend import DETECTORS, TrendEngine
 
 SAMPLE_EVERY = 50_000
@@ -123,12 +125,14 @@ class TestDifferentialContract:
         assert resumed.verified is True, resumed.verify_message
         assert "verified bit-exact" in resumed.verify_message
         assert resumed.checkpoint_cycle == checkpoint["cycle"]
+        assert resumed.restored is True
 
     def test_resume_equals_straight_run(self, runs):
         straight_stack, straight, short_stack = runs
         checkpoint = load_checkpoint(short_stack.checkpoint_paths[-1])
         resumed = resume_checkpoint(checkpoint, requests=self.M)
         assert resumed.verified is True, resumed.verify_message
+        assert resumed.restored is True
         # events -- including every ALERT and TREND cycle -- bit-exact.
         resumed_events = [event_to_dict(e) for e in resumed.events]
         straight_events = [event_to_dict(e) for e in
@@ -202,6 +206,7 @@ def test_resume_verifies_with_rules_none(tmp_path):
     assert checkpoint["run"]["monitoring"]["rules"] == []
     resumed = resume_checkpoint(checkpoint, verify=True)
     assert resumed.verified is True, resumed.verify_message
+    assert resumed.restored is True
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +303,152 @@ def test_malformed_recorded_machine_is_a_named_error(recorded_run,
             rerun(document)
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("workload", "x", "field 'workload' must be one of"),
+    ("workload", ["ypserv1"], "field 'workload' must be a workload name"),
+    ("monitor", "x", "field 'monitor' must be one of"),
+    ("monitor", ["safemem"], "field 'monitor' must be a monitor name"),
+    ("seed", [], "field 'seed' must be an integer"),
+    ("requests", "x", "field 'requests' must be null or a positive"),
+    ("requests", 0, "field 'requests' must be null or a positive"),
+    ("buggy", "yes", "field 'buggy' must be a boolean"),
+    ("heap_size", -4096, "field 'heap_size' must be a positive integer"),
+    ("monitoring", "x", "field 'monitoring' must be an object"),
+], ids=["workload=x", "workload=list", "monitor=x", "monitor=list",
+        "seed=list", "requests=x", "requests=0", "buggy=str",
+        "heap_size=-4096", "monitoring=x"])
+def test_malformed_recorded_run_is_a_named_error(recorded_run, field,
+                                                 value, named):
+    """Resume and replay re-drive the recorded run; a malformed ``run``
+    field must raise ConfigurationError naming it, not a KeyError,
+    TypeError or AttributeError from deep inside the runner."""
+    for document, rerun in zip(recorded_run,
+                               (resume_checkpoint, replay_bundle)):
+        document = copy.deepcopy(document)
+        document["run"][field] = value
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            rerun(document)
+
+
+@pytest.mark.parametrize("value", ["x", -1, 1.5, True, []],
+                         ids=["str", "negative", "float", "bool", "list"])
+def test_malformed_progress_is_a_named_error(recorded_run, value):
+    checkpoint = copy.deepcopy(recorded_run[0])
+    checkpoint["progress"]["request_index"] = value
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("'progress.request_index'")):
+        resume_checkpoint(checkpoint)
+
+
+# ----------------------------------------------------------------------
+# the state image: restore, fallback, malformed input
+# ----------------------------------------------------------------------
+def _fingerprint(result):
+    """What a resumed run must reproduce, as comparable values."""
+    machine = result.machine
+    return {
+        "events": [event_to_dict(event) for event in result.events],
+        "metrics": snapshot_document(machine.metrics.snapshot())["metrics"],
+        "dram": machine.dram.digest(),
+        "leaked": sorted(result.truth.leaked_addresses),
+        "completed": result.truth.requests_completed,
+        "leak_reports": result.monitor.leak_reports,
+    }
+
+
+def test_checkpoint_without_state_replays_and_equals_the_restore(
+        recorded_run):
+    checkpoint = recorded_run[0]
+    assert "state" in checkpoint
+    restored = resume_checkpoint(checkpoint, requests=50)
+    replayed = resume_checkpoint(
+        {key: value for key, value in checkpoint.items()
+         if key != "state"}, requests=50)
+    assert restored.restored is True and replayed.restored is False
+    assert restored.verified is True, restored.verify_message
+    assert replayed.verified is True, replayed.verify_message
+    assert _fingerprint(restored) == _fingerprint(replayed)
+
+
+def test_adhoc_capture_carries_no_state(recorded_run):
+    """Without the live run's ground truth there is nothing to restore
+    from: the checkpoint resumes by replay."""
+    checkpoint = recorded_run[0]
+    stack, _ = run_with_stack(3)
+    document = capture_checkpoint(stack.machine, monitor=stack.monitor,
+                                  run_info=checkpoint["run"],
+                                  request_index=2)
+    assert "state" not in document
+
+
+def _repacked(checkpoint, edit):
+    """A copy of ``checkpoint`` whose decoded image ``edit`` changed,
+    packed again with a recomputed digest."""
+    document = copy.deepcopy(checkpoint)
+    image = json.loads(unpack_image(document["state"]))
+    edit(image)
+    document["state"] = encode_image(image)
+    return document
+
+
+def _retyped(value):
+    return "x" if not isinstance(value, str) else 7
+
+
+#: every component of a state image.
+COMPONENTS = ("clock", "events", "metrics", "tracer", "dram",
+              "controller", "cache", "page_table", "frames", "swap", "mmu",
+              "kernel", "machine", "program", "monitor", "workload",
+              "sampler", "alerts", "trend", "history", "truth")
+
+
+def test_image_components_are_all_listed(recorded_run):
+    image = json.loads(unpack_image(recorded_run[0]["state"]))
+    assert set(image) == {"schema", *COMPONENTS}
+
+
+@pytest.mark.parametrize("mutation", [
+    "truncated", "not-base64", "zlib", "digest", "schema",
+    *(f"{change}:{name}" for name in COMPONENTS
+      for change in ("delete", "retype")),
+])
+def test_malformed_state_image_is_a_named_error(recorded_run, mutation):
+    """A broken image never reaches the run as anything but a
+    ConfigurationError naming what is broken."""
+    checkpoint = recorded_run[0]
+    section = checkpoint["state"]
+    document = copy.deepcopy(checkpoint)
+    named = "state image"
+    if mutation == "truncated":
+        document["state"]["image"] = section["image"][:len(
+            section["image"]) // 2]
+    elif mutation == "not-base64":
+        document["state"]["image"] = "*" + section["image"][1:]
+    elif mutation == "zlib":
+        document["state"]["image"] = base64.b64encode(
+            b"not a zlib stream").decode()
+    elif mutation == "digest":
+        document["state"]["sha256"] = "0" * 64
+    elif mutation == "schema":
+        document = _repacked(checkpoint, lambda image: image.update(
+            schema="repro.state/v9"))
+        named = "repro.state/v9"
+    else:
+        change, name = mutation.split(":")
+
+        def edit(image):
+            payload = image[name]
+            field = next(iter(payload))
+            if change == "delete":
+                del payload[field]
+            else:
+                payload[field] = _retyped(payload[field])
+        document = _repacked(checkpoint, edit)
+        named = f"component {name!r}"
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        resume_checkpoint(document)
+
+
 # ----------------------------------------------------------------------
 # capture contents + observation-only invariant
 # ----------------------------------------------------------------------
@@ -338,6 +489,12 @@ class TestCapture:
         assert f"checkpoint ({CHECKPOINT_SCHEMA})" in text
         assert "after request #1" in text
         assert "gzip/safemem" in text
+        assert "restore:   none (resume replays from the seed)" in text
+
+    def test_render_summary_names_the_state_image(self, recorded_run):
+        text = render_checkpoint_summary(recorded_run[0])
+        size = len(recorded_run[0]["state"]["image"]) // 1024
+        assert f"restore:   state image, {size:,} KiB" in text
 
     def test_render_summary_flags_unresumable(self):
         machine = Machine(dram_size=8 * 1024 * 1024)
@@ -642,10 +799,12 @@ class TestCheckpointCli:
         code, output = run_cli("inspect", str(paths[0]))
         assert code == 0
         assert f"checkpoint ({CHECKPOINT_SCHEMA})" in output
+        assert "restore:   state image, " in output
 
         code, output = run_cli("resume", str(paths[0]),
                                "--requests", "35")
         assert code == 0
+        assert "restored from the state image" in output
         assert "OK -- " in output
         assert "DIVERGED" not in output
 
@@ -658,6 +817,7 @@ class TestCheckpointCli:
         path = write_checkpoint(document, tmp_path / "g.ckpt.json")
         code, output = run_cli("resume", str(path), "--no-verify")
         assert code == 0
+        assert "replayed from the seed" in output
         assert "skipped (--no-verify)" in output
 
     def test_resume_rejects_foreign_document(self, tmp_path, capsys):
@@ -679,3 +839,14 @@ class TestCheckpointCli:
         assert capsys.readouterr().err == (
             "repro: error: recorded machine field 'cache_ways' must be "
             "an integer, got 'eight'\n")
+
+    def test_resume_malformed_run_section_is_one_line(
+            self, recorded_run, tmp_path, capsys):
+        checkpoint = copy.deepcopy(recorded_run[0])
+        checkpoint["run"]["seed"] = []
+        path = write_checkpoint(checkpoint, tmp_path / "bad.ckpt.json")
+        code, _ = run_cli("resume", str(path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: recorded run field 'seed' must be an integer, "
+            "got []\n")

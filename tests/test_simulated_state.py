@@ -8,6 +8,11 @@ digests of its metrics snapshot, its whole event trace, and the DRAM
 data and check bytes, must equal the values committed in
 ``tests/data/simulated_state.json``.
 
+Each run also has a restore leg: the same run with one checkpoint
+landing mid-run must reproduce the committed values (capturing a
+state image is observation-only), and so must the run resumed from
+that checkpoint's state image.
+
 A change that is meant to alter simulated results (a new cost, a new
 event) regenerates the file, from the repository root::
 
@@ -25,6 +30,7 @@ import pytest
 
 from repro.analysis.runner import CACHE_SIZE, DRAM_SIZE, run_workload
 from repro.machine.machine import Machine
+from repro.obs.checkpoint import load_checkpoint, resume_checkpoint
 from repro.obs.export import snapshot_document
 from repro.obs.snapshot import event_to_dict
 from repro.obs.stack import MonitorStackConfig, build_monitor_stack
@@ -56,12 +62,15 @@ def _sha256(document):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def simulated_state(name):
-    """Run one configuration of :data:`RUNS`; return its fingerprint."""
+def run(name, checkpoint_every=None, checkpoint_dir=None):
+    """Run one configuration of :data:`RUNS`; return its stack."""
     app, buggy, requests, stack, boot = RUNS[name]
     machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
                       cache_ways=16, **boot)
-    config = MonitorStackConfig(**stack)
+    config = MonitorStackConfig(
+        **stack, checkpoint_every=checkpoint_every,
+        checkpoint_dir=(str(checkpoint_dir)
+                        if checkpoint_dir is not None else None))
     run_info = {"workload": app, "monitor": config.monitor,
                 "buggy": buggy, "requests": requests, "seed": 0}
     monitor_stack = build_monitor_stack(config, machine=machine,
@@ -74,6 +83,16 @@ def simulated_state(name):
     finally:
         monitor_stack.stop()
         monitor_stack.close()
+    return monitor_stack
+
+
+def simulated_state(name):
+    """Run one configuration of :data:`RUNS`; return its fingerprint."""
+    return fingerprint(run(name).machine)
+
+
+def fingerprint(machine):
+    """Cycles plus digests of metrics, events and DRAM of a machine."""
     dram = machine.dram.digest()
     return {
         "cycles": machine.clock.cycles,
@@ -98,6 +117,19 @@ def test_every_configuration_is_recorded(recorded):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_simulated_state_is_unchanged(recorded, name):
     assert simulated_state(name) == recorded[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_restore_reproduces_the_simulated_state(recorded, name, tmp_path):
+    # One checkpoint lands once 60% of the run's cycles have passed.
+    every = recorded[name]["cycles"] * 3 // 5
+    stack = run(name, checkpoint_every=every, checkpoint_dir=tmp_path)
+    assert fingerprint(stack.machine) == recorded[name]
+    path, = stack.checkpoint_paths
+    resumed = resume_checkpoint(load_checkpoint(path))
+    assert resumed.restored is True
+    assert resumed.verified is True, resumed.verify_message
+    assert fingerprint(resumed.machine) == recorded[name]
 
 
 def main():

@@ -16,7 +16,7 @@ def test_figure3_lifetime_stability(benchmark):
     publish("figure3", result.render())
 
     for series in result.series:
-        run_s = result.run_seconds[series.workload]
+        run_s = series.run_seconds
         # Every measured group stabilizes...
         assert series.final_percent == 100.0, series.workload
         # ... and does so in the very beginning of the execution

@@ -1,20 +1,27 @@
-"""Experiment harnesses regenerating every table and figure of the paper.
+"""Every validation experiment, declared once.
 
-Each ``experiment_*`` function runs the simulation and returns a result
-object with structured rows plus a ``render()`` producing the
-paper-style text table.  The benchmarks under ``benchmarks/`` call
-these and print the output next to the paper's reference values.
+Nine experiments regenerate the paper's Tables 2-5 and Figure 3 plus
+this repo's codec matrix, Figure 4 fleet-sampling curve, trend
+head-to-head and season head-to-head.  Each is built from a unit
+function that runs one self-contained simulation -- one Table 3 row,
+one Figure 3 series, one trend scenario -- and returns a row
+dataclass; a result object assembles the rows and ``render()`` prints
+the paper-style text table.
 
-Every multi-workload experiment is built from a per-workload unit
-function (``table3_row``, ``table4_row``, ``table5_row``,
-``figure3_series``): the serial ``experiment_*`` loop and the sharded
-fleet scheduler (:mod:`repro.analysis.fleet`) both call the same unit,
-which is what keeps ``repro validate --jobs N`` bit-identical to the
-serial path -- each unit boots its own machines and the simulation is
-deterministic per (workload, config, seed).
+:data:`EXPERIMENTS` declares each experiment once: its jobs (ident and
+unit parameters, as a function of ``requests``), its :class:`JobKind`
+(unit function and row dataclass, whose ``asdict`` is the JSON payload
+and ``Row(**payload)`` its decoding) and how its rows assemble into
+the result.  The fleet driver (:mod:`repro.analysis.fleet`) derives
+the rest from that table: the job list of ``repro validate``, the
+context its claims read, the ``results/`` files, ``repro report``'s
+sections and the ``repro table2`` ... ``figure3`` commands.  Serial
+and sharded runs call the same units, and the simulation is
+deterministic per (workload, config, seed), so ``--jobs N`` is
+bit-identical to ``--jobs 1``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.analysis import paper
 from repro.analysis.runner import (
@@ -29,12 +36,14 @@ from repro.analysis.tables import (
     render_table,
 )
 from repro.common.clock import cycles_to_microseconds
-from repro.common.constants import CACHE_LINE_SIZE, CYCLES_PER_SECOND, PAGE_SIZE
+from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
+from repro.ecc.profile import profile_names
 from repro.machine.machine import Machine
 from repro.mmu.pagetable import PROT_NONE, PROT_RW
+from repro.workloads.diurnal import SEASON_PERIOD_CYCLES
 from repro.workloads.registry import (
-    CORRUPTION_WORKLOADS,
     LEAK_WORKLOADS,
+    WORKLOADS,
     all_workload_names,
 )
 
@@ -42,10 +51,98 @@ BASE = 0x4000_0000
 
 
 # ----------------------------------------------------------------------
+# The declaration shape
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class JobKind:
+    """What a job runs: ``unit(**params)`` returns one ``row``.
+
+    The row's ``asdict`` is the JSON payload that crosses processes and
+    enters the result cache; ``row(**payload)`` decodes it.
+    """
+
+    name: str
+    unit: object
+    row: type
+
+    def encode(self, row):
+        return asdict(row)
+
+    def decode(self, payload):
+        return self.row(**payload)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One validation experiment."""
+
+    #: context key the claims read, ``results/<name>.txt`` and, for a
+    #: paper table or figure, the ``repro <name>`` command.
+    name: str
+    kind: JobKind
+    #: ``requests -> [(ident, params)]`` in canonical order; every run
+    #: of the experiment gets ``requests`` (None: full length).
+    jobs: object
+    #: rows in job order -> the result object (``render()``).
+    assemble: object
+    #: the paper table or figure it regenerates (a ``repro report``
+    #: section and a CLI command), None for this repo's own.
+    title: str = None
+    #: does ``--requests`` scale it?  Whole-suite runs (``validate``,
+    #: ``report``) give the others full-length runs.
+    scales: bool = False
+    #: does ``validate --write-results`` render it into ``results/``?
+    result_file: bool = True
+
+    def specs(self, requests):
+        """Job specs ``(kind, ident, params)``, every run at
+        ``requests``."""
+        return [(self.kind.name, ident, params)
+                for ident, params in self.jobs(requests)]
+
+    def result(self, payloads):
+        """Assemble the result from ``ident -> row`` payloads."""
+        return self.assemble([payloads[ident]
+                              for ident, _params in self.jobs(None)])
+
+
+def run_experiment(name, requests=None):
+    """Run one declared experiment in-process, every run at
+    ``requests`` (None: full length); returns its result."""
+    # Late import: the fleet driver imports this module.
+    from repro.analysis.fleet import run_jobs
+
+    experiment = EXPERIMENTS[name]
+    return experiment.result(
+        run_jobs(experiment.specs(requests), jobs=1).payloads)
+
+
+def experiment_table2():
+    return run_experiment("table2")
+
+
+def experiment_table3(requests=250):
+    return run_experiment("table3", requests)
+
+
+def experiment_table4(requests=250):
+    return run_experiment("table4", requests)
+
+
+def experiment_table5(requests=None):
+    return run_experiment("table5", requests)
+
+
+def experiment_figure3(requests=None):
+    return run_experiment("figure3", requests)
+
+
+# ----------------------------------------------------------------------
 # Table 2: syscall microbenchmark
 # ----------------------------------------------------------------------
 @dataclass
 class Table2Result:
+    #: ``(call, measured us, paper us)`` per system call.
     rows: list
 
     def render(self):
@@ -59,8 +156,10 @@ class Table2Result:
         )
 
 
-def experiment_table2(iterations=64):
-    """Measure WatchMemory / DisableWatchMemory / mprotect cost."""
+def table2():
+    """Measure WatchMemory / DisableWatchMemory / mprotect cost, each
+    averaged over 64 calls."""
+    iterations = 64
     machine = Machine(dram_size=16 * 1024 * 1024)
     machine.kernel.mmap(BASE, 256 * PAGE_SIZE)
     # Touch the pages so the microbenchmark measures the call, not
@@ -109,8 +208,8 @@ class Table3Row:
     purify_slowdown: float
     #: ML+MC overhead over the steady-state tail of the run (fixed
     #: arming/setup costs excluded -- see steady_cycles_per_request).
-    #: Defaults to None so older cached payloads still decode; readers
-    #: fall back to full_overhead.
+    #: None when the run is too short to have a tail; readers fall
+    #: back to full_overhead.
     steady_overhead: float = None
 
     @property
@@ -152,10 +251,6 @@ class Table3Result:
         )
 
     @property
-    def full_overheads(self):
-        return [row.full_overhead for row in self.rows]
-
-    @property
     def steady_overheads(self):
         """Steady-state ML+MC overheads (full_overhead fallback).
 
@@ -168,18 +263,16 @@ class Table3Result:
                 else row.full_overhead
                 for row in self.rows]
 
-    @property
-    def purify_slowdowns(self):
-        return [row.purify_slowdown for row in self.rows]
-
 
 def detection_succeeded(result, bug_class):
-    """Did the (buggy, SafeMem-monitored) run catch its bug?"""
+    """Did the buggy run's monitor catch its bug?  A monitor without
+    report lists (profiler, native) caught nothing."""
     truth = result.truth
     if bug_class in ("overflow", "uaf"):
-        reports = result.monitor.corruption_reports
+        reports = getattr(result.monitor, "corruption_reports", None)
         return bool(reports) and truth.corruption is not None
-    reported = {r.object_address for r in result.monitor.leak_reports}
+    reported = {report.object_address for report in
+                getattr(result.monitor, "leak_reports", None) or ()}
     return bool(reported & truth.leaked_addresses)
 
 
@@ -201,7 +294,7 @@ def steady_cycles_per_request(marks, frac=0.5):
     return (marks[-1] - marks[window - 1]) / tail
 
 
-def table3_row(name, requests=250, detection_requests=None):
+def table3_row(name, requests=250):
     """One workload's Table 3 measurements (overheads + detection)."""
     bug_class = "ML" if name in LEAK_WORKLOADS else "MC"
     native = run_workload(name, "native", requests=requests)
@@ -215,9 +308,8 @@ def table3_row(name, requests=250, detection_requests=None):
                 f"{name} normal-input run under {run.monitor_name} "
                 f"unexpectedly reported a bug: {run.truth.detection}"
             )
-    buggy = run_workload(name, "safemem", buggy=True,
-                         requests=detection_requests)
-    detected = detection_succeeded(buggy, _bug_of(name))
+    buggy = run_workload(name, "safemem", buggy=True)
+    detected = detection_succeeded(buggy, WORKLOADS[name].bug)
     steady_native = steady_cycles_per_request(native.truth.cycle_marks)
     steady_full = steady_cycles_per_request(full.truth.cycle_marks)
     steady = None
@@ -233,20 +325,6 @@ def table3_row(name, requests=250, detection_requests=None):
         purify_slowdown=slowdown_factor(purify.cycles, native.cycles),
         steady_overhead=steady,
     )
-
-
-def experiment_table3(requests=250, detection_requests=None):
-    """Overheads on normal inputs + detection on buggy inputs."""
-    return Table3Result(rows=[
-        table3_row(name, requests=requests,
-                   detection_requests=detection_requests)
-        for name in all_workload_names()
-    ])
-
-
-def _bug_of(name):
-    from repro.workloads.registry import WORKLOADS
-    return WORKLOADS[name].bug
 
 
 # ----------------------------------------------------------------------
@@ -299,14 +377,6 @@ def table4_row(name, requests=250):
         ecc_overhead_pct=ecc.monitor.space_overhead_fraction() * 100,
         page_overhead_pct=page.monitor.space_overhead_fraction() * 100,
     )
-
-
-def experiment_table4(requests=250):
-    """Space overhead over requested bytes, both guard mechanisms."""
-    return Table4Result(rows=[
-        table4_row(name, requests=requests)
-        for name in all_workload_names()
-    ])
 
 
 # ----------------------------------------------------------------------
@@ -362,13 +432,6 @@ def table5_row(name, requests=None):
     )
 
 
-def experiment_table5(requests=None):
-    """False positives on the four leak applications (buggy inputs)."""
-    return Table5Result(rows=[
-        table5_row(name, requests=requests) for name in LEAK_WORKLOADS
-    ])
-
-
 # ----------------------------------------------------------------------
 # Figure 3: stability of maximal lifetime (WarmUpTime CDF)
 # ----------------------------------------------------------------------
@@ -378,6 +441,8 @@ class Figure3Series:
     #: (stabilization time in seconds, cumulative percent of groups).
     points: list
     total_groups: int
+    #: CPU seconds of the whole profiled run.
+    run_seconds: float
 
     @property
     def final_percent(self):
@@ -391,16 +456,14 @@ class Figure3Series:
 @dataclass
 class Figure3Result:
     series: list
-    run_seconds: dict
 
     def render(self):
         blocks = []
         for series in self.series:
-            run_s = self.run_seconds[series.workload]
             blocks.append(render_series(
                 f"Figure 3 ({series.workload}): stability of maximal "
                 f"lifetime -- {series.total_groups} groups, run "
-                f"{run_s:.3f}s CPU",
+                f"{series.run_seconds:.3f}s CPU",
                 series.points,
                 x_label="WarmUpTime (s)",
                 y_label="% stable groups",
@@ -412,35 +475,22 @@ class Figure3Result:
 FIGURE3_WORKLOADS = ("ypserv1", "proftpd", "squid1")
 
 
-def figure3_series(name, requests=None, min_frees=3):
-    """One workload's WarmUpTime CDF; returns (series, run_seconds)."""
+def figure3_series(name, requests=None):
+    """One workload's WarmUpTime CDF.
+
+    The paper's claim: every group's maximal lifetime stabilizes early
+    in the execution.  A group counts as measured once it has freed at
+    least three objects.
+    """
     result = run_workload(name, "profiler", requests=requests)
-    warmups = result.monitor.warmup_times_seconds(min_frees=min_frees)
+    warmups = result.monitor.warmup_times_seconds(min_frees=3)
     points = [
         (warmup, (index + 1) / len(warmups) * 100.0)
         for index, warmup in enumerate(warmups)
     ]
-    series = Figure3Series(
-        workload=name, points=points, total_groups=len(warmups),
-    )
-    return series, result.cpu_seconds
-
-
-def experiment_figure3(requests=None, min_frees=3):
-    """Per-group WarmUpTime CDF for the three leak servers.
-
-    The paper's claim: every group's maximal lifetime stabilizes early
-    in the execution.  A group counts as measured once it has freed at
-    least ``min_frees`` objects.
-    """
-    series = []
-    run_seconds = {}
-    for name in FIGURE3_WORKLOADS:
-        one, seconds = figure3_series(name, requests=requests,
-                                      min_frees=min_frees)
-        series.append(one)
-        run_seconds[name] = seconds
-    return Figure3Result(series=series, run_seconds=run_seconds)
+    return Figure3Series(workload=name, points=points,
+                         total_groups=len(warmups),
+                         run_seconds=result.cpu_seconds)
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +559,7 @@ class CodecMatrixResult:
 CODEC_NOISE_LINES = 32
 
 
-def codec_tradeoff_row(profile_name):
+def codec_tradeoff_row(profile):
     """Measure one chipset profile's watchpoint-contract behaviour.
 
     Boots a machine on the profile, arms a watchpoint over a line of
@@ -525,10 +575,10 @@ def codec_tradeoff_row(profile_name):
     from repro.ecc.controller import EccMode
     from repro.ecc.profile import get_profile
 
-    profile = get_profile(profile_name)
     machine = Machine(dram_size=4 * 1024 * 1024,
                       ecc_mode=EccMode.CORRECT_AND_SCRUB,
-                      profile=profile_name)
+                      profile=profile)
+    profile = get_profile(profile)
     kernel = machine.kernel
     codec = machine.controller.codec
     kernel.mmap(BASE, 4 * PAGE_SIZE)
@@ -615,26 +665,134 @@ def codec_tradeoff_row(profile_name):
     )
 
 
-def experiment_codec_matrix():
-    """The cross-backend tradeoff table over every chipset profile."""
-    from repro.ecc.profile import profile_names
+# ----------------------------------------------------------------------
+# Figure 4: detection probability vs overhead across a sampled fleet
+# ----------------------------------------------------------------------
+#: the curve's workload: an SLeak bug, because per-object lifetime
+#: outlier detection still works on the sampled subset of allocations.
+#: (ALeak detection thresholds on a group's *live count*, so at low
+#: sampling rates a growing group never looks big enough -- fleet
+#: sampling trades that detector away, which Figure 4's caption notes.)
+SAMPLING_CURVE_WORKLOAD = "ypserv2"
+#: ascending sampling rates: off, sparse, moderate, heavy, always-on.
+SAMPLING_CURVE_RATES = (0.0, 0.02, 0.1, 0.5, 1.0)
+SAMPLING_CURVE_MACHINES = 8
 
-    return CodecMatrixResult(rows=[
-        codec_tradeoff_row(name) for name in profile_names()
-    ])
+
+@dataclass
+class SamplingPoint:
+    """One (rate, fleet) measurement on the Figure 4 curve."""
+
+    rate: float
+    machines: int
+    detected: int
+    detection_probability: float
+    #: mean per-machine overhead vs the native twin (None if no
+    #: machine produced an overhead -- e.g. every machine panicked).
+    mean_overhead_pct: object
+    #: fleet totals of the allocation sampler's admission counters
+    #: (0 at rate 1.0, which short-circuits to classic always-on).
+    sampled_allocs: int
+    skipped_allocs: int
+
+
+@dataclass
+class SamplingCurveResult:
+    """Figure 4: detection probability vs overhead, fleet-sampled."""
+
+    workload: str
+    machines: int
+    points: list
+
+    def point(self, rate):
+        for point in self.points:
+            if point.rate == rate:
+                return point
+        raise KeyError(f"no sampling point at rate {rate!r}")
+
+    def render(self):
+        rows = []
+        for point in self.points:
+            always_on = point.rate >= 1.0
+            rows.append((
+                f"{point.rate:g}",
+                f"{point.detected}/{point.machines}",
+                f"{point.detection_probability:.2f}",
+                (fmt_percent(point.mean_overhead_pct)
+                 if point.mean_overhead_pct is not None else "-"),
+                "-" if always_on else point.sampled_allocs,
+                "-" if always_on else point.skipped_allocs,
+            ))
+        return render_table(
+            f"Figure 4. Detection probability vs overhead: "
+            f"{self.machines}-machine fleet of {self.workload} under "
+            f"sampled SafeMem",
+            ["rate", "detected", "probability", "mean overhead",
+             "sampled", "skipped"],
+            rows,
+            note=("rate 1.0 short-circuits to classic always-on "
+                  "monitoring (no sampler on the hot path); each "
+                  "machine samples under its own derived seed"),
+        )
+
+
+def sampling_curve_point(rate, workload=SAMPLING_CURVE_WORKLOAD,
+                         machines=SAMPLING_CURVE_MACHINES,
+                         requests=None, base_seed=0):
+    """Measure one sampling rate across a buggy fleet.
+
+    Runs in-process (``jobs=1``): a curve point is itself a shardable
+    validation job, and pool workers must not spawn children.
+    """
+    from repro.analysis.fleet import run_fleet
+    from repro.core.sampling import SamplingPolicy
+    from repro.obs.stack import MonitorStackConfig
+
+    stack = MonitorStackConfig(monitor="safemem",
+                               sampling=SamplingPolicy(rate=rate))
+    fleet = run_fleet(workload, machines=machines, requests=requests,
+                      buggy=True, jobs=1, base_seed=base_seed,
+                      stack=stack)
+    overheads = [report.overhead_pct for report in fleet.reports
+                 if report.overhead_pct is not None]
+    return SamplingPoint(
+        rate=rate,
+        machines=machines,
+        detected=fleet.machines_detected,
+        detection_probability=fleet.detection_probability,
+        mean_overhead_pct=(sum(overheads) / len(overheads)
+                           if overheads else None),
+        sampled_allocs=fleet.metrics.get("safemem.sampling.sampled", 0),
+        skipped_allocs=fleet.metrics.get("safemem.sampling.skipped", 0),
+    )
 
 
 # ----------------------------------------------------------------------
-# Trend head-to-head: streaming detectors vs the lifetime-outlier method
+# Trend and season head-to-heads: streaming detectors vs the
+# lifetime-outlier method, one buggy/clean scenario shape
 # ----------------------------------------------------------------------
-#: the buggy/clean corpus the head-to-head scores (the paper's leak
-#: servers; each runs twice, leak injected and clean).
+#: the trend corpus: the paper's leak servers, each run leak-injected
+#: and clean.
 TREND_WORKLOADS = LEAK_WORKLOADS
 
 #: profiler interval for the trend scenarios: fine-grained enough that
 #: the Theil-Sen window fills while the lifetime-outlier detector is
 #: still inside its warmup/confirmation periods.
 TREND_SAMPLE_EVERY = 200_000
+
+#: the season corpus: each leak server wrapped in seasonal session
+#: traffic (see repro.workloads.diurnal), run clean and leak-injected.
+SEASON_WORKLOADS = ("ypserv1-diurnal", "proftpd-diurnal",
+                    "squid1-diurnal", "ypserv2-diurnal")
+
+#: profiler interval for the seasonal scenarios; divides the diurnal
+#: period, so the per-phase baseline sees a stable sample cadence.
+SEASON_SAMPLE_EVERY = 200_000
+
+#: phase bins for the frozen baseline: one bin per two sample slots of
+#: the 60M-cycle period, fine enough that the within-bin seasonal swing
+#: stays far below every detector threshold.
+SEASON_PHASES = 150
 
 
 @dataclass
@@ -652,23 +810,43 @@ class TrendScenarioRow:
     fired: dict
     #: detector name -> cycle its trend alert first fired (or None).
     first_cycle: dict
+    #: seasonal runs only (None otherwise): group-series breach onsets
+    #: of the flat (no-baseline) control engine watching the very same
+    #: samples, and the first one's cycle (None without an onset).
+    flat_onsets: object = None
+    flat_first_cycle: object = None
+
+    @property
+    def alerts(self):
+        """How many detectors' trend alerts fired this run."""
+        return sum(1 for caught in self.fired.values() if caught)
 
 
-def _trend_stack(sample_every, trend):
-    """SafeMem plus every detector's trend rule, on a fresh machine.
+def trend_scenario_row(name, buggy, requests, sample_every, trend):
+    """Run one workload under SafeMem plus every detector's trend rule.
 
-    ``trend`` is the trend-engine spec of the stack's ``monitoring``
-    dict; the stack comes from the one builder, so the scenarios run
-    exactly the listener chain production runs do.
+    One simulation serves all three detectors: the
+    :class:`~repro.obs.trend.TrendEngine` computes every statistic per
+    sample regardless of rule wiring, so installing the default trend
+    rule of each detector side by side scores them on *identical*
+    cycles -- and against the same lifetime-outlier LEAK_REPORT
+    baseline -- without re-running the workload.  The stack comes from
+    the one builder, so the scenario runs exactly the listener chain
+    production runs do.
+
+    ``trend`` is the trend engine spec of the stack's ``monitoring``
+    dict.  A seasonal spec (with a ``seasonal_period``) drives the
+    alert rules from a period-folded frozen baseline, and a second,
+    flat engine with ``emit_events=False`` observes the identical
+    samples as a purely computational control: it cannot perturb the
+    event stream, and its breach onsets are read from
+    ``TrendEngine.onsets``.
     """
-    from repro.analysis.runner import (
-        CACHE_SIZE,
-        DRAM_SIZE,
-        make_monitor,
-    )
+    from repro.analysis.runner import CACHE_SIZE, DRAM_SIZE, make_monitor
+    from repro.common.events import EventKind
     from repro.obs.alerts import default_trend_rules
     from repro.obs.stack import assemble_monitor_stack
-    from repro.obs.trend import DETECTORS
+    from repro.obs.trend import DETECTORS, TrendEngine
 
     machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
                       cache_ways=16)
@@ -678,63 +856,68 @@ def _trend_stack(sample_every, trend):
                   for rule in default_trend_rules(detector)],
         "trend": trend,
     }
-    return assemble_monitor_stack(monitoring, machine,
-                                  make_monitor("safemem"))
-
-
-def _run_trend_scenario(stack, name, buggy, requests):
-    """Run one workload on a :func:`_trend_stack`; returns the row
-    fields both scenario rows share."""
-    from repro.common.events import EventKind
-    from repro.obs.trend import DETECTORS
-
+    stack = assemble_monitor_stack(monitoring, machine,
+                                   make_monitor("safemem"))
+    flat = None
+    if trend.get("seasonal_period"):
+        # The control emits no events and registers no probes, so
+        # listening after the stack's alert engine changes nothing the
+        # stack sees.
+        flat = TrendEngine(machine, emit_events=False,
+                           register_probes=False)
+        stack.sampler.add_listener(flat.observe)
     stack.start()
     try:
         result = run_workload(name, "safemem", buggy=buggy,
-                              requests=requests, machine=stack.machine,
+                              requests=requests, machine=machine,
                               monitor=stack.monitor)
     finally:
         stack.stop()
-    reports = stack.machine.events.of_kind(EventKind.LEAK_REPORT)
-    fired = {}
-    first_cycle = {}
-    for detector in DETECTORS:
-        rule_name = f"leak-trend-{detector}"
-        firing = [transition.cycle
-                  for transition in stack.engine.transitions
-                  if transition.rule == rule_name
-                  and transition.state == "firing"]
-        fired[detector] = bool(firing)
-        first_cycle[detector] = firing[0] if firing else None
-    return {
-        "workload": name,
-        "buggy": buggy,
-        "cycles": result.cycles,
-        "samples": stack.sampler.samples_taken,
-        "baseline_cycle": reports[0].cycle if reports else None,
-        "fired": fired,
-        "first_cycle": first_cycle,
+    reports = machine.events.of_kind(EventKind.LEAK_REPORT)
+    firing = {
+        detector: [transition.cycle
+                   for transition in stack.engine.transitions
+                   if transition.rule == f"leak-trend-{detector}"
+                   and transition.state == "firing"]
+        for detector in DETECTORS
     }
+    row = TrendScenarioRow(
+        workload=name,
+        buggy=buggy,
+        cycles=result.cycles,
+        samples=stack.sampler.samples_taken,
+        baseline_cycle=reports[0].cycle if reports else None,
+        fired={detector: bool(cycles)
+               for detector, cycles in firing.items()},
+        first_cycle={detector: cycles[0] if cycles else None
+                     for detector, cycles in firing.items()},
+    )
+    if flat is not None:
+        onsets = [onset["cycle"] for onset in flat.onsets
+                  if onset["series"].startswith("group:")]
+        row.flat_onsets = len(onsets)
+        row.flat_first_cycle = onsets[0] if onsets else None
+    return row
 
 
-def trend_scenario_row(name, buggy, requests=None,
-                       sample_every=TREND_SAMPLE_EVERY):
-    """Run one workload under SafeMem + every trend detector at once.
+def scenario_jobs(prefix, workloads, sample_every, trend, requests):
+    """A buggy and a clean run of every workload, as
+    ``<prefix>:<workload>:<buggy|clean>`` trend scenario jobs."""
+    return [
+        (f"{prefix}:{name}:{'buggy' if buggy else 'clean'}",
+         {"name": name, "buggy": buggy, "requests": requests,
+          "sample_every": sample_every, "trend": dict(trend)})
+        for name in workloads for buggy in (True, False)
+    ]
 
-    One simulation serves all three detectors: the
-    :class:`~repro.obs.trend.TrendEngine` computes every statistic per
-    sample regardless of rule wiring, so installing the default trend
-    rule of each detector side by side scores them on *identical*
-    cycles -- and against the same lifetime-outlier LEAK_REPORT
-    baseline -- without re-running the workload.
-    """
-    return TrendScenarioRow(**_run_trend_scenario(
-        _trend_stack(sample_every, trend={}), name, buggy, requests))
+
+def fmt_cycle(value):
+    return f"{value:,}" if value is not None else "-"
 
 
 @dataclass
-class TrendHeadToHeadResult:
-    """Precision/recall head-to-head: trend vs lifetime-outlier."""
+class ScenarioSweep:
+    """The rows of one buggy/clean scenario sweep."""
 
     sample_every: int
     rows: list
@@ -743,7 +926,18 @@ class TrendHeadToHeadResult:
         for row in self.rows:
             if row.workload == workload and row.buggy == buggy:
                 return row
-        raise KeyError(f"no trend scenario for ({workload}, {buggy})")
+        raise KeyError(f"no scenario for ({workload}, {buggy})")
+
+    def clean_alerts(self):
+        """Trend alerts fired on clean runs, as ``workload/detector``."""
+        return [f"{row.workload}/{detector}"
+                for row in self.rows if not row.buggy
+                for detector, caught in sorted(row.fired.items())
+                if caught]
+
+
+class TrendHeadToHeadResult(ScenarioSweep):
+    """Precision/recall head-to-head: trend vs lifetime-outlier."""
 
     def detector_stats(self):
         """``detector -> {tp, fp, fn, precision, recall, wins}``.
@@ -779,29 +973,18 @@ class TrendHeadToHeadResult:
             }
         return stats
 
-    def clean_alerts(self):
-        """Total trend alerts fired across every clean run."""
-        return sum(
-            1 for row in self.rows if not row.buggy
-            for caught in row.fired.values() if caught
-        )
-
     def render(self):
         from repro.obs.trend import DETECTORS
-
-        def fmt_cycle(value):
-            return f"{value:,}" if value is not None else "-"
 
         race_rows = []
         for row in self.rows:
             if not row.buggy:
                 continue
-            clean = self.row(row.workload, False)
             race_rows.append((
                 row.workload,
                 fmt_cycle(row.baseline_cycle),
                 *(fmt_cycle(row.first_cycle.get(d)) for d in DETECTORS),
-                sum(1 for caught in clean.fired.values() if caught),
+                self.row(row.workload, False).alerts,
             ))
         race = render_table(
             "Trend head-to-head: first detection cycle on the injected "
@@ -830,111 +1013,8 @@ class TrendHeadToHeadResult:
         return race + "\n\n" + score
 
 
-def experiment_trend_headtohead(requests=None,
-                                sample_every=TREND_SAMPLE_EVERY):
-    """The full buggy/clean sweep (serial path; validation shards it)."""
-    rows = []
-    for name in TREND_WORKLOADS:
-        for buggy in (True, False):
-            rows.append(trend_scenario_row(name, buggy,
-                                           requests=requests,
-                                           sample_every=sample_every))
-    return TrendHeadToHeadResult(sample_every=sample_every, rows=rows)
-
-
-# ----------------------------------------------------------------------
-# Seasonal baseline vs flat detectors under diurnal traffic
-# ----------------------------------------------------------------------
-#: the diurnal corpus: each leak server wrapped in seasonal session
-#: traffic (see repro.workloads.diurnal), run clean and leak-injected.
-SEASON_WORKLOADS = ("ypserv1-diurnal", "proftpd-diurnal",
-                    "squid1-diurnal", "ypserv2-diurnal")
-
-#: profiler interval for the seasonal scenarios; divides the diurnal
-#: period, so the per-phase baseline sees a stable sample cadence.
-SEASON_SAMPLE_EVERY = 200_000
-
-#: phase bins for the frozen baseline: one bin per two sample slots of
-#: the 60M-cycle period, fine enough that the within-bin seasonal swing
-#: stays far below every detector threshold.
-SEASON_PHASES = 150
-
-
-@dataclass
-class SeasonScenarioRow:
-    """One diurnal (workload, input) run scored seasonal vs flat."""
-
-    workload: str
-    buggy: bool
-    cycles: int
-    samples: int
-    #: first LEAK_REPORT cycle from the lifetime-outlier method (None
-    #: when no report -- clean runs).
-    baseline_cycle: object
-    #: detector name -> did its seasonal trend alert fire this run?
-    fired: dict
-    #: detector name -> cycle its seasonal alert first fired (or None).
-    first_cycle: dict
-    #: group-series breach onsets of the flat (no-baseline) control
-    #: engine watching the very same samples.
-    flat_onsets: int
-    #: first flat control onset cycle (or None).
-    flat_first_cycle: object
-
-
-def season_scenario_row(name, buggy, requests=None,
-                        sample_every=SEASON_SAMPLE_EVERY):
-    """Run one diurnal workload with seasonal and flat engines side by
-    side.
-
-    The seasonal :class:`~repro.obs.trend.TrendEngine` (period-folded
-    frozen baseline) drives the alert rules; a second, flat engine with
-    ``emit_events=False`` observes the identical samples as a purely
-    computational control -- it cannot perturb the event stream, and
-    its breach onsets are read from ``TrendEngine.onsets``.  One
-    simulation therefore scores both modes on the same cycles.
-    """
-    from repro.obs.trend import TrendEngine
-    from repro.workloads.diurnal import SEASON_PERIOD_CYCLES
-
-    stack = _trend_stack(sample_every,
-                         trend={"seasonal_period": SEASON_PERIOD_CYCLES,
-                                "seasonal_phases": SEASON_PHASES})
-    # The control emits no events and registers no probes, so listening
-    # after the stack's alert engine changes nothing the stack sees.
-    flat = TrendEngine(stack.machine, emit_events=False,
-                       register_probes=False)
-    stack.sampler.add_listener(flat.observe)
-    fields = _run_trend_scenario(stack, name, buggy, requests)
-    flat_group_onsets = [onset for onset in flat.onsets
-                         if onset["series"].startswith("group:")]
-    return SeasonScenarioRow(
-        **fields,
-        flat_onsets=len(flat_group_onsets),
-        flat_first_cycle=(flat_group_onsets[0]["cycle"]
-                          if flat_group_onsets else None),
-    )
-
-
-@dataclass
-class SeasonHeadToHeadResult:
+class SeasonHeadToHeadResult(ScenarioSweep):
     """Seasonal-baseline vs flat detection on diurnal traffic."""
-
-    sample_every: int
-    rows: list
-
-    def row(self, workload, buggy):
-        for row in self.rows:
-            if row.workload == workload and row.buggy == buggy:
-                return row
-        raise KeyError(f"no season scenario for ({workload}, {buggy})")
-
-    def clean_seasonal_alerts(self):
-        """Seasonal trend alerts across every clean diurnal run."""
-        return sum(
-            1 for row in self.rows if not row.buggy
-            for caught in row.fired.values() if caught
-        )
 
     def clean_flat_quiet(self):
         """Clean runs where the flat control raised NO false onset."""
@@ -948,9 +1028,6 @@ class SeasonHeadToHeadResult:
 
     def render(self):
         from repro.obs.trend import DETECTORS
-
-        def fmt_cycle(value):
-            return f"{value:,}" if value is not None else "-"
 
         clean_rows = []
         buggy_rows = []
@@ -966,7 +1043,7 @@ class SeasonHeadToHeadResult:
             else:
                 clean_rows.append((
                     row.workload,
-                    sum(1 for caught in row.fired.values() if caught),
+                    row.alerts,
                     row.flat_onsets,
                     fmt_cycle(row.flat_first_cycle),
                 ))
@@ -993,14 +1070,84 @@ class SeasonHeadToHeadResult:
         return clean + "\n\n" + buggy
 
 
-def experiment_season_headtohead(requests=None,
-                                 sample_every=SEASON_SAMPLE_EVERY):
-    """The diurnal clean/buggy sweep (serial path; validation shards
-    it)."""
-    rows = []
-    for name in SEASON_WORKLOADS:
-        for buggy in (True, False):
-            rows.append(season_scenario_row(name, buggy,
-                                            requests=requests,
-                                            sample_every=sample_every))
-    return SeasonHeadToHeadResult(sample_every=sample_every, rows=rows)
+# ----------------------------------------------------------------------
+# The experiment table
+# ----------------------------------------------------------------------
+TREND_SCENARIO = JobKind("trend-scenario", trend_scenario_row,
+                         TrendScenarioRow)
+
+#: every validation experiment, by name, in canonical job order.
+EXPERIMENTS = {experiment.name: experiment for experiment in (
+    Experiment(
+        "table2", JobKind("table2", table2, Table2Result),
+        jobs=lambda requests: [("table2", {})],
+        assemble=lambda rows: rows[0],
+        title="Table 2"),
+    Experiment(
+        "table3", JobKind("table3-row", table3_row, Table3Row),
+        jobs=lambda requests: [
+            (f"table3:{name}", {"name": name, "requests": requests})
+            for name in all_workload_names()],
+        assemble=lambda rows: Table3Result(rows=rows),
+        title="Table 3", scales=True),
+    Experiment(
+        "table4", JobKind("table4-row", table4_row, Table4Row),
+        jobs=lambda requests: [
+            (f"table4:{name}", {"name": name, "requests": requests})
+            for name in all_workload_names()],
+        assemble=lambda rows: Table4Result(rows=rows),
+        title="Table 4", scales=True),
+    Experiment(
+        "table5", JobKind("table5-row", table5_row, Table5Row),
+        jobs=lambda requests: [
+            (f"table5:{name}", {"name": name, "requests": requests})
+            for name in LEAK_WORKLOADS],
+        assemble=lambda rows: Table5Result(rows=rows),
+        title="Table 5"),
+    Experiment(
+        "figure3", JobKind("figure3-series", figure3_series,
+                           Figure3Series),
+        jobs=lambda requests: [
+            (f"figure3:{name}", {"name": name, "requests": requests})
+            for name in FIGURE3_WORKLOADS],
+        assemble=lambda rows: Figure3Result(series=rows),
+        title="Figure 3"),
+    Experiment(
+        "codecs", JobKind("codec-row", codec_tradeoff_row,
+                          CodecTradeoffRow),
+        jobs=lambda requests: [(f"codec:{name}", {"profile": name})
+                               for name in profile_names()],
+        assemble=lambda rows: CodecMatrixResult(rows=rows)),
+    Experiment(
+        "sampling", JobKind("sampling-point", sampling_curve_point,
+                            SamplingPoint),
+        jobs=lambda requests: [
+            (f"sampling:{rate:g}",
+             {"rate": rate, "workload": SAMPLING_CURVE_WORKLOAD,
+              "machines": SAMPLING_CURVE_MACHINES,
+              "requests": requests, "base_seed": 0})
+            for rate in SAMPLING_CURVE_RATES],
+        assemble=lambda rows: SamplingCurveResult(
+            workload=SAMPLING_CURVE_WORKLOAD,
+            machines=SAMPLING_CURVE_MACHINES, points=rows),
+        result_file=False),
+    Experiment(
+        "trend", TREND_SCENARIO,
+        jobs=lambda requests: scenario_jobs(
+            "trend", TREND_WORKLOADS, TREND_SAMPLE_EVERY, {}, requests),
+        assemble=lambda rows: TrendHeadToHeadResult(
+            sample_every=TREND_SAMPLE_EVERY, rows=rows)),
+    Experiment(
+        "season", TREND_SCENARIO,
+        jobs=lambda requests: scenario_jobs(
+            "season", SEASON_WORKLOADS, SEASON_SAMPLE_EVERY,
+            {"seasonal_period": SEASON_PERIOD_CYCLES,
+             "seasonal_phases": SEASON_PHASES}, requests),
+        assemble=lambda rows: SeasonHeadToHeadResult(
+            sample_every=SEASON_SAMPLE_EVERY, rows=rows)),
+)}
+
+#: the paper's tables and figures: ``repro report``'s sections and the
+#: ``repro table2`` ... ``figure3`` commands.
+PAPER_EXPERIMENTS = tuple(experiment for experiment in
+                          EXPERIMENTS.values() if experiment.title)

@@ -1,24 +1,28 @@
-"""Sharded experiment fleet: parallel validation and fleet scenarios.
+"""The experiment driver: sharded validation and fleet scenarios.
 
 Every SafeMem experiment is an independent simulated machine, so the
 whole evaluation shards cleanly across worker processes (the same shape
 that lets GWP-ASan spread sampled detection across a production fleet).
-This module provides the scheduler:
+This module runs the experiments declared once in
+:data:`repro.analysis.experiments.EXPERIMENTS`:
 
-- :func:`enumerate_validation_jobs` breaks ``repro validate`` into
-  per-workload **jobs** (one Table 3 row, one Table 4 row, ... each a
-  self-contained simulation with declared parameters);
-- :func:`run_jobs` fans jobs out over ``jobs`` worker processes
-  (default ``os.cpu_count()``), collects their JSON-able payloads and
-  per-machine telemetry dumps, and merges the telemetry into one
-  fleet-wide snapshot (:mod:`repro.obs.merge`);
+- :func:`enumerate_jobs` turns experiments into **jobs** --
+  ``(kind, ident, params)`` tuples, one Table 3 row, one Figure 3
+  series, one trend scenario ... each a self-contained simulation with
+  declared parameters; :data:`JOB_KINDS` maps each kind to its unit
+  function and row dataclass;
+- :func:`run_jobs` runs jobs in-process (``jobs=1``) or fans them out
+  over worker processes, collects their JSON-able payloads
+  (``asdict`` of the row) and per-machine telemetry dumps, and merges
+  the telemetry into one fleet-wide snapshot (:mod:`repro.obs.merge`);
 - :class:`ResultCache` memoizes completed job payloads keyed by
   ``(job config, code digest)`` so a no-op re-run is near-instant;
-- :func:`run_validation` reassembles the shards into the *same* context
-  dict, claim verdicts, and rendered tables the serial path produces --
-  bit-identical, because both paths call the same per-workload unit
-  functions in :mod:`repro.analysis.experiments` and the simulation is
-  deterministic per (workload, config, seed);
+- :func:`run_suite` runs experiments and assembles their rows into
+  each experiment's result (:func:`assemble_context`), and
+  :func:`run_validation` checks the claims against them; ``repro
+  validate --jobs 1`` is the serial run, bit-identical to ``--jobs N``
+  because every path calls the same unit functions and the simulation
+  is deterministic per (workload, config, seed);
 - :func:`run_fleet` is the fleet-scale scenario: M concurrent simulated
   machines of one workload, telemetry aggregated across the fleet.
 
@@ -37,37 +41,12 @@ import json
 import multiprocessing
 import os
 import pathlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.experiments import (
-    FIGURE3_WORKLOADS,
-    SEASON_SAMPLE_EVERY,
-    SEASON_WORKLOADS,
-    TREND_SAMPLE_EVERY,
-    TREND_WORKLOADS,
-    CodecMatrixResult,
-    CodecTradeoffRow,
-    Figure3Result,
-    Figure3Series,
-    SeasonHeadToHeadResult,
-    SeasonScenarioRow,
-    Table2Result,
-    Table3Result,
-    Table3Row,
-    Table4Result,
-    Table4Row,
-    Table5Result,
-    Table5Row,
-    TrendHeadToHeadResult,
-    TrendScenarioRow,
-    codec_tradeoff_row,
-    experiment_table2,
-    figure3_series,
-    season_scenario_row,
-    table3_row,
-    table4_row,
-    table5_row,
-    trend_scenario_row,
+    EXPERIMENTS,
+    JobKind,
+    detection_succeeded,
 )
 from repro.analysis.runner import (
     add_boot_tap,
@@ -83,8 +62,6 @@ from repro.common.errors import (
     FleetError,
     MachinePanic,
 )
-from repro.core.sampling import SamplingPolicy
-from repro.ecc.profile import profile_names
 from repro.obs.merge import (
     dump_registry,
     merge_dumps,
@@ -92,11 +69,7 @@ from repro.obs.merge import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stack import MonitorStackConfig, build_monitor_stack
-from repro.workloads.registry import (
-    LEAK_WORKLOADS,
-    WORKLOADS,
-    all_workload_names,
-)
+from repro.workloads.registry import WORKLOADS
 
 CACHE_SCHEMA = "repro.fleet-cache/v1"
 
@@ -104,59 +77,46 @@ CACHE_SCHEMA = "repro.fleet-cache/v1"
 # ----------------------------------------------------------------------
 # Job model: (kind, ident, params) tuples -- picklable, cacheable
 # ----------------------------------------------------------------------
-def _encode_table2(result):
-    return {"rows": [list(row) for row in result.rows]}
+@dataclass
+class MachineReport:
+    """Summary of one fleet machine's run (crosses processes as JSON)."""
 
-
-def _decode_table2(payload):
-    return Table2Result(rows=[
-        (name, measured, reference)
-        for name, measured, reference in payload["rows"]
-    ])
-
-
-def _decode_figure3_series(payload):
-    series = Figure3Series(
-        workload=payload["workload"],
-        points=[tuple(point) for point in payload["points"]],
-        total_groups=payload["total_groups"],
-    )
-    return series, payload["run_seconds"]
-
-
-@dataclass(frozen=True)
-class _JobKind:
-    run: object      # params dict -> payload object
-    encode: object   # payload object -> JSON-able dict
-    decode: object   # JSON-able dict -> payload object
+    index: int
+    seed: int
+    cycles: int
+    requests_completed: int
+    requests: int
+    detection: object
+    leak_reports: int
+    corruption_reports: int
+    overhead_pct: object
+    #: alert-engine totals; 0 unless the fleet ran with sampling on.
+    alerts_fired: int = 0
+    alerts_resolved: int = 0
+    #: forensic bundle paths this machine wrote (dump mode only).
+    bundles: list = field(default_factory=list)
+    #: did this machine's monitor catch the workload's injected bug?
+    #: (always False on normal input or under the native monitor)
+    detected: bool = False
+    #: this machine's ``repro.history/v1`` document (``--history`` only).
+    history: object = None
+    #: checkpoint paths this machine wrote (``--checkpoint-every`` only).
+    checkpoints: list = field(default_factory=list)
 
 
 def _machine_detected(workload, buggy, monitor_name, result):
-    """Did this machine's monitor catch the workload's injected bug?
-
-    Mirrors :func:`repro.analysis.experiments.detection_succeeded`, but
-    tolerates monitors without report lists (profiler, native) so a
-    mixed fleet still tallies.
-    """
-    if not buggy or monitor_name == "native":
-        return False
+    """Did this machine's monitor catch the workload's injected bug?"""
     bug = WORKLOADS[workload].bug
-    if bug is None:
-        return False
-    monitor = result.monitor
-    if bug in ("overflow", "uaf"):
-        return bool(getattr(monitor, "corruption_reports", ()) or ()) \
-            and result.truth.corruption is not None
-    reported = {report.object_address for report in
-                getattr(monitor, "leak_reports", ()) or ()}
-    return bool(reported & result.truth.leaked_addresses)
+    return (buggy and monitor_name != "native" and bug is not None
+            and detection_succeeded(result, bug))
 
 
-def _run_fleet_machine(params):
+def _run_fleet_machine(workload, monitor, buggy, requests, seed, index,
+                       stack, forensics=False):
     """One fleet machine: run the workload, summarize the outcome.
 
-    The machine's monitoring stack is described by ``params["stack"]``
-    (a :class:`~repro.obs.stack.MonitorStackConfig` dict).  With an
+    The machine's monitoring stack is described by ``stack`` (a
+    :class:`~repro.obs.stack.MonitorStackConfig` dict).  With an
     allocation :class:`~repro.core.sampling.SamplingPolicy` the monitor
     runs in sampled production mode; with ``sample_every`` the machine
     also runs the sampling profiler + alert engine.  Either way the run
@@ -164,9 +124,10 @@ def _run_fleet_machine(params):
     ``sampler.*`` / ``alerts.*`` metrics into the fleet merge
     (counters sum, giving fleet-wide totals).
     """
-    config = MonitorStackConfig.from_dict(params["stack"])
-    stack = None
-    machine = monitor = None
+    config = MonitorStackConfig.from_dict(stack)
+    # From here on ``stack`` and ``monitor`` name the live objects.
+    monitor_name = monitor
+    stack = machine = monitor = None
     run_info = None
     if config.wants_checkpoints:
         # The checkpoint scheduler records the run description in each
@@ -174,27 +135,23 @@ def _run_fleet_machine(params):
         # by run_jobs' boot tap, not by the stack, so strip the dump
         # config here -- otherwise run_info would arm a second
         # recorder.
-        run_info = {"workload": params["workload"],
-                    "monitor": params["monitor"],
-                    "buggy": params["buggy"],
-                    "requests": params["requests"],
-                    "seed": params["seed"]}
+        run_info = {"workload": workload, "monitor": monitor_name,
+                    "buggy": buggy, "requests": requests, "seed": seed}
         config = replace(config, dump_dir=None, dump_on_alert=False)
     if config.sampling is not None or config.wants_profiler \
             or config.stream is not None or config.wants_checkpoints \
-            or params.get("forensics"):
+            or forensics:
         # Pre-boot the full stack so the monitoring components (and, in
         # forensic mode, the panic handler below) can see the machine.
-        stack = build_monitor_stack(config,
-                                    label=f"m{params['index']}",
+        stack = build_monitor_stack(config, label=f"m{index}",
                                     run_info=run_info)
         machine, monitor = stack.machine, stack.monitor
         stack.start()
     try:
         result = run_workload(
-            params["workload"], params["monitor"], buggy=params["buggy"],
-            requests=params["requests"], seed=params["seed"],
-            machine=machine, monitor=monitor, profile=config.profile,
+            workload, monitor_name, buggy=buggy, requests=requests,
+            seed=seed, machine=machine, monitor=monitor,
+            profile=config.profile,
             request_hook=(stack.request_hook
                           if stack is not None else None),
         )
@@ -210,11 +167,11 @@ def _run_fleet_machine(params):
         # machine at the PANIC event; turn the crash into a report row
         # so the rest of the fleet still renders (with the dump linked).
         return MachineReport(
-            index=params["index"],
-            seed=params["seed"],
+            index=index,
+            seed=seed,
             cycles=machine.clock.cycles,
             requests_completed=0,
-            requests=params["requests"] or 0,
+            requests=requests or 0,
             detection=f"panic: {error}",
             leak_reports=len(getattr(monitor, "leak_reports", ()) or ()),
             corruption_reports=len(
@@ -229,16 +186,14 @@ def _run_fleet_machine(params):
             stack.close()
     truth = result.truth
     overhead = None
-    if params["monitor"] != "native" and truth.detection is None:
-        native = run_workload(
-            params["workload"], "native", buggy=params["buggy"],
-            requests=params["requests"], seed=params["seed"],
-        )
+    if monitor_name != "native" and truth.detection is None:
+        native = run_workload(workload, "native", buggy=buggy,
+                              requests=requests, seed=seed)
         overhead = overhead_percent(result.cycles, native.cycles)
     monitor = result.monitor
     return MachineReport(
-        index=params["index"],
-        seed=params["seed"],
+        index=index,
+        seed=seed,
         cycles=result.cycles,
         requests_completed=truth.requests_completed,
         requests=result.requests,
@@ -251,122 +206,36 @@ def _run_fleet_machine(params):
         alerts_fired=stack.alerts_fired if stack is not None else 0,
         alerts_resolved=(stack.alerts_resolved
                          if stack is not None else 0),
-        detected=_machine_detected(params["workload"], params["buggy"],
-                                   params["monitor"], result),
+        detected=_machine_detected(workload, buggy, monitor_name, result),
         history=history_doc,
         checkpoints=checkpoint_paths,
     )
 
 
+#: job kind name -> :class:`~repro.analysis.experiments.JobKind`: every
+#: declared experiment's, plus the fleet scenario's machines.
 JOB_KINDS = {
-    "table2": _JobKind(
-        run=lambda params: experiment_table2(),
-        encode=_encode_table2,
-        decode=_decode_table2,
-    ),
-    "table3-row": _JobKind(
-        run=lambda params: table3_row(
-            params["name"], requests=params["requests"],
-            detection_requests=params["detection_requests"]),
-        encode=asdict,
-        decode=lambda payload: Table3Row(**payload),
-    ),
-    "table4-row": _JobKind(
-        run=lambda params: table4_row(
-            params["name"], requests=params["requests"]),
-        encode=asdict,
-        decode=lambda payload: Table4Row(**payload),
-    ),
-    "table5-row": _JobKind(
-        run=lambda params: table5_row(
-            params["name"], requests=params["requests"]),
-        encode=asdict,
-        decode=lambda payload: Table5Row(**payload),
-    ),
-    "figure3-series": _JobKind(
-        run=lambda params: figure3_series(
-            params["name"], requests=params["requests"]),
-        encode=lambda payload: {**asdict(payload[0]),
-                                "run_seconds": payload[1]},
-        decode=_decode_figure3_series,
-    ),
-    "fleet-machine": _JobKind(
-        run=_run_fleet_machine,
-        encode=asdict,
-        decode=lambda payload: MachineReport(**payload),
-    ),
-    "codec-row": _JobKind(
-        run=lambda params: codec_tradeoff_row(params["profile"]),
-        encode=asdict,
-        decode=lambda payload: CodecTradeoffRow(**payload),
-    ),
-    "sampling-point": _JobKind(
-        run=lambda params: sampling_curve_point(
-            params["rate"], workload=params["workload"],
-            machines=params["machines"], requests=params["requests"],
-            base_seed=params["seed"]),
-        encode=asdict,
-        decode=lambda payload: SamplingPoint(**payload),
-    ),
-    "trend-scenario": _JobKind(
-        run=lambda params: trend_scenario_row(
-            params["name"], params["buggy"],
-            requests=params["requests"],
-            sample_every=params["sample_every"]),
-        encode=asdict,
-        decode=lambda payload: TrendScenarioRow(**payload),
-    ),
-    "season-scenario": _JobKind(
-        run=lambda params: season_scenario_row(
-            params["name"], params["buggy"],
-            requests=params["requests"],
-            sample_every=params["sample_every"]),
-        encode=asdict,
-        decode=lambda payload: SeasonScenarioRow(**payload),
-    ),
+    **{experiment.kind.name: experiment.kind
+       for experiment in EXPERIMENTS.values()},
+    "fleet-machine": JobKind("fleet-machine", _run_fleet_machine,
+                             MachineReport),
 }
+
+
+def enumerate_jobs(experiments, requests=250):
+    """The experiments' jobs in canonical order.
+
+    ``requests`` goes to the experiments that scale with it (Tables 3
+    and 4); the others run full length.
+    """
+    return [spec for experiment in experiments
+            for spec in experiment.specs(
+                requests if experiment.scales else None)]
 
 
 def enumerate_validation_jobs(requests=250):
     """The validation run as independent jobs, in canonical order."""
-    specs = [("table2", "table2", {})]
-    for name in all_workload_names():
-        specs.append(("table3-row", f"table3:{name}",
-                      {"name": name, "requests": requests,
-                       "detection_requests": None}))
-    for name in all_workload_names():
-        specs.append(("table4-row", f"table4:{name}",
-                      {"name": name, "requests": requests}))
-    for name in LEAK_WORKLOADS:
-        specs.append(("table5-row", f"table5:{name}",
-                      {"name": name, "requests": None}))
-    for name in FIGURE3_WORKLOADS:
-        specs.append(("figure3-series", f"figure3:{name}",
-                      {"name": name, "requests": None}))
-    for name in profile_names():
-        specs.append(("codec-row", f"codec:{name}",
-                      {"profile": name}))
-    for rate in SAMPLING_CURVE_RATES:
-        specs.append(("sampling-point", f"sampling:{rate:g}",
-                      {"rate": rate,
-                       "workload": SAMPLING_CURVE_WORKLOAD,
-                       "machines": SAMPLING_CURVE_MACHINES,
-                       "requests": None, "seed": 0}))
-    for name in TREND_WORKLOADS:
-        for buggy in (True, False):
-            label = "buggy" if buggy else "clean"
-            specs.append(("trend-scenario", f"trend:{name}:{label}",
-                          {"name": name, "buggy": buggy,
-                           "requests": None,
-                           "sample_every": TREND_SAMPLE_EVERY}))
-    for name in SEASON_WORKLOADS:
-        for buggy in (True, False):
-            label = "buggy" if buggy else "clean"
-            specs.append(("season-scenario", f"season:{name}:{label}",
-                          {"name": name, "buggy": buggy,
-                           "requests": None,
-                           "sample_every": SEASON_SAMPLE_EVERY}))
-    return specs
+    return enumerate_jobs(EXPERIMENTS.values(), requests)
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +371,7 @@ def _execute_job(spec, dump_dir=None, dump_on_alert=False):
 
         boot_tap = add_boot_tap(_attach_recorder)
     try:
-        payload = JOB_KINDS[kind].run(params)
+        payload = JOB_KINDS[kind].unit(**params)
         encoded = JOB_KINDS[kind].encode(payload)
         bundles = _collect_bundles(recorders)
         if kind == "fleet-machine" and bundles:
@@ -557,8 +426,7 @@ def run_jobs(specs, jobs=None, cache=None, dump_dir=None,
     """Run job specs (sharded over processes when ``jobs > 1``).
 
     Payloads come back decoded, keyed by ident.  Any job error raises
-    :class:`FleetError` naming every failed shard -- matching the
-    serial path, which would have propagated the first exception.
+    :class:`FleetError` naming every failed shard, in-process or not.
     With ``dump_dir``, every booted machine carries a forensic
     recorder; bundle paths are aggregated into the outcome (and onto
     the raised ``FleetError.bundles``, so a crashed shard's dump is
@@ -640,54 +508,35 @@ def run_jobs(specs, jobs=None, cache=None, dump_dir=None,
 
 
 # ----------------------------------------------------------------------
-# Validation assembly: shards -> the serial context, verbatim
+# Validation assembly: rows -> each experiment's result
 # ----------------------------------------------------------------------
-def assemble_context(payloads):
-    """Rebuild the ``claims.gather_context`` dict from job payloads.
+def assemble_context(payloads, experiments=None):
+    """Each experiment's result, keyed by name, from its jobs' rows.
 
-    Row order is the canonical workload order the serial loops use, so
-    rendered tables match the serial output byte for byte.
+    Row order is the experiment's canonical job order, whichever
+    process ran each job, so rendered tables are byte-identical at any
+    ``--jobs``.  ``experiments`` defaults to every declared one: the
+    context the claims read.
     """
-    series = []
-    run_seconds = {}
-    for name in FIGURE3_WORKLOADS:
-        one, seconds = payloads[f"figure3:{name}"]
-        series.append(one)
-        run_seconds[name] = seconds
-    return {
-        "table2": payloads["table2"],
-        "table3": Table3Result(rows=[
-            payloads[f"table3:{name}"] for name in all_workload_names()
-        ]),
-        "table4": Table4Result(rows=[
-            payloads[f"table4:{name}"] for name in all_workload_names()
-        ]),
-        "table5": Table5Result(rows=[
-            payloads[f"table5:{name}"] for name in LEAK_WORKLOADS
-        ]),
-        "figure3": Figure3Result(series=series, run_seconds=run_seconds),
-        "codecs": CodecMatrixResult(rows=[
-            payloads[f"codec:{name}"] for name in profile_names()
-        ]),
-        "sampling": SamplingCurveResult(
-            workload=SAMPLING_CURVE_WORKLOAD,
-            machines=SAMPLING_CURVE_MACHINES,
-            points=[payloads[f"sampling:{rate:g}"]
-                    for rate in SAMPLING_CURVE_RATES],
-        ),
-        "trend": TrendHeadToHeadResult(
-            sample_every=TREND_SAMPLE_EVERY,
-            rows=[payloads[f"trend:{name}:{label}"]
-                  for name in TREND_WORKLOADS
-                  for label in ("buggy", "clean")],
-        ),
-        "season": SeasonHeadToHeadResult(
-            sample_every=SEASON_SAMPLE_EVERY,
-            rows=[payloads[f"season:{name}:{label}"]
-                  for name in SEASON_WORKLOADS
-                  for label in ("buggy", "clean")],
-        ),
-    }
+    if experiments is None:
+        experiments = EXPERIMENTS.values()
+    return {experiment.name: experiment.result(payloads)
+            for experiment in experiments}
+
+
+def run_suite(experiments, requests=250, jobs=1, cache=None,
+              dump_dir=None, dump_on_alert=False):
+    """Run ``experiments`` as one job list, as ``repro validate`` and
+    ``repro report`` do: ``requests`` scales only the experiments
+    declared to scale with it (:func:`enumerate_jobs`).
+
+    Returns ``(context, outcome)``: each experiment's result keyed by
+    name, and the :class:`FleetOutcome` of the run.
+    """
+    outcome = run_jobs(enumerate_jobs(experiments, requests), jobs=jobs,
+                       cache=cache, dump_dir=dump_dir,
+                       dump_on_alert=dump_on_alert)
+    return assemble_context(outcome.payloads, experiments), outcome
 
 
 @dataclass
@@ -708,16 +557,16 @@ class ValidationRun:
 
 def run_validation(requests=250, jobs=None, cache_dir=None,
                    use_cache=True, stack=None):
-    """Sharded ``repro validate``: enumerate, fan out, merge, check.
+    """``repro validate``: run every experiment, check every claim.
 
-    ``jobs=1`` runs every shard in-process (no pool) but still through
-    the payload codec, so the only difference parallelism introduces is
-    which process executed a shard.  ``stack`` (a
-    :class:`~repro.obs.stack.MonitorStackConfig`) supplies the
-    forensic settings: with a dump dir, any shard machine that panics
-    leaves a ``repro.dump/v1`` bundle there.  (The claim experiments
-    pin their own monitor configs, so the stack's monitor/sampling
-    fields do not alter the validated runs.)
+    ``jobs=1`` is the serial run: every shard in-process (no pool) but
+    still through the payload codec, so the only difference
+    parallelism introduces is which process executed a shard.
+    ``stack`` (a :class:`~repro.obs.stack.MonitorStackConfig`)
+    supplies the forensic settings: with a dump dir, any shard machine
+    that panics leaves a ``repro.dump/v1`` bundle there.  (The claim
+    experiments pin their own monitor configs, so the stack's
+    monitor/sampling fields do not alter the validated runs.)
     """
     from repro.analysis.claims import validate
     if stack is None:
@@ -727,17 +576,18 @@ def run_validation(requests=250, jobs=None, cache_dir=None,
     if use_cache:
         cache = ResultCache(cache_dir if cache_dir is not None
                             else default_cache_dir())
-    specs = enumerate_validation_jobs(requests=requests)
-    outcome = run_jobs(specs, jobs=jobs, cache=cache,
-                       dump_dir=stack.resolved_dump_dir(),
-                       dump_on_alert=stack.dump_on_alert)
-    context = assemble_context(outcome.payloads)
-    return ValidationRun(results=validate(context=context),
-                         context=context, outcome=outcome)
+    context, outcome = run_suite(
+        EXPERIMENTS.values(), requests=requests, jobs=jobs, cache=cache,
+        dump_dir=stack.resolved_dump_dir(),
+        dump_on_alert=stack.dump_on_alert)
+    return ValidationRun(results=validate(context), context=context,
+                         outcome=outcome)
 
 
-RESULT_FILES = ("table2", "table3", "table4", "table5", "figure3",
-                "codecs", "trend", "season")
+#: the experiments ``validate --write-results`` renders, by name.
+RESULT_FILES = tuple(experiment.name
+                     for experiment in EXPERIMENTS.values()
+                     if experiment.result_file)
 
 
 def write_result_artifacts(context, results_dir):
@@ -760,33 +610,6 @@ def write_result_artifacts(context, results_dir):
 # ----------------------------------------------------------------------
 # Fleet scenario: M concurrent machines of one workload
 # ----------------------------------------------------------------------
-@dataclass
-class MachineReport:
-    """Summary of one fleet machine's run (crosses processes as JSON)."""
-
-    index: int
-    seed: int
-    cycles: int
-    requests_completed: int
-    requests: int
-    detection: object
-    leak_reports: int
-    corruption_reports: int
-    overhead_pct: object
-    #: alert-engine totals; 0 unless the fleet ran with sampling on.
-    alerts_fired: int = 0
-    alerts_resolved: int = 0
-    #: forensic bundle paths this machine wrote (dump mode only).
-    bundles: list = field(default_factory=list)
-    #: did this machine's monitor catch the workload's injected bug?
-    #: (always False on normal input or under the native monitor)
-    detected: bool = False
-    #: this machine's ``repro.history/v1`` document (``--history`` only).
-    history: object = None
-    #: checkpoint paths this machine wrote (``--checkpoint-every`` only).
-    checkpoints: list = field(default_factory=list)
-
-
 @dataclass
 class FleetResult:
     """Aggregated outcome of M machines running one workload."""
@@ -1009,118 +832,3 @@ def run_fleet(workload, machines=4, monitor=None, requests=None,
     return FleetResult(workload=workload, monitor=stack.monitor,
                        buggy=buggy, reports=reports, metrics=metrics,
                        workers=outcome.workers)
-
-
-# ----------------------------------------------------------------------
-# Sampling curve: detection probability vs overhead across a fleet
-# ----------------------------------------------------------------------
-#: the curve's workload: an SLeak bug, because per-object lifetime
-#: outlier detection still works on the sampled subset of allocations.
-#: (ALeak detection thresholds on a group's *live count*, so at low
-#: sampling rates a growing group never looks big enough -- fleet
-#: sampling trades that detector away, which Figure 4's caption notes.)
-SAMPLING_CURVE_WORKLOAD = "ypserv2"
-#: ascending sampling rates: off, sparse, moderate, heavy, always-on.
-SAMPLING_CURVE_RATES = (0.0, 0.02, 0.1, 0.5, 1.0)
-SAMPLING_CURVE_MACHINES = 8
-
-
-@dataclass
-class SamplingPoint:
-    """One (rate, fleet) measurement on the Figure 4 curve."""
-
-    rate: float
-    machines: int
-    detected: int
-    detection_probability: float
-    #: mean per-machine overhead vs the native twin (None if no
-    #: machine produced an overhead -- e.g. every machine panicked).
-    mean_overhead_pct: object
-    #: fleet totals of the allocation sampler's admission counters
-    #: (0 at rate 1.0, which short-circuits to classic always-on).
-    sampled_allocs: int
-    skipped_allocs: int
-
-
-@dataclass
-class SamplingCurveResult:
-    """Figure 4: detection probability vs overhead, fleet-sampled."""
-
-    workload: str
-    machines: int
-    points: list
-
-    def point(self, rate):
-        for point in self.points:
-            if point.rate == rate:
-                return point
-        raise KeyError(f"no sampling point at rate {rate!r}")
-
-    def render(self):
-        from repro.analysis.tables import fmt_percent, render_table
-        rows = []
-        for point in self.points:
-            always_on = point.rate >= 1.0
-            rows.append((
-                f"{point.rate:g}",
-                f"{point.detected}/{point.machines}",
-                f"{point.detection_probability:.2f}",
-                (fmt_percent(point.mean_overhead_pct)
-                 if point.mean_overhead_pct is not None else "-"),
-                "-" if always_on else point.sampled_allocs,
-                "-" if always_on else point.skipped_allocs,
-            ))
-        return render_table(
-            f"Figure 4. Detection probability vs overhead: "
-            f"{self.machines}-machine fleet of {self.workload} under "
-            f"sampled SafeMem",
-            ["rate", "detected", "probability", "mean overhead",
-             "sampled", "skipped"],
-            rows,
-            note=("rate 1.0 short-circuits to classic always-on "
-                  "monitoring (no sampler on the hot path); each "
-                  "machine samples under its own derived seed"),
-        )
-
-
-def sampling_curve_point(rate, workload=SAMPLING_CURVE_WORKLOAD,
-                         machines=SAMPLING_CURVE_MACHINES,
-                         requests=None, base_seed=0):
-    """Measure one sampling rate across a buggy fleet.
-
-    Runs in-process (``jobs=1``): a curve point is itself a shardable
-    validation job, and pool workers must not spawn children.
-    """
-    stack = MonitorStackConfig(monitor="safemem",
-                               sampling=SamplingPolicy(rate=rate))
-    fleet = run_fleet(workload, machines=machines, requests=requests,
-                      buggy=True, jobs=1, base_seed=base_seed,
-                      stack=stack)
-    overheads = [report.overhead_pct for report in fleet.reports
-                 if report.overhead_pct is not None]
-    return SamplingPoint(
-        rate=rate,
-        machines=machines,
-        detected=fleet.machines_detected,
-        detection_probability=fleet.detection_probability,
-        mean_overhead_pct=(sum(overheads) / len(overheads)
-                           if overheads else None),
-        sampled_allocs=fleet.metrics.get("safemem.sampling.sampled", 0),
-        skipped_allocs=fleet.metrics.get("safemem.sampling.skipped", 0),
-    )
-
-
-def experiment_sampling_curve(requests=None, rates=SAMPLING_CURVE_RATES,
-                              workload=SAMPLING_CURVE_WORKLOAD,
-                              machines=SAMPLING_CURVE_MACHINES,
-                              base_seed=0):
-    """The full Figure 4 sweep (serial path; validation shards it)."""
-    return SamplingCurveResult(
-        workload=workload,
-        machines=machines,
-        points=[sampling_curve_point(rate, workload=workload,
-                                     machines=machines,
-                                     requests=requests,
-                                     base_seed=base_seed)
-                for rate in rates],
-    )

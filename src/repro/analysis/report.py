@@ -3,13 +3,8 @@
 import io
 import time
 
-from repro.analysis.experiments import (
-    experiment_figure3,
-    experiment_table2,
-    experiment_table3,
-    experiment_table4,
-    experiment_table5,
-)
+from repro.analysis.experiments import PAPER_EXPERIMENTS
+from repro.analysis.fleet import run_suite
 
 HEADER = """\
 SafeMem reproduction -- full experiment report
@@ -26,27 +21,21 @@ paper-vs-measured discussion.
 def generate_report(requests=250, stream=None):
     """Run all experiments and render one combined text report.
 
-    ``requests`` scales the overhead runs (Tables 3 and 4); detection
-    runs (Table 5) always use full-length inputs.  Returns the report
-    string; also writes to ``stream`` if given.
+    ``requests`` scales the experiments declared to scale with it (the
+    overhead runs of Tables 3 and 4); the others always use
+    full-length inputs.  Returns the report string; also writes to
+    ``stream`` if given.
     """
     out = io.StringIO()
     out.write(HEADER)
     out.write("\n")
-
-    sections = (
-        ("Table 2", lambda: experiment_table2()),
-        ("Table 3", lambda: experiment_table3(requests=requests)),
-        ("Table 4", lambda: experiment_table4(requests=requests)),
-        ("Table 5", lambda: experiment_table5()),
-        ("Figure 3", lambda: experiment_figure3()),
-    )
-    for name, runner in sections:
+    for experiment in PAPER_EXPERIMENTS:
         started = time.time()
-        result = runner()
+        context, _outcome = run_suite([experiment], requests=requests)
         elapsed = time.time() - started
-        out.write(result.render())
-        out.write(f"\n[{name} regenerated in {elapsed:.1f}s wall]\n\n")
+        out.write(context[experiment.name].render())
+        out.write(f"\n[{experiment.title} regenerated in {elapsed:.1f}s "
+                  f"wall]\n\n")
 
     report = out.getvalue()
     if stream is not None:

@@ -16,8 +16,6 @@ Faithful to the mechanism the paper describes (Section 5.1):
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.common.clock import seconds_to_cycles
 from repro.common.errors import MonitorError
 from repro.core.reports import CorruptionKind, CorruptionReport, LeakReport
@@ -73,6 +71,10 @@ class Purify(Monitor):
     # lifecycle
     # ------------------------------------------------------------------
     def on_attach(self):
+        # numpy loads with the first Purify run, not with ``import
+        # repro``: no other monitor uses it.
+        import numpy as np
+
         program = self.program
         self._heap_base = program.heap_base
         self._heap_end = program.heap_base + program.heap_size
@@ -200,6 +202,8 @@ class Purify(Monitor):
         its CPU clock, exactly the service-time perturbation the paper
         criticises for server programs.
         """
+        import numpy as np
+
         machine = self.program.machine
         self.sweeps += 1
         if not self._blocks:

@@ -57,13 +57,7 @@ import argparse
 import pathlib
 import sys
 
-from repro.analysis.experiments import (
-    experiment_figure3,
-    experiment_table2,
-    experiment_table3,
-    experiment_table4,
-    experiment_table5,
-)
+from repro.analysis.experiments import PAPER_EXPERIMENTS, run_experiment
 from repro.analysis.report import generate_report
 from repro.analysis.runner import (
     MONITOR_FACTORIES,
@@ -96,11 +90,12 @@ def build_parser():
     # runs workloads; each command turns it into a MonitorStackConfig.
     monitoring = add_monitoring_arguments()
 
-    for table in ("table2", "table3", "table4", "table5", "figure3"):
+    for experiment in PAPER_EXPERIMENTS:
         table_parser = sub.add_parser(
-            table, help=f"regenerate the paper's {table}"
+            experiment.name,
+            help=f"regenerate the paper's {experiment.name}",
         )
-        if table in ("table3", "table4"):
+        if experiment.scales:
             table_parser.add_argument(
                 "--requests", type=int, default=250,
                 help="requests per overhead run (default 250)",
@@ -626,15 +621,15 @@ def command_validate(args, out):
 
 
 def command_fleet(args, out):
-    from repro.analysis import fleet
+    from repro.analysis import experiments, fleet
     from repro.common.errors import FleetError
     if args.rate_curve:
         rates = [float(rate) for rate in args.rate_curve.split(",")
                  if rate.strip()]
-        curve = fleet.SamplingCurveResult(
+        curve = experiments.SamplingCurveResult(
             workload=args.workload,
             machines=args.machines,
-            points=[fleet.sampling_curve_point(
+            points=[experiments.sampling_curve_point(
                 rate, workload=args.workload, machines=args.machines,
                 requests=args.requests, base_seed=args.seed)
                 for rate in rates],
@@ -962,16 +957,11 @@ def main(argv=None, out=None):
 
 def _dispatch(args, out):
     """Run the parsed command; returns its exit code."""
-    if args.command == "table2":
-        out.write(experiment_table2().render() + "\n")
-    elif args.command == "table3":
-        out.write(experiment_table3(requests=args.requests).render() + "\n")
-    elif args.command == "table4":
-        out.write(experiment_table4(requests=args.requests).render() + "\n")
-    elif args.command == "table5":
-        out.write(experiment_table5().render() + "\n")
-    elif args.command == "figure3":
-        out.write(experiment_figure3().render() + "\n")
+    if args.command in {experiment.name
+                        for experiment in PAPER_EXPERIMENTS}:
+        result = run_experiment(args.command,
+                                getattr(args, "requests", None))
+        out.write(result.render() + "\n")
     elif args.command == "report":
         generate_report(requests=args.requests, stream=out)
     elif args.command == "validate":

@@ -10,6 +10,7 @@ code.
 """
 
 import hashlib
+import mmap
 
 from repro.common.constants import ECC_GROUP_BYTES, PAGE_SIZE, is_aligned
 from repro.common.errors import BusError, ConfigurationError
@@ -44,9 +45,12 @@ class PhysicalMemory:
             )
         self.size = size
         self.check_bytes_per_group = check_bytes_per_group
-        self._data = bytearray(size)
-        self._check = bytearray(size // ECC_GROUP_BYTES
-                                * check_bytes_per_group)
+        # Zero-filled on demand: a page costs host memory only once a
+        # run writes it.  Private, so a forked fleet worker writes its
+        # own copy.
+        self._data = _zeroed(size)
+        self._check = _zeroed(size // ECC_GROUP_BYTES
+                              * check_bytes_per_group)
 
     # ------------------------------------------------------------------
     # raw data access (no ECC semantics -- controller only)
@@ -272,3 +276,8 @@ class PhysicalMemory:
                 f"got {address:#x}"
             )
         self._require_range(address, ECC_GROUP_BYTES)
+
+
+def _zeroed(size):
+    """``size`` zero bytes in a private anonymous mapping."""
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)

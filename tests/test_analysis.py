@@ -30,6 +30,7 @@ from repro.analysis.tables import (
     render_series,
     render_table,
 )
+from repro.common.errors import FleetError
 
 
 class TestRunner:
@@ -89,7 +90,7 @@ class TestTableRendering:
 
 class TestExperimentStructures:
     def test_table2_rows(self):
-        result = experiment_table2(iterations=8)
+        result = experiment_table2()
         assert [row[0] for row in result.rows] == [
             "WatchMemory", "DisableWatchMemory", "mprotect",
         ]
@@ -146,9 +147,9 @@ class TestExperimentStructures:
             return result
 
         monkeypatch.setattr(experiments, "run_workload", sabotaged)
-        with pytest.raises(AssertionError):
-            experiments.experiment_table3(requests=5,
-                                          detection_requests=5)
+        with pytest.raises(FleetError,
+                           match="unexpectedly reported a bug"):
+            experiments.experiment_table3(requests=5)
 
 
 class TestMemoryProfile:

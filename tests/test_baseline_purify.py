@@ -158,3 +158,30 @@ class TestRealloc:
         program.store(buf, b"keep me!" + bytes(24))
         new = program.realloc(buf, 128)
         assert program.load(new, 8) == b"keep me!"
+
+
+def test_numpy_loads_only_with_a_purify_monitor():
+    """``import repro`` and the modules every run and bench child
+    imports leave numpy unloaded; building a Purify run loads it."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "import repro, repro.obs.stack, repro.analysis.runner, "
+        "repro.obs.checkpoint\n"
+        "print('numpy' in sys.modules)\n"
+        "from repro.analysis.runner import run_workload\n"
+        "run_workload('gzip', 'purify', requests=2)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]

@@ -255,6 +255,27 @@ def test_malformed_recorded_monitoring_is_a_named_error(recorded_run,
         replay_bundle(_with_monitoring_field(bundle, field, value))
 
 
+@pytest.mark.parametrize("policy, named", [
+    ({"rate": "x"}, "field 'rate' must be a number"),
+    ({"budget": "b"}, "field 'budget' must be an integer"),
+    ({"max_backoff": "m"}, "field 'max_backoff' must be a number"),
+    ({"seed": "s"}, "field 'seed' must be an integer"),
+    ({"rate": 0.5, "burst": 3}, "field 'burst' is unknown"),
+    ([0.5], "sampling policy must be an object"),
+    ("0.5", "sampling policy must be an object"),
+], ids=["rate=x", "budget=b", "max_backoff=m", "seed=s", "unknown-key",
+        "list", "string"])
+def test_malformed_recorded_sampling_policy_is_a_named_error(
+        recorded_run, policy, named):
+    """Resume and replay rebuild the recorded monitor; a malformed
+    ``run.monitoring.sampling`` policy must raise ConfigurationError
+    naming the field, not a TypeError, and never run unsampled."""
+    for document, rerun in zip(recorded_run,
+                               (resume_checkpoint, replay_bundle)):
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            rerun(_with_monitoring_field(document, "sampling", policy))
+
+
 @pytest.mark.parametrize("fields, named", [
     ({"cache_ways": -1}, "cache ways must be at least 1, got -1"),
     ({"cache_ways": 0}, "cache ways must be at least 1, got 0"),

@@ -14,10 +14,13 @@ from repro.analysis.claims import (
     validate,
 )
 from repro.analysis.experiments import (
+    EXPERIMENTS,
     CodecMatrixResult,
     CodecTradeoffRow,
     Figure3Result,
     Figure3Series,
+    SamplingCurveResult,
+    SamplingPoint,
     Table2Result,
     Table3Result,
     Table3Row,
@@ -26,11 +29,9 @@ from repro.analysis.experiments import (
     Table5Result,
     Table5Row,
     SeasonHeadToHeadResult,
-    SeasonScenarioRow,
     TrendHeadToHeadResult,
     TrendScenarioRow,
 )
-from repro.analysis.fleet import SamplingCurveResult, SamplingPoint
 from repro.obs.trend import DETECTORS
 
 
@@ -60,15 +61,12 @@ def good_context():
         for app, (before, after)
         in paper.TABLE5_FALSE_POSITIVES.items()
     ])
-    figure3 = Figure3Result(
-        series=[
-            Figure3Series(workload=app,
-                          points=[(0.001, 50.0), (0.002, 100.0)],
-                          total_groups=2)
-            for app in ("ypserv1", "proftpd", "squid1")
-        ],
-        run_seconds={"ypserv1": 0.1, "proftpd": 0.1, "squid1": 0.1},
-    )
+    figure3 = Figure3Result(series=[
+        Figure3Series(workload=app,
+                      points=[(0.001, 50.0), (0.002, 100.0)],
+                      total_groups=2, run_seconds=0.1)
+        for app in ("ypserv1", "proftpd", "squid1")
+    ])
     sampling = SamplingCurveResult(
         workload="ypserv2", machines=8,
         points=[
@@ -117,7 +115,7 @@ def good_context():
         for name in ("ypserv1", "ypserv2")
     ])
     season = SeasonHeadToHeadResult(sample_every=200_000, rows=[
-        SeasonScenarioRow(
+        TrendScenarioRow(
             workload=f"{name}-diurnal", buggy=True,
             cycles=400_000_000, samples=2000,
             baseline_cycle=120_000_000,
@@ -130,7 +128,7 @@ def good_context():
         )
         for name in ("ypserv1", "ypserv2")
     ] + [
-        SeasonScenarioRow(
+        TrendScenarioRow(
             workload=f"{name}-diurnal", buggy=False,
             cycles=400_000_000, samples=2000, baseline_cycle=None,
             fired={detector: False for detector in DETECTORS},
@@ -247,6 +245,15 @@ class TestClaimHygiene:
     def test_every_claim_has_statement_and_source(self):
         for claim in CLAIMS:
             assert claim.statement
-            assert claim.source in ("table2", "table3", "table4",
-                                    "table5", "figure3", "codecs",
-                                    "sampling", "trend", "season")
+            assert claim.source in EXPERIMENTS
+
+    def test_claims_and_experiments_match(self):
+        """Every claim reads only the result of the declared experiment
+        it names, and every declared experiment feeds some claim."""
+        assert {claim.source for claim in CLAIMS} == set(EXPERIMENTS)
+        context = good_context()
+        assert set(context) == set(EXPERIMENTS)
+        for claim in CLAIMS:
+            passed, evidence = claim.check(
+                {claim.source: context[claim.source]})
+            assert passed, (claim.ident, evidence)

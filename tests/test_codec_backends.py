@@ -451,7 +451,7 @@ class TestStackAndFleetWiring:
     def test_codec_row_payload_round_trips_the_job_codec(self):
         from repro.analysis.fleet import JOB_KINDS
         kind = JOB_KINDS["codec-row"]
-        row = kind.run({"profile": "e7500"})
+        row = kind.unit(profile="e7500")
         assert row.contract_ok
         assert row.false_scrub_corrections == 0
         restored = kind.decode(kind.encode(row))

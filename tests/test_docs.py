@@ -210,6 +210,58 @@ def test_checker_accepts_matching_schema_docs(tmp_path):
     assert docs_check.run_checks(root) == []
 
 
+def _fake_path_repo(tmp_path, readme_text):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text(
+        "class TestThing:\n"
+        "    def test_method(self):\n"
+        "        pass\n"
+        "\n"
+        "\n"
+        "def helper():\n"
+        "    pass\n")
+    (tmp_path / "README.md").write_text(readme_text)
+    return tmp_path
+
+
+def test_checker_flags_backticked_path_to_missing_file(tmp_path):
+    root = _fake_path_repo(tmp_path, "see `tests/test_gone.py`\n")
+    assert docs_check.check_path_references(root) == [
+        "README.md: `tests/test_gone.py` names no file"]
+
+
+def test_checker_flags_backticked_name_the_file_lacks(tmp_path):
+    root = _fake_path_repo(
+        tmp_path,
+        "`tests/test_x.py::TestGone`, "
+        "`tests/test_x.py::TestThing::test_gone` and "
+        "`tests/test_x.py::helper::test_method`\n")
+    problems = docs_check.check_path_references(root)
+    assert len(problems) == 3, problems
+    assert all("tests/test_x.py defines no" in p for p in problems)
+
+
+def test_checker_accepts_backticked_paths_that_resolve(tmp_path):
+    root = _fake_path_repo(
+        tmp_path,
+        "`tests/test_x.py`, `tests/test_x.py::TestThing`, "
+        "`tests/test_x.py::TestThing::test_method`, "
+        "`tests/test_x.py::test_method`, `tests/test_x.py::helper` "
+        "and `python tests/test_gone.py --flag` (not a bare path)\n")
+    assert docs_check.check_path_references(root) == []
+
+
+def test_checker_skips_history_docs(tmp_path):
+    root = _fake_path_repo(tmp_path, "# hi\n")
+    (root / "CHANGES.md").write_text("moved `tests/test_gone.py`\n")
+    (root / "NOTES.md").write_text("will add `tests/test_new.py`\n")
+    assert docs_check.check_path_references(root) == []
+    (root / "docs").mkdir()
+    (root / "docs" / "GUIDE.md").write_text("`tests/test_gone.py`\n")
+    assert docs_check.check_path_references(root) == [
+        "docs/GUIDE.md: `tests/test_gone.py` names no file"]
+
+
 def test_repo_hardware_matrix_names_match_registries():
     # The scraped names must equal what the packages actually register
     # (guards the docs_check regexes themselves against refactors).

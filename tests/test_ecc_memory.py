@@ -216,3 +216,47 @@ class TestScrubber:
         scrubber = Scrubber(controller)
         with pytest.raises(ConfigurationError):
             scrubber.scrub_pass(start=3)
+
+
+# ----------------------------------------------------------------------
+# host memory: installed DRAM costs nothing until it is written
+# ----------------------------------------------------------------------
+# VmHWM is this process's own peak RSS; ru_maxrss would also count the
+# parent's peak, which an exec'd child inherits.
+_BOOT_RSS_SCRIPT = """
+from repro.machine.machine import Machine
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
+before = peak_kib()
+machine = Machine(dram_size=64 * 1024 * 1024)
+machine.kernel.mmap(0x4000_0000, 16 * 4096)
+machine.store(0x4000_0000, b"x" * 4096)
+print(peak_kib() - before)
+"""
+
+
+def test_booting_a_machine_leaves_untouched_dram_unresident():
+    """A 64 MiB machine (plus 8 MiB of check bytes) must not make its
+    DRAM resident at boot: a run writes a few hundred pages, and fleet
+    workers and bench children pay for every resident byte."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux /proc to read a process's peak RSS")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _BOOT_RSS_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    grown_kib = int(result.stdout.strip())
+    assert grown_kib < 16 * 1024, f"boot grew peak RSS by {grown_kib} KiB"

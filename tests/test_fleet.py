@@ -14,12 +14,18 @@ Covers the four scheduler contracts:
 """
 
 import json
+from dataclasses import asdict, dataclass
 
 import pytest
 
 from repro.analysis import fleet
-from repro.analysis.claims import gather_context, render_validation, validate
-from repro.analysis.experiments import experiment_table2
+from repro.analysis.claims import render_validation, validate
+from repro.analysis.experiments import (
+    EXPERIMENTS,
+    SAMPLING_CURVE_RATES,
+    JobKind,
+    experiment_table2,
+)
 from repro.common.digest import file_digest, package_digest, tree_digest
 from repro.common.errors import ConfigurationError, FleetError
 from repro.obs.merge import dump_registry, merge_dumps, merge_registries
@@ -43,9 +49,9 @@ class TestJobEnumeration:
         assert idents.index("table3:ypserv1") < idents.index(
             "table4:ypserv1")
         assert idents.index("figure3:ypserv1") < idents.index(
-            f"sampling:{fleet.SAMPLING_CURVE_RATES[0]:g}")
+            f"sampling:{SAMPLING_CURVE_RATES[0]:g}")
         assert idents.index(
-            f"sampling:{fleet.SAMPLING_CURVE_RATES[-1]:g}") \
+            f"sampling:{SAMPLING_CURVE_RATES[-1]:g}") \
             < idents.index("trend:ypserv1:buggy")
         assert idents.index("trend:ypserv1:buggy") < idents.index(
             "season:ypserv1-diurnal:buggy")
@@ -66,11 +72,30 @@ class TestJobEnumeration:
         specs = fleet.enumerate_validation_jobs(requests=33)
         for kind, _ident, _params in specs:
             assert kind in fleet.JOB_KINDS
+        # Every job kind is an experiment's (or the fleet machine's),
+        # so the job list, the kinds and the context share one table.
+        assert set(fleet.JOB_KINDS) == {
+            experiment.kind.name for experiment in EXPERIMENTS.values()
+        } | {"fleet-machine"}
+        assert {kind for kind, _i, _p in specs} == \
+            set(fleet.JOB_KINDS) - {"fleet-machine"}
 
         result = experiment_table2()
         codec = fleet.JOB_KINDS["table2"]
         wire = json.loads(json.dumps(codec.encode(result)))
         assert codec.decode(wire).render() == result.render()
+
+    def test_job_idents_are_unchanged(self):
+        idents = [ident for _kind, ident, _params
+                  in fleet.enumerate_validation_jobs(requests=33)]
+        assert idents[:2] == ["table2", "table3:ypserv1"]
+        assert "table4:gzip" in idents and "table5:squid1" in idents
+        assert "figure3:proftpd" in idents and "codec:e7500" in idents
+        assert "sampling:0.02" in idents
+        assert idents.index("trend:ypserv1:buggy") + 1 == \
+            idents.index("trend:ypserv1:clean")
+        assert idents[-1] == "season:ypserv2-diurnal:clean"
+        assert len(idents) == 46
 
 
 # ----------------------------------------------------------------------
@@ -168,14 +193,18 @@ class TestDigests:
         assert file_digest(path) == file_digest(path)
 
 
+@dataclass
+class Echo:
+    value: int
+
+
 class TestResultCache:
     SPEC = ("table2", "table2", {})
 
     def test_key_depends_on_params_and_code(self, tmp_path):
         cache = fleet.ResultCache(tmp_path)
         spec_b = ("table3-row", "table3:gzip",
-                  {"name": "gzip", "requests": 5,
-                   "detection_requests": None})
+                  {"name": "gzip", "requests": 5})
         assert cache.key_for(self.SPEC) == cache.key_for(self.SPEC)
         assert cache.key_for(self.SPEC) != cache.key_for(spec_b)
         assert cache.key_for(self.SPEC, code_digest="aaa") != \
@@ -200,28 +229,25 @@ class TestResultCache:
     def test_run_jobs_hits_cache_without_reexecuting(self, tmp_path,
                                                      monkeypatch):
         calls = []
-        kind = fleet._JobKind(
-            run=lambda params: calls.append(1) or params["value"] * 2,
-            encode=lambda payload: {"value": payload},
-            decode=lambda payload: payload["value"],
+        kind = JobKind(
+            "echo",
+            lambda value: calls.append(1) or Echo(value=value * 2),
+            Echo,
         )
         monkeypatch.setitem(fleet.JOB_KINDS, "echo", kind)
         spec = ("echo", "echo:1", {"value": 21})
         cache = fleet.ResultCache(tmp_path)
         first = fleet.run_jobs([spec], jobs=1, cache=cache)
         second = fleet.run_jobs([spec], jobs=1, cache=cache)
-        assert first.payloads["echo:1"] == 42
-        assert second.payloads["echo:1"] == 42
+        assert first.payloads["echo:1"] == Echo(value=42)
+        assert second.payloads["echo:1"] == Echo(value=42)
         assert len(calls) == 1
         assert (first.cache_misses, second.cache_hits) == (1, 1)
 
     def test_no_cache_always_executes(self, tmp_path, monkeypatch):
         calls = []
-        kind = fleet._JobKind(
-            run=lambda params: calls.append(1) or 1,
-            encode=lambda payload: {"v": payload},
-            decode=lambda payload: payload["v"],
-        )
+        kind = JobKind("echo", lambda: calls.append(1) or Echo(value=1),
+                       Echo)
         monkeypatch.setitem(fleet.JOB_KINDS, "echo", kind)
         spec = ("echo", "echo:1", {})
         fleet.run_jobs([spec], jobs=1, cache=None)
@@ -314,15 +340,19 @@ class TestDifferentialValidation:
     def test_jobs4_matches_serial_verdicts_and_tables(self):
         """`repro validate --jobs 4` == the serial path, bit for bit.
 
-        The serial reference is the pre-fleet implementation
-        (claims.gather_context + validate); the sharded run goes
-        through job enumeration, a real 4-worker process pool, the
-        JSON payload codec, and context reassembly.  Run at a reduced
-        request count -- identity is config-independent because both
-        paths execute the same deterministic unit functions.
+        The serial reference calls each declared job's unit in-process
+        and assembles the rows: no codec, no pool.  The sharded run
+        goes through job enumeration, a real 4-worker process pool,
+        the JSON payload codec, and context reassembly.  Run at a
+        reduced request count -- identity is config-independent
+        because both paths execute the same deterministic unit
+        functions.
         """
-        serial_context = gather_context(requests=DIFF_REQUESTS)
-        serial_results = validate(context=serial_context)
+        specs = fleet.enumerate_validation_jobs(requests=DIFF_REQUESTS)
+        serial_rows = {ident: fleet.JOB_KINDS[kind].unit(**params)
+                       for kind, ident, params in specs}
+        serial_context = fleet.assemble_context(serial_rows)
+        serial_results = validate(serial_context)
 
         run = fleet.run_validation(requests=DIFF_REQUESTS, jobs=4,
                                    use_cache=False)
@@ -341,6 +371,9 @@ class TestDifferentialValidation:
         for name in fleet.RESULT_FILES:
             assert run.context[name].render() == \
                 serial_context[name].render(), name
+        for ident, row in serial_rows.items():
+            assert asdict(run.outcome.payloads[ident]) == asdict(row), \
+                ident
 
     def test_t3_band_is_run_length_and_shard_independent(self):
         """The T3 production-band claim must not flip with run length.
@@ -360,8 +393,8 @@ class TestDifferentialValidation:
         serial_rows = {name: table3_row(name, requests=DIFF_REQUESTS)
                        for name in names}
         specs = [("table3-row", f"table3:{name}",
-                  {"name": name, "requests": DIFF_REQUESTS,
-                   "detection_requests": None}) for name in names]
+                  {"name": name, "requests": DIFF_REQUESTS})
+                 for name in names]
         run = fleet.run_jobs(specs, jobs=2, cache=None)
         for name in names:
             sharded = run.payloads[f"table3:{name}"]

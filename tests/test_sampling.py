@@ -14,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import fleet
+from repro.analysis import experiments, fleet
 from repro.analysis.runner import make_monitor, run_workload
 from repro.common.errors import ConfigurationError
 from repro.core.config import full_config
@@ -308,7 +308,7 @@ class TestFleetSampling:
         assert "detection 2/2 machines" in result.render()
 
     def test_sampling_point_payload_round_trips(self):
-        point = fleet.SamplingPoint(
+        point = experiments.SamplingPoint(
             rate=0.1, machines=8, detected=6,
             detection_probability=0.75, mean_overhead_pct=1.0,
             sampled_allocs=915, skipped_allocs=8701)
@@ -318,5 +318,5 @@ class TestFleetSampling:
     def test_curve_points_enumerate_into_validation_jobs(self):
         labels = [label for _kind, label, _params
                   in fleet.enumerate_validation_jobs()]
-        for rate in fleet.SAMPLING_CURVE_RATES:
+        for rate in experiments.SAMPLING_CURVE_RATES:
             assert f"sampling:{rate:g}" in labels

@@ -10,18 +10,18 @@ passthrough), the SEASON experiment row plumbing, and configuration
 validation for ``--seasonal-period``.
 """
 
+import json
 import math
 
 import pytest
-
-from dataclasses import asdict
 
 from repro.analysis.experiments import (
     SEASON_PHASES,
     SEASON_SAMPLE_EVERY,
     SEASON_WORKLOADS,
+    TREND_SCENARIO,
     SeasonHeadToHeadResult,
-    SeasonScenarioRow,
+    TrendScenarioRow,
 )
 from repro.analysis.runner import run_workload
 from repro.common.errors import ConfigurationError
@@ -219,27 +219,28 @@ class TestDiurnalWorkloads:
 # ----------------------------------------------------------------------
 class TestSeasonExperiment:
     def test_row_crosses_the_fleet_codec(self):
-        row = SeasonScenarioRow(
+        row = TrendScenarioRow(
             workload="ypserv1-diurnal", buggy=True, cycles=100,
             samples=10, baseline_cycle=None,
             fired={d: False for d in DETECTORS},
             first_cycle={d: None for d in DETECTORS},
             flat_onsets=0, flat_first_cycle=None)
-        assert SeasonScenarioRow(**asdict(row)) == row
+        wire = json.loads(json.dumps(TREND_SCENARIO.encode(row)))
+        assert TREND_SCENARIO.decode(wire) == row
 
     def test_headtohead_scoring(self):
         quiet = {d: False for d in DETECTORS}
         caught = dict(quiet, **{"cusum": True})
         rows = [
-            SeasonScenarioRow("a-diurnal", True, 10, 5, 100,
+            TrendScenarioRow("a-diurnal", True, 10, 5, 100,
                               caught, {d: (7 if d == "cusum" else None)
                                        for d in DETECTORS}, 3, 50),
-            SeasonScenarioRow("a-diurnal", False, 10, 5, None,
+            TrendScenarioRow("a-diurnal", False, 10, 5, None,
                               dict(quiet), {d: None for d in DETECTORS},
                               2, 60),
         ]
         result = SeasonHeadToHeadResult(sample_every=1000, rows=rows)
-        assert result.clean_seasonal_alerts() == 0
+        assert result.clean_alerts() == []
         assert result.buggy_missed() == []
         assert result.clean_flat_quiet() == []
         text = result.render()
@@ -250,15 +251,16 @@ class TestSeasonExperiment:
         noisy = {d: True for d in DETECTORS}
         quiet = {d: False for d in DETECTORS}
         rows = [
-            SeasonScenarioRow("b-diurnal", True, 10, 5, None,
+            TrendScenarioRow("b-diurnal", True, 10, 5, None,
                               dict(quiet), {d: None for d in DETECTORS},
                               0, None),
-            SeasonScenarioRow("b-diurnal", False, 10, 5, None,
+            TrendScenarioRow("b-diurnal", False, 10, 5, None,
                               dict(noisy), {d: 1 for d in DETECTORS},
                               0, None),
         ]
         result = SeasonHeadToHeadResult(sample_every=1000, rows=rows)
-        assert result.clean_seasonal_alerts() == len(DETECTORS)
+        assert result.clean_alerts() == [
+            f"b-diurnal/{d}" for d in sorted(DETECTORS)]
         assert result.buggy_missed() == ["b-diurnal"]
         assert result.clean_flat_quiet() == ["b-diurnal"]
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency checker (run in tier-1 via tests/test_docs.py).
 
-Seven checks keep the documentation layer from drifting away from the
+Eight checks keep the documentation layer from drifting away from the
 code layout:
 
 1. every ``repro.<pkg>`` named in ``docs/ARCHITECTURE.md`` exists as a
@@ -22,12 +22,19 @@ code layout:
 7. every versioned schema string (``repro.<name>/v<N>``) appearing in
    Python source under ``src/`` has a matching ``## `repro.<name>/vN```
    section heading in ``docs/SCHEMAS.md``, and SCHEMAS.md documents no
-   schema the code no longer mentions.
+   schema the code no longer mentions;
+8. every backticked ``.py`` path under ``tests/``, ``benchmarks/``,
+   ``bench/``, ``tools/``, ``examples/`` or ``src/`` in the markdown
+   that describes the current tree (``TREE_DOCS``) names an existing
+   file, and an optional ``::Name`` or ``::Class::method`` suffix
+   names a class or function defined in it (the other markdown records
+   history, plans or code from other repositories, so it is skipped).
 
 Exit status is non-zero when any check fails, so the script can run as
 a pre-commit hook: ``python tools/docs_check.py``.
 """
 
+import ast
 import pathlib
 import re
 import sys
@@ -36,6 +43,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: markdown files covered by the link check.
 DOC_GLOBS = ("*.md", "docs/*.md")
+#: markdown files whose ``.py`` path references must resolve.
+TREE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
+             "docs/*.md")
 
 _PKG_REF = re.compile(r"\brepro\.([a-z_]+)\b")
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -55,6 +65,12 @@ _SCHEMA_TAG = re.compile(r"\brepro\.[a-z-]+/v\d+\b")
 #: ``## `repro.checkpoint/v1` — checkpoint document``.
 _SCHEMA_HEADING = re.compile(r"^#{2,6}\s+`(repro\.[a-z-]+/v\d+)`",
                              re.MULTILINE)
+#: one inline code span of a markdown file.
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+#: a code span that is a repo Python path with an optional name
+#: suffix, e.g. ``tests/test_fleet.py::TestScheduler``.
+_PATH_REF = re.compile(r"((?:tests|benchmarks|bench|tools|examples|src)"
+                       r"/[\w./-]*\.py)((?:::\w+)*)")
 
 
 def package_references(architecture_text):
@@ -93,9 +109,9 @@ def check_architecture_references(root=REPO_ROOT):
     return problems
 
 
-def markdown_files(root=REPO_ROOT):
+def markdown_files(root=REPO_ROOT, patterns=DOC_GLOBS):
     files = []
-    for pattern in DOC_GLOBS:
+    for pattern in patterns:
         files.extend(sorted(root.glob(pattern)))
     return files
 
@@ -291,13 +307,47 @@ def check_schema_sections(root=REPO_ROOT):
     return problems
 
 
+def _defines(path, names):
+    """Does ``path`` define ``names[0]`` (a class or function anywhere
+    in the file), each later name directly inside the one before?"""
+    kinds = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    first, *rest = names
+    found = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, kinds) and node.name == first]
+    for name in rest:
+        found = [child for node in found for child in node.body
+                 if isinstance(child, kinds) and child.name == name]
+    return bool(found)
+
+
+def check_path_references(root=REPO_ROOT):
+    """Check 8: backticked ``.py`` paths in markdown resolve."""
+    problems = []
+    for doc in markdown_files(root, TREE_DOCS):
+        where = doc.relative_to(root)
+        for span in _CODE_SPAN.findall(doc.read_text()):
+            match = _PATH_REF.fullmatch(span)
+            if match is None:
+                continue
+            path = root / match.group(1)
+            names = match.group(2).split("::")[1:]
+            if not path.is_file():
+                problems.append(f"{where}: `{span}` names no file")
+            elif names and not _defines(path, names):
+                problems.append(
+                    f"{where}: `{span}`: {match.group(1)} defines no "
+                    f"{'::'.join(names)}")
+    return problems
+
+
 def run_checks(root=REPO_ROOT):
     return check_architecture_references(root) + \
         check_markdown_links(root) + \
         check_code_doc_anchors(root) + \
         check_markdown_anchors(root) + \
         check_hardware_matrix(root) + \
-        check_schema_sections(root)
+        check_schema_sections(root) + \
+        check_path_references(root)
 
 
 def main():

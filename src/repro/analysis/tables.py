@@ -31,10 +31,6 @@ def fmt_factor(value, digits=1):
     return f"{value:.{digits}f}x"
 
 
-def fmt_band(low, high, suffix=""):
-    return f"{low}-{high}{suffix}"
-
-
 def render_series(title, series, x_label="x", y_label="y"):
     """Render an (x, y) series as aligned text (for 'figures')."""
     out = [f"== {title} ==", f"{x_label:>14}  {y_label}"]

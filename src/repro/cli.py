@@ -416,12 +416,8 @@ def _emit_metrics(path, result, out):
 
 def _write_history(path, document, out):
     """Write one ``repro.history/v1`` document as indented JSON."""
-    import json
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as stream:
-        json.dump(document, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    from repro.obs.snapshot import write_document
+    path = write_document(document, path)
     out.write(f"history:   {path} "
               f"({len(document['series'])} series, "
               f"{document['observations']:,} observations)\n")
@@ -783,10 +779,10 @@ def command_replay(args, out):
     result = forensics.replay_bundle(bundle,
                                      until_cycle=args.until_cycle,
                                      break_on=args.break_on)
-    run = bundle.get("run", {})
-    out.write(f"replayed:  {run.get('workload', '?')}/"
-              f"{run.get('monitor', '?')} seed {run.get('seed', 0)} "
-              f"(bundle captured at cycle {bundle.get('cycle', 0):,})\n")
+    run = bundle["run"]
+    out.write(f"replayed:  {run['workload']}/{run['monitor']} seed "
+              f"{run.get('seed', 0)} (bundle captured at cycle "
+              f"{bundle['cycle']:,})\n")
     if result.broke:
         out.write(f"break:     cycle {result.break_cycle:,} "
                   f"({len(result.events)} events so far)\n")
@@ -889,8 +885,8 @@ def command_inspect(args, out):
             bundle, kind=args.kind, since_cycle=args.since,
             limit=args.limit) + "\n")
     elif args.spans:
-        spans = bundle.get("spans", {}).get("recent", [])
-        out.write(render_span_tree(spans, limit=args.limit) + "\n")
+        out.write(render_span_tree(bundle["spans"]["recent"],
+                                   limit=args.limit) + "\n")
     elif args.groups:
         out.write(forensics.render_bundle_groups(bundle, top=args.limit)
                   + "\n")

@@ -66,6 +66,8 @@ def mapping(value, field="value"):
 #: allowed types of a :func:`table` column.
 INT = frozenset({int})
 OPTIONAL_INT = frozenset({int, type(None)})
+NULL = frozenset({type(None)})
+NUMBER = frozenset({int, float})
 BOOL = frozenset({bool})
 TEXT = frozenset({str})
 LIST = frozenset({list})
@@ -82,7 +84,7 @@ def integers(values, field="values"):
 
 def numbers(values, field="values"):
     """``values`` when it is a list of ints and floats."""
-    if not set(map(type, sequence(values, field))) <= {int, float}:
+    if not set(map(type, sequence(values, field))) <= NUMBER:
         raise TypeError(f"{field} must hold only numbers")
     return values
 

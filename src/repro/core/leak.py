@@ -321,9 +321,5 @@ class LeakDetector:
     # ------------------------------------------------------------------
     # introspection for experiments
     # ------------------------------------------------------------------
-    def suspects_before_pruning(self):
-        """Distinct objects ever flagged (the Table 5 'before' count)."""
-        return len({r.object_address for r in self.suspect_records})
-
     def watched_suspects(self):
         return dict(self._watched)

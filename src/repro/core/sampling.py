@@ -35,14 +35,15 @@ import random
 from dataclasses import dataclass, replace
 
 from repro.common.errors import ConfigurationError
+from repro.common.schema import Field, Table
 from repro.common.state import (
+    INT,
+    NULL,
+    NUMBER,
     fields_state,
-    integer,
     load_fields,
     load_rng_state,
-    mapping,
     number,
-    optional_integer,
     rng_state,
 )
 
@@ -126,26 +127,19 @@ class SamplingPolicy:
 
     @classmethod
     def from_dict(cls, payload):
-        """Decode :meth:`to_dict` output (a recorded or configured
-        policy); a malformed one raises :class:`ConfigurationError`
-        naming the field."""
-        try:
-            for key, value in mapping(payload, "sampling policy").items():
-                if key not in _POLICY_FIELDS:
-                    raise TypeError(
-                        f"sampling policy field {key!r} is unknown; "
-                        f"expected one of {', '.join(_POLICY_FIELDS)}")
-                _POLICY_FIELDS[key](value,
-                                    f"sampling policy field {key!r}")
-        except TypeError as error:
-            raise ConfigurationError(str(error)) from None
+        """Decode :meth:`to_dict` output (checked against
+        :data:`SAMPLING` where its document entered)."""
         return cls(**payload).validate()
 
 
-#: the type check of each :class:`SamplingPolicy` field.
-_POLICY_FIELDS = {"rate": number, "seed": integer,
-                  "budget": optional_integer, "backoff": number,
-                  "max_backoff": number}
+#: a recorded policy: :meth:`SamplingPolicy.to_dict`'s fields.
+SAMPLING = Table("sampling", {
+    "rate": Field(NUMBER, required=False),
+    "seed": Field(INT, required=False),
+    "budget": Field(INT | NULL, required=False, what="an integer or null"),
+    "backoff": Field(NUMBER, required=False),
+    "max_backoff": Field(NUMBER, required=False),
+}, label="sampling policy", whole="sampling policy", closed=True)
 
 
 class AllocationSampler:

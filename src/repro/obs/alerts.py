@@ -35,10 +35,22 @@ to fleet-level aggregation.
 """
 
 import json
+import pathlib
 
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind
-from repro.common.state import integer, number, optional_integer, text
+from repro.common.schema import Field, Table
+from repro.common.state import (
+    INT,
+    LIST,
+    NULL,
+    NUMBER,
+    TEXT,
+    integer,
+    number,
+    optional_integer,
+    text,
+)
 from repro.obs.trend import DETECTORS, parse_selector
 
 RULE_KINDS = ("threshold", "rate", "absence", "trend")
@@ -88,15 +100,6 @@ class AlertRule:
                     f"alert rule {name!r}: {field} must be an integer "
                     f">= 1, got {count!r}"
                 )
-        levels = [("value", value)]
-        if clear_value is not None:
-            levels.append(("clear_value", clear_value))
-        for field, level in levels:
-            if isinstance(level, bool) or not isinstance(level, (int, float)):
-                raise ConfigurationError(
-                    f"alert rule {name!r}: {field} must be a number, "
-                    f"got {level!r}"
-                )
         if kind == "trend":
             try:
                 parse_selector(metric)
@@ -137,24 +140,29 @@ class AlertRule:
 
     @classmethod
     def from_dict(cls, spec):
-        spec = dict(spec)
-        name = spec.pop("name", None)
-        metric = spec.pop("metric", None)
-        if not name or not metric:
-            raise ConfigurationError(
-                f"alert rule needs 'name' and 'metric': {spec}"
-            )
-        known = {slot for slot in cls.__slots__}
-        unknown = set(spec) - known
-        if unknown:
-            raise ConfigurationError(
-                f"alert rule {name!r}: unknown keys {sorted(unknown)}"
-            )
-        return cls(name, metric, **spec)
+        """The rule a spec dict describes, checked against :data:`RULE`."""
+        return cls(**RULE.check(spec))
 
     def __repr__(self):
         return (f"AlertRule({self.name}: {self.kind} {self.metric} "
                 f"{self.op} {self.value}, {self.severity})")
+
+
+#: one rule spec, :meth:`AlertRule.to_dict`'s fields (the constructor
+#: checks the choices and counts); errors name the rule.
+RULE = Table("rule", {
+    "name": TEXT,
+    "metric": TEXT,
+    **{field: Field(TEXT, required=False)
+       for field in ("kind", "op", "severity", "description")},
+    "value": Field(NUMBER, required=False),
+    "clear_value": Field(NUMBER | NULL, required=False),
+    "for_samples": Field(INT, required=False),
+    "resolve_after": Field(INT, required=False),
+}, label="alert rule", key="name", closed=True)
+
+#: an alert-rules file: a JSON list of rule specs.
+RULES = Field(LIST, items=RULE)
 
 
 class Alert:
@@ -555,24 +563,13 @@ def default_trend_rules(detector):
 def load_rules(path):
     """Load a JSON rule file: a list of :meth:`AlertRule.to_dict` specs."""
     try:
-        specs = json.loads(open(path).read())
+        specs = json.loads(pathlib.Path(path).read_text())
     except (OSError, ValueError) as error:
         raise ConfigurationError(
             f"cannot read alert rules from {path}: {error}"
         ) from None
-    if not isinstance(specs, list):
-        raise ConfigurationError(
-            f"alert rules file {path} must hold a JSON list of rules"
-        )
-    rules = []
-    for index, spec in enumerate(specs):
-        if not isinstance(spec, dict):
-            raise ConfigurationError(
-                f"alert rules file {path}: entry #{index} is not a "
-                f"JSON object ({type(spec).__name__})"
-            )
-        rules.append(AlertRule.from_dict(spec))
-    return rules
+    return [AlertRule(**spec)
+            for spec in RULES.check(specs, f"alert rules file {path}")]
 
 
 def resolve_rules(spec):

@@ -40,20 +40,44 @@ import pathlib
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
+from repro.common.schema import Field, Table
+from repro.common.state import INT, LIST, NULL, OBJECT, TEXT
 from repro.obs import state as images
 from repro.obs.snapshot import (
+    CAPTURE,
     EVENT_TAIL_LIMIT,
     GROUP_LIMIT,
     HEAP_MAP_LIMIT,
     Rerun,
     capture_state,
-    read_document,
     safe_label,
     write_document,
 )
 
 #: schema tag of a checkpoint document.
 CHECKPOINT_SCHEMA = "repro.checkpoint/v1"
+
+#: a ``repro.checkpoint/v1`` document: the capture sections plus what
+#: :func:`capture_checkpoint` adds (the ``state`` image's components
+#: check their own payloads when it loads, :mod:`repro.obs.state`).
+CHECKPOINT = Table(CHECKPOINT_SCHEMA, {
+    "schema": Field(TEXT, choices=(CHECKPOINT_SCHEMA,)),
+    "progress.request_index": Field(INT | NULL, low=0),
+    "progress.requests_completed": INT | NULL,
+    "dram.data": TEXT,
+    "dram.check": TEXT,
+    "monitoring_state.sampler": OBJECT | NULL,
+    "monitoring_state.sampler.samples_taken": INT,
+    "monitoring_state.sampler.ring": LIST,
+    "monitoring_state.alerts": OBJECT | NULL,
+    "monitoring_state.alerts.alerts.<name>.state": TEXT,
+    "monitoring_state.trend": OBJECT | NULL,
+    "monitoring_state.trend.series.<name>.breached": OBJECT,
+    "monitoring_state.trend.breach_onsets": INT,
+    "state": Field(OBJECT, required=False),
+    "state.image": TEXT,
+    "state.sha256": TEXT,
+}, label="checkpoint", base=CAPTURE)
 
 #: checkpoints a scheduler writes before it starts skipping (counted,
 #: never silent) -- bounds disk output on very long runs.
@@ -129,8 +153,10 @@ write_checkpoint = write_document
 
 
 def load_checkpoint(path):
-    """Load and schema-check one ``repro.checkpoint/v1`` document."""
-    return read_document(path, CHECKPOINT_SCHEMA)
+    """Load one ``repro.checkpoint/v1`` document, checked against
+    :data:`CHECKPOINT`."""
+    from repro.obs.forensics import load_document
+    return load_document(path, CHECKPOINT)[1]
 
 
 class CheckpointScheduler:
@@ -218,7 +244,7 @@ def compare_checkpoints(recorded, fresh):
         )
     return True, (
         f"{len(VERIFIED_SECTIONS)} sections verified bit-exact at "
-        f"cycle {recorded.get('cycle', 0):,}"
+        f"cycle {recorded['cycle']:,}"
     )
 
 
@@ -248,23 +274,6 @@ class ResumeResult:
     restored: bool = False
 
 
-def _boundary(checkpoint):
-    """The checkpoint's ``progress.request_index`` (None or >= 0)."""
-    progress = checkpoint.get("progress") or {}
-    if not isinstance(progress, dict):
-        raise ConfigurationError(
-            f"checkpoint progress section must be an object, got "
-            f"{type(progress).__name__}")
-    boundary = progress.get("request_index")
-    if boundary is not None and (isinstance(boundary, bool)
-                                 or not isinstance(boundary, int)
-                                 or boundary < 0):
-        raise ConfigurationError(
-            f"checkpoint field 'progress.request_index' must be null or "
-            f"a non-negative integer, got {boundary!r}")
-    return boundary
-
-
 def _capture_rerun(rerun, index):
     """The verified sections of a rerun at request boundary ``index``."""
     stack = rerun.stack
@@ -288,8 +297,8 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
     then continues to ``requests`` total requests (default: the
     recorded horizon).
     """
-    rerun = Rerun(checkpoint, "checkpoint", "resumed", requests=requests)
-    boundary = _boundary(checkpoint)
+    rerun = Rerun(checkpoint, CHECKPOINT, "resumed", requests=requests)
+    boundary = checkpoint["progress"]["request_index"]
     if verify and boundary is None:
         raise ConfigurationError(
             "checkpoint records no request boundary; resume it with "
@@ -351,7 +360,7 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
         program=getattr(rerun.monitor, "program", None),
         truth=rerun.truth,
         events=rerun.machine.events.query(),
-        checkpoint_cycle=checkpoint.get("cycle", 0),
+        checkpoint_cycle=checkpoint["cycle"],
         verified=state["verified"],
         verify_message=state["message"],
         panic=rerun.panic,
@@ -364,20 +373,19 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
 # ----------------------------------------------------------------------
 def render_checkpoint_summary(document):
     """The `repro inspect` headline view of one checkpoint."""
-    run = document.get("run") or {}
-    machine = document.get("machine") or {}
-    progress = document.get("progress") or {}
-    events = document.get("events") or {}
-    monitoring_state = document.get("monitoring_state") or {}
+    run = document["run"]
+    machine = document["machine"]
+    progress = document["progress"]
+    events = document["events"]
+    monitoring_state = document["monitoring_state"]
     lines = [
         f"checkpoint ({document['schema']}) @ cycle "
-        f"{document.get('cycle', 0):,} "
-        f"(+{document.get('idle_cycles', 0):,} idle)",
+        f"{document['cycle']:,} (+{document['idle_cycles']:,} idle)",
     ]
-    if progress.get("request_index") is not None:
+    if progress["request_index"] is not None:
         lines.append(
             f"  boundary:  after request #{progress['request_index']} "
-            f"({progress.get('requests_completed')} completed)"
+            f"({progress['requests_completed']} completed)"
         )
     if run:
         lines.append(
@@ -396,24 +404,21 @@ def render_checkpoint_summary(document):
             f"DRAM, {machine.get('cache_size', 0) >> 10} KiB cache, "
             f"ecc={machine.get('ecc_mode', '?')}"
         )
-    section = document.get("state")
-    if isinstance(section, dict) and isinstance(section.get("image"), str):
+    if "state" in document:
         lines.append(f"  restore:   state image, "
-                     f"{len(section['image']) // 1024:,} KiB")
+                     f"{len(document['state']['image']) // 1024:,} KiB")
     else:
         lines.append("  restore:   none (resume replays from the seed)")
-    dram = document.get("dram") or {}
-    if dram:
-        lines.append(f"  dram:      data sha256 "
-                     f"{dram.get('data', '?')[:16]}..., check "
-                     f"{dram.get('check', '?')[:16]}...")
-    lines.append(f"  events:    {events.get('total', 0):,} total, "
-                 f"{len(events.get('tail', []))} in tail")
-    watches = document.get("watches") or []
+    dram = document["dram"]
+    lines.append(f"  dram:      data sha256 {dram['data'][:16]}..., "
+                 f"check {dram['check'][:16]}...")
+    lines.append(f"  events:    {events['total']:,} total, "
+                 f"{len(events['tail'])} in tail")
+    watches = document["watches"]
     armed = sum(len(region["lines"]) for region in watches)
     lines.append(f"  watches:   {len(watches)} region(s), "
                  f"{armed} armed line(s)")
-    heap = document.get("heap")
+    heap = document["heap"]
     if heap:
         lines.append(
             f"  heap:      {heap['live_bytes']:,} B live in "
@@ -423,14 +428,14 @@ def render_checkpoint_summary(document):
                      in monitoring_state.items() if payload)
     if present:
         lines.append("  stack state: " + ", ".join(present))
-        sampler_state = monitoring_state.get("sampler")
+        sampler_state = monitoring_state["sampler"]
         if sampler_state:
             lines.append(
                 f"    sampler: {sampler_state['samples_taken']} "
                 f"sample(s) taken, {len(sampler_state['ring'])} in "
                 f"ring"
             )
-        trend_state = monitoring_state.get("trend")
+        trend_state = monitoring_state["trend"]
         if trend_state:
             latched = sum(
                 1 for record in trend_state["series"].values()
@@ -441,7 +446,7 @@ def render_checkpoint_summary(document):
                 f"{latched} latch(es) breached, "
                 f"{trend_state['breach_onsets']} onset(s)"
             )
-        alert_state = monitoring_state.get("alerts")
+        alert_state = monitoring_state["alerts"]
         if alert_state:
             firing = sorted(
                 name for name, record in alert_state["alerts"].items()

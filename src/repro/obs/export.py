@@ -26,9 +26,21 @@ and ``spans`` are optional and omitted when empty.
 
 import json
 
-from repro.common.errors import ConfigurationError
+from repro.common.schema import Field, Table
+from repro.common.state import INT, NULL, NUMBER, OBJECT, TEXT
 
 SCHEMA = "repro.metrics/v1"
+
+#: a ``repro.metrics/v1`` document, as :func:`snapshot_document`
+#: writes it.
+METRICS = Table(SCHEMA, {
+    "schema": Field(TEXT, choices=(SCHEMA,)),
+    "generated.cycle": INT,
+    "generated.since_cycle": INT | NULL,
+    "metrics": OBJECT,
+    "metrics.<name>": NUMBER | NULL,
+    "kinds": OBJECT,
+}, label="metrics document")
 
 
 def snapshot_document(snapshot, spans=None, meta=None):
@@ -63,17 +75,13 @@ def snapshot_from_document(document):
     including the one embedded in a ``repro.dump/v1`` bundle.
     """
     from repro.obs.metrics import Snapshot
-    if not isinstance(document, dict) or document.get("schema") != SCHEMA:
-        raise ConfigurationError(
-            f"not a {SCHEMA} document: "
-            f"{document.get('schema') if isinstance(document, dict) else type(document).__name__!r}"
-        )
-    generated = document.get("generated", {})
+    METRICS.check(document)
+    generated = document["generated"]
     return Snapshot(
-        generated.get("cycle", 0),
-        dict(document.get("metrics", {})),
-        dict(document.get("kinds", {})),
-        since_cycle=generated.get("since_cycle"),
+        generated["cycle"],
+        dict(document["metrics"]),
+        dict(document["kinds"]),
+        since_cycle=generated["since_cycle"],
     )
 
 

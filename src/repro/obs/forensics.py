@@ -39,8 +39,11 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind
+from repro.common.schema import Field, Table
+from repro.common.state import BOOL, INT, LIST, NULL, NUMBER, OBJECT, TEXT
 from repro.obs.export import snapshot_from_document
 from repro.obs.snapshot import (
+    CAPTURE,
     EVENT_TAIL_LIMIT,
     GROUP_LIMIT,
     HEAP_MAP_LIMIT,
@@ -48,13 +51,30 @@ from repro.obs.snapshot import (
     capture_state,
     event_to_dict,
     jsonable,
-    read_document,
     safe_label,
     write_document,
 )
 
 #: schema tag of a forensic bundle document.
 DUMP_SCHEMA = "repro.dump/v1"
+
+#: a ``repro.dump/v1`` bundle: the capture sections plus what
+#: :func:`capture_bundle` adds.
+DUMP = Table(DUMP_SCHEMA, {
+    "schema": Field(TEXT, choices=(DUMP_SCHEMA,)),
+    "reason": TEXT,
+    "trigger": OBJECT,
+    "spans.recent": Field(LIST, items={
+        "name": TEXT, "depth": INT, "start_cycle": INT,
+        "duration_cycles": INT, "attrs": OBJECT}),
+    "spans.panic": OBJECT | NULL,
+    "spans.panic.cycle": INT,
+    "trends": OBJECT | NULL,
+    "trends.series": Field(LIST, items={
+        "name": TEXT, "points": INT, "last_cycle": INT,
+        "last_value": NUMBER, "verdicts": Field(LIST, items={
+            "detector": TEXT, "value": NUMBER, "breached": BOOL})}),
+}, label="bundle", base=CAPTURE)
 
 
 # ----------------------------------------------------------------------
@@ -100,8 +120,8 @@ write_bundle = write_document
 
 
 def load_bundle(path):
-    """Load and schema-check one ``repro.dump/v1`` bundle."""
-    return read_document(path, DUMP_SCHEMA)
+    """Load one ``repro.dump/v1`` bundle, checked against :data:`DUMP`."""
+    return load_document(path, DUMP)[1]
 
 
 class ForensicRecorder:
@@ -235,7 +255,7 @@ def replay_bundle(bundle, until_cycle=None, break_on=None):
     replay of a panicked run re-panics identically; the panic is
     caught and reported on the result.
     """
-    rerun = Rerun(bundle, "bundle", "replayed")
+    rerun = Rerun(bundle, DUMP, "replayed")
     machine = rerun.machine
     timer = None
     tokens = []
@@ -298,9 +318,8 @@ def verify_replay(bundle, result):
     log is appended in non-decreasing cycle order, so that prefix is
     complete on both sides).
     """
-    recorded = bundle.get("events", {})
-    tail = recorded.get("tail", [])
-    total = recorded.get("total", len(tail))
+    tail = bundle["events"]["tail"]
+    total = bundle["events"]["total"]
     replayed = [event_to_dict(event) for event in result.events]
     if len(replayed) >= total:
         expected = tail
@@ -335,23 +354,10 @@ def verify_replay(bundle, result):
 # ----------------------------------------------------------------------
 # inspection
 # ----------------------------------------------------------------------
-def known_document_schemas():
-    """``{schema string: inspect kind}`` for every loadable document."""
-    from repro.obs.checkpoint import CHECKPOINT_SCHEMA
-    from repro.obs.export import SCHEMA as METRICS_SCHEMA
-    from repro.obs.history import HISTORY_SCHEMA
-    from repro.obs.sink import EVENTS_SCHEMA
-    return {
-        DUMP_SCHEMA: "dump",
-        METRICS_SCHEMA: "metrics",
-        EVENTS_SCHEMA: "stream",
-        CHECKPOINT_SCHEMA: "checkpoint",
-        HISTORY_SCHEMA: "history",
-    }
-
-
-def load_document(path):
-    """Load any versioned repro document by its schema tag.
+def load_document(path, expected=None):
+    """Load any versioned repro document by its schema tag, checked
+    against that schema's field table; with ``expected`` (a table),
+    only a document of that schema.
 
     Returns ``(kind, payload)`` where kind is ``"dump"``,
     ``"metrics"``, ``"checkpoint"``, ``"history"``, or ``"stream"``
@@ -360,8 +366,13 @@ def load_document(path):
     the offending string and every schema this build understands, so
     documents written by newer builds degrade loudly, not obscurely.
     """
-    from repro.obs.sink import EVENTS_SCHEMA, read_jsonl
-    known = known_document_schemas()
+    from repro.obs.checkpoint import CHECKPOINT
+    from repro.obs.export import METRICS
+    from repro.obs.history import HISTORY
+    from repro.obs.sink import EVENTS, STREAM, read_jsonl
+    known = {table.name: (kind, table) for kind, table in (
+        ("dump", DUMP), ("metrics", METRICS), ("stream", EVENTS),
+        ("checkpoint", CHECKPOINT), ("history", HISTORY))}
     path = pathlib.Path(path)
     try:
         text = path.read_text()
@@ -369,30 +380,41 @@ def load_document(path):
         raise ConfigurationError(f"cannot read {path}: {error}") from None
     try:
         document = json.loads(text)
-    except ValueError:
+    except ValueError as error:
+        if expected is not None:
+            raise ConfigurationError(
+                f"cannot read a {expected.name} document from {path}: "
+                f"{error}") from None
         document = None
     if isinstance(document, dict):
         schema = document.get("schema")
-        kind = known.get(schema)
+        if expected is not None and schema != expected.name:
+            raise ConfigurationError(
+                f"{path}: not a {expected.name} document "
+                f"(schema={schema!r})")
+        if not isinstance(schema, str) or schema not in known:
+            raise ConfigurationError(
+                f"{path}: unrecognized schema {schema!r}; this build "
+                f"understands: " + ", ".join(sorted(known)))
+        kind, table = known[schema]
         if kind == "stream":
             # A one-record stream parses as a single JSON document.
-            return "stream", [document]
-        if kind is not None:
-            return kind, document
+            return kind, STREAM.check([document], str(path))
+        return kind, table.check(document)
+    if expected is not None:
         raise ConfigurationError(
-            f"{path}: unrecognized schema {schema!r}; this build "
-            f"understands: " + ", ".join(sorted(known))
-        )
+            f"{path}: not a {expected.name} document (a JSON "
+            f"{type(document).__name__})")
     try:
         records = read_jsonl(path)
     except ValueError:
         records = None
     if records and all(isinstance(record, dict)
-                       and record.get("schema") == EVENTS_SCHEMA
+                       and record.get("schema") == EVENTS.name
                        for record in records):
-        return "stream", records
+        return "stream", STREAM.check(records, str(path))
     raise ConfigurationError(
-        f"{path}: neither a JSON document nor a {EVENTS_SCHEMA} stream"
+        f"{path}: neither a JSON document nor a {EVENTS.name} stream"
     )
 
 
@@ -406,38 +428,38 @@ def _fired_alerts(metrics):
     fired = []
     for name, value in metrics.items():
         match = re.fullmatch(r"alerts\.rule\.(.+)\.fired", name)
-        if match and value > 0:
+        if match and (value or 0) > 0:
             fired.append(match.group(1))
     return sorted(fired)
 
 
 def render_bundle_summary(bundle):
     """The `repro inspect` headline view of one bundle."""
-    run = bundle.get("run") or {}
-    machine = bundle.get("machine") or {}
-    events = bundle.get("events") or {}
-    heap = bundle.get("heap")
+    run = bundle["run"]
+    machine = bundle["machine"]
+    events = bundle["events"]
+    heap = bundle["heap"]
     lines = [
         f"forensic bundle ({bundle['schema']}) -- reason: "
-        f"{bundle.get('reason', '?')}",
+        f"{bundle['reason']}",
     ]
-    trigger = bundle.get("trigger") or {}
+    trigger = bundle["trigger"]
     if trigger:
         rendered = ", ".join(f"{key}={value}"
                              for key, value in sorted(trigger.items()))
         lines.append(f"  trigger:   {rendered}")
-    lines.append(f"  cycle:     {bundle.get('cycle', 0):,} "
-                 f"(+{bundle.get('idle_cycles', 0):,} idle)")
+    lines.append(f"  cycle:     {bundle['cycle']:,} "
+                 f"(+{bundle['idle_cycles']:,} idle)")
     if run:
-        monitoring = run.get("monitoring")
+        sample_every = run.get("monitoring", {}).get("sample_every")
         lines.append(
             f"  run:       {run.get('workload', '?')}/"
             f"{run.get('monitor', '?')} "
             f"({'buggy' if run.get('buggy') else 'normal'} input, "
             f"{run.get('requests', '?')} requests, "
             f"seed {run.get('seed', '?')}"
-            + (f", sampled every {monitoring['sample_every']:,} cycles"
-               if monitoring else "")
+            + (f", sampled every {sample_every:,} cycles"
+               if sample_every else "")
             + ")"
         )
     else:
@@ -449,18 +471,18 @@ def render_bundle_summary(bundle):
             f"{machine.get('cache_size', 0) >> 10} KiB cache, "
             f"ecc={machine.get('ecc_mode', '?')}"
         )
-    lines.append(f"  events:    {events.get('total', 0):,} total, "
-                 f"{len(events.get('tail', []))} in tail")
-    watches = bundle.get("watches") or []
+    lines.append(f"  events:    {events['total']:,} total, "
+                 f"{len(events['tail'])} in tail")
+    watches = bundle["watches"]
     armed = sum(len(region["lines"]) for region in watches)
     lines.append(f"  watches:   {len(watches)} region(s), "
                  f"{armed} armed line(s)")
-    irq = bundle.get("interrupts") or {}
+    irq = bundle["interrupts"]
     lines.append(
-        f"  interrupts: {irq.get('delivered', 0)} delivered, "
-        f"{irq.get('panics', 0)} panic(s), "
-        f"{irq.get('ecc_traps', 0)} ecc trap(s), handler "
-        f"{'registered' if irq.get('handler_registered') else 'absent'}"
+        f"  interrupts: {irq['delivered']} delivered, "
+        f"{irq['panics']} panic(s), "
+        f"{irq['ecc_traps']} ecc trap(s), handler "
+        f"{'registered' if irq['handler_registered'] else 'absent'}"
     )
     if heap:
         lines.append(
@@ -470,7 +492,7 @@ def render_bundle_summary(bundle):
             f"{heap['total_allocs']} allocs / "
             f"{heap['total_frees']} frees)"
         )
-    groups = bundle.get("groups") or []
+    groups = bundle["groups"]
     if groups:
         top = groups[0]
         lines.append(
@@ -478,31 +500,29 @@ def render_bundle_summary(bundle):
             f"{top['call_signature']:#x} -- {top['live_count']} live, "
             f"{top['live_bytes']:,} B"
         )
-    fired = _fired_alerts(bundle.get("metrics", {}).get("metrics", {}))
+    fired = _fired_alerts(bundle["metrics"]["metrics"])
     if fired:
         lines.append("  alerts fired: " + ", ".join(fired))
-    trends = bundle.get("trends")
+    trends = bundle["trends"]
     if trends:
-        breaching = sum(
-            1 for series in trends.get("series", [])
-            for verdict in series.get("verdicts", [])
-            if verdict.get("breached")
-        )
+        breaching = sum(1 for series in trends["series"]
+                        for verdict in series["verdicts"]
+                        if verdict["breached"])
         lines.append(
-            f"  trends:    {len(trends.get('series', []))} series "
+            f"  trends:    {len(trends['series'])} series "
             f"tracked, {breaching} verdict(s) breaching "
             f"({trends.get('breach_onsets', 0)} onset(s) total)"
         )
-    panic = (bundle.get("spans") or {}).get("panic")
+    panic = bundle["spans"]["panic"]
     if panic:
         lines.append(f"  panic:     {panic.get('reason')} @ cycle "
-                     f"{panic.get('cycle', 0):,}")
+                     f"{panic['cycle']:,}")
     return "\n".join(lines)
 
 
 def render_bundle_groups(bundle, top=10):
     """Leak-group lifetime table: the Figure 3 view from a bundle."""
-    groups = (bundle.get("groups") or [])[:top]
+    groups = bundle["groups"][:top]
     if not groups:
         return "no allocation groups recorded"
     lines = [
@@ -522,7 +542,7 @@ def render_bundle_groups(bundle, top=10):
 
 def render_bundle_heap(bundle, top=10):
     """Largest live heap blocks recorded in a bundle."""
-    heap = bundle.get("heap")
+    heap = bundle["heap"]
     if not heap:
         return "no heap map recorded (monitor had no attached program)"
     lines = [
@@ -539,7 +559,7 @@ def render_bundle_heap(bundle, top=10):
 
 def render_bundle_events(bundle, kind=None, since_cycle=None, limit=20):
     """Query the bundle's event tail the way `EventLog.query` would."""
-    records = bundle.get("events", {}).get("tail", [])
+    records = bundle["events"]["tail"]
     if kind is not None:
         records = [r for r in records if r["kind"] == kind]
     if since_cycle is not None:
@@ -562,24 +582,24 @@ def render_bundle_events(bundle, kind=None, since_cycle=None, limit=20):
 
 def render_bundle_trends(bundle):
     """Trend-analytics view: per-series detector verdicts at capture."""
-    trends = bundle.get("trends")
+    trends = bundle["trends"]
     if not trends:
         return ("no trend analytics recorded "
                 "(run was captured without --trend)")
     lines = [
-        f"trend analytics: {len(trends.get('series', []))} series, "
+        f"trend analytics: {len(trends['series'])} series, "
         f"window {trends.get('window', '?')} samples, "
         f"{trends.get('evaluations', 0)} evaluation(s), "
         f"{trends.get('series_ended', 0)} series ended, "
         f"{trends.get('breach_onsets', 0)} breach onset(s)",
     ]
-    for series in trends.get("series", []):
+    for series in trends["series"]:
         lines.append(
             f"  {series['name']} -- {series['points']} point(s) in "
             f"window, last {series['last_value']:,.0f} B @ cycle "
             f"{series['last_cycle']:,}"
         )
-        for verdict in series.get("verdicts", []):
+        for verdict in series["verdicts"]:
             state = "BREACHED" if verdict["breached"] else "ok"
             lines.append(
                 f"    {verdict['detector']:<12} {verdict['value']:>14,.1f}"
@@ -602,12 +622,11 @@ def render_stream_summary(records):
     for record_type in sorted(by_type):
         lines.append(f"  {record_type:<8} {by_type[record_type]}")
     firing = [record["alert"]["rule"] for record in records
-              if record["type"] == "alert"
-              and record["alert"].get("state") == "firing"]
+              if "alert" in record and record["alert"]["state"] == "firing"]
     if firing:
         lines.append("  alerts firing: " + ", ".join(sorted(set(firing))))
     markers = [record["run"].get("marker") for record in records
-               if record["type"] == "run"]
+               if "run" in record]
     if markers:
         lines.append("  run markers: " + " -> ".join(str(m)
                                                      for m in markers))
@@ -624,17 +643,17 @@ _HISTOGRAM_SUFFIXES = (".count", ".sum", ".min", ".max",
 
 def _metrics_of(document):
     """``(values, kinds)`` of a bundle or a metrics document."""
-    schema = document.get("schema")
+    schema = document["schema"]
     if schema == DUMP_SCHEMA:
-        document = document.get("metrics", {})
-        schema = document.get("schema")
+        document = document["metrics"]
+        schema = document["schema"]
     from repro.obs.export import SCHEMA as METRICS_SCHEMA
     if schema != METRICS_SCHEMA:
         raise ConfigurationError(
             f"cannot diff schema {schema!r}; expected {DUMP_SCHEMA} or "
             f"{METRICS_SCHEMA}"
         )
-    return document.get("metrics", {}), document.get("kinds", {})
+    return document["metrics"], document["kinds"]
 
 
 def _histogram_bases(names):
@@ -688,11 +707,9 @@ def diff_documents(a, b):
     fired_b = set(_fired_alerts(values_b))
     trends = _diff_trends(a, b)
     groups = []
-    if a.get("schema") == DUMP_SCHEMA and b.get("schema") == DUMP_SCHEMA:
-        rows_a = {(g["size"], g["call_signature"]): g
-                  for g in a.get("groups") or []}
-        rows_b = {(g["size"], g["call_signature"]): g
-                  for g in b.get("groups") or []}
+    if a["schema"] == DUMP_SCHEMA and b["schema"] == DUMP_SCHEMA:
+        rows_a = {(g["size"], g["call_signature"]): g for g in a["groups"]}
+        rows_b = {(g["size"], g["call_signature"]): g for g in b["groups"]}
         for key in sorted(set(rows_a) | set(rows_b)):
             live_a = rows_a.get(key, {}).get("live_bytes", 0)
             live_b = rows_b.get(key, {}).get("live_bytes", 0)
@@ -719,11 +736,11 @@ def diff_documents(a, b):
 
 def _trend_verdict_map(document):
     """``(series, detector) -> verdict`` of a bundle's trends section."""
-    trends = document.get("trends") if document.get("schema") \
-        == DUMP_SCHEMA else None
+    trends = document["trends"] if document["schema"] == DUMP_SCHEMA \
+        else None
     verdicts = {}
-    for series in (trends or {}).get("series", []):
-        for verdict in series.get("verdicts", []):
+    for series in trends["series"] if trends else []:
+        for verdict in series["verdicts"]:
             verdicts[(series["name"], verdict["detector"])] = verdict
     return verdicts
 
@@ -750,9 +767,9 @@ def _diff_trends(a, b):
 
 
 def _cycle_of(document):
-    if document.get("schema") == DUMP_SCHEMA:
-        return document.get("cycle", 0)
-    return document.get("generated", {}).get("cycle", 0)
+    if document["schema"] == DUMP_SCHEMA:
+        return document["cycle"]
+    return document["generated"]["cycle"]
 
 
 def _fmt(value):

@@ -36,7 +36,8 @@ bit-exactly (``repro.checkpoint/v1`` embeds it verbatim).
 from collections import deque
 
 from repro.common.errors import ConfigurationError
-from repro.common.state import integer, number, numbers, record, sequence
+from repro.common.schema import Field, Table
+from repro.common.state import INT, LIST, NUMBER, OBJECT, TEXT
 
 #: schema tag for serialized history documents.
 HISTORY_SCHEMA = "repro.history/v1"
@@ -49,6 +50,26 @@ DEFAULT_SERIES = (
     "safemem.watch.armed",
     "sampler.overhead_fraction",
 )
+
+#: one bucket: ``[start, min, max, sum, count]``.
+BUCKET = (INT, NUMBER, NUMBER, NUMBER, INT)
+
+#: a ``repro.history/v1`` document, as :meth:`HistoryStore.to_dict`
+#: writes it.
+HISTORY = Table(HISTORY_SCHEMA, {
+    "schema": Field(TEXT, choices=(HISTORY_SCHEMA,)),
+    "tiers": Field(LIST, columns=(INT, INT)),
+    "raw_capacity": Field(INT, low=1),
+    "observations": INT,
+    "raw_evicted": INT,
+    "buckets_evicted": INT,
+    "series": OBJECT,
+    "series.<name>.raw": Field(LIST, columns=(INT, NUMBER)),
+    "series.<name>.tiers": Field(LIST, items=Field(LIST, columns=BUCKET)),
+}, label="history document")
+
+#: check a ``repro.history/v1`` dict against :data:`HISTORY`.
+check_history_document = HISTORY.check
 
 #: raw (cycle, value) points retained per series.
 DEFAULT_RAW_CAPACITY = 256
@@ -207,7 +228,7 @@ class HistoryStore:
     @classmethod
     def from_dict(cls, document, metrics=None):
         """Rebuild a store from :meth:`to_dict` output, bit-exactly."""
-        check_history_document(document)
+        HISTORY.check(document)
         tiers = tuple((int(width), int(capacity))
                       for width, capacity in document["tiers"])
         store = cls(series=tuple(document["series"]), tiers=tiers,
@@ -218,7 +239,7 @@ class HistoryStore:
     def load_state(self, document):
         """Restore :meth:`to_dict` output into this store, which must
         track the same series with the same tiers."""
-        check_history_document(document)
+        HISTORY.check(document)
         tiers = [list(tier) for tier in self.tiers]
         if (document["tiers"] != tiers
                 or document["raw_capacity"] != self.raw_capacity
@@ -226,47 +247,20 @@ class HistoryStore:
             raise ConfigurationError(
                 "history state mismatch: recorded tiers, capacity or "
                 "series differ from this store's")
-        self.observations = integer(document["observations"],
-                                    "observations")
-        self.raw_evicted = integer(document.get("raw_evicted", 0),
-                                   "raw_evicted")
-        self.buckets_evicted = integer(document.get("buckets_evicted", 0),
-                                       "buckets_evicted")
-        for name, record_ in document["series"].items():
+        self.observations = document["observations"]
+        self.raw_evicted = document["raw_evicted"]
+        self.buckets_evicted = document["buckets_evicted"]
+        for name, record in document["series"].items():
             history = _SeriesHistory(self.raw_capacity, self.tiers)
-            for cycle, value in record_["raw"]:
-                history.raw.append((integer(cycle, "raw cycle"),
-                                    number(value, "raw value")))
-            buckets = sequence(record_["tiers"], "tiers")
-            if len(buckets) != len(self.tiers):
-                raise ValueError(f"{name}: {len(buckets)} tiers recorded")
-            for index, tier in enumerate(buckets):
-                for bucket in tier:
-                    start, low, high, total, count = record(bucket, 5,
-                                                            "bucket")
-                    history.tiers[index].append(
-                        [integer(start, "bucket start"),
-                         *numbers([low, high, total], "bucket"),
-                         integer(count, "bucket count")])
+            history.raw.extend(map(tuple, record["raw"]))
+            if len(record["tiers"]) != len(self.tiers):
+                raise ConfigurationError(
+                    f"history series {name!r} records "
+                    f"{len(record['tiers'])} tiers, not {len(self.tiers)}")
+            for tier, buckets in zip(history.tiers, record["tiers"]):
+                tier.extend(map(list, buckets))
             self._series[name] = history
         return self
-
-
-def check_history_document(document):
-    """Validate the shape of a ``repro.history/v1`` dict; returns it."""
-    if (not isinstance(document, dict)
-            or document.get("schema") != HISTORY_SCHEMA):
-        found = (document.get("schema") if isinstance(document, dict)
-                 else type(document).__name__)
-        raise ConfigurationError(
-            f"not a {HISTORY_SCHEMA} document: {found!r}"
-        )
-    for key in ("tiers", "raw_capacity", "series"):
-        if key not in document:
-            raise ConfigurationError(
-                f"{HISTORY_SCHEMA} document is missing {key!r}"
-            )
-    return document
 
 
 def merge_history_documents(documents):
@@ -281,8 +275,6 @@ def merge_history_documents(documents):
     documents = list(documents)
     if not documents:
         raise ConfigurationError("no history documents to merge")
-    for document in documents:
-        check_history_document(document)
     first = documents[0]
     tiers = [list(tier) for tier in first["tiers"]]
     raw_capacity = first["raw_capacity"]
@@ -305,8 +297,7 @@ def merge_history_documents(documents):
                 continue
             raw.extend((cycle, value)
                        for cycle, value in record["raw"])
-            for index, buckets in enumerate(record["tiers"]):
-                merged = merged_tiers[index]
+            for merged, buckets in zip(merged_tiers, record["tiers"]):
                 for start, mn, mx, total, count in buckets:
                     bucket = merged.get(start)
                     if bucket is None:
@@ -333,9 +324,8 @@ def merge_history_documents(documents):
         "tiers": tiers,
         "raw_capacity": raw_capacity,
         "observations": sum(d["observations"] for d in documents),
-        "raw_evicted": sum(d.get("raw_evicted", 0) for d in documents),
-        "buckets_evicted": sum(d.get("buckets_evicted", 0)
-                               for d in documents),
+        "raw_evicted": sum(d["raw_evicted"] for d in documents),
+        "buckets_evicted": sum(d["buckets_evicted"] for d in documents),
         "series": series,
     }
 
@@ -349,7 +339,6 @@ def render_history(document, series=None, buckets=8):
     ``series`` narrows to one series name; ``buckets`` caps the
     newest buckets shown per tier.
     """
-    check_history_document(document)
     names = sorted(document["series"])
     if series is not None:
         if series not in document["series"]:
@@ -377,8 +366,8 @@ def render_history(document, series=None, buckets=8):
                 f"  raw [{first_cycle:,} .. {last_cycle:,}] "
                 f"latest {last_value:g}"
             )
-        for index, (width, _capacity) in enumerate(tiers):
-            tier = record["tiers"][index]
+        for index, ((width, _capacity), tier) in enumerate(
+                zip(tiers, record["tiers"])):
             lines.append(
                 f"  tier {index} ({width:,} cycles/bucket): "
                 f"{len(tier)} buckets"

@@ -35,9 +35,26 @@ import pathlib
 
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind
+from repro.common.schema import Field, Table
+from repro.common.state import INT, LIST, OBJECT, TEXT
 from repro.obs.snapshot import jsonable
 
 EVENTS_SCHEMA = "repro.events/v1"
+
+#: one ``repro.events/v1`` record; its payload key is named by
+#: ``type``.
+EVENTS = Table(EVENTS_SCHEMA, {
+    "schema": Field(TEXT, choices=(EVENTS_SCHEMA,)),
+    "type": Field(TEXT, choices=("run", "sample", "alert", "event")),
+    "cycle": INT,
+    "run": Field(OBJECT, required=False),
+    "alert": Field(OBJECT, required=False),
+    "alert.rule": TEXT,
+    "alert.state": TEXT,
+}, label="events record")
+
+#: a ``repro.events/v1`` stream: a list of records.
+STREAM = Field(LIST, items=EVENTS)
 
 #: event kinds streamed by default: operator-signal, not per-access
 #: noise (ALLOC/FREE/SYSCALL stay queryable in the EventLog).

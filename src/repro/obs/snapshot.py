@@ -10,8 +10,9 @@ holds both halves once:
   run, boot config, metrics, event tail, watches, interrupts, heap map,
   leak groups); :func:`~repro.obs.forensics.capture_bundle` and
   :func:`~repro.obs.checkpoint.capture_checkpoint` add only their own;
-- :class:`Rerun` -- the one re-execution driver: validate the recorded
-  run (:func:`check_run_info`), boot an identical machine, rebuild the
+- :class:`Rerun` -- the one re-execution driver: check the document
+  against its schema's field table (:data:`CAPTURE`, :data:`RUN`,
+  :data:`MACHINE`), boot an identical machine, rebuild the
   monitor and the recorded monitoring stack through
   :func:`~repro.obs.stack.assemble_monitor_stack`, and run the
   workload with a request hook -- from its seed, or continuing from a
@@ -30,8 +31,12 @@ import re
 
 from repro.common.errors import ConfigurationError, MachinePanic, ReproError
 from repro.common.events import jsonable
-from repro.obs.export import snapshot_document
+from repro.common.schema import Field, Table
+from repro.common.state import BOOL, INT, LIST, NULL, OBJECT, TEXT
+from repro.core.sampling import SamplingPolicy
+from repro.obs.export import METRICS, snapshot_document
 from repro.obs.sampler import group_stats
+from repro.obs.stack import MONITORING, assemble_monitor_stack
 
 #: events kept in a document's tail (newest; the full log stays in RAM).
 EVENT_TAIL_LIMIT = 256
@@ -83,56 +88,65 @@ def safe_label(label):
     return re.sub(r"[^A-Za-z0-9._-]+", "-", str(label)).strip("-") or "run"
 
 
-def _is_integer(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+#: the ``run`` section: how to re-drive the run (``workload`` and
+#: ``monitor`` must also be registered names, see :func:`check_run_info`).
+RUN = Table("run", {
+    "workload": Field(TEXT, required=False, what="a workload name"),
+    "monitor": Field(TEXT, required=False, what="a monitor name"),
+    "buggy": Field(BOOL, required=False),
+    "requests": Field(INT | NULL, required=False, low=1),
+    "heap_size": Field(INT, required=False, low=1),
+    "seed": Field(INT, required=False),
+    "monitoring": Field(OBJECT, required=False, table=MONITORING),
+}, label="recorded run", whole="recorded run section")
 
-
-#: every field ``Machine.boot_config`` records -> (its check, what the
-#: check expects); an ``ecc_mode`` name must also be an ``EccMode``.
-_MACHINE_FIELDS = {
-    **{field: (_is_integer, "an integer")
+#: the ``machine`` section: ``Machine.boot_config`` (an ``ecc_mode``
+#: must also be an ``EccMode``, see :func:`machine_from_config`).
+MACHINE = Table("machine", {
+    **{field: Field(INT, required=False)
        for field in ("dram_size", "cache_size", "cache_ways",
                      "cache_levels", "l1_size", "l1_ways")},
-    "max_pinned_pages": (lambda value: value is None or _is_integer(value),
-                         "null or an integer"),
-    "ecc_mode": (lambda value: isinstance(value, str), "an ECC mode name"),
-    "profile": (lambda value: value is None or isinstance(value, str),
-                "a profile name"),
-}
+    "max_pinned_pages": Field(INT | NULL, required=False),
+    "ecc_mode": Field(TEXT, required=False, what="an ECC mode name"),
+    "profile": Field(TEXT | NULL, required=False, what="a profile name"),
+}, label="recorded machine", whole="recorded machine section",
+    closed=True)
 
-
-def _is_positive(value):
-    return _is_integer(value) and value > 0
-
-
-#: every ``run`` field a rerun reads -> (its check, what the check
-#: expects); ``workload`` and ``monitor`` must also be registered names.
-_RUN_FIELDS = {
-    "workload": (lambda value: isinstance(value, str), "a workload name"),
-    "monitor": (lambda value: isinstance(value, str), "a monitor name"),
-    "buggy": (lambda value: isinstance(value, bool), "a boolean"),
-    "requests": (lambda value: value is None or _is_positive(value),
-                 "null or a positive integer"),
-    "heap_size": (_is_positive, "a positive integer"),
-    "seed": (_is_integer, "an integer"),
-    "monitoring": (lambda value: isinstance(value, dict), "an object"),
-}
+#: the sections :func:`capture_state` writes into every bundle and
+#: checkpoint.
+CAPTURE = Table("capture", {
+    "cycle": INT,
+    "idle_cycles": INT,
+    "run": Field(OBJECT, table=RUN),
+    "machine": Field(OBJECT, table=MACHINE),
+    "metrics": Field(OBJECT, table=METRICS),
+    "events.total": INT,
+    "events.tail": Field(LIST, items={
+        "kind": TEXT, "cycle": INT, "address": INT | NULL,
+        "size": INT | NULL, "detail": OBJECT}),
+    "watches": Field(LIST, items={"lines": LIST}),
+    "interrupts.delivered": INT,
+    "interrupts.panics": INT,
+    "interrupts.handler_registered": BOOL,
+    "interrupts.ecc_traps": INT,
+    "heap": OBJECT | NULL,
+    **{f"heap.{field}": INT
+       for field in ("live_bytes", "live_blocks", "total_allocs",
+                     "total_frees", "peak_live_bytes", "truncated")},
+    "heap.allocations": Field(LIST, items={
+        "address": INT, "size": INT, "requested_size": INT}),
+    "groups": Field(LIST, items=dict.fromkeys(
+        ("size", "call_signature", "live_count", "live_bytes",
+         "total_allocated", "total_freed", "max_lifetime",
+         "stable_time"), INT)),
+})
 
 
 def check_run_info(run):
-    """Reject a recorded ``run`` section a rerun cannot drive.
-
-    A field of the wrong type, or a workload or monitor name nothing
-    registers, raises :class:`ConfigurationError` naming the field;
-    absent optional fields take their defaults.
-    """
+    """Reject a recorded workload or monitor name nothing registers,
+    with a :class:`ConfigurationError` naming the field."""
     from repro.analysis.runner import MONITOR_FACTORIES
     from repro.workloads.registry import WORKLOADS
-    for field, (check, expected) in _RUN_FIELDS.items():
-        if field in run and not check(run[field]):
-            raise ConfigurationError(
-                f"recorded run field {field!r} must be {expected}, got "
-                f"{run[field]!r}")
     for field, names in (("workload", WORKLOADS),
                          ("monitor", MONITOR_FACTORIES)):
         if run[field] not in names:
@@ -142,32 +156,15 @@ def check_run_info(run):
 
 
 def machine_from_config(config):
-    """Boot a fresh machine from a document's recorded ``machine`` dict.
+    """Boot a fresh machine from a document's (checked) ``machine``
+    section.
 
-    A section that is not a dict, an unknown field, a value of the
-    wrong type or an unknown ECC mode raises
-    :class:`ConfigurationError` naming the field; values of the right
-    type that no machine can have (a cache geometry that does not
+    An unknown ECC mode raises :class:`ConfigurationError` naming the
+    field; values no machine can have (a cache geometry that does not
     divide, an unknown profile) raise the machine's own.
     """
     from repro.ecc.controller import EccMode
     from repro.machine.machine import Machine
-    if config is None:
-        config = {}
-    if not isinstance(config, dict):
-        raise ConfigurationError(
-            f"recorded machine section must be an object, got "
-            f"{type(config).__name__}")
-    for field, value in config.items():
-        if field not in _MACHINE_FIELDS:
-            raise ConfigurationError(
-                f"recorded machine field {field!r} is unknown; expected "
-                f"one of {', '.join(sorted(_MACHINE_FIELDS))}")
-        check, expected = _MACHINE_FIELDS[field]
-        if not check(value):
-            raise ConfigurationError(
-                f"recorded machine field {field!r} must be {expected}, "
-                f"got {value!r}")
     kwargs = dict(config)
     if "ecc_mode" in kwargs:
         try:
@@ -236,25 +233,6 @@ def write_document(document, path):
     return path
 
 
-def read_document(path, schema):
-    """Load one JSON document and check its ``schema`` tag."""
-    try:
-        with open(path) as stream:
-            document = json.load(stream)
-    except (OSError, ValueError) as error:
-        # ValueError covers truncated JSON and undecodable bytes.
-        raise ConfigurationError(
-            f"cannot read a {schema} document from {path}: {error}"
-        ) from None
-    if not isinstance(document, dict) or document.get("schema") != schema:
-        found = (document.get("schema") if isinstance(document, dict)
-                 else type(document).__name__)
-        raise ConfigurationError(
-            f"{path}: not a {schema} document (schema={found!r})"
-        )
-    return document
-
-
 class RerunBreak(ReproError):
     """Control-flow exception: a rerun breakpoint was reached."""
 
@@ -263,41 +241,35 @@ class Rerun:
     """One re-execution of a recorded run, from its seed or a state
     image.
 
-    ``document`` is a bundle or a checkpoint whose ``run`` section
-    names the workload and monitor (``what``/``verb`` word the error
-    when it does not).  Construction boots an identical machine and
-    rebuilds the monitor and the recorded monitoring stack, with the
-    sampler already started -- so breakpoint timers armed on
+    ``document`` is a bundle or a checkpoint, checked against its
+    schema's ``table``, whose ``run`` section names the workload and
+    monitor (``verb`` words the error when it does not).  Construction
+    boots an identical machine and rebuilds the monitor and the
+    recorded monitoring stack, with the sampler already started -- so
+    breakpoint timers armed on
     :attr:`machine` afterwards fire after the sampler at equal cycles,
     as they always have.  ``requests`` overrides the recorded horizon.
     """
 
-    def __init__(self, document, what, verb, requests=None):
+    def __init__(self, document, table, verb, requests=None):
         from repro.analysis.runner import make_monitor
-        from repro.core.sampling import SamplingPolicy
-        from repro.obs.stack import assemble_monitor_stack
 
-        run = document.get("run") or {}
-        if not isinstance(run, dict):
-            raise ConfigurationError(
-                f"recorded run section must be an object, got "
-                f"{type(run).__name__}")
+        run = table.check(document)["run"]
         if "workload" not in run or "monitor" not in run:
             raise ConfigurationError(
-                f"{what} records no run (workload/monitor); it was "
+                f"{table.label} records no run (workload/monitor); it was "
                 f"captured without run_info and cannot be {verb}"
             )
         check_run_info(run)
         self.run_info = run = dict(run)
         self.requests = (requests if requests is not None
                          else run.get("requests"))
-        self.machine = machine_from_config(document.get("machine"))
-        monitoring = run.get("monitoring") or {}
-        sampling = monitoring.get("sampling")
+        self.machine = machine_from_config(document["machine"])
+        monitoring = run.get("monitoring", {})
         self.monitor = make_monitor(
             run["monitor"],
-            sampling=(SamplingPolicy.from_dict(sampling)
-                      if sampling is not None else None))
+            sampling=(SamplingPolicy.from_dict(monitoring["sampling"])
+                      if "sampling" in monitoring else None))
         self.stack = assemble_monitor_stack(monitoring, self.machine,
                                             self.monitor).start()
         self.truth = self.panic = None

@@ -33,7 +33,10 @@ import pathlib
 from dataclasses import dataclass, replace
 
 from repro.common.errors import ConfigurationError
-from repro.core.sampling import SamplingPolicy
+from repro.common.schema import Field, Table
+from repro.common.state import INT, LIST, NULL, OBJECT
+from repro.core.sampling import SAMPLING, SamplingPolicy
+from repro.obs.alerts import RULE, AlertEngine, AlertRule
 from repro.obs.trend import (
     DEFAULT_SEASONAL_PHASES,
     DEFAULT_SEASONAL_WARMUP,
@@ -44,6 +47,19 @@ from repro.obs.trend import (
 
 #: default profiler interval the ``repro monitor`` command uses.
 DEFAULT_SAMPLE_EVERY = 100_000
+
+#: a run's recorded ``monitoring`` dict (:meth:`MonitorStackConfig.
+#: monitoring`): absent fields mean no profiler, no trend engine, no
+#: history, and a missing trend parameter takes its default.
+MONITORING = Table("monitoring", {
+    "sampling": Field(OBJECT, required=False, table=SAMPLING),
+    "sample_every": Field(INT | NULL, required=False, low=1),
+    "rules": Field(LIST, required=False, items=RULE),
+    "trend": Field(OBJECT | NULL, required=False),
+    **{f"trend.{field}": Field(INT | NULL, required=False, low=1)
+       for field in ("window", "seasonal_period", "seasonal_phases",
+                     "seasonal_warmup")},
+})
 
 
 @dataclass(frozen=True)
@@ -498,16 +514,13 @@ def assemble_monitor_stack(monitoring, machine, monitor):
     rule dicts, ``sampling``, trend engine parameters, ``history``);
     missing trend parameters take their defaults.  The stack records
     the normalised dict, so rebuilding from what a run recorded wires
-    an identical stack.  A malformed ``sample_every`` or ``trend``
-    (read back from a bundle or checkpoint) raises
-    :class:`ConfigurationError` naming the field.
+    an identical stack.  ``monitoring`` is trusted: a recorded one
+    was checked against :data:`MONITORING` where its document entered.
     """
-    from repro.obs.alerts import AlertEngine, AlertRule
     from repro.obs.history import HistoryStore
     from repro.obs.sampler import SamplingProfiler, leak_group_source
     from repro.obs.trend import TrendEngine
 
-    _check_monitoring(monitoring)
     info = {}
     if monitoring.get("sampling") is not None:
         info["sampling"] = dict(monitoring["sampling"])
@@ -516,8 +529,7 @@ def assemble_monitor_stack(monitoring, machine, monitor):
     sampler = SamplingProfiler(
         machine, interval_cycles=monitoring["sample_every"],
         group_source=leak_group_source(monitor))
-    rules = [AlertRule.from_dict(spec)
-             for spec in monitoring.get("rules", [])]
+    rules = [AlertRule(**spec) for spec in monitoring.get("rules", [])]
     info["sample_every"] = sampler.interval_cycles
     info["rules"] = [rule.to_dict() for rule in rules]
     trend = history = None
@@ -539,33 +551,6 @@ def assemble_monitor_stack(monitoring, machine, monitor):
         info["history"] = True
     return MonitorStack(machine, monitor, info, sampler=sampler,
                         engine=engine, trend=trend, history=history)
-
-
-def _check_monitoring(monitoring):
-    """Reject a ``sample_every`` or ``trend`` the assembler cannot use.
-
-    Absent (or None) fields are fine: they mean "no profiler" and "no
-    trend engine", and a missing trend parameter takes its default.
-    """
-    def positive_int(field, value):
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, int)
-                                  or value < 1):
-            raise ConfigurationError(
-                f"monitoring field {field!r} must be a positive "
-                f"integer, got {value!r}")
-
-    positive_int("sample_every", monitoring.get("sample_every"))
-    trend = monitoring.get("trend")
-    if trend is None:
-        return
-    if not isinstance(trend, dict):
-        raise ConfigurationError(
-            f"monitoring field 'trend' must be a dict of trend engine "
-            f"parameters, got {trend!r}")
-    for key in ("window", "seasonal_period", "seasonal_phases",
-                "seasonal_warmup"):
-        positive_int(f"trend.{key}", trend.get(key))
 
 
 def _trend_spec(spec):

@@ -48,10 +48,6 @@ class GroundTruth:
     #: and sharded runs; steady-state overhead analysis reads these.
     cycle_marks: list = field(default_factory=list)
 
-    @property
-    def corruption_detected(self):
-        return self.detection is not None
-
     def state_dict(self):
         """Everything but ``detection``, which only a finished run
         has (a detection ends the request loop)."""

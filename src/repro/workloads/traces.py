@@ -198,13 +198,6 @@ class TraceRecorder(Monitor):
                 return
         # Non-object access (globals): not replayable, skip.
 
-    # -- computation --------------------------------------------------------
-    def record_compute(self, instructions):
-        """Programs being recorded call this instead of compute()."""
-        self.trace.append(TraceEvent(kind="compute",
-                                     instructions=instructions))
-        self.program.compute(instructions)
-
 
 class TraceReplayer:
     """Replay a trace onto a program under any monitor."""

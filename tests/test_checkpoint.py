@@ -861,6 +861,34 @@ class TestCheckpointCli:
             "repro: error: recorded machine field 'cache_ways' must be "
             "an integer, got 'eight'\n")
 
+    @pytest.mark.parametrize("command, edit, message", [
+        ("history",
+         lambda document: document["monitoring_state"]["history"]["series"]
+         ["heap.live_bytes"].update(raw="x"),
+         "history document field 'series.heap.live_bytes.raw' must be a "
+         "list, got 'x'"),
+        ("inspect", lambda document: document.update(watches="x"),
+         "checkpoint field 'watches' must be a list, got 'x'"),
+        ("resume",
+         lambda document: document["run"]["monitoring"]["rules"][0].update(
+             op=[]),
+         "alert rule 'ecc-fault-storm' field 'op' must be a string, "
+         "got []"),
+    ], ids=["history-raw", "inspect-watches", "resume-rule-op"])
+    def test_malformed_field_is_one_line(self, recorded_run, tmp_path,
+                                         capsys, command, edit, message):
+        """A retyped field deep in a document read by ``history``,
+        ``inspect`` or ``resume`` is one line naming it, not a
+        ValueError or TypeError traceback."""
+        checkpoint = copy.deepcopy(recorded_run[0])
+        edit(checkpoint)
+        document = (checkpoint["monitoring_state"]["history"]
+                    if command == "history" else checkpoint)
+        path = write_checkpoint(document, tmp_path / "bad.json")
+        code, _ = run_cli(command, str(path))
+        assert code == 2
+        assert capsys.readouterr().err == f"repro: error: {message}\n"
+
     def test_resume_malformed_run_section_is_one_line(
             self, recorded_run, tmp_path, capsys):
         checkpoint = copy.deepcopy(recorded_run[0])

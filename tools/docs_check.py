@@ -4,8 +4,12 @@
 Eight checks keep the documentation layer from drifting away from the
 code layout:
 
-1. every ``repro.<pkg>`` named in ``docs/ARCHITECTURE.md`` exists as a
-   package or module under ``src/repro`` (no docs for deleted code);
+1. every ``repro.<pkg>[.<module>]`` named in the markdown that
+   describes the current tree (``TREE_DOCS``; schema tags such as
+   ``repro.dump/v1`` are skipped), and every name in the Modules column
+   of DESIGN.md's tables (written without the ``repro.`` prefix),
+   exists as a package or module under ``src/repro`` (no docs for
+   deleted code);
 2. every subpackage under ``src/repro`` is mentioned in
    ``docs/ARCHITECTURE.md`` (no undocumented subsystem);
 3. every intra-repo markdown link in the repo's ``*.md`` files resolves
@@ -22,7 +26,10 @@ code layout:
 7. every versioned schema string (``repro.<name>/v<N>``) appearing in
    Python source under ``src/`` has a matching ``## `repro.<name>/vN```
    section heading in ``docs/SCHEMAS.md``, and SCHEMAS.md documents no
-   schema the code no longer mentions;
+   schema the code no longer mentions; and every named field table
+   (``repro.common.schema.Table``) has a SCHEMAS.md section, headed by
+   its backticked name, whose Key/Type tables list exactly the key
+   paths the code table declares;
 8. every backticked ``.py`` path under ``tests/``, ``benchmarks/``,
    ``bench/``, ``tools/``, ``examples/`` or ``src/`` in the markdown
    that describes the current tree (``TREE_DOCS``) names an existing
@@ -35,8 +42,11 @@ a pre-commit hook: ``python tools/docs_check.py``.
 """
 
 import ast
+import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -47,7 +57,13 @@ DOC_GLOBS = ("*.md", "docs/*.md")
 TREE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
              "docs/*.md")
 
-_PKG_REF = re.compile(r"\brepro\.([a-z_]+)\b")
+#: a ``repro.<pkg>[.<module>]`` name; one that goes on with ``/`` or
+#: ``-`` is a schema tag (``repro.dump/v1``, ``repro.fleet-cache/v1``).
+_MODULE_REF = re.compile(r"\brepro\.([a-z_]+(?:\.[a-z_]+)?)(?![\w/-])")
+#: a parenthesised aside inside a table cell.
+_ASIDE = re.compile(r"\([^)]*\)")
+#: a markdown heading line, its text captured.
+_HEADING_LINE = re.compile(r"^#{1,6}\s+(.+?)\s*$")
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 _CODE_DOC_REF = re.compile(r"docs/([A-Za-z_]+\.md)#([A-Za-z0-9_-]+)")
@@ -73,11 +89,6 @@ _PATH_REF = re.compile(r"((?:tests|benchmarks|bench|tools|examples|src)"
                        r"/[\w./-]*\.py)((?:::\w+)*)")
 
 
-def package_references(architecture_text):
-    """Unique ``repro.<pkg>`` names mentioned in ARCHITECTURE.md."""
-    return sorted(set(_PKG_REF.findall(architecture_text)))
-
-
 def source_subpackages(src_root):
     """Subpackage names under ``src/repro`` (directories with code)."""
     package = src_root / "repro"
@@ -87,19 +98,43 @@ def source_subpackages(src_root):
     )
 
 
+def module_exists(root, dotted):
+    """Is ``repro.<dotted>`` a package or module under ``src/repro``?"""
+    path = root.joinpath("src", "repro", *dotted.split("."))
+    return path.is_dir() or path.with_suffix(".py").is_file()
+
+
+def design_module_names(text):
+    """Backticked names in the Modules column of a markdown file's
+    tables, parenthesised asides (experiment names) left out."""
+    names, column = [], None
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            column = None
+            continue
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if "Modules" in cells:
+            column = cells.index("Modules")
+        elif column is not None and column < len(cells):
+            names += _CODE_SPAN.findall(_ASIDE.sub("", cells[column]))
+    return names
+
+
 def check_architecture_references(root=REPO_ROOT):
-    """Checks 1 + 2: ARCHITECTURE.md vs the real package layout."""
+    """Checks 1 + 2: module names in the docs vs the package layout."""
     problems = []
+    for doc in markdown_files(root, TREE_DOCS):
+        where = doc.relative_to(root)
+        text = doc.read_text()
+        names = sorted(set(_MODULE_REF.findall(text)))
+        if doc.name == "DESIGN.md":
+            names += sorted(set(design_module_names(text)) - set(names))
+        for name in names:
+            if not module_exists(root, name):
+                problems.append(f"{where}: references repro.{name}, which "
+                                f"does not exist under src/repro")
     architecture = root / "docs" / "ARCHITECTURE.md"
     text = architecture.read_text()
-    package = root / "src" / "repro"
-    for name in package_references(text):
-        if not ((package / name).is_dir()
-                or (package / f"{name}.py").is_file()):
-            problems.append(
-                f"{architecture.relative_to(root)}: references "
-                f"repro.{name}, which does not exist under src/repro"
-            )
     for name in source_subpackages(root / "src"):
         if f"repro.{name}" not in text:
             problems.append(
@@ -307,6 +342,81 @@ def check_schema_sections(root=REPO_ROOT):
     return problems
 
 
+#: prints ``{table name: [own key paths]}`` for every named field table
+#: the modules that build ``Table``s define.
+_TABLES_SCRIPT = """
+import importlib, json, sys
+from repro.common.schema import Table
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(json.dumps({table.name: sorted(table.own)
+                  for module in list(sys.modules.values())
+                  for table in list(vars(module).values())
+                  if isinstance(table, Table) and table.name}))
+"""
+
+
+def code_field_tables(root=REPO_ROOT):
+    """``{table name: [key paths]}`` of the code's named field tables
+    (``{}`` for a tree without ``repro.common.schema``)."""
+    src = root / "src"
+    if not (src / "repro" / "common" / "schema.py").is_file():
+        return {}
+    modules = [".".join(path.relative_to(src).with_suffix("").parts)
+               for path in sorted((src / "repro").rglob("*.py"))
+               if " Table(" in path.read_text()]
+    output = subprocess.run(
+        [sys.executable, "-c", _TABLES_SCRIPT, *modules], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    return json.loads(output)
+
+
+def documented_field_tables(text):
+    """``{section name: [keys]}``: the Key column of every Key/Type
+    table under a heading whose first code span names the section."""
+    tables, name, in_table = {}, None, False
+    for line in text.splitlines():
+        heading = _HEADING_LINE.match(line)
+        if heading:
+            spans = _CODE_SPAN.findall(heading.group(1))
+            name, in_table = (spans[0] if spans else None), False
+        elif line.startswith("| Key | Type |"):
+            in_table = name is not None
+        elif in_table and line.startswith("|"):
+            cell = line.strip("|").split("|")[0]
+            if not set(cell.strip()) <= set("-: "):
+                tables.setdefault(name, []).extend(_CODE_SPAN.findall(cell))
+        else:
+            in_table = False
+    return tables
+
+
+def check_field_tables(root=REPO_ROOT, tables=None):
+    """Check 7, second half: SCHEMAS.md's Key/Type tables vs the code's
+    field tables, both ways (``tables`` overrides the code's)."""
+    tables = code_field_tables(root) if tables is None else tables
+    schemas = root / "docs" / "SCHEMAS.md"
+    if not tables:
+        return []
+    documented = documented_field_tables(
+        schemas.read_text() if schemas.is_file() else "")
+    problems = []
+    for name, paths in sorted(tables.items()):
+        if name not in documented:
+            problems.append(f"docs/SCHEMAS.md: field table `{name}` has "
+                            f"no section with a Key/Type table")
+            continue
+        for key in sorted(set(paths) - set(documented[name])):
+            problems.append(f"docs/SCHEMAS.md: `{name}` does not document "
+                            f"key `{key}` of its field table")
+        for key in sorted(set(documented[name]) - set(paths)):
+            problems.append(f"docs/SCHEMAS.md: `{name}` documents key "
+                            f"`{key}`, which its field table does not "
+                            f"declare")
+    return problems
+
+
 def _defines(path, names):
     """Does ``path`` define ``names[0]`` (a class or function anywhere
     in the file), each later name directly inside the one before?"""
@@ -347,6 +457,7 @@ def run_checks(root=REPO_ROOT):
         check_markdown_anchors(root) + \
         check_hardware_matrix(root) + \
         check_schema_sections(root) + \
+        check_field_tables(root) + \
         check_path_references(root)
 
 

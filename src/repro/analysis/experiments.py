@@ -25,6 +25,8 @@ from dataclasses import asdict, dataclass
 
 from repro.analysis import paper
 from repro.analysis.runner import (
+    boot_machine,
+    make_monitor,
     overhead_percent,
     run_workload,
     slowdown_factor,
@@ -842,22 +844,22 @@ def trend_scenario_row(name, buggy, requests, sample_every, trend):
     event stream, and its breach onsets are read from
     ``TrendEngine.onsets``.
     """
-    from repro.analysis.runner import CACHE_SIZE, DRAM_SIZE, make_monitor
     from repro.common.events import EventKind
     from repro.obs.alerts import default_trend_rules
     from repro.obs.stack import assemble_monitor_stack
     from repro.obs.trend import DETECTORS, TrendEngine
 
-    machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
-                      cache_ways=16)
     monitoring = {
         "sample_every": sample_every,
         "rules": [rule.to_dict() for detector in DETECTORS
                   for rule in default_trend_rules(detector)],
         "trend": trend,
     }
-    stack = assemble_monitor_stack(monitoring, machine,
-                                   make_monitor("safemem"))
+    stack = assemble_monitor_stack(
+        monitoring, boot_machine(), make_monitor("safemem"),
+        run_info={"workload": name, "monitor": "safemem", "buggy": buggy,
+                  "requests": requests})
+    machine = stack.machine
     flat = None
     if trend.get("seasonal_period"):
         # The control emits no events and registers no probes, so
@@ -866,13 +868,7 @@ def trend_scenario_row(name, buggy, requests, sample_every, trend):
         flat = TrendEngine(machine, emit_events=False,
                            register_probes=False)
         stack.sampler.add_listener(flat.observe)
-    stack.start()
-    try:
-        result = run_workload(name, "safemem", buggy=buggy,
-                              requests=requests, machine=machine,
-                              monitor=stack.monitor)
-    finally:
-        stack.stop()
+    result = stack.run()
     reports = machine.events.of_kind(EventKind.LEAK_REPORT)
     firing = {
         detector: [transition.cycle

@@ -41,7 +41,7 @@ import json
 import multiprocessing
 import os
 import pathlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.analysis.experiments import (
     EXPERIMENTS,
@@ -54,14 +54,9 @@ from repro.analysis.runner import (
     overhead_percent,
     remove_boot_tap,
     remove_run_tap,
-    run_workload,
 )
 from repro.common.digest import package_digest
-from repro.common.errors import (
-    ConfigurationError,
-    FleetError,
-    MachinePanic,
-)
+from repro.common.errors import ConfigurationError, FleetError
 from repro.obs.merge import (
     dump_registry,
     merge_dumps,
@@ -112,103 +107,60 @@ def _machine_detected(workload, buggy, monitor_name, result):
 
 
 def _run_fleet_machine(workload, monitor, buggy, requests, seed, index,
-                       stack, forensics=False):
+                       stack):
     """One fleet machine: run the workload, summarize the outcome.
 
-    The machine's monitoring stack is described by ``stack`` (a
-    :class:`~repro.obs.stack.MonitorStackConfig` dict).  With an
-    allocation :class:`~repro.core.sampling.SamplingPolicy` the monitor
-    runs in sampled production mode; with ``sample_every`` the machine
-    also runs the sampling profiler + alert engine.  Either way the run
-    tap's registry dump carries ``safemem.sampling.*`` /
-    ``sampler.*`` / ``alerts.*`` metrics into the fleet merge
-    (counters sum, giving fleet-wide totals).
+    The machine runs under the monitoring stack ``stack`` (a
+    :class:`~repro.obs.stack.MonitorStackConfig` dict) describes, bare
+    when it asks for no monitoring, through
+    :meth:`~repro.obs.stack.MonitorStack.run`: an allocation
+    :class:`~repro.core.sampling.SamplingPolicy` puts the monitor in
+    sampled production mode, ``sample_every`` adds the sampling
+    profiler + alert engine, and the run tap's registry dump carries
+    ``safemem.sampling.*`` / ``sampler.*`` / ``alerts.*`` metrics into
+    the fleet merge (counters sum, giving fleet-wide totals).  With a
+    dump dir the stack's forensic recorder writes this machine's
+    bundles, and a panic it dumped becomes a report row linking them.
     """
-    config = MonitorStackConfig.from_dict(stack)
-    # From here on ``stack`` and ``monitor`` name the live objects.
-    monitor_name = monitor
-    stack = machine = monitor = None
-    run_info = None
-    if config.wants_checkpoints:
-        # The checkpoint scheduler records the run description in each
-        # checkpoint document.  Forensic dumps in fleet mode are armed
-        # by run_jobs' boot tap, not by the stack, so strip the dump
-        # config here -- otherwise run_info would arm a second
-        # recorder.
-        run_info = {"workload": workload, "monitor": monitor_name,
-                    "buggy": buggy, "requests": requests, "seed": seed}
-        config = replace(config, dump_dir=None, dump_on_alert=False)
-    if config.sampling is not None or config.wants_profiler \
-            or config.stream is not None or config.wants_checkpoints \
-            or forensics:
-        # Pre-boot the full stack so the monitoring components (and, in
-        # forensic mode, the panic handler below) can see the machine.
-        stack = build_monitor_stack(config, label=f"m{index}",
-                                    run_info=run_info)
-        machine, monitor = stack.machine, stack.monitor
-        stack.start()
+    stack = build_monitor_stack(
+        MonitorStackConfig.from_dict(stack), label=f"m{index}",
+        run_info={"workload": workload, "monitor": monitor,
+                  "buggy": buggy, "requests": requests, "seed": seed})
     try:
-        result = run_workload(
-            workload, monitor_name, buggy=buggy, requests=requests,
-            seed=seed, machine=machine, monitor=monitor,
-            profile=config.profile,
-            request_hook=(stack.request_hook
-                          if stack is not None else None),
-        )
-        history_doc = (stack.history.to_dict()
-                       if stack is not None and stack.history is not None
-                       else None)
-        checkpoint_paths = ([str(path) for path in stack.checkpoint_paths]
-                            if stack is not None else [])
-    except MachinePanic as error:
-        if machine is None:
-            raise
-        # Forensic mode: the attached recorder already dumped the
-        # machine at the PANIC event; turn the crash into a report row
-        # so the rest of the fleet still renders (with the dump linked).
-        return MachineReport(
-            index=index,
-            seed=seed,
-            cycles=machine.clock.cycles,
-            requests_completed=0,
-            requests=requests or 0,
-            detection=f"panic: {error}",
-            leak_reports=len(getattr(monitor, "leak_reports", ()) or ()),
-            corruption_reports=len(
-                getattr(monitor, "corruption_reports", ()) or ()),
-            overhead_pct=None,
-            alerts_fired=stack.alerts_fired,
-            alerts_resolved=stack.alerts_resolved,
-        )
+        result = stack.run()
     finally:
-        if stack is not None:
-            stack.stop()
-            stack.close()
+        stack.close()
+    common = dict(
+        index=index, seed=seed,
+        leak_reports=len(getattr(stack.monitor, "leak_reports", ()) or ()),
+        corruption_reports=len(
+            getattr(stack.monitor, "corruption_reports", ()) or ()),
+        alerts_fired=stack.alerts_fired,
+        alerts_resolved=stack.alerts_resolved,
+        bundles=[str(path) for path in stack.bundle_paths])
+    if stack.panic is not None:
+        # The recorder dumped the machine at the PANIC event; the crash
+        # becomes a report row so the rest of the fleet still renders.
+        return MachineReport(
+            **common, cycles=stack.machine.clock.cycles,
+            requests_completed=0, requests=requests or 0,
+            detection=f"panic: {stack.panic}", overhead_pct=None)
     truth = result.truth
     overhead = None
-    if monitor_name != "native" and truth.detection is None:
-        native = run_workload(workload, "native", buggy=buggy,
-                              requests=requests, seed=seed)
-        overhead = overhead_percent(result.cycles, native.cycles)
-    monitor = result.monitor
+    if monitor != "native" and truth.detection is None:
+        overhead = overhead_percent(result.cycles,
+                                    stack.native_twin().cycles)
     return MachineReport(
-        index=index,
-        seed=seed,
-        cycles=result.cycles,
+        **common, cycles=result.cycles,
         requests_completed=truth.requests_completed,
         requests=result.requests,
         detection=(str(truth.detection.report)
                    if truth.detection is not None else None),
-        leak_reports=len(getattr(monitor, "leak_reports", ()) or ()),
-        corruption_reports=len(
-            getattr(monitor, "corruption_reports", ()) or ()),
         overhead_pct=overhead,
-        alerts_fired=stack.alerts_fired if stack is not None else 0,
-        alerts_resolved=(stack.alerts_resolved
-                         if stack is not None else 0),
-        detected=_machine_detected(workload, buggy, monitor_name, result),
-        history=history_doc,
-        checkpoints=checkpoint_paths,
+        detected=_machine_detected(workload, buggy, monitor, result),
+        history=(stack.history.to_dict()
+                 if stack.history is not None else None),
+        checkpoints=[str(path) for path in stack.checkpoint_paths],
     )
 
 
@@ -347,24 +299,11 @@ def _execute_job(spec, dump_dir=None, dump_on_alert=False):
     boot_tap = None
     if dump_dir is not None:
         from repro.obs.forensics import ForensicRecorder
+        label = ident.replace(":", "-")
 
         def _attach_recorder(machine, monitor, run_info):
-            info = dict(run_info)
-            stacked = (params.get("stack")
-                       if isinstance(params, dict) else None)
-            if stacked and stacked.get("monitor") == info.get("monitor"):
-                # Record the monitoring stack so replay recreates it:
-                # the alert engine's ALERT events and the allocation
-                # sampler's heap routing are both part of the stream a
-                # bit-exact replay must reproduce.  (The guard skips
-                # the machine's native overhead twin.)
-                monitoring = MonitorStackConfig.from_dict(
-                    stacked).monitoring()
-                if monitoring:
-                    info["monitoring"] = monitoring
-            label = ident.replace(":", "-")
             recorders.append(ForensicRecorder(
-                machine, monitor=monitor, run_info=info,
+                machine, monitor=monitor, run_info=run_info,
                 dump_dir=dump_dir, label=f"{label}-{len(recorders)}",
                 on_alert=dump_on_alert,
             ))
@@ -372,13 +311,8 @@ def _execute_job(spec, dump_dir=None, dump_on_alert=False):
         boot_tap = add_boot_tap(_attach_recorder)
     try:
         payload = JOB_KINDS[kind].unit(**params)
-        encoded = JOB_KINDS[kind].encode(payload)
-        bundles = _collect_bundles(recorders)
-        if kind == "fleet-machine" and bundles:
-            # Link the dumps from the row's own report (asdict keeps
-            # the field, so the codec round-trips it).
-            encoded["bundles"] = bundles
-        return ident, encoded, dumps, bundles, None
+        return (ident, JOB_KINDS[kind].encode(payload), dumps,
+                _collect_bundles(recorders), None)
     except Exception as error:
         return (ident, None, dumps, _collect_bundles(recorders),
                 f"{type(error).__name__}: {error}")
@@ -405,7 +339,8 @@ class FleetOutcome:
     metrics: object
     #: raw per-machine registry dumps (merge input; empty on cache hits).
     dumps: list = field(default_factory=list)
-    #: forensic bundle paths written by machines in this run.
+    #: forensic bundle paths the ``dump_dir`` boot tap's recorders
+    #: wrote (fleet machines link theirs from their report rows).
     bundles: list = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
@@ -801,18 +736,14 @@ def run_fleet(workload, machines=4, monitor=None, requests=None,
         raise ConfigurationError(
             f"--machines must be >= 1, got {machines}")
     stack = _coerce_fleet_stack(stack, monitor)
-    forensics = stack.wants_forensics
     specs = [
         ("fleet-machine", f"fleet:{workload}:{index}",
          {"workload": workload, "monitor": stack.monitor, "buggy": buggy,
           "requests": requests, "seed": machine_seed(base_seed, index),
-          "index": index, "stack": stack.for_machine(index).to_dict(),
-          "forensics": forensics})
+          "index": index, "stack": stack.for_machine(index).to_dict()})
         for index in range(machines)
     ]
-    outcome = run_jobs(specs, jobs=jobs, cache=None,
-                       dump_dir=stack.resolved_dump_dir(),
-                       dump_on_alert=stack.dump_on_alert)
+    outcome = run_jobs(specs, jobs=jobs, cache=None)
     reports = [outcome.payloads[f"fleet:{workload}:{index}"]
                for index in range(machines)]
     # Detection is aggregated through the same telemetry merge as every

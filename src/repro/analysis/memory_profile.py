@@ -11,14 +11,8 @@ follows).
 
 from dataclasses import dataclass, field
 
-from repro.analysis.runner import (
-    CACHE_SIZE,
-    DRAM_SIZE,
-    HEAP_SIZE,
-    run_workload,
-)
+from repro.analysis.runner import HEAP_SIZE, boot_machine, run_workload
 from repro.common.constants import CYCLES_PER_SECOND
-from repro.machine.machine import Machine
 
 
 @dataclass
@@ -59,11 +53,9 @@ class HeapProfile:
 
 
 def profile_heap(workload_name, monitor_name="native", buggy=False,
-                 requests=None, seed=0, dram_size=DRAM_SIZE,
-                 heap_size=HEAP_SIZE):
+                 requests=None, seed=0, heap_size=HEAP_SIZE):
     """Run a workload and sample its live heap after every request."""
-    machine = Machine(dram_size=dram_size, cache_size=CACHE_SIZE,
-                      cache_ways=16)
+    machine = boot_machine()
     profile = HeapProfile(workload=workload_name, buggy=buggy)
 
     def sample(_index, _truth):

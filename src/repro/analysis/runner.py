@@ -140,11 +140,18 @@ def make_monitor(name, sampling=None):
         ) from None
 
 
+def boot_machine(profile=None):
+    """The experiment machine: :data:`DRAM_SIZE` of DRAM behind a
+    :data:`CACHE_SIZE` 16-way last-level cache, built for chipset
+    ``profile`` (default e7500)."""
+    return Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
+                   cache_ways=16, profile=profile)
+
+
 def run_workload(workload_name, monitor_name="native", buggy=False,
-                 requests=None, seed=0, dram_size=DRAM_SIZE,
-                 heap_size=HEAP_SIZE, cache_size=CACHE_SIZE,
+                 requests=None, seed=0, heap_size=HEAP_SIZE,
                  monitor=None, machine=None, release=False,
-                 profile=None, request_hook=None, restore=None):
+                 request_hook=None, restore=None):
     """Run one workload under one monitor; return a :class:`RunResult`.
 
     ``buggy=False`` is the paper's overhead-measurement setting (normal
@@ -153,7 +160,8 @@ def run_workload(workload_name, monitor_name="native", buggy=False,
     SafeMem with a non-default config); ``monitor_name`` is then only
     used as the label.
 
-    Pass ``machine`` to reuse a booted machine across workloads.  The
+    Pass ``machine`` to reuse a booted machine across workloads (by
+    default the run boots :func:`boot_machine`).  The
     result's ``cycles`` and ``metrics`` are registry snapshot deltas
     bracketing this run, so earlier runs on the same machine cannot
     skew its accounting.  The previous program's address space must
@@ -171,8 +179,7 @@ def run_workload(workload_name, monitor_name="native", buggy=False,
     ``workload.<name>`` span.
     """
     if machine is None:
-        machine = Machine(dram_size=dram_size, cache_size=cache_size,
-                          cache_ways=16, profile=profile)
+        machine = boot_machine()
     if monitor is None:
         monitor = make_monitor(monitor_name)
     start = machine.metrics.snapshot()

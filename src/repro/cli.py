@@ -80,6 +80,23 @@ from repro.obs.stack import (
 from repro.workloads.registry import WORKLOADS
 
 
+def at_least(low):
+    """An argparse ``type``: an integer of at least ``low``; a smaller
+    one is a usage error (exit 2), not a silent default."""
+    def count(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
+    return count
+
+
+#: the type of every count flag: ``--requests``, ``--buckets``,
+#: ``--limit``, ``--top``.
+COUNT = at_least(1)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -97,21 +114,21 @@ def build_parser():
         )
         if experiment.scales:
             table_parser.add_argument(
-                "--requests", type=int, default=250,
+                "--requests", type=COUNT, default=250,
                 help="requests per overhead run (default 250)",
             )
 
     report_parser = sub.add_parser(
         "report", help="run every experiment, print a combined report"
     )
-    report_parser.add_argument("--requests", type=int, default=250)
+    report_parser.add_argument("--requests", type=COUNT, default=250)
 
     validate_parser = sub.add_parser(
         "validate",
         help="re-verify every reproduction claim (PASS/FAIL matrix)",
         parents=[monitoring],
     )
-    validate_parser.add_argument("--requests", type=int, default=250)
+    validate_parser.add_argument("--requests", type=COUNT, default=250)
     validate_parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes to shard the experiments over "
@@ -164,7 +181,7 @@ def build_parser():
     )
     fleet_parser.add_argument("--buggy", action="store_true",
                               help="use the bug-triggering input")
-    fleet_parser.add_argument("--requests", type=int, default=None)
+    fleet_parser.add_argument("--requests", type=COUNT, default=None)
     fleet_parser.add_argument(
         "--seed", type=int, default=0,
         help="base seed; machine i runs the workload with seed base+i "
@@ -207,15 +224,15 @@ def build_parser():
     )
     monitor_parser.add_argument("--buggy", action="store_true",
                                 help="use the bug-triggering input")
-    monitor_parser.add_argument("--requests", type=int, default=None)
+    monitor_parser.add_argument("--requests", type=COUNT, default=None)
     monitor_parser.add_argument("--seed", type=int, default=0)
     monitor_parser.add_argument(
-        "--report-every", type=int, default=0, metavar="N",
+        "--report-every", type=at_least(0), default=0, metavar="N",
         help="print a live top-style panel every N samples "
              "(default: final panel only)",
     )
     monitor_parser.add_argument(
-        "--top", type=int, default=5,
+        "--top", type=COUNT, default=5,
         help="allocation groups shown per panel (default 5)",
     )
     monitor_parser.add_argument(
@@ -259,7 +276,7 @@ def build_parser():
     resume_parser.add_argument(
         "checkpoint", help="repro.checkpoint/v1 document path")
     resume_parser.add_argument(
-        "--requests", type=int, default=None, metavar="N",
+        "--requests", type=COUNT, default=None, metavar="N",
         help="run to N total requests (default: the recorded horizon)",
     )
     resume_parser.add_argument(
@@ -280,7 +297,7 @@ def build_parser():
         "--series", default=None, metavar="NAME",
         help="show one series only (e.g. heap.live_bytes)")
     history_parser.add_argument(
-        "--buckets", type=int, default=8, metavar="N",
+        "--buckets", type=COUNT, default=8, metavar="N",
         help="newest buckets shown per tier (default 8)")
     history_parser.add_argument(
         "--emit", metavar="PATH", default=None,
@@ -326,7 +343,7 @@ def build_parser():
         "--prefix", default=None,
         help="metrics namespace filter for --metrics")
     inspect_parser.add_argument(
-        "--limit", type=int, default=20,
+        "--limit", type=COUNT, default=20,
         help="rows shown per view (default 20)")
 
     diff_parser = sub.add_parser(
@@ -336,7 +353,7 @@ def build_parser():
     diff_parser.add_argument("a", metavar="A")
     diff_parser.add_argument("b", metavar="B")
     diff_parser.add_argument(
-        "--limit", type=int, default=20,
+        "--limit", type=COUNT, default=20,
         help="rows shown per section (default 20)")
 
     run_parser = sub.add_parser(
@@ -350,7 +367,7 @@ def build_parser():
     )
     run_parser.add_argument("--buggy", action="store_true",
                             help="use the bug-triggering input")
-    run_parser.add_argument("--requests", type=int, default=None)
+    run_parser.add_argument("--requests", type=COUNT, default=None)
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument(
         "--groups", action="store_true",
@@ -377,7 +394,7 @@ def build_parser():
     )
     stats_parser.add_argument("--buggy", action="store_true",
                               help="use the bug-triggering input")
-    stats_parser.add_argument("--requests", type=int, default=None)
+    stats_parser.add_argument("--requests", type=COUNT, default=None)
     stats_parser.add_argument("--seed", type=int, default=0)
     stats_parser.add_argument(
         "--prefix", default=None,
@@ -425,7 +442,7 @@ def _write_history(path, document, out):
 
 def _check_emit_history(args, config):
     """``--emit-history`` is meaningless without ``--history``."""
-    if getattr(args, "emit_history", None) and not config.wants_history:
+    if getattr(args, "emit_history", None) and not config.history:
         from repro.common.errors import ConfigurationError
         raise ConfigurationError(
             "--emit-history requires --history (nothing was recorded)")
@@ -443,8 +460,19 @@ def _write_stack_outputs(stack, args, out):
         _write_history(args.emit_history, stack.history.to_dict(), out)
 
 
+def _write_sampling(config, result, out):
+    """The allocation tally of a run in sampled production mode."""
+    if config.sampling is not None and not config.sampling.always_on:
+        metrics = result.metrics
+        out.write(f"sampling:  "
+                  f"{metrics.get('safemem.sampling.sampled', 0)} sampled / "
+                  f"{metrics.get('safemem.sampling.skipped', 0)} skipped "
+                  f"allocations\n")
+
+
 def _stack_run_info(args, config):
-    """The replayable run description a forensic bundle records."""
+    """The run a command's stack runs; its bundles and checkpoints
+    record it, so replay and resume can run it again."""
     return {
         "workload": args.workload,
         "monitor": config.monitor,
@@ -455,40 +483,21 @@ def _stack_run_info(args, config):
 
 
 def command_run(args, out):
-    from repro.common.errors import MachinePanic
     config = MonitorStackConfig.from_args(args)
     _check_emit_history(args, config)
-    active = (config.sampling is not None or config.wants_profiler
-              or config.stream is not None or config.wants_forensics
-              or config.wants_checkpoints)
-    stack = None
-    if active:
-        # No label: a single-machine run streams to the exact path the
-        # user gave; only fleet machines suffix their stream files.
-        stack = build_monitor_stack(
-            config, run_info=_stack_run_info(args, config))
-        try:
-            stack.start()
-            try:
-                result = run_workload(
-                    args.workload, config.monitor, buggy=args.buggy,
-                    requests=args.requests, seed=args.seed,
-                    machine=stack.machine, monitor=stack.monitor,
-                    request_hook=stack.request_hook)
-            except MachinePanic as error:
-                if stack.recorder is None:
-                    raise
-                out.write(f"PANIC: {error}\n")
-                for path in stack.bundle_paths:
-                    out.write(f"dump:      {path}\n")
-                return 1
-        finally:
-            stack.stop()
-            stack.close()
-    else:
-        result = run_workload(args.workload, args.monitor,
-                              buggy=args.buggy, requests=args.requests,
-                              seed=args.seed)
+    # No label: a single-machine run streams to the exact path the user
+    # gave; only fleet machines suffix their stream files.
+    stack = build_monitor_stack(
+        config, run_info=_stack_run_info(args, config))
+    try:
+        result = stack.run()
+    finally:
+        stack.close()
+    if stack.panic is not None:
+        out.write(f"PANIC: {stack.panic}\n")
+        for path in stack.bundle_paths:
+            out.write(f"dump:      {path}\n")
+        return 1
     out.write(f"workload:  {args.workload} "
               f"({'buggy' if args.buggy else 'normal'} input)\n")
     out.write(f"monitor:   {args.monitor}\n")
@@ -499,19 +508,12 @@ def command_run(args, out):
 
     stopped_early = result.truth.detection is not None
     if args.monitor != "native" and not stopped_early:
-        native = run_workload(args.workload, "native",
-                              buggy=args.buggy, requests=args.requests,
-                              seed=args.seed)
+        native = stack.native_twin()
         out.write(
             f"overhead:  +{overhead_percent(result.cycles, native.cycles):.2f}% "
             f"({slowdown_factor(result.cycles, native.cycles):.2f}x)\n"
         )
-    if config.sampling is not None and not config.sampling.always_on:
-        out.write(f"sampling:  "
-                  f"{result.metrics.get('safemem.sampling.sampled', 0)}"
-                  f" sampled / "
-                  f"{result.metrics.get('safemem.sampling.skipped', 0)}"
-                  f" skipped allocations\n")
+    _write_sampling(config, result, out)
 
     truth = result.truth
     if truth.leaked_addresses:
@@ -540,8 +542,7 @@ def command_run(args, out):
         out.write("\n" + render_safemem_diagnostics(monitor) + "\n")
     if args.emit_metrics:
         _emit_metrics(args.emit_metrics, result, out)
-    if stack is not None:
-        _write_stack_outputs(stack, args, out)
+    _write_stack_outputs(stack, args, out)
     return 0
 
 
@@ -646,8 +647,6 @@ def command_fleet(args, out):
         )
     except FleetError as error:
         out.write(f"fleet error: {error}\n")
-        for path in getattr(error, "bundles", []):
-            out.write(f"dump:      {path}\n")
         return 1
     out.write(result.render() + "\n")
     if args.emit_metrics and result.metrics is not None:
@@ -665,7 +664,6 @@ def command_fleet(args, out):
 
 
 def command_monitor(args, out):
-    from repro.common.errors import MachinePanic
     from repro.obs.sampler import render_top
 
     config = MonitorStackConfig.from_args(args)
@@ -674,7 +672,7 @@ def command_monitor(args, out):
     # the only per-machine-suffixed writers).
     stack = build_monitor_stack(
         config, run_info=_stack_run_info(args, config))
-    machine, monitor = stack.machine, stack.monitor
+    machine = stack.machine
     sampler, engine = stack.sampler, stack.engine
     if args.report_every:
         def live_panel(sample):
@@ -689,26 +687,12 @@ def command_monitor(args, out):
                 workload=args.workload, monitor=config.monitor,
                 buggy=args.buggy, seed=args.seed,
                 sample_every=config.sample_every, rules=config.rules)
-        stack.start()
-        panic = None
-        try:
-            result = run_workload(args.workload, config.monitor,
-                                  buggy=args.buggy,
-                                  requests=args.requests,
-                                  seed=args.seed, machine=machine,
-                                  monitor=monitor,
-                                  request_hook=stack.request_hook)
-        except MachinePanic as error:
-            if stack.recorder is None:
-                raise
-            panic = error
-        finally:
-            stack.stop()
-        if panic is not None:
+        result = stack.run()
+        if stack.panic is not None:
             if stack.stream is not None:
                 stack.stream.mark(machine.clock.cycles, marker="panic",
-                                  reason=str(panic))
-            out.write(f"PANIC: {panic}\n")
+                                  reason=str(stack.panic))
+            out.write(f"PANIC: {stack.panic}\n")
             for path in stack.bundle_paths:
                 out.write(f"dump:      {path}\n")
             return 1
@@ -722,13 +706,7 @@ def command_monitor(args, out):
                   f"/{result.requests}\n")
         out.write(f"samples:   {sampler.samples_taken} "
                   f"({sampler.samples_evicted} evicted from the ring)\n")
-        if config.sampling is not None and not config.sampling.always_on:
-            out.write(
-                f"sampling:  "
-                f"{result.metrics.get('safemem.sampling.sampled', 0)}"
-                f" sampled / "
-                f"{result.metrics.get('safemem.sampling.skipped', 0)}"
-                f" skipped allocations\n")
+        _write_sampling(config, result, out)
         summary = stack.alert_summary()
         if summary:
             out.write("alerts:\n")

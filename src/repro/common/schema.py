@@ -35,8 +35,9 @@ class Field:
     sets), whether it must be present, its least value ``low`` or its
     ``choices``, and what it holds: an object's ``table``, the Field
     (or table) every list entry matches (``items``), or fixed-width
-    rows (``columns``).  ``what`` overrides the expectation an error
-    states."""
+    rows (``columns``: a type set or a Field per position, so a column
+    can carry a least value).  ``what`` overrides the expectation an
+    error states."""
 
     __slots__ = ("types", "allowed", "low", "choices", "table", "items",
                  "columns", "what")
@@ -50,7 +51,9 @@ class Field:
         self.table = Table(None, table) if type(table) is dict else table
         self.items = (items if items is None or type(items) is Field
                       else Field(OBJECT, table=items))
-        self.columns = columns
+        self.columns = columns and tuple(
+            column if type(column) is Field else Field(column)
+            for column in columns)
         noun = _BOUNDS[low] + _NOUNS[types - NULL]
         noun = ("an " if noun[0] in "aeiou" else "a ") + noun
         self.what = what or (
@@ -87,9 +90,15 @@ class Field:
             self.table.check(value)
         if self.columns is not None:
             try:
-                fixed_rows(value, self.columns, where)
+                fixed_rows(value, [column.types for column in self.columns],
+                           where)
             except TypeError as error:
                 raise ConfigurationError(str(error)) from None
+            for position, column in enumerate(self.columns):
+                bad = column.misfit([row[position] for row in value])
+                if bad is not None:
+                    raise mismatch(f"{where} row #{bad} item {position}",
+                                   column, value[bad][position])
         if self.items is not None:
             item = self.items
             bad = item.misfit(value)

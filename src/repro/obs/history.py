@@ -51,8 +51,9 @@ DEFAULT_SERIES = (
     "sampler.overhead_fraction",
 )
 
-#: one bucket: ``[start, min, max, sum, count]``.
-BUCKET = (INT, NUMBER, NUMBER, NUMBER, INT)
+#: one bucket: ``[start, min, max, sum, count]``; a bucket holds at
+#: least one observation (its mean is ``sum / count``).
+BUCKET = (INT, NUMBER, NUMBER, NUMBER, Field(INT, low=1))
 
 #: a ``repro.history/v1`` document, as :meth:`HistoryStore.to_dict`
 #: writes it.

@@ -15,8 +15,9 @@ holds both halves once:
   :data:`MACHINE`), boot an identical machine, rebuild the
   monitor and the recorded monitoring stack through
   :func:`~repro.obs.stack.assemble_monitor_stack`, and run the
-  workload with a request hook -- from its seed, or continuing from a
-  checkpoint's state image (:mod:`repro.obs.state`).
+  workload through :meth:`~repro.obs.stack.MonitorStack.run` with a
+  request hook -- from its seed, or continuing from a checkpoint's
+  state image (:mod:`repro.obs.state`).
   ``replay_bundle`` arms breakpoints on it; ``resume_checkpoint``
   restores through it, or replays and verifies from its request
   hook.
@@ -246,9 +247,10 @@ class Rerun:
     monitor (``verb`` words the error when it does not).  Construction
     boots an identical machine and rebuilds the monitor and the
     recorded monitoring stack, with the sampler already started -- so
-    breakpoint timers armed on
-    :attr:`machine` afterwards fire after the sampler at equal cycles,
-    as they always have.  ``requests`` overrides the recorded horizon.
+    breakpoint timers armed on :attr:`machine` afterwards fire after
+    the sampler at equal cycles, as they always have (:meth:`run`'s
+    start is then a no-op).  ``requests`` overrides the recorded
+    horizon.
     """
 
     def __init__(self, document, table, verb, requests=None):
@@ -270,8 +272,9 @@ class Rerun:
             run["monitor"],
             sampling=(SamplingPolicy.from_dict(monitoring["sampling"])
                       if "sampling" in monitoring else None))
-        self.stack = assemble_monitor_stack(monitoring, self.machine,
-                                            self.monitor).start()
+        self.stack = assemble_monitor_stack(
+            monitoring, self.machine, self.monitor,
+            run_info=dict(run, requests=self.requests)).start()
         self.truth = self.panic = None
         #: event-log length and cycle at the breakpoint (None = no break).
         self.break_index = self.break_cycle = None
@@ -283,22 +286,15 @@ class Rerun:
         raise RerunBreak(f"replay breakpoint at cycle {cycle}")
 
     def run(self, request_hook=None, restore=None):
-        """Run the workload; a panic or a breakpoint ends it quietly.
+        """Run the workload through :meth:`MonitorStack.run`; a panic
+        or a breakpoint ends it quietly.
 
         ``restore`` continues from a state image instead of the seed
         (see :func:`~repro.analysis.runner.run_workload`).
         """
-        from repro.analysis.runner import HEAP_SIZE, run_workload
-
-        run = self.run_info
         try:
-            self.truth = run_workload(
-                run["workload"], run["monitor"],
-                buggy=run.get("buggy", False), requests=self.requests,
-                seed=run.get("seed", 0),
-                heap_size=run.get("heap_size", HEAP_SIZE),
-                machine=self.machine, monitor=self.monitor,
-                request_hook=request_hook, restore=restore).truth
+            self.truth = self.stack.run(request_hook=request_hook,
+                                        restore=restore).truth
         except RerunBreak:
             pass
         except MachinePanic as error:
@@ -308,6 +304,4 @@ class Rerun:
             # during unwind; the breakpoint state is already recorded.
             if self.break_index is None:
                 raise
-        finally:
-            self.stack.stop()
         return self

@@ -13,14 +13,17 @@ description of a production monitoring stack:
   four commands mount, so they accept *identical* monitoring flags;
 - :meth:`MonitorStackConfig.from_args` -- flags to config, one way;
 - :func:`build_monitor_stack` -- config to a live :class:`MonitorStack`
-  (machine + monitor + profiler + alert engine + stream + recorder)
-  with a start/stop/close lifecycle;
+  (machine + monitor + profiler + alert engine + stream + recorder +
+  checkpoint scheduler), bare when the config asks for no monitoring;
 - :func:`assemble_monitor_stack` -- the one wiring of profiler, trend
   engine, alert engine and history store, from the normalised
   ``monitoring`` dict (:meth:`MonitorStackConfig.monitoring`) a run
   records.  ``build_monitor_stack``, forensic replay, checkpoint
   resume and the trend/season experiment scenarios all call it, so a
-  recorded stack and a rebuilt one are wired identically.
+  recorded stack and a rebuilt one are wired identically;
+- :meth:`MonitorStack.run` -- the one run path: ``repro run``,
+  ``repro monitor``, fleet machines, replay/resume and the trend
+  scenarios all run their workload through it.
 
 The config crosses process boundaries (fleet workers) through
 ``to_dict``/``from_dict`` and derives per-machine sampling seeds with
@@ -32,7 +35,7 @@ import copy
 import pathlib
 from dataclasses import dataclass, replace
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, MachinePanic
 from repro.common.schema import Field, Table
 from repro.common.state import INT, LIST, NULL, OBJECT
 from repro.core.sampling import SAMPLING, SamplingPolicy
@@ -161,26 +164,6 @@ class MonitorStackConfig:
                 "--checkpoint-dir requires --checkpoint-every")
         return self
 
-    @property
-    def wants_profiler(self):
-        return self.sample_every is not None
-
-    @property
-    def wants_trend(self):
-        return self.trend is not None
-
-    @property
-    def wants_forensics(self):
-        return self.dump_dir is not None or self.dump_on_alert
-
-    @property
-    def wants_history(self):
-        return self.history
-
-    @property
-    def wants_checkpoints(self):
-        return self.checkpoint_every is not None
-
     def resolved_dump_dir(self):
         """``--dump-on-alert`` without ``--dump-dir`` lands in ./dumps."""
         return self.dump_dir or ("dumps" if self.dump_on_alert
@@ -205,11 +188,11 @@ class MonitorStackConfig:
         monitoring = {}
         if self.sampling is not None:
             monitoring["sampling"] = self.sampling.to_dict()
-        if not self.wants_profiler:
+        if self.sample_every is None:
             return monitoring
         rules = resolve_rules(self.rules)
         monitoring["sample_every"] = self.sample_every
-        if self.wants_trend:
+        if self.trend is not None:
             rules = rules + default_trend_rules(self.trend)
             monitoring["trend"] = _trend_spec({
                 "detector": self.trend, "window": self.trend_window,
@@ -421,14 +404,14 @@ class MonitorStack:
     """One live monitoring stack around one machine and monitor.
 
     Built by :func:`assemble_monitor_stack` (through
-    :func:`build_monitor_stack` for a config); the owner brackets the
-    workload with :meth:`start` / :meth:`stop` and finishes with
-    :meth:`close` (idempotent, exception-safe) so streams always flush
-    and recorders always detach.
+    :func:`build_monitor_stack` for a config); :meth:`run` runs the
+    recorded run under it, and the owner finishes with :meth:`close`
+    (idempotent, exception-safe) so streams always flush and recorders
+    always detach.
     """
 
     def __init__(self, machine, monitor, monitoring, sampler=None,
-                 engine=None, trend=None, history=None):
+                 engine=None, trend=None, history=None, run_info=None):
         self.machine = machine
         self.monitor = monitor
         self._monitoring = monitoring
@@ -436,7 +419,13 @@ class MonitorStack:
         self.engine = engine
         self.trend = trend
         self.history = history
+        #: the run :meth:`run` runs (workload, monitor, buggy,
+        #: requests, seed, heap_size).
+        self.run_info = run_info
         self.sink = self.stream = self.recorder = self.scheduler = None
+        #: the panic the forensic recorder dumped, once :meth:`run`
+        #: has kept one.
+        self.panic = None
         self._closed = False
 
     def start(self):
@@ -447,6 +436,52 @@ class MonitorStack:
     def stop(self):
         if self.sampler is not None:
             self.sampler.stop()
+
+    def run(self, request_hook=None, restore=None):
+        """Run :attr:`run_info` on this stack's machine; returns the
+        :class:`~repro.analysis.runner.RunResult`, or None after a
+        kept panic.
+
+        The one place a workload runs under a monitoring stack: start
+        the sampler (a no-op when it already runs), run the workload
+        with the checkpoint scheduler's request hook, stop the sampler.
+        ``request_hook`` replaces the scheduler's (a rerun checks its
+        boundary and records no checkpoints); ``restore`` continues a
+        checkpointed run (see :func:`~repro.analysis.runner.
+        run_workload`).  With a forensic recorder, which dumps the
+        machine at the PANIC event, a panic is kept on :attr:`panic`;
+        without one it propagates.
+        """
+        from repro.analysis.runner import HEAP_SIZE, run_workload
+
+        run = self.run_info
+        self.start()
+        try:
+            return run_workload(
+                run["workload"], run["monitor"],
+                buggy=run.get("buggy", False),
+                requests=run.get("requests"), seed=run.get("seed", 0),
+                heap_size=run.get("heap_size", HEAP_SIZE),
+                machine=self.machine, monitor=self.monitor,
+                request_hook=request_hook or self.request_hook,
+                restore=restore)
+        except MachinePanic as error:
+            if self.recorder is None:
+                raise
+            self.panic = error
+            return None
+        finally:
+            self.stop()
+
+    def native_twin(self):
+        """The same run with no monitor on a fresh experiment machine
+        of this stack's chipset profile: the baseline a monitored
+        run's ``overhead`` is measured against."""
+        from repro.analysis.runner import boot_machine, make_monitor
+        twin = MonitorStack(boot_machine(self.machine.profile.name),
+                            make_monitor("native"), {},
+                            run_info=dict(self.run_info, monitor="native"))
+        return twin.run()
 
     def close(self):
         if self._closed:
@@ -490,9 +525,8 @@ class MonitorStack:
     def request_hook(self):
         """Workload request-boundary hook, or None when unneeded.
 
-        Pass as ``run_workload(..., request_hook=stack.request_hook)``
-        so the checkpoint scheduler sees every boundary; purely
-        observational, so passing it never changes the run.
+        :meth:`run` passes it so the checkpoint scheduler sees every
+        boundary; purely observational, so it never changes the run.
         """
         return (self.scheduler.on_request
                 if self.scheduler is not None else None)
@@ -503,8 +537,9 @@ class MonitorStack:
         return copy.deepcopy(self._monitoring)
 
 
-def assemble_monitor_stack(monitoring, machine, monitor):
-    """Wire the monitoring stack a ``monitoring`` dict describes.
+def assemble_monitor_stack(monitoring, machine, monitor, run_info=None):
+    """Wire the monitoring stack a ``monitoring`` dict describes, for
+    the run ``run_info`` describes (see :meth:`MonitorStack.run`).
 
     The one place the sampler's listener chain is built: trend engine,
     then alert engine, then history store, so trend rules judge the
@@ -525,7 +560,7 @@ def assemble_monitor_stack(monitoring, machine, monitor):
     if monitoring.get("sampling") is not None:
         info["sampling"] = dict(monitoring["sampling"])
     if not monitoring.get("sample_every"):
-        return MonitorStack(machine, monitor, info)
+        return MonitorStack(machine, monitor, info, run_info=run_info)
     sampler = SamplingProfiler(
         machine, interval_cycles=monitoring["sample_every"],
         group_source=leak_group_source(monitor))
@@ -550,7 +585,8 @@ def assemble_monitor_stack(monitoring, machine, monitor):
         sampler.add_listener(history.observe)
         info["history"] = True
     return MonitorStack(machine, monitor, info, sampler=sampler,
-                        engine=engine, trend=trend, history=history)
+                        engine=engine, trend=trend, history=history,
+                        run_info=run_info)
 
 
 def _trend_spec(spec):
@@ -572,27 +608,29 @@ def build_monitor_stack(config, machine=None, monitor=None,
 
     ``machine``/``monitor`` reuse pre-built instances (the monitor must
     already match ``config.monitor``/``config.sampling``); when None
-    they are created here, which is how every command now boots its
-    stack.  The monitoring components come from
-    :func:`assemble_monitor_stack` fed :meth:`MonitorStackConfig.
-    monitoring`.  ``run_info`` (workload/monitor/buggy/requests/seed)
-    arms a forensic recorder and checkpoint scheduler when the config
-    asks for them; ``label`` suffixes per-machine stream files and
-    dump bundles in fleet runs.
+    they are created here (the machine by
+    :func:`~repro.analysis.runner.boot_machine` on ``config.profile``),
+    which is how every command boots its stack.  The monitoring
+    components come from :func:`assemble_monitor_stack` fed
+    :meth:`MonitorStackConfig.monitoring`.  ``run_info``
+    (workload/monitor/buggy/requests/seed) is the run
+    :meth:`MonitorStack.run` runs, and arms a forensic recorder and
+    checkpoint scheduler when the config asks for them; ``label``
+    suffixes per-machine stream files, dump bundles and checkpoints in
+    fleet runs.
     """
     # Lazy imports: obs.stack is imported by the CLI front end, while
     # the factories below pull in the whole analysis/machine layer.
-    from repro.analysis.runner import CACHE_SIZE, DRAM_SIZE, make_monitor
-    from repro.machine.machine import Machine
+    from repro.analysis.runner import boot_machine, make_monitor
 
     config.validate()
     monitoring = config.monitoring()
     if machine is None:
-        machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
-                          cache_ways=16, profile=config.profile)
+        machine = boot_machine(config.profile)
     if monitor is None:
         monitor = make_monitor(config.monitor, sampling=config.sampling)
-    stack = assemble_monitor_stack(monitoring, machine, monitor)
+    stack = assemble_monitor_stack(monitoring, machine, monitor,
+                                   run_info=run_info)
 
     if config.stream is not None:
         from repro.obs.sink import (
@@ -613,14 +651,14 @@ def build_monitor_stack(config, machine=None, monitor=None,
     if recorded:
         info["monitoring"] = recorded
     label = label or info.get("workload", "run")
-    if config.wants_forensics:
+    if config.resolved_dump_dir() is not None:
         from repro.obs.forensics import ForensicRecorder
         stack.recorder = ForensicRecorder(
             machine, monitor=monitor, run_info=info,
             dump_dir=config.resolved_dump_dir(), label=label,
             on_alert=config.dump_on_alert, trend=stack.trend,
         )
-    if config.wants_checkpoints:
+    if config.checkpoint_every is not None:
         from repro.obs.checkpoint import CheckpointScheduler
         stack.scheduler = CheckpointScheduler(
             machine, config.checkpoint_every, monitor=monitor,

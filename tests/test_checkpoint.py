@@ -21,7 +21,7 @@ import re
 
 import pytest
 
-from repro.analysis.runner import run_workload
+from repro.analysis.fleet import run_fleet
 from repro.cli import main
 from repro.common.errors import ConfigurationError
 from repro.machine.machine import Machine
@@ -77,14 +77,9 @@ def run_with_stack(requests, checkpoint_every=None, checkpoint_dir=None,
     run_info = {"workload": workload, "monitor": "safemem",
                 "buggy": buggy, "requests": requests, "seed": 0}
     stack = build_monitor_stack(config, run_info=run_info)
-    stack.start()
     try:
-        result = run_workload(workload, "safemem", buggy=buggy,
-                              requests=requests, machine=stack.machine,
-                              monitor=stack.monitor,
-                              request_hook=stack.request_hook)
+        result = stack.run()
     finally:
-        stack.stop()
         stack.close()
     return stack, result
 
@@ -207,6 +202,21 @@ def test_resume_verifies_with_rules_none(tmp_path):
     resumed = resume_checkpoint(checkpoint, verify=True)
     assert resumed.verified is True, resumed.verify_message
     assert resumed.restored is True
+
+
+def test_fleet_machine_checkpoint_resumes(tmp_path):
+    """A checkpoint a fleet machine's own stack wrote restores and
+    verifies, as a single run's does."""
+    result = run_fleet(
+        "ypserv1", machines=1, jobs=1, buggy=True, requests=40,
+        stack=MonitorStackConfig(sample_every=SAMPLE_EVERY,
+                                 trend="theil-sen", history=True,
+                                 checkpoint_every=10_000_000,
+                                 checkpoint_dir=str(tmp_path)))
+    path = result.reports[0].checkpoints[0]
+    resumed = resume_checkpoint(load_checkpoint(path))
+    assert resumed.restored is True
+    assert resumed.verified is True, resumed.verify_message
 
 
 @pytest.fixture(scope="module")

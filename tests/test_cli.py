@@ -4,9 +4,11 @@ import io
 
 import pytest
 
-from repro.analysis import fleet
+from repro.analysis import fleet, runner
 from repro.analysis.claims import CLAIMS, ClaimResult
 from repro.cli import build_parser, main
+from repro.common.errors import MachinePanic
+from repro.common.events import EventKind
 from repro.core.sampling import SamplingPolicy
 from repro.obs.stack import MonitorStackConfig
 
@@ -93,6 +95,28 @@ class TestParser:
         assert parser.parse_args(["run", "gzip"]).sample_every is None
         assert parser.parse_args(["validate"]).sample_every is None
 
+    @pytest.mark.parametrize("argv", [
+        *[(command, "--requests", "0")
+          for command in ("table3", "table4", "report", "validate")],
+        *[(command, "gzip", "--requests", "0")
+          for command in ("run", "stats", "monitor", "fleet")],
+        ("resume", "x.ckpt.json", "--requests", "0"),
+        ("history", "h.json", "--buckets", "0"),
+        ("inspect", "x.dump.json", "--limit", "0"),
+        ("diff", "a.json", "b.json", "--limit", "0"),
+        ("monitor", "gzip", "--top", "0"),
+        ("monitor", "gzip", "--report-every", "-1"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_count_flags_reject_values_below_their_least(self, argv,
+                                                         capsys):
+        # One below the least value is a usage error, never a silent
+        # default (--requests 0) or a backwards slice (--buckets -1).
+        with pytest.raises(SystemExit) as exc_info:
+            main(list(argv))
+        assert exc_info.value.code == 2
+        assert f"{argv[-2]}: must be >= {int(argv[-1]) + 1}" \
+            in capsys.readouterr().err
+
     def test_from_args_is_command_independent(self):
         parser = build_parser()
         flags = ["--sample-rate", "0.25", "--sample-seed", "3",
@@ -145,6 +169,47 @@ class TestCommands:
         assert "stopped at detection" in output
         # No misleading overhead line for a run that stopped early.
         assert "overhead:" not in output
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "gzip", "--requests", "3"),
+        ("monitor", "gzip", "--requests", "3"),
+        ("fleet", "gzip", "--requests", "3", "--machines", "1",
+         "--jobs", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_profile_boots_every_machine_of_the_run(self, argv):
+        # Each monitored run and its native overhead twin boot the
+        # requested chipset profile, with or without other monitoring.
+        profiles = []
+        tap = runner.add_boot_tap(
+            lambda machine, monitor, run_info:
+            profiles.append(machine.profile.name))
+        try:
+            code, _ = run_cli(*argv, "--profile", "chipkill-server")
+        finally:
+            runner.remove_boot_tap(tap)
+        assert code == 0
+        assert profiles and set(profiles) == {"chipkill-server"}
+        if argv[0] != "monitor":
+            assert len(profiles) == 2  # the run and its native twin
+
+    @pytest.mark.parametrize("command", ["run", "monitor"])
+    def test_panic_is_kept_only_with_a_recorder(self, command, tmp_path,
+                                                monkeypatch, capsys):
+        def boom(*args, machine=None, **kwargs):
+            machine.events.emit(EventKind.PANIC, address=0x40,
+                                reason="injected")
+            raise MachinePanic("injected")
+
+        monkeypatch.setattr(runner, "run_workload", boom)
+        code, output = run_cli(command, "gzip", "--requests", "3",
+                               "--dump-dir", str(tmp_path))
+        assert code == 1
+        dump, = tmp_path.glob("*-panic-*.dump.json")
+        assert output.endswith(f"PANIC: injected\ndump:      {dump}\n")
+        # Without a forensic recorder the panic propagates.
+        code, _ = run_cli(command, "gzip", "--requests", "3")
+        assert code == 2
+        assert capsys.readouterr().err == "repro: error: injected\n"
 
     def test_run_buggy_leak_lists_reports(self):
         code, output = run_cli("run", "ypserv1", "--monitor",

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.analysis import fleet
+from repro.analysis import fleet, runner
 from repro.analysis.runner import (
     CACHE_SIZE,
     DRAM_SIZE,
@@ -555,37 +555,71 @@ class TestFleetForensics:
         assert "forensic dumps:" in rendered
         assert report.bundles[0] in rendered
 
+    def test_fleet_bundle_carries_the_monitor_bundles_trends(self,
+                                                             tmp_path):
+        # A fleet machine's recorder comes from its own stack, as
+        # `repro monitor`'s does, so its bundles record the same trend
+        # verdicts for the same run.
+        code, _ = run_cli(
+            "monitor", "ypserv1", "--monitor", "safemem-ml", "--buggy",
+            "--requests", "400", "--sample-every", "30000000",
+            "--trend", "theil-sen", "--dump-on-alert",
+            "--dump-dir", str(tmp_path / "monitor"))
+        assert code == 0
+        monitored, = sorted((tmp_path / "monitor").glob("*.dump.json"))
+        result = fleet.run_fleet(
+            "ypserv1", machines=1, buggy=True, requests=400, jobs=1,
+            stack=MonitorStackConfig(monitor="safemem-ml",
+                                     sample_every=30_000_000,
+                                     trend="theil-sen",
+                                     dump_dir=str(tmp_path / "fleet"),
+                                     dump_on_alert=True))
+        bundle, = result.reports[0].bundles
+        trends = load_bundle(monitored)["trends"]
+        assert len(trends["series"]) == 6
+        assert load_bundle(bundle)["trends"] == trends
+
     def test_fleet_without_dump_dir_writes_nothing(self):
         result = fleet.run_fleet("gzip", machines=1, monitor="native",
                                  requests=5, jobs=1)
         assert result.reports[0].bundles == []
         assert "forensic dumps:" not in result.render()
 
-    def test_panicking_machine_becomes_report_row(self, tmp_path,
-                                                  monkeypatch):
+    @staticmethod
+    def _panicking_spec(monkeypatch, **stack):
         def boom(*args, machine=None, monitor=None, **kwargs):
-            # Mirror the boot-tap call the real run_workload makes, so
-            # the job's ForensicRecorder attaches before the crash.
-            from repro.analysis import runner
-            for tap in list(runner._BOOT_TAPS):
-                tap(machine, monitor,
-                    {"workload": "gzip", "monitor": "native"})
             machine.events.emit(EventKind.PANIC, address=0x40,
                                 reason="injected")
             raise MachinePanic("injected")
 
-        monkeypatch.setattr(fleet, "run_workload", boom)
-        spec = ("fleet-machine", "fleet:gzip:0",
+        # MonitorStack.run, the one run path, looks run_workload up
+        # in the runner module.
+        monkeypatch.setattr(runner, "run_workload", boom)
+        return ("fleet-machine", "fleet:gzip:0",
                 {"workload": "gzip", "monitor": "native", "buggy": False,
                  "requests": 5, "seed": 0, "index": 0,
-                 "stack": MonitorStackConfig(monitor="native").to_dict(),
-                 "forensics": True})
-        outcome = fleet.run_jobs([spec], jobs=1, dump_dir=tmp_path)
+                 "stack": MonitorStackConfig(monitor="native",
+                                             **stack).to_dict()})
+
+    def test_panicking_machine_becomes_report_row(self, tmp_path,
+                                                  monkeypatch):
+        # The machine's own stack carries the forensic recorder, so it
+        # is attached before the crash.
+        spec = self._panicking_spec(monkeypatch, dump_dir=str(tmp_path))
+        outcome = fleet.run_jobs([spec], jobs=1)
         report = outcome.payloads["fleet:gzip:0"]
         assert report.detection == "panic: injected"
         assert report.requests_completed == 0
-        assert report.bundles and outcome.bundles == report.bundles
+        # The row links the bundle; the outcome lists only bundles of
+        # the boot-tap recorders `repro validate` shards carry.
+        assert report.bundles and outcome.bundles == []
         assert load_bundle(report.bundles[0])["reason"] == "panic"
+
+    def test_panicking_machine_without_recorder_fails_its_shard(
+            self, monkeypatch):
+        spec = self._panicking_spec(monkeypatch)
+        with pytest.raises(FleetError, match="MachinePanic: injected"):
+            fleet.run_jobs([spec], jobs=1)
 
     def test_fleet_error_carries_bundles(self):
         spec = ("fleet-machine", "fleet:bad:0",

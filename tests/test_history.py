@@ -11,6 +11,7 @@ CLI surface.
 
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -310,3 +311,20 @@ class TestRenderAndCli:
         code, output = run_cli("inspect", str(path))
         assert code == 0
         assert "history document" in output
+
+    def test_zero_count_bucket_is_a_named_error(self, tmp_path, capsys):
+        # A bucket's mean is sum / count: a count of 0 must stop at the
+        # schema check, not divide by zero in the renderer.
+        document = HistoryStore().to_dict()
+        document["series"]["heap.live_bytes"]["tiers"][0].append(
+            [0, 1, 1, 1, 0])
+        path = str(tmp_path / "h.json")
+        pathlib.Path(path).write_text(json.dumps(document))
+        for command in (("history", path), ("inspect", path),
+                        ("history", path, path)):
+            code, _ = run_cli(*command)
+            assert code == 2, command
+            error = capsys.readouterr().err
+            assert error.startswith("repro: error: ")
+            assert error.count("\n") == 1
+            assert "item 4 must be a positive integer, got 0" in error

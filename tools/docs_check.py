@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency checker (run in tier-1 via tests/test_docs.py).
 
-Eight checks keep the documentation layer from drifting away from the
+Nine checks keep the documentation layer from drifting away from the
 code layout:
 
 1. every ``repro.<pkg>[.<module>]`` named in the markdown that
@@ -35,7 +35,10 @@ code layout:
    that describes the current tree (``TREE_DOCS``) names an existing
    file, and an optional ``::Name`` or ``::Class::method`` suffix
    names a class or function defined in it (the other markdown records
-   history, plans or code from other repositories, so it is skipped).
+   history, plans or code from other repositories, so it is skipped);
+9. the field table under ``docs/ARCHITECTURE.md``'s monitor stack
+   heading lists exactly the fields of ``MonitorStackConfig``
+   (``dataclasses.fields``), both ways.
 
 Exit status is non-zero when any check fails, so the script can run as
 a pre-commit hook: ``python tools/docs_check.py``.
@@ -365,23 +368,29 @@ def code_field_tables(root=REPO_ROOT):
     modules = [".".join(path.relative_to(src).with_suffix("").parts)
                for path in sorted((src / "repro").rglob("*.py"))
                if " Table(" in path.read_text()]
+    return _script_output(src, _TABLES_SCRIPT, *modules)
+
+
+def _script_output(src, script, *args):
+    """The JSON ``script`` prints when run on the ``src`` tree."""
     output = subprocess.run(
-        [sys.executable, "-c", _TABLES_SCRIPT, *modules], check=True,
+        [sys.executable, "-c", script, *args], check=True,
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(src)}).stdout
     return json.loads(output)
 
 
-def documented_field_tables(text):
-    """``{section name: [keys]}``: the Key column of every Key/Type
-    table under a heading whose first code span names the section."""
+def documented_field_tables(text, header="| Key | Type |"):
+    """``{section name: [keys]}``: the first column of every table
+    whose header starts with ``header`` (Key/Type tables by default),
+    under a heading whose first code span names the section."""
     tables, name, in_table = {}, None, False
     for line in text.splitlines():
         heading = _HEADING_LINE.match(line)
         if heading:
             spans = _CODE_SPAN.findall(heading.group(1))
             name, in_table = (spans[0] if spans else None), False
-        elif line.startswith("| Key | Type |"):
+        elif line.startswith(header):
             in_table = name is not None
         elif in_table and line.startswith("|"):
             cell = line.strip("|").split("|")[0]
@@ -415,6 +424,41 @@ def check_field_tables(root=REPO_ROOT, tables=None):
                             f"`{key}`, which its field table does not "
                             f"declare")
     return problems
+
+
+#: prints the names of ``dataclasses.fields(MonitorStackConfig)``.
+_STACK_FIELDS_SCRIPT = """
+import dataclasses, json
+from repro.obs.stack import MonitorStackConfig
+print(json.dumps([field.name
+                  for field in dataclasses.fields(MonitorStackConfig)]))
+"""
+
+
+def stack_config_fields(root=REPO_ROOT):
+    """The field names of ``MonitorStackConfig`` (``[]`` for a tree
+    without ``repro.obs.stack``)."""
+    src = root / "src"
+    if not (src / "repro" / "obs" / "stack.py").is_file():
+        return []
+    return _script_output(src, _STACK_FIELDS_SCRIPT)
+
+
+def check_stack_config_table(root=REPO_ROOT, fields=None):
+    """Check 9: ARCHITECTURE.md's ``MonitorStackConfig`` table vs the
+    dataclass's fields, both ways (``fields`` overrides the code's)."""
+    fields = stack_config_fields(root) if fields is None else fields
+    if not fields:
+        return []
+    architecture = root / "docs" / "ARCHITECTURE.md"
+    documented = documented_field_tables(
+        architecture.read_text() if architecture.is_file() else "",
+        header="| field |").get("MonitorStackConfig", [])
+    where = "docs/ARCHITECTURE.md: `MonitorStackConfig` table"
+    return ([f"{where} does not list field `{name}`"
+             for name in fields if name not in documented]
+            + [f"{where} lists `{name}`, which is not a field"
+               for name in documented if name not in fields])
 
 
 def _defines(path, names):
@@ -458,7 +502,8 @@ def run_checks(root=REPO_ROOT):
         check_hardware_matrix(root) + \
         check_schema_sections(root) + \
         check_field_tables(root) + \
-        check_path_references(root)
+        check_path_references(root) + \
+        check_stack_config_table(root)
 
 
 def main():

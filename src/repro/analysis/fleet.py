@@ -280,15 +280,19 @@ def _execute_job(spec, dump_dir=None, dump_on_alert=False):
     """Run one job; returns (ident, payload, dumps, bundles, error).
 
     Top-level so it pickles under any multiprocessing start method.  A
-    run tap captures every machine the job boots (each ``run_workload``
+    run tap captures every machine the job runs (each ``run_workload``
     call builds a fresh machine, so absolute registry state is per-run
-    state and the dumps never double count).
+    state and the dumps never double count; a native overhead twin
+    reaches no run tap, so it is not counted as a machine).
 
     With ``dump_dir`` set, a boot tap additionally attaches a
     :class:`~repro.obs.forensics.ForensicRecorder` to every machine the
     job boots: a kernel PANIC (and, with ``dump_on_alert``, any alert
     reaching ``firing``) auto-writes a ``repro.dump/v1`` bundle there,
-    even when the job itself comes back as an error.
+    even when the job itself comes back as an error.  A run through
+    :meth:`~repro.obs.stack.MonitorStack.run` hands the recorder the
+    stack's recorded run, ``monitoring`` section included, so bundles
+    of the trend and season scenarios replay under their stacks.
     """
     kind, ident, params = spec
     dumps = []

@@ -52,10 +52,11 @@ class RunResult:
         return self.cycles / CYCLES_PER_SECOND
 
 
-#: observers called with every finished :class:`RunResult`.  The fleet
-#: scheduler installs a tap in each worker process to accumulate the
-#: telemetry of every machine its jobs boot (the machines themselves
-#: never cross the process boundary; their registry dumps do).
+#: observers called with every finished :class:`RunResult` but a
+#: baseline's (a native overhead twin's).  The fleet scheduler installs
+#: a tap in each worker process to accumulate the telemetry of every
+#: machine its jobs run (the machines themselves never cross the
+#: process boundary; their registry dumps do).
 _RUN_TAPS = []
 
 
@@ -151,7 +152,8 @@ def boot_machine(profile=None):
 def run_workload(workload_name, monitor_name="native", buggy=False,
                  requests=None, seed=0, heap_size=HEAP_SIZE,
                  monitor=None, machine=None, release=False,
-                 request_hook=None, restore=None):
+                 request_hook=None, restore=None, run_info=None,
+                 baseline=False):
     """Run one workload under one monitor; return a :class:`RunResult`.
 
     ``buggy=False`` is the paper's overhead-measurement setting (normal
@@ -177,6 +179,15 @@ def run_workload(workload_name, monitor_name="native", buggy=False,
     program and workload (which then resumes at the captured request
     boundary), and the run goes on inside the restored
     ``workload.<name>`` span.
+
+    ``run_info`` is the recorded run the boot taps receive; by default
+    it is built from this call's arguments.
+    :meth:`~repro.obs.stack.MonitorStack.run` passes its stack's, so a
+    boot tap's recorder records the stack's ``monitoring`` section and
+    its bundles replay under the same stack.  A ``baseline`` run (a
+    monitored run's native overhead twin) boots like any other but
+    reaches no run tap: it is a measurement of the run, not a machine
+    of its own, so fleet telemetry must not count it.
     """
     if machine is None:
         machine = boot_machine()
@@ -186,14 +197,15 @@ def run_workload(workload_name, monitor_name="native", buggy=False,
     program = Program(machine, monitor=monitor, heap_size=heap_size)
     workload = get_workload(workload_name, requests=requests, seed=seed)
     if _BOOT_TAPS:
-        run_info = {
-            "workload": workload_name,
-            "monitor": monitor_name,
-            "buggy": buggy,
-            "requests": workload.requests,
-            "seed": seed,
-            "heap_size": heap_size,
-        }
+        if run_info is None:
+            run_info = {
+                "workload": workload_name,
+                "monitor": monitor_name,
+                "buggy": buggy,
+                "requests": workload.requests,
+                "seed": seed,
+                "heap_size": heap_size,
+            }
         for tap in _BOOT_TAPS:
             tap(machine, monitor, run_info)
     tracer = machine.tracer
@@ -223,8 +235,9 @@ def run_workload(workload_name, monitor_name="native", buggy=False,
         requests=workload.requests,
         metrics=end.delta(start),
     )
-    for tap in _RUN_TAPS:
-        tap(result)
+    if not baseline:
+        for tap in _RUN_TAPS:
+            tap(result)
     return result
 
 

@@ -42,10 +42,10 @@ class _Line:
 
     __slots__ = ("tag", "data", "dirty", "stamp")
 
-    def __init__(self, tag, data, stamp):
+    def __init__(self, tag, data, stamp, dirty=False):
         self.tag = tag
         self.data = data
-        self.dirty = False
+        self.dirty = dirty
         self.stamp = stamp
 
 
@@ -162,8 +162,7 @@ class Cache:
                 frame = self._frames[tag - offset] = _Frame()
             frame.buffer[offset:offset + CACHE_LINE_SIZE] = data
             line = _Line(tag, frame.view[offset:offset + CACHE_LINE_SIZE],
-                         stamp)
-            line.dirty = dirty
+                         stamp, dirty)
             frame.lines[offset // CACHE_LINE_SIZE] = line
             frame.resident += 1
             cache_set[tag] = line
@@ -199,9 +198,10 @@ class Cache:
         the same order: a tick, an LRU stamp, a hit or a fill, and the
         cycle charge.  Two liberties are taken, both unobservable
         while no clock timer is registered (nothing can run between
-        two hits then):
+        two lines then):
 
-        - consecutive hit charges batch into one ``clock.tick``;
+        - consecutive hit and fill charges batch into one
+          ``clock.tick``;
         - a span inside one frame whose lines are all resident is
           accounted in one step and moves its bytes with one slice
           (:meth:`fast_read`, :meth:`fast_write`).
@@ -209,16 +209,22 @@ class Cache:
         With a timer registered, the hit count and tick are published
         before every charge, exactly as a per-line walk would.
 
-        A third liberty, under the same condition and only where the
-        controller's multi-line read is at hand: a miss whose line
-        starts a run of absent lines inside its frame and the span
-        reads the whole run with one burst.  Each line of the run
-        still takes its own fill, in address order, with the bytes of
-        the burst; the first line whose check bytes differ takes the
-        one-line read, which corrects or raises as it always does.
-        Nothing the fills do can change the run's DRAM in between:
-        write-backs only go to resident lines, and the run's lines are
-        absent until filled.
+        Under the same condition, and only where the controller's
+        multi-line read is at hand, a miss whose line starts a run of
+        absent lines inside its frame and the span reads the whole run
+        with one burst.  The burst's clean prefix is installed in one
+        step (:meth:`_install_run`): consecutive LRU stamps, one byte
+        copy into the frame, and one slice moving the span's bytes over
+        the installed lines.  That step stops at the first line whose
+        set is full and after ``num_sets`` lines, so it never evicts
+        and no two of its lines share a set; from there each line fills
+        through :meth:`_access_line` with the bytes of the burst, so
+        evictions and write-backs keep their per-line order, until a
+        line whose set has room starts the next one-step run.  The
+        first line whose check bytes differ takes the one-line read,
+        which corrects or raises as it always does.  Nothing the fills
+        do can change the run's DRAM in between: write-backs only go to
+        resident lines, and the run's lines are absent until filled.
         """
         if size <= 0:
             if size < 0:
@@ -227,6 +233,7 @@ class Cache:
         clock = self.clock
         charging = clock is not None and self.cost_model is not None
         hit_cost = self.cost_model.cache_hit if charging else 0
+        fill_cost = hit_cost + self.cost_model.cache_miss if charging else 0
         defer = not charging or clock.timer_count == 0
         if defer:
             if data is None:
@@ -263,11 +270,8 @@ class Cache:
                 if pending:
                     clock.tick(pending)
                     pending = 0
-                fill = None
-                if base < burst_end:
-                    fill = burst[base - burst_start:
-                                 base - burst_start + CACHE_LINE_SIZE]
-                elif base != unclean and defer and read_lines is not None:
+                if (base >= burst_end and base != unclean and defer
+                        and read_lines is not None):
                     count = self._absent_run(base, end)
                     if count > 1:
                         burst = read_lines(base, count)
@@ -275,8 +279,29 @@ class Cache:
                         burst_end = base + len(burst)
                         if len(burst) < count * CACHE_LINE_SIZE:
                             unclean = burst_end
-                        if burst:
-                            fill = burst[:CACHE_LINE_SIZE]
+                fill = None
+                if base < burst_end:
+                    if defer:
+                        frame, installed = self._install_run(
+                            base, burst, base - burst_start,
+                            data is not None)
+                        if installed:
+                            tick = self._tick
+                            pending = installed * fill_cost
+                            stop = min(end,
+                                       base + installed * CACHE_LINE_SIZE)
+                            offset = cursor % PAGE_SIZE
+                            if data is None:
+                                out += frame.view[offset:
+                                                  offset + stop - cursor]
+                            else:
+                                frame.buffer[offset:
+                                             offset + stop - cursor] = \
+                                    data[cursor - paddr:stop - paddr]
+                            cursor = stop
+                            continue
+                    fill = burst[base - burst_start:
+                                 base - burst_start + CACHE_LINE_SIZE]
                 line = self._access_line(base, data is not None, fill)
                 tick = self._tick
                 defer = not charging or clock.timer_count == 0
@@ -441,6 +466,56 @@ class Cache:
         while slot < stop and lines[slot] is None:
             slot += 1
         return slot - first
+
+    def _install_run(self, base, burst, skip, dirty):
+        """Fill absent lines from ``base`` with ``burst[skip:]`` in one
+        step; return their frame and how many were filled (0: none).
+
+        The outcome of one :meth:`_access_line` fill per line, in
+        address order, for as many lines as fill without an eviction:
+        the run stops at the first line whose set is full and after
+        ``num_sets`` lines, so no two of its lines share a set and no
+        line of it can evict another.  The lines take consecutive LRU
+        stamps and, with ``dirty``, the dirty mark their store sets;
+        ``misses``, ``resident_lines`` and the frame's count move once.
+        The caller charges the fills.
+        """
+        sets = self._sets
+        ways = self.ways
+        index = (base // CACHE_LINE_SIZE) % self.num_sets
+        limit = min((len(burst) - skip) // CACHE_LINE_SIZE, self.num_sets)
+        run = sets[index:index + limit]
+        if len(run) < limit:
+            run += sets[:limit - len(run)]
+        if len(run[0]) >= ways:
+            return None, 0
+        offset = base % PAGE_SIZE
+        frame = self._frames.get(base - offset)
+        if frame is None:
+            frame = self._frames[base - offset] = _Frame()
+        view = frame.view
+        slots = frame.lines
+        slot = offset // CACHE_LINE_SIZE
+        tick = first = self._tick
+        start = offset
+        for cache_set in run:
+            if len(cache_set) >= ways:
+                break
+            tick += 1
+            line = _Line(base, view[start:start + CACHE_LINE_SIZE], tick,
+                         dirty)
+            cache_set[base] = line
+            slots[slot] = line
+            slot += 1
+            base += CACHE_LINE_SIZE
+            start += CACHE_LINE_SIZE
+        frame.buffer[offset:start] = burst[skip:skip + start - offset]
+        count = tick - first
+        frame.resident += count
+        self._tick = tick
+        self.misses += count
+        self.resident_lines += count
+        return frame, count
 
     def _hit_resident(self, frame_base, offset, size, dirty):
         """Account ``[offset, offset+size)`` of one frame as hits when

@@ -58,6 +58,9 @@ class Kernel:
             max_pinned_pages = max(1, (dram.size // PAGE_SIZE) // 2)
         self.max_pinned_pages = max_pinned_pages
         self.syscall_counts = {}
+        #: syscall name -> its ``kernel.syscall.<Name>`` counter, kept
+        #: after the registry lookup that registers it.
+        self._syscall_counters = {}
         #: user-level SIGSEGV handler (page-protection guard tools).
         self.segv_handler = None
         controller.fault_listener = self._on_controller_event
@@ -415,7 +418,11 @@ class Kernel:
     def _count(self, name):
         self.syscall_counts[name] = self.syscall_counts.get(name, 0) + 1
         if self.metrics is not None:
-            self.metrics.counter(f"kernel.syscall.{name}").inc()
+            counter = self._syscall_counters.get(name)
+            if counter is None:
+                counter = self._syscall_counters[name] = \
+                    self.metrics.counter(f"kernel.syscall.{name}")
+            counter.value += 1
         self.event_log.emit(EventKind.SYSCALL, name=name)
 
     def _on_controller_event(self, fault):

@@ -279,6 +279,9 @@ class MetricsRegistry:
     def __init__(self, clock=None):
         self._clock = clock
         self._metrics = {}
+        #: ``(key, reader)`` pairs of :meth:`scalar_view`, compiled on
+        #: first use after ``_metrics`` changes (None until then).
+        self._readers = None
 
     # ------------------------------------------------------------------
     # registration
@@ -303,6 +306,7 @@ class MetricsRegistry:
             return existing
         metric = cls(name, description)
         self._metrics[name] = metric
+        self._readers = None
         return metric
 
     def probe(self, name, fn, kind="counter", description=""):
@@ -327,6 +331,7 @@ class MetricsRegistry:
                 fn = lambda: base + inner()  # noqa: E731
         probe = _Probe(name, fn, kind, description)
         self._metrics[name] = probe
+        self._readers = None
         return probe
 
     # ------------------------------------------------------------------
@@ -350,6 +355,30 @@ class MetricsRegistry:
     def instruments(self):
         """``{name: instrument}`` view (dump/merge machinery)."""
         return dict(self._metrics)
+
+    def scalar_view(self):
+        """Every metric's current value in registration order, as the
+        sampling profiler reads it: counters, gauges and probes by
+        name, each histogram as ``<name>.count`` and ``<name>.sum``
+        only (no per-sample percentile sort).
+
+        The readers are compiled once per set of metrics: the list is
+        dropped wherever ``_metrics`` changes and rebuilt here.
+        """
+        readers = self._readers
+        if readers is None:
+            readers = self._readers = []
+            for name, metric in self._metrics.items():
+                if isinstance(metric, Histogram):
+                    readers.append((f"{name}.count",
+                                    attr_reader(metric, "count")))
+                    readers.append((f"{name}.sum",
+                                    attr_reader(metric, "sum")))
+                elif isinstance(metric, _Probe):
+                    readers.append((name, metric.fn))
+                else:
+                    readers.append((name, attr_reader(metric, "value")))
+        return {key: read() for key, read in readers}
 
     @property
     def current_cycle(self):
@@ -427,6 +456,7 @@ class MetricsRegistry:
             raise ValueError(f"registered metric(s) missing from the "
                              f"record: {', '.join(missing)}")
         self._metrics = metrics
+        self._readers = None
 
     def snapshot(self):
         """Flatten every metric into a cycle-stamped :class:`Snapshot`."""

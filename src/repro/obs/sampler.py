@@ -31,7 +31,6 @@ profiler only observes once :meth:`SamplingProfiler.start` runs.
 from collections import deque
 
 from repro.common.state import integer, number, scalars, sequence, text
-from repro.obs.metrics import Histogram
 
 #: samples retained by the ring buffer.
 DEFAULT_CAPACITY = 512
@@ -240,14 +239,7 @@ class SamplingProfiler:
         """Capture one sample immediately (also used at end of run)."""
         machine = self.machine
         cycle = machine.clock.cycles
-        metrics = {}
-        for name, metric in machine.metrics.instruments().items():
-            if isinstance(metric, Histogram):
-                # O(1) reads only; no per-sample percentile sort.
-                metrics[f"{name}.count"] = metric.count
-                metrics[f"{name}.sum"] = metric.sum
-            else:
-                metrics[name] = metric.value
+        metrics = machine.metrics.scalar_view()
         spans = ["/".join(span.path)
                  for span in machine.tracer.active_spans()]
         groups = ()

@@ -437,7 +437,7 @@ class MonitorStack:
         if self.sampler is not None:
             self.sampler.stop()
 
-    def run(self, request_hook=None, restore=None):
+    def run(self, request_hook=None, restore=None, baseline=False):
         """Run :attr:`run_info` on this stack's machine; returns the
         :class:`~repro.analysis.runner.RunResult`, or None after a
         kept panic.
@@ -445,12 +445,13 @@ class MonitorStack:
         The one place a workload runs under a monitoring stack: start
         the sampler (a no-op when it already runs), run the workload
         with the checkpoint scheduler's request hook, stop the sampler.
-        ``request_hook`` replaces the scheduler's (a rerun checks its
-        boundary and records no checkpoints); ``restore`` continues a
-        checkpointed run (see :func:`~repro.analysis.runner.
-        run_workload`).  With a forensic recorder, which dumps the
-        machine at the PANIC event, a panic is kept on :attr:`panic`;
-        without one it propagates.
+        Boot taps receive :meth:`recorded_run`.  ``request_hook``
+        replaces the scheduler's (a rerun checks its boundary and
+        records no checkpoints); ``restore`` continues a checkpointed
+        run and ``baseline`` keeps a native twin's run from the run
+        taps (see :func:`~repro.analysis.runner.run_workload`).  With a
+        forensic recorder, which dumps the machine at the PANIC event,
+        a panic is kept on :attr:`panic`; without one it propagates.
         """
         from repro.analysis.runner import HEAP_SIZE, run_workload
 
@@ -464,7 +465,8 @@ class MonitorStack:
                 heap_size=run.get("heap_size", HEAP_SIZE),
                 machine=self.machine, monitor=self.monitor,
                 request_hook=request_hook or self.request_hook,
-                restore=restore)
+                restore=restore, run_info=self.recorded_run(),
+                baseline=baseline)
         except MachinePanic as error:
             if self.recorder is None:
                 raise
@@ -481,7 +483,7 @@ class MonitorStack:
         twin = MonitorStack(boot_machine(self.machine.profile.name),
                             make_monitor("native"), {},
                             run_info=dict(self.run_info, monitor="native"))
-        return twin.run()
+        return twin.run(baseline=True)
 
     def close(self):
         if self._closed:
@@ -535,6 +537,16 @@ class MonitorStack:
         """The ``monitoring`` dict bundles and checkpoints record;
         :func:`assemble_monitor_stack` rebuilds this stack from it."""
         return copy.deepcopy(self._monitoring)
+
+    def recorded_run(self):
+        """The run this stack's bundles and checkpoints record:
+        :attr:`run_info` plus, when the stack monitors anything, its
+        ``monitoring`` section."""
+        info = dict(self.run_info)
+        monitoring = self.monitoring_info()
+        if monitoring:
+            info["monitoring"] = monitoring
+        return info
 
 
 def assemble_monitor_stack(monitoring, machine, monitor, run_info=None):
@@ -646,10 +658,7 @@ def build_monitor_stack(config, machine=None, monitor=None,
                                        engine=stack.engine)
     if run_info is None:
         return stack
-    info = dict(run_info)
-    recorded = stack.monitoring_info()
-    if recorded:
-        info["monitoring"] = recorded
+    info = stack.recorded_run()
     label = label or info.get("workload", "run")
     if config.resolved_dump_dir() is not None:
         from repro.obs.forensics import ForensicRecorder

@@ -14,7 +14,6 @@ machine's :class:`~repro.obs.metrics.MetricsRegistry`, which is how
 an anecdote.
 """
 
-import contextlib
 from collections import deque
 
 from repro.common.events import EventKind, jsonable
@@ -71,6 +70,25 @@ class Span:
         return f"Span({'/'.join(self.path)}, {timing})"
 
 
+class _SpanScope:
+    """The ``with`` block of :meth:`Tracer.span`: starts the span on
+    entry and finishes it on exit, also when an exception unwinds."""
+
+    __slots__ = ("tracer", "name", "attrs", "span")
+
+    def __init__(self, tracer, name, attrs):
+        self.tracer = tracer
+        self.name = name
+        self.attrs = attrs
+
+    def __enter__(self):
+        self.span = self.tracer.start(self.name, **self.attrs)
+        return self.span
+
+    def __exit__(self, *exc_info):
+        self.tracer.finish(self.span)
+
+
 class Tracer:
     """Span recorder bound to one machine's clock and event log."""
 
@@ -82,6 +100,9 @@ class Tracer:
         self._recent = deque(maxlen=capacity)
         self.spans_started = 0
         self.spans_dropped = 0
+        #: span name -> its ``span.<name>.cycles`` histogram, kept
+        #: after the registry lookup that registers it.
+        self._histograms = {}
         #: frozen flight-recorder dump captured at the last PANIC.
         self.panic_dump = None
         if registry is not None:
@@ -94,14 +115,9 @@ class Tracer:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    @contextlib.contextmanager
     def span(self, name, **attrs):
         """Record one nested span around the ``with`` body."""
-        span = self.start(name, **attrs)
-        try:
-            yield span
-        finally:
-            self.finish(span)
+        return _SpanScope(self, name, attrs)
 
     def start(self, name, **attrs):
         parent_path = self._stack[-1].path if self._stack else ()
@@ -128,10 +144,13 @@ class Tracer:
                 self.spans_dropped += 1
             self._recent.append(top)
             if self.registry is not None:
-                self.registry.histogram(
-                    f"span.{top.name}.cycles",
-                    description=f"duration of {top.name} spans",
-                ).observe(top.duration_cycles)
+                histogram = self._histograms.get(top.name)
+                if histogram is None:
+                    histogram = self._histograms[top.name] = \
+                        self.registry.histogram(
+                            f"span.{top.name}.cycles",
+                            description=f"duration of {top.name} spans")
+                histogram.observe(top.duration_cycles)
             if top is span:
                 break
 

@@ -3,9 +3,10 @@
 ``Cache.load``/``Cache.store`` move a whole span per call: a span of
 resident lines inside one frame is accounted in one step and copied
 with one slice, a run of absent lines inside one frame fills from one
-controller burst, and any other span walks line by line with batched
-hit charges.  The reference below is the per-line loop it replaced:
-split the span at cache lines and take every piece through
+controller burst (its clean prefix installed in one step up to the
+first full set), and any other span walks line by line with batched
+hit and fill charges.  The reference below is the per-line loop it
+replaced: split the span at cache lines and take every piece through
 ``Cache._access_line`` with its own one-line controller read.  Twin
 caches run the same random access sequence, one through each, and must
 agree on every returned byte, every raised fault and the line it
@@ -301,6 +302,29 @@ def test_burst_stops_at_the_first_unclean_line():
     assert controller.uncorrectable_errors == 1
     assert [fault.line_address for _, fault in rig.faults] == \
         [4 * CACHE_LINE_SIZE, 9 * CACHE_LINE_SIZE]
+
+
+@pytest.mark.parametrize("ways", [1, 2])
+def test_one_step_fill_stops_at_a_full_set(ways):
+    """A store over a page of absent lines into a cache of 16 sets,
+    fewer than a page's 64 lines.  Each one-step run installs at most
+    16 lines and stops at the first full set; every line past it
+    evicts an earlier, already stored-to line of the same span, whose
+    stored bytes (not the burst's) must be the ones written back."""
+    size = 16 * ways * CACHE_LINE_SIZE
+    plan = [("store", 0, PAGE_SIZE, 7), ("load", 8, PAGE_SIZE - 16, 0)]
+    assert_twins_agree(lambda: _Rig(size, ways, None), plan)
+    rig = _Rig(size, ways, None)
+    apply(rig, "store", 0, PAGE_SIZE, 7, False)
+    assert_frame_index(rig.cache)
+    lines = PAGE_SIZE // CACHE_LINE_SIZE
+    # One burst read every line; the lines past the 16 * ways that fit
+    # each evicted a dirty line.
+    assert rig.controller.reads == rig.cache.misses == lines
+    assert rig.cache.evictions == rig.cache.writebacks == lines - 16 * ways
+    rig.cache.flush_all()
+    assert rig.controller.dram.read_raw(0, PAGE_SIZE) == \
+        PATTERN[7:7 + PAGE_SIZE]
 
 
 @pytest.mark.parametrize("cadence", [None, 3])

@@ -318,6 +318,25 @@ class TestFleetCommand:
         assert document["schema"] == "repro.metrics/v1"
         assert document["meta"]["command"] == "fleet"
 
+    def test_fleet_telemetry_counts_each_machine_once(self, tmp_path):
+        # A monitored fleet machine's native overhead twin is a
+        # measurement of it, not a machine: its registry stays out of
+        # the fleet merge, so one machine's counters are one run's.
+        import json
+        fleet_path = tmp_path / "fleet.json"
+        run_path = tmp_path / "run.json"
+        code, _ = run_cli("fleet", "gzip", "--machines", "1", "--jobs",
+                          "1", "--requests", "5", "--monitor", "safemem",
+                          "--emit-metrics", str(fleet_path))
+        assert code == 0
+        code, _ = run_cli("run", "gzip", "--requests", "5",
+                          "--emit-metrics", str(run_path))
+        assert code == 0
+        fleet_metrics = json.loads(fleet_path.read_text())["metrics"]
+        run_metrics = json.loads(run_path.read_text())["metrics"]
+        assert fleet_metrics["fleet.machines.total"] == 1
+        assert fleet_metrics["heap.allocs"] == run_metrics["heap.allocs"]
+
 
 class TestMonitorCommand:
     def test_parser_defaults(self):

@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro.analysis import fleet, runner
+from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.runner import (
     CACHE_SIZE,
     DRAM_SIZE,
@@ -620,6 +621,28 @@ class TestFleetForensics:
         spec = self._panicking_spec(monkeypatch)
         with pytest.raises(FleetError, match="MachinePanic: injected"):
             fleet.run_jobs([spec], jobs=1)
+
+    @pytest.mark.parametrize("experiment, ident", [
+        ("trend", "trend:ypserv1:buggy"),
+        ("season", "season:ypserv1-diurnal:buggy"),
+    ])
+    def test_scenario_alert_bundles_replay(self, tmp_path, experiment,
+                                           ident):
+        # A `repro validate --dump-dir --dump-on-alert` shard's boot-tap
+        # recorder records the scenario stack's run, monitoring section
+        # included, so replay rebuilds the profiler, trend engine and
+        # alert rules that fired.
+        spec, = [spec for spec in EXPERIMENTS[experiment].specs(None)
+                 if spec[1] == ident]
+        outcome = fleet.run_jobs([spec], jobs=1, dump_dir=str(tmp_path),
+                                 dump_on_alert=True)
+        assert outcome.bundles
+        for path in outcome.bundles:
+            bundle = load_bundle(path)
+            assert bundle["reason"] == "alert"
+            assert bundle["run"]["monitoring"]["trend"]
+            ok, message = verify_replay(bundle, replay_bundle(bundle))
+            assert ok, f"{path}: {message}"
 
     def test_fleet_error_carries_bundles(self):
         spec = ("fleet-machine", "fleet:bad:0",

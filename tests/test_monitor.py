@@ -156,6 +156,27 @@ class TestSamplingProfiler:
         # percentiles are end-of-run-only: never computed per sample.
         assert "test.lat.p50" not in sample
 
+    def test_registry_changes_show_in_the_next_sample(self):
+        # Samples read a compiled probe list: a probe or histogram
+        # registered, or a counter probe replaced with its base (a
+        # re-attached monitor), between two samples shows in the second.
+        machine = _machine()
+        metrics = machine.metrics
+        sampler = SamplingProfiler(machine, interval_cycles=100)
+        metrics.probe("test.count", lambda: 3)
+        first = sampler.sample_now()
+        assert first.get("test.count") == 3
+        metrics.probe("test.level", lambda: 9, kind="gauge")
+        metrics.probe("test.count", lambda: 4)
+        metrics.histogram("test.lat").observe(5)
+        second = sampler.sample_now()
+        assert second.get("test.count") == 3 + 4
+        assert second.get("test.level") == 9
+        assert second.get("test.lat.count") == 1
+        assert second.get("test.lat.sum") == 5
+        assert list(second.metrics) == list(first.metrics) + [
+            "test.level", "test.lat.count", "test.lat.sum"]
+
     def test_ring_bounded_and_evictions_counted(self):
         machine = _machine()
         sampler = SamplingProfiler(machine, interval_cycles=100,

@@ -84,6 +84,23 @@ class TestRegistry:
         registry.probe("g", lambda: 2, kind="gauge")
         assert registry.snapshot()["g"] == 2
 
+    def test_scalar_view_follows_registration_and_restore(self):
+        source = MetricsRegistry()
+        source.counter("c").inc(2)
+        source.histogram("h").observe(5)
+        state = {"n": 1}
+        source.probe("p", lambda: state["n"])
+        assert source.scalar_view() == {"c": 2, "h.count": 1,
+                                        "h.sum": 5, "p": 1}
+        restored = MetricsRegistry()
+        restored.probe("p", lambda: 8)
+        assert restored.scalar_view() == {"p": 8}
+        restored.load_state(source.state_dict())
+        # Registration order is the record's; the probe reads its own
+        # component.
+        assert list(restored.scalar_view().items()) == [
+            ("c", 2), ("h.count", 1), ("h.sum", 5), ("p", 8)]
+
 
 class TestSnapshotDelta:
     def test_counters_subtract_gauges_keep_later(self):

@@ -11,10 +11,11 @@ This model reproduces those mechanics: LRU set-associative lookup,
 write-back of dirty victims, explicit ``clflush``, and line fills that
 go through the ECC controller (and may therefore raise ECC faults).
 
-Line data is stored per physical frame: each frame with a resident
-line owns one page-sized buffer, and every resident line's ``data`` is
-a view of its 64-byte slot.  A span that hits only resident lines of
-one frame therefore moves its bytes with one buffer slice.
+Line state is stored per physical frame: each frame with a resident
+line owns one page-sized buffer and three 64-slot arrays, which say
+for each line slot whether it is resident, whether it is dirty, and
+its LRU stamp.  A span that hits only resident lines of one frame
+therefore stamps, marks and moves them with a few slice operations.
 """
 
 from repro.common.constants import (
@@ -37,28 +38,45 @@ from repro.common.state import (
 from repro.obs.metrics import attr_reader as _attr_reader
 
 
-class _Line:
-    """One resident cache line; ``data`` is a view into its frame."""
+#: ``_ONES[n]``/``_ZEROS[n]``: a run of n set/clear slot flags.  Kept
+#: as bytearrays, which a bytearray slice assignment copies directly
+#: (from ``bytes`` it first makes a temporary bytearray).
+_ONES = tuple(bytearray(b"\x01") * n for n in range(LINES_PER_PAGE + 1))
+_ZEROS = tuple(bytearray(n) for n in range(LINES_PER_PAGE + 1))
 
-    __slots__ = ("tag", "data", "dirty", "stamp")
 
-    def __init__(self, tag, data, stamp, dirty=False):
-        self.tag = tag
-        self.data = data
-        self.dirty = dirty
-        self.stamp = stamp
+def _runs(flags, first, stop):
+    """``(start, end)`` of each run of set slots in ``flags[first:stop]``,
+    found with ``bytearray.find``."""
+    start = flags.find(1, first, stop)
+    while start >= 0:
+        end = flags.find(0, start, stop)
+        if end < 0:
+            end = stop
+        yield start, end
+        start = flags.find(1, end, stop)
 
 
 class _Frame:
-    """The resident lines of one physical frame and their bytes."""
+    """The cached lines of one physical frame: their bytes and, per
+    64-byte slot, residency, dirty bit and LRU stamp.
 
-    __slots__ = ("buffer", "view", "lines", "resident")
+    Slot ``s`` is resident when ``present[s]`` is 1, dirty when
+    ``dirty[s]`` is 1 (never for an absent slot), and its stamp is
+    ``origins[s] + s``: consecutive stamps over a run of slots are one
+    repeated origin, so a run is stamped with one slice assignment.
+    """
+
+    __slots__ = ("buffer", "view", "present", "dirty", "origins",
+                 "resident")
 
     def __init__(self):
         self.buffer = bytearray(PAGE_SIZE)
         self.view = memoryview(self.buffer)
-        #: the resident ``_Line`` of each slot, ``None`` where absent.
-        self.lines = [None] * LINES_PER_PAGE
+        self.present = bytearray(LINES_PER_PAGE)
+        self.dirty = bytearray(LINES_PER_PAGE)
+        self.origins = [0] * LINES_PER_PAGE
+        #: resident slots, the number of 1s in ``present``.
         self.resident = 0
 
 
@@ -126,28 +144,46 @@ class Cache:
     # ------------------------------------------------------------------
     # durable state (repro.state/v1)
     # ------------------------------------------------------------------
+    def lines(self):
+        """Every resident line as ``(tag, dirty, stamp, bytes)``, set
+        by set in each set's order."""
+        out = []
+        for cache_set in self._sets:
+            for base, frame in cache_set.items():
+                offset = base % PAGE_SIZE
+                slot = offset // CACHE_LINE_SIZE
+                out.append((base, frame.dirty[slot] == 1,
+                            frame.origins[slot] + slot,
+                            bytes(frame.view[offset:
+                                             offset + CACHE_LINE_SIZE])))
+        return out
+
     def state_dict(self):
         """The LRU clock, the counters and every resident line as
-        ``[tag, dirty, stamp, data]``, set by set in each set's order.
+        ``[tag, dirty, stamp, data]`` (:meth:`lines`).
 
         Captured without flushing: a flush would change the state, and
         a cold cache would charge misses the captured run never paid.
         """
         return {
             **fields_state(self, self.STATE_FIELDS),
-            "lines": [[line.tag, line.dirty, line.stamp,
-                       encode_bytes(line.data)]
-                      for cache_set in self._sets
-                      for line in cache_set.values()],
+            "lines": [[tag, dirty, stamp, encode_bytes(data)]
+                      for tag, dirty, stamp, data in self.lines()],
         }
 
     def load_state(self, state):
         """Replace the resident lines and counters with
-        :meth:`state_dict` output (nothing is written back)."""
+        :meth:`state_dict` output (nothing is written back).
+
+        Each line must be aligned, unique, fit its set, lie inside the
+        installed DRAM and carry a stamp no later than the restored
+        LRU clock.
+        """
         load_fields(self, state, self.STATE_FIELDS)
         self._sets = [dict() for _ in range(self.num_sets)]
         self._frames = {}
         self.resident_lines = 0
+        dram_size = self._dram_size()
         for tag, dirty, stamp, data in table(
                 state["lines"], (INT, BOOL, INT, TEXT), "lines"):
             data = decode_bytes(data, "line data")
@@ -156,17 +192,33 @@ class Cache:
                     or len(cache_set) >= self.ways
                     or len(data) != CACHE_LINE_SIZE):
                 raise ValueError(f"line {tag:#x} does not fit this cache")
+            if not 0 <= tag < dram_size:
+                raise ValueError(f"line {tag:#x} lies outside DRAM of "
+                                 f"{dram_size:#x} bytes")
+            if stamp > self._tick:
+                raise ValueError(f"line {tag:#x} has stamp {stamp}, later "
+                                 f"than the LRU clock {self._tick}")
             offset = tag % PAGE_SIZE
+            slot = offset // CACHE_LINE_SIZE
             frame = self._frames.get(tag - offset)
             if frame is None:
                 frame = self._frames[tag - offset] = _Frame()
             frame.buffer[offset:offset + CACHE_LINE_SIZE] = data
-            line = _Line(tag, frame.view[offset:offset + CACHE_LINE_SIZE],
-                         stamp, dirty)
-            frame.lines[offset // CACHE_LINE_SIZE] = line
+            frame.present[slot] = 1
+            frame.dirty[slot] = dirty
+            frame.origins[slot] = stamp - slot
             frame.resident += 1
-            cache_set[tag] = line
+            cache_set[tag] = frame
             self.resident_lines += 1
+
+    def _dram_size(self):
+        """Installed DRAM bytes behind this cache: its controller's, or
+        for an upper level (whose controller is the level below), that
+        level's."""
+        lower = getattr(self.controller, "lower", None)
+        if lower is not None:
+            return lower._dram_size()
+        return self.controller.dram.size
 
     # ------------------------------------------------------------------
     # program-visible access path
@@ -203,8 +255,9 @@ class Cache:
         - consecutive hit and fill charges batch into one
           ``clock.tick``;
         - a span inside one frame whose lines are all resident is
-          accounted in one step and moves its bytes with one slice
-          (:meth:`fast_read`, :meth:`fast_write`).
+          accounted with slice operations on the frame's arrays and
+          moves its bytes with one slice (:meth:`fast_read`,
+          :meth:`fast_write`).
 
         With a timer registered, the hit count and tick are published
         before every charge, exactly as a per-line walk would.
@@ -213,18 +266,20 @@ class Cache:
         multi-line read is at hand, a miss whose line starts a run of
         absent lines inside its frame and the span reads the whole run
         with one burst.  The burst's clean prefix is installed in one
-        step (:meth:`_install_run`): consecutive LRU stamps, one byte
-        copy into the frame, and one slice moving the span's bytes over
-        the installed lines.  That step stops at the first line whose
-        set is full and after ``num_sets`` lines, so it never evicts
-        and no two of its lines share a set; from there each line fills
-        through :meth:`_access_line` with the bytes of the burst, so
-        evictions and write-backs keep their per-line order, until a
-        line whose set has room starts the next one-step run.  The
-        first line whose check bytes differ takes the one-line read,
-        which corrects or raises as it always does.  Nothing the fills
-        do can change the run's DRAM in between: write-backs only go to
-        resident lines, and the run's lines are absent until filled.
+        step (:meth:`_install_run`): one set-dict entry per line, the
+        slots' residency, consecutive LRU stamps and dirty bits by
+        slice, one byte copy into the frame, and one slice moving the
+        span's bytes over the installed lines.  That step stops at the
+        first line whose set is full and after ``num_sets`` lines, so
+        it never evicts and no two of its lines share a set; from there
+        each line fills through :meth:`_access_line` with the bytes of
+        the burst, so evictions and write-backs keep their per-line
+        order, until a line whose set has room starts the next one-step
+        run.  The first line whose check bytes differ takes the
+        one-line read, which corrects or raises as it always does.
+        Nothing the fills do can change the run's DRAM in between:
+        write-backs only go to resident lines, and the run's lines are
+        absent until filled.
         """
         if size <= 0:
             if size < 0:
@@ -232,8 +287,6 @@ class Cache:
             return None if data is not None else b""
         clock = self.clock
         charging = clock is not None and self.cost_model is not None
-        hit_cost = self.cost_model.cache_hit if charging else 0
-        fill_cost = hit_cost + self.cost_model.cache_miss if charging else 0
         defer = not charging or clock.timer_count == 0
         if defer:
             if data is None:
@@ -242,6 +295,8 @@ class Cache:
                     return hit
             elif self.fast_write(paddr, data):
                 return None
+        hit_cost = self.cost_model.cache_hit if charging else 0
+        fill_cost = hit_cost + self.cost_model.cache_miss if charging else 0
 
         sets = self._sets
         num_sets = self.num_sets
@@ -259,8 +314,10 @@ class Cache:
         while cursor < end:
             base = cursor - (cursor % CACHE_LINE_SIZE)
             stop = min(end, base + CACHE_LINE_SIZE)
-            line = sets[(base // CACHE_LINE_SIZE) % num_sets].get(base)
-            if line is None:
+            offset = cursor % PAGE_SIZE
+            slot = offset // CACHE_LINE_SIZE
+            frame = sets[(base // CACHE_LINE_SIZE) % num_sets].get(base)
+            if frame is None:
                 # Miss: publish the exact cache/clock state, then take
                 # the one fill path (an armed line raises out of it
                 # with all accumulated state already applied).
@@ -290,7 +347,6 @@ class Cache:
                             pending = installed * fill_cost
                             stop = min(end,
                                        base + installed * CACHE_LINE_SIZE)
-                            offset = cursor % PAGE_SIZE
                             if data is None:
                                 out += frame.view[offset:
                                                   offset + stop - cursor]
@@ -302,13 +358,13 @@ class Cache:
                             continue
                     fill = burst[base - burst_start:
                                  base - burst_start + CACHE_LINE_SIZE]
-                line = self._access_line(base, data is not None, fill)
+                frame = self._access_line(base, data is not None, fill)
                 tick = self._tick
                 defer = not charging or clock.timer_count == 0
             else:
                 tick += 1
                 hits += 1
-                line.stamp = tick
+                frame.origins[slot] = tick - slot
                 if defer:
                     pending += hit_cost
                 else:
@@ -320,11 +376,11 @@ class Cache:
                     clock.tick(hit_cost)
                     tick = self._tick
             if data is None:
-                out += line.data[cursor - base:stop - base]
+                out += frame.view[offset:offset + stop - cursor]
             else:
-                line.data[cursor - base:stop - base] = \
+                frame.buffer[offset:offset + stop - cursor] = \
                     data[cursor - paddr:stop - paddr]
-                line.dirty = True
+                frame.dirty[slot] = 1
             cursor = stop
         self._tick = tick
         self.hits += hits
@@ -339,9 +395,11 @@ class Cache:
         """Read a span inside one frame whose lines are all resident;
         ``None`` for any other span.
 
-        The lines are stamped in order, ``hits`` grows by their number
-        and their hit charges go out in one ``clock.tick``; the bytes
-        move with one slice.  That equals a per-line walk only while no
+        One ``find`` over the frame's ``present`` slots checks the
+        span, one slice assignment of the frame's ``origins`` gives its
+        lines consecutive stamps, ``hits`` grows by their number and
+        their hit charges go out in one ``clock.tick``; the bytes move
+        with one slice.  That equals a per-line walk only while no
         clock timer is registered, which the caller (:meth:`_span`)
         checks.  No line needs an armed check: ``WatchMemory`` flushes
         a line when it arms it, and a fill that faults installs
@@ -355,8 +413,8 @@ class Cache:
 
     def fast_write(self, paddr, data):
         """:meth:`fast_read`'s write: store ``data`` into a span of
-        resident lines of one frame and mark them dirty; ``False`` for
-        any other span."""
+        resident lines of one frame and mark them dirty (one more slice
+        assignment); ``False`` for any other span."""
         offset = paddr % PAGE_SIZE
         frame = self._hit_resident(paddr - offset, offset, len(data), True)
         if frame is None:
@@ -390,10 +448,10 @@ class Cache:
         start = end = None
         for paddr in paddrs:
             base = paddr - (paddr % CACHE_LINE_SIZE)
-            line = self._drop(sets[(base // CACHE_LINE_SIZE) % num_sets],
-                              base)
+            dirty = self._drop(sets[(base // CACHE_LINE_SIZE) % num_sets],
+                               base)
             self.flushes += 1
-            if line is None or not line.dirty:
+            if dirty is None:
                 continue
             self.writebacks += 1
             if base != end:
@@ -403,7 +461,7 @@ class Cache:
                 start = base
             # A dropped line's slot keeps its bytes until the next fill
             # of that line, and nothing fills before the burst goes out.
-            burst.append(line.data)
+            burst.append(dirty)
             end = base + CACHE_LINE_SIZE
         if burst:
             self.controller.write_line(start, b"".join(burst))
@@ -433,9 +491,9 @@ class Cache:
         """Write back and invalidate every resident line."""
         for cache_set in self._sets:
             for base in list(cache_set):
-                line = self._drop(cache_set, base)
-                if line.dirty:
-                    self.controller.write_line(base, bytes(line.data))
+                dirty = self._drop(cache_set, base)
+                if dirty is not None:
+                    self.controller.write_line(base, bytes(dirty))
                     self.writebacks += 1
 
     def contains(self, paddr):
@@ -461,11 +519,8 @@ class Cache:
         frame = self._frames.get(base - offset)
         if frame is None:
             return stop - first
-        lines = frame.lines
-        slot = first + 1
-        while slot < stop and lines[slot] is None:
-            slot += 1
-        return slot - first
+        slot = frame.present.find(1, first + 1, stop)
+        return (stop if slot < 0 else slot) - first
 
     def _install_run(self, base, burst, skip, dirty):
         """Fill absent lines from ``base`` with ``burst[skip:]`` in one
@@ -475,10 +530,11 @@ class Cache:
         address order, for as many lines as fill without an eviction:
         the run stops at the first line whose set is full and after
         ``num_sets`` lines, so no two of its lines share a set and no
-        line of it can evict another.  The lines take consecutive LRU
-        stamps and, with ``dirty``, the dirty mark their store sets;
-        ``misses``, ``resident_lines`` and the frame's count move once.
-        The caller charges the fills.
+        line of it can evict another.  One loop enters the lines in
+        their sets; the frame's slots take their bytes, residency,
+        consecutive LRU stamps and (with ``dirty``, what a store sets)
+        dirty bits by slice, and ``misses``, ``resident_lines`` and the
+        frame's count move once.  The caller charges the fills.
         """
         sets = self._sets
         ways = self.ways
@@ -493,26 +549,24 @@ class Cache:
         frame = self._frames.get(base - offset)
         if frame is None:
             frame = self._frames[base - offset] = _Frame()
-        view = frame.view
-        slots = frame.lines
-        slot = offset // CACHE_LINE_SIZE
-        tick = first = self._tick
-        start = offset
+        count = 0
         for cache_set in run:
             if len(cache_set) >= ways:
                 break
-            tick += 1
-            line = _Line(base, view[start:start + CACHE_LINE_SIZE], tick,
-                         dirty)
-            cache_set[base] = line
-            slots[slot] = line
-            slot += 1
+            cache_set[base] = frame
             base += CACHE_LINE_SIZE
-            start += CACHE_LINE_SIZE
-        frame.buffer[offset:start] = burst[skip:skip + start - offset]
-        count = tick - first
+            count += 1
+        first = offset // CACHE_LINE_SIZE
+        stop = first + count
+        tick = self._tick
+        frame.origins[first:stop] = [tick + 1 - first] * count
+        frame.present[first:stop] = _ONES[count]
+        if dirty:
+            frame.dirty[first:stop] = _ONES[count]
+        size = count * CACHE_LINE_SIZE
+        frame.buffer[offset:offset + size] = burst[skip:skip + size]
         frame.resident += count
-        self._tick = tick
+        self._tick = tick + count
         self.misses += count
         self.resident_lines += count
         return frame, count
@@ -520,44 +574,51 @@ class Cache:
     def _hit_resident(self, frame_base, offset, size, dirty):
         """Account ``[offset, offset+size)`` of one frame as hits when
         every line it covers is resident (marking them dirty with
-        ``dirty``) and return the frame; ``None`` otherwise."""
+        ``dirty``) and return the frame; ``None`` otherwise.
+
+        Three slice operations: one ``find`` checks residency, one
+        assignment gives the lines consecutive stamps, and on a store
+        one more sets their dirty bits.
+        """
         if offset + size > PAGE_SIZE:
             return None
         frame = self._frames.get(frame_base)
         if frame is None:
             return None
-        lines = frame.lines[offset // CACHE_LINE_SIZE:
-                            (offset + size - 1) // CACHE_LINE_SIZE + 1]
-        if not all(lines):
+        first = offset // CACHE_LINE_SIZE
+        stop = (offset + size - 1) // CACHE_LINE_SIZE + 1
+        if frame.present.find(0, first, stop) >= 0:
             return None
+        count = stop - first
         tick = self._tick
-        for line in lines:
-            tick += 1
-            line.stamp = tick
-        self._tick = tick
+        frame.origins[first:stop] = [tick + 1 - first] * count
+        self._tick = tick + count
         if dirty:
-            for line in lines:
-                line.dirty = True
-        self.hits += len(lines)
-        self._charge_hit(len(lines))
+            frame.dirty[first:stop] = _ONES[count]
+        self.hits += count
+        self._charge_hit(count)
         return frame
 
     def _access_line(self, paddr, for_write, data=None):
         """One line's access: a hit, or a fill through the controller.
+        Returns the line's frame.
 
         ``data``, when given, is the line's bytes from a burst that
         already read it; a fill then skips its own controller read.
+        The caller moves the bytes and, on a store, sets the dirty bit.
         """
         base = line_base(paddr)
         index = self._set_index(base)
         cache_set = self._sets[index]
         self._tick += 1
-        line = cache_set.get(base)
-        if line is not None:
+        offset = base % PAGE_SIZE
+        slot = offset // CACHE_LINE_SIZE
+        frame = cache_set.get(base)
+        if frame is not None:
             self.hits += 1
             self._charge_hit()
-            line.stamp = self._tick
-            return line
+            frame.origins[slot] = self._tick - slot
+            return frame
 
         self.misses += 1
         self._charge_hit()
@@ -568,81 +629,81 @@ class Cache:
         # watchpoint fires.  If it raises, no line is installed.
         if data is None:
             data = self.controller.read_line(base)
-        offset = base % PAGE_SIZE
         frame = self._frames.get(base - offset)
         if frame is None:
             frame = self._frames[base - offset] = _Frame()
         frame.buffer[offset:offset + CACHE_LINE_SIZE] = data
-        line = _Line(base, frame.view[offset:offset + CACHE_LINE_SIZE],
-                     self._tick)
-        frame.lines[offset // CACHE_LINE_SIZE] = line
+        frame.present[slot] = 1
+        frame.origins[slot] = self._tick - slot
         frame.resident += 1
-        cache_set[base] = line
+        cache_set[base] = frame
         self.resident_lines += 1
-        return line
+        return frame
 
     def _drop(self, cache_set, base):
         """Remove the line at ``base`` from its set and its frame.
 
-        Returns the line, or ``None`` when it was not resident.  A
-        frame leaves the index with its last line.
+        Returns a view of its bytes when it was dirty, ``None`` when it
+        was clean or not resident.  The view holds the line's bytes
+        until the next fill of that slot.  A frame leaves the index
+        with its last line.
         """
-        line = cache_set.pop(base, None)
-        if line is not None:
-            self.resident_lines -= 1
-            offset = base % PAGE_SIZE
-            frame = self._frames[base - offset]
-            frame.lines[offset // CACHE_LINE_SIZE] = None
-            frame.resident -= 1
-            if not frame.resident:
-                del self._frames[base - offset]
-        return line
+        frame = cache_set.pop(base, None)
+        if frame is None:
+            return None
+        self.resident_lines -= 1
+        offset = base % PAGE_SIZE
+        slot = offset // CACHE_LINE_SIZE
+        frame.present[slot] = 0
+        frame.resident -= 1
+        if not frame.resident:
+            del self._frames[base - offset]
+        if not frame.dirty[slot]:
+            return None
+        frame.dirty[slot] = 0
+        return frame.view[offset:offset + CACHE_LINE_SIZE]
 
     def _drop_range(self, start, end, write_back):
         """Drop every resident line touching ``[start, end)``.
 
-        Visits only the indexed frames of the range and walks their
-        slots in address order.  With ``write_back``, dirty lines go
-        to memory, each run of consecutive dirty lines in one burst.
-        Returns the number of lines dropped.
+        Visits only the indexed frames of the range.  In each, runs of
+        resident slots are found with ``bytearray.find`` and their
+        lines deleted from the set dicts, one delete per line; with
+        ``write_back``, each run of consecutive dirty lines goes to
+        memory in one burst, in address order.  The slots' residency
+        and dirty bits are then cleared by slice.  Returns the number
+        of lines dropped.
         """
         frames = self._frames
         sets = self._sets
         num_sets = self.num_sets
         dropped = 0
-        frame_base = start - (start % PAGE_SIZE)
-        while frame_base < end:
+        for frame_base in range(start - start % PAGE_SIZE, end, PAGE_SIZE):
             frame = frames.get(frame_base)
-            if frame is not None:
-                lines = frame.lines
-                stop = min(LINES_PER_PAGE,
-                           (end - frame_base - 1) // CACHE_LINE_SIZE + 1)
-                count = 0
-                dirty = -1          # first slot of the pending burst
-                for slot in range(
-                        max(start - frame_base, 0) // CACHE_LINE_SIZE,
-                        stop):
-                    line = lines[slot]
-                    if line is not None:
-                        lines[slot] = None
-                        base = line.tag
-                        del sets[(base // CACHE_LINE_SIZE) % num_sets][base]
-                        count += 1
-                        if write_back and line.dirty:
-                            self.writebacks += 1
-                            if dirty < 0:
-                                dirty = slot
-                            continue
-                    if dirty >= 0:
-                        self._write_slots(frame_base, frame, dirty, slot)
-                        dirty = -1
-                if dirty >= 0:
-                    self._write_slots(frame_base, frame, dirty, stop)
-                frame.resident -= count
-                if not frame.resident:
-                    del frames[frame_base]
-                dropped += count
-            frame_base += PAGE_SIZE
+            if frame is None:
+                continue
+            first = max(start - frame_base, 0) // CACHE_LINE_SIZE
+            stop = min(LINES_PER_PAGE,
+                       (end - frame_base - 1) // CACHE_LINE_SIZE + 1)
+            count = 0
+            for run, after in _runs(frame.present, first, stop):
+                for base in range(frame_base + run * CACHE_LINE_SIZE,
+                                  frame_base + after * CACHE_LINE_SIZE,
+                                  CACHE_LINE_SIZE):
+                    del sets[(base // CACHE_LINE_SIZE) % num_sets][base]
+                count += after - run
+            if not count:
+                continue
+            if write_back:
+                for run, after in _runs(frame.dirty, first, stop):
+                    self.writebacks += after - run
+                    self._write_slots(frame_base, frame, run, after)
+            frame.present[first:stop] = _ZEROS[stop - first]
+            frame.dirty[first:stop] = _ZEROS[stop - first]
+            frame.resident -= count
+            if not frame.resident:
+                del frames[frame_base]
+            dropped += count
         self.resident_lines -= dropped
         return dropped
 
@@ -654,11 +715,15 @@ class Cache:
                              stop * CACHE_LINE_SIZE]))
 
     def _evict_lru(self, cache_set):
-        victim_base = min(cache_set, key=lambda b: cache_set[b].stamp)
-        victim = self._drop(cache_set, victim_base)
+        def stamp(base):
+            slot = base % PAGE_SIZE // CACHE_LINE_SIZE
+            return cache_set[base].origins[slot] + slot
+
+        victim = min(cache_set, key=stamp)
+        dirty = self._drop(cache_set, victim)
         self.evictions += 1
-        if victim.dirty:
-            self.controller.write_line(victim_base, bytes(victim.data))
+        if dirty is not None:
+            self.controller.write_line(victim, bytes(dirty))
             self.writebacks += 1
             self._charge_writeback()
 

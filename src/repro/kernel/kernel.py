@@ -108,7 +108,7 @@ class Kernel:
         counts = mapping(state["syscall_counts"], "syscall_counts")
         integers(list(counts.values()), "syscall_counts")
         self.syscall_counts = dict(counts)
-        self.watches.load_state(state["watches"])
+        self.watches.load_state(state["watches"], self.dram.size)
         self.scrubber.load_state(state["scrubber"])
         self.interrupts.load_state(state["interrupts"])
 

@@ -205,14 +205,19 @@ class WatchRegistry:
             for region in self._regions.values()
         ]}
 
-    def load_state(self, state):
+    def load_state(self, state, dram_size):
         """Re-register :meth:`state_dict` output into an empty
-        registry."""
+        registry; every run must lie inside the ``dram_size`` bytes of
+        installed DRAM."""
         if self._regions:
             raise ValueError("the watch registry is not empty")
         for vaddr, size, runs in table(state["regions"], (INT, INT, LIST),
                                        "regions"):
-            self.add(WatchedRegion(
-                vaddr, size,
-                [tuple(run) for run in table(runs, (INT, INT, INT),
-                                             "runs")]))
+            runs = [tuple(run) for run in table(runs, (INT, INT, INT),
+                                                "runs")]
+            for _vstart, pstart, length in runs:
+                if pstart < 0 or pstart + length > dram_size:
+                    raise ValueError(
+                        f"watched run [{pstart:#x}, {pstart + length:#x}) "
+                        f"lies outside DRAM of {dram_size:#x} bytes")
+            self.add(WatchedRegion(vaddr, size, runs))

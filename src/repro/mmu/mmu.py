@@ -98,8 +98,19 @@ class Mmu:
 
     def load_state(self, state):
         """Restore :meth:`state_dict` output; the page table must
-        already hold the restored entries."""
+        already hold the restored entries.
+
+        The page table has no bound of its own, so its present entries
+        are checked here, against the frame allocator's frame count;
+        every TLB frame must lie inside DRAM too.
+        """
         load_fields(self, state, self.STATE_FIELDS)
+        total = self.frames.total_frames
+        for entry in self.page_table.resident_entries():
+            if entry.pfn is None or not 0 <= entry.pfn < total:
+                raise ValueError(
+                    f"page {entry.vpn:#x} maps frame {entry.pfn}, outside "
+                    f"DRAM of {total} frames")
         slots = sequence(state["tlb"], "tlb")
         if len(slots) != TLB_SIZE:
             raise ValueError(f"{len(slots)} TLB slots, expected {TLB_SIZE}")
@@ -112,8 +123,11 @@ class Mmu:
             entry = self.page_table.entry(integer(vpn, "TLB vpn"))
             if entry is None:
                 raise ValueError(f"TLB slot caches unmapped page {vpn:#x}")
-            tlb.append((vpn, integer(frame_base, "TLB frame"),
-                        integer(prot, "TLB prot"), entry))
+            if not 0 <= integer(frame_base, "TLB frame") < self.dram.size:
+                raise ValueError(f"TLB slot caches frame {frame_base:#x}, "
+                                 f"outside DRAM of {self.dram.size:#x} "
+                                 f"bytes")
+            tlb.append((vpn, frame_base, integer(prot, "TLB prot"), entry))
         self._tlb = tlb
 
     # ------------------------------------------------------------------

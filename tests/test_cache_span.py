@@ -1,18 +1,20 @@
 """The cache's span walk is equivalent to a per-line reference model.
 
 ``Cache.load``/``Cache.store`` move a whole span per call: a span of
-resident lines inside one frame is accounted in one step and copied
+resident lines inside one frame is accounted with slice operations on
+the frame's ``present``, ``origins`` and ``dirty`` arrays and copied
 with one slice, a run of absent lines inside one frame fills from one
 controller burst (its clean prefix installed in one step up to the
 first full set), and any other span walks line by line with batched
 hit and fill charges.  The reference below is the per-line loop it
 replaced: split the span at cache lines and take every piece through
-``Cache._access_line`` with its own one-line controller read.  Twin
-caches run the same random access sequence, one through each, and must
-agree on every returned byte, every raised fault and the line it
-names, every cache and controller counter, every reported ECC fault
-and its cycle, every resident line (stamp, dirty bit, data), the clock
-and what a clock timer observes, and the DRAM contents after a final
+``Cache._access_line`` with its own one-line controller read, moving
+the bytes through the frame it returns.  Twin caches run the same
+random access sequence, one through each, and must agree on every
+returned byte, every raised fault and the line it names, every cache
+and controller counter, every reported ECC fault and its cycle, every
+resident line (``Cache.lines``: stamp, dirty bit, data), the clock and
+what a clock timer observes, and the DRAM contents after a final
 ``flush_all``.  Before the sequence runs, random lines are armed (data
 scrambled under the bus-locked window) and random single data bits
 flipped, so bursts meet unclean lines at every position.
@@ -21,18 +23,32 @@ The random sequences also interleave the range operations, each
 against its per-line loop: ``flush_range`` against ``flush_lines``
 over the range, ``flush_resident`` against ``flush_lines`` over the
 resident lines, and ``invalidate_range`` against one
-``invalidate_line`` per line.  The frame index and the
+``invalidate_line`` per line.  The frame index (each set entry's
+frame, each frame's present slots, count and dirty bits) and the
 ``resident_lines`` counter are checked after every operation.
+
+Both twins share the cache's LRU encoding, so LRU order is also
+checked against a model that shares no code with ``Cache``: one
+``OrderedDict`` per set, least recently used first, which must agree
+on the counters, each set's order and dirty bits, and the sequence of
+lines written back.
 """
 
+from collections import OrderedDict
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.clock import VirtualClock
-from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE, line_base
+from repro.common.constants import (
+    CACHE_LINE_SIZE,
+    LINES_PER_PAGE,
+    PAGE_SIZE,
+    line_base,
+)
 from repro.common.costs import default_cost_model
 from repro.ecc.codec import get_codec
 from repro.ecc.controller import MemoryController
@@ -60,20 +76,20 @@ def _chunks(address, size):
 def reference_load(cache, paddr, size):
     out = bytearray()
     for chunk_addr, chunk_size in _chunks(paddr, size):
-        line = cache._access_line(chunk_addr, for_write=False)
-        offset = chunk_addr - line_base(chunk_addr)
-        out += line.data[offset:offset + chunk_size]
+        frame = cache._access_line(chunk_addr, for_write=False)
+        offset = chunk_addr % PAGE_SIZE
+        out += frame.buffer[offset:offset + chunk_size]
     return bytes(out)
 
 
 def reference_store(cache, paddr, data):
     position = 0
     for chunk_addr, chunk_size in _chunks(paddr, len(data)):
-        line = cache._access_line(chunk_addr, for_write=True)
-        offset = chunk_addr - line_base(chunk_addr)
-        line.data[offset:offset + chunk_size] = (
+        frame = cache._access_line(chunk_addr, for_write=True)
+        offset = chunk_addr % PAGE_SIZE
+        frame.buffer[offset:offset + chunk_size] = (
             data[position:position + chunk_size])
-        line.dirty = True
+        frame.dirty[offset // CACHE_LINE_SIZE] = 1
         position += chunk_size
 
 
@@ -138,10 +154,8 @@ class _Rig:
         controller = self.controller
         return (tuple((level.hits, level.misses, level.evictions,
                        level.writebacks, level.flushes, level._tick,
-                       sorted((base, line.stamp, line.dirty,
-                               bytes(line.data))
-                              for cache_set in level._sets
-                              for base, line in cache_set.items()))
+                       sorted((tag, stamp, dirty, data)
+                              for tag, dirty, stamp, data in level.lines()))
                       for level in self.levels),
                 self.clock.cycles,
                 (controller.reads, controller.clean_line_reads,
@@ -152,27 +166,25 @@ class _Rig:
 
 
 def assert_frame_index(cache):
-    """``_frames`` holds exactly the frames with resident lines, each
-    frame's slots and count match the set dicts, and the
-    ``resident_lines`` counter matches their total."""
+    """``_frames`` holds exactly the frames with resident lines, every
+    set entry points at its indexed frame, each frame's ``present``
+    slots and ``resident`` count match the set dicts, no absent slot is
+    dirty, and the ``resident_lines`` counter matches the total."""
     assert cache.resident_lines == sum(len(s) for s in cache._sets)
     expected = {}
     for cache_set in cache._sets:
-        for base, line in cache_set.items():
+        for base, frame in cache_set.items():
             frame_base = base - base % PAGE_SIZE
+            assert cache._frames.get(frame_base) is frame
             slot = (base - frame_base) // CACHE_LINE_SIZE
-            expected.setdefault(frame_base, {})[slot] = line
+            expected.setdefault(frame_base, set()).add(slot)
     assert set(cache._frames) == set(expected)
     for frame_base, frame in cache._frames.items():
         slots = expected[frame_base]
-        assert frame.resident == len(slots)
-        for slot, line in enumerate(frame.lines):
-            assert line is slots.get(slot)
-            if line is not None:
-                assert line.data.obj is frame.buffer
-                start = slot * CACHE_LINE_SIZE
-                assert bytes(line.data) == \
-                    frame.buffer[start:start + CACHE_LINE_SIZE]
+        assert frame.resident == len(slots) == frame.present.count(1)
+        for slot in range(LINES_PER_PAGE):
+            assert frame.present[slot] == (slot in slots)
+            assert frame.dirty[slot] in ((0, 1) if slot in slots else (0,))
 
 
 addresses = st.builds(
@@ -381,3 +393,154 @@ def test_resident_lines_gauges_read_each_level():
     assert_gauges()
     assert metrics.value("cache.l1.resident_lines") == 0
     assert metrics.value("cache.l2.resident_lines") == 0
+
+
+# ----------------------------------------------------------------------
+# LRU order against a model that shares no code with Cache
+# ----------------------------------------------------------------------
+class _LruModel:
+    """Each set an ``OrderedDict`` of resident line -> dirty, least
+    recently used first: a hit moves its line to the end, a fill into
+    a full set evicts the first line.  ``written`` lists every line
+    address written back, in order."""
+
+    def __init__(self, num_sets, ways):
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+        self.ways = ways
+        self.hits = self.misses = self.evictions = 0
+        self.writebacks = self.flushes = 0
+        self.written = []
+
+    def _lines(self, paddr, size):
+        """``(line, its set)`` for each line touching the range."""
+        return [(line, self.sets[(line // CACHE_LINE_SIZE)
+                                 % len(self.sets)])
+                for line in range(paddr - paddr % CACHE_LINE_SIZE,
+                                  paddr + size, CACHE_LINE_SIZE)]
+
+    def _write_back(self, line):
+        self.writebacks += 1
+        self.written.append(line)
+
+    def access(self, paddr, size, store):
+        for line, lines in self._lines(paddr, size):
+            if line in lines:
+                self.hits += 1
+                lines[line] = lines.pop(line) or store
+                continue
+            self.misses += 1
+            if len(lines) == self.ways:
+                victim, dirty = lines.popitem(last=False)
+                self.evictions += 1
+                if dirty:
+                    self._write_back(victim)
+            lines[line] = store
+
+    def drop(self, paddr, size, write_back, flush_every_line=False):
+        """Drop the range's resident lines, writing back the dirty
+        ones with ``write_back``; a flush counts every line of the
+        range with ``flush_every_line``, else only the resident ones."""
+        for line, lines in self._lines(paddr, size):
+            if flush_every_line:
+                self.flushes += 1
+            if line not in lines:
+                continue
+            if write_back and not flush_every_line:
+                self.flushes += 1
+            if lines.pop(line) and write_back:
+                self._write_back(line)
+
+    def order(self):
+        return [list(lines.items()) for lines in self.sets]
+
+
+def lru_order(cache):
+    """Each set's resident lines as ``(tag, dirty)``, least recently
+    used first by their stamps."""
+    order = [[] for _ in range(cache.num_sets)]
+    for tag, dirty, stamp, _data in cache.lines():
+        order[(tag // CACHE_LINE_SIZE) % cache.num_sets].append(
+            (stamp, tag, dirty))
+    return [[(tag, dirty) for _stamp, tag, dirty in sorted(lines)]
+            for lines in order]
+
+
+#: a few lines at the start and end of three frames, so lines are hit
+#: again while still resident and runs cross frame boundaries.
+lru_addresses = st.builds(
+    lambda page, line, delta: page * PAGE_SIZE + line * CACHE_LINE_SIZE
+    + delta,
+    st.integers(0, 2),
+    st.one_of(st.integers(0, 5), st.sampled_from([62, 63])),
+    st.sampled_from([0, 8, 63]))
+lru_plans = st.lists(
+    st.tuples(st.sampled_from(["load", "load", "store", "store", "flush",
+                               "flush_resident", "invalidate"]),
+              lru_addresses,
+              st.one_of(st.integers(1, 2 * CACHE_LINE_SIZE),
+                        st.integers(1, 6 * CACHE_LINE_SIZE),
+                        st.sampled_from([PAGE_SIZE, 2 * PAGE_SIZE]))),
+    min_size=1, max_size=30)
+
+
+#: four lines fill one 4-way set, a resident span hits the two oldest,
+#: a resident store dirties the clean one of them, and a two-line burst
+#: then evicts the other two (fill order would evict the two it hit).
+LRU_HITS_THEN_FILLS = [
+    ("store", 0, CACHE_LINE_SIZE), ("load", CACHE_LINE_SIZE, 1),
+    ("store", PAGE_SIZE, CACHE_LINE_SIZE),
+    ("load", PAGE_SIZE + CACHE_LINE_SIZE, 1),
+    ("load", 0, 2 * CACHE_LINE_SIZE),
+    ("store", CACHE_LINE_SIZE + 8, 8),
+    ("store", 2 * PAGE_SIZE, 2 * CACHE_LINE_SIZE)]
+
+
+@given(num_sets=st.sampled_from([1, 2, 3]), ways=st.sampled_from([1, 2, 4]),
+       cadence=st.one_of(st.none(), st.integers(1, 500)), plan=lru_plans)
+@settings(max_examples=200, deadline=None)
+@example(num_sets=1, ways=4, cadence=None, plan=LRU_HITS_THEN_FILLS)
+@example(num_sets=1, ways=4, cadence=7, plan=LRU_HITS_THEN_FILLS)
+def test_lru_order_matches_an_ordered_dict_model(num_sets, ways, cadence,
+                                                 plan):
+    """Loads and stores (resident spans, burst fills and per-line
+    walks, with or without a clock timer) and the range operations
+    keep each set's LRU order, the counters, the dirty bits and the
+    write-back sequence of the model."""
+    controller = MemoryController(PhysicalMemory(DRAM_SIZE))
+    written = []
+    write_line = controller.write_line
+
+    def recording_write(address, data):
+        written.extend(range(address, address + len(data),
+                             CACHE_LINE_SIZE))
+        write_line(address, data)
+
+    controller.write_line = recording_write
+    clock = VirtualClock()
+    if cadence is not None:
+        clock.every(cadence, lambda clock: None)
+    cache = Cache(controller, size=num_sets * ways * CACHE_LINE_SIZE,
+                  ways=ways, clock=clock, cost_model=default_cost_model())
+    model = _LruModel(num_sets, ways)
+    for kind, paddr, size in plan:
+        if kind == "load":
+            cache.load(paddr, size)
+            model.access(paddr, size, False)
+        elif kind == "store":
+            cache.store(paddr, PATTERN[:size])
+            model.access(paddr, size, True)
+        elif kind == "flush":
+            cache.flush_range(paddr, size)
+            model.drop(paddr, size, write_back=True, flush_every_line=True)
+        elif kind == "flush_resident":
+            cache.flush_resident(paddr, size)
+            model.drop(paddr, size, write_back=True)
+        else:
+            cache.invalidate_range(paddr, size)
+            model.drop(paddr, size, write_back=False)
+        assert (cache.hits, cache.misses, cache.evictions,
+                cache.writebacks, cache.flushes) == \
+            (model.hits, model.misses, model.evictions, model.writebacks,
+             model.flushes)
+        assert lru_order(cache) == model.order()
+        assert written == model.written

@@ -438,6 +438,52 @@ def test_image_components_are_all_listed(recorded_run):
     assert set(image) == {"schema", *COMPONENTS}
 
 
+def _line_outside_dram(image, dram_size):
+    """A dirty cache line moved past the end of DRAM (same set)."""
+    line = next(line for line in image["cache"]["lines"] if line[1])
+    line[0] += dram_size
+
+
+def _stamp_after_the_clock(image, dram_size):
+    image["cache"]["lines"][0][2] = image["cache"]["_tick"] + 1
+
+
+def _page_outside_dram(image, dram_size):
+    entry = next(entry for entry in image["page_table"]["entries"]
+                 if entry[3])
+    entry[2] = 1_000_000
+
+
+def _tlb_frame_outside_dram(image, dram_size):
+    slot = next(slot for slot in image["mmu"]["tlb"] if slot is not None)
+    slot[1] = dram_size
+
+
+def _watched_run_outside_dram(image, dram_size):
+    image["kernel"]["watches"]["regions"][0][2][0][1] = dram_size
+
+
+@pytest.mark.parametrize("edit, component, reason", [
+    (_line_outside_dram, "cache", "outside DRAM"),
+    (_stamp_after_the_clock, "cache", "later than the LRU clock"),
+    (_page_outside_dram, "mmu", "outside DRAM"),
+    (_tlb_frame_outside_dram, "mmu", "outside DRAM"),
+    (_watched_run_outside_dram, "kernel", "outside DRAM"),
+], ids=["cache-line", "cache-stamp", "page-table", "tlb", "watched-run"])
+def test_state_outside_the_machine_is_a_named_error(recorded_run, edit,
+                                                    component, reason):
+    """A well-typed image that names a place or time the machine does
+    not have is rejected when it loads, not mid-run (or never)."""
+    checkpoint = recorded_run[0]
+    dram_size = checkpoint["machine"]["dram_size"]
+    document = _repacked(checkpoint,
+                         lambda image: edit(image, dram_size))
+    with pytest.raises(ConfigurationError,
+                       match=f"component {component!r} does not load: "
+                             f".*{reason}"):
+        resume_checkpoint(document)
+
+
 @pytest.mark.parametrize("mutation", [
     "truncated", "not-base64", "zlib", "digest", "schema",
     *(f"{change}:{name}" for name in COMPONENTS

@@ -190,9 +190,8 @@ def _cache_state(cache):
     return [
         (level.hits, level.misses, level.evictions, level.writebacks,
          level.flushes,
-         sorted((base, bytes(line.data), line.dirty)
-                for cache_set in level._sets
-                for base, line in cache_set.items()))
+         sorted((tag, data, dirty)
+                for tag, dirty, _stamp, data in level.lines()))
         for level in _levels(cache)
     ]
 

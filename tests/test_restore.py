@@ -80,10 +80,7 @@ def cache_lines(machine):
     order, plus the LRU clock."""
     cache = machine.cache
     levels = (cache.l1, cache.l2) if hasattr(cache, "l1") else (cache,)
-    return [([(line.tag, line.dirty, line.stamp, bytes(line.data))
-              for cache_set in level._sets
-              for line in cache_set.values()], level._tick)
-            for level in levels]
+    return [(level.lines(), level._tick) for level in levels]
 
 
 def tlb_slots(machine):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency checker (run in tier-1 via tests/test_docs.py).
 
-Nine checks keep the documentation layer from drifting away from the
+Ten checks keep the documentation layer from drifting away from the
 code layout:
 
 1. every ``repro.<pkg>[.<module>]`` named in the markdown that
@@ -38,7 +38,14 @@ code layout:
    history, plans or code from other repositories, so it is skipped);
 9. the field table under ``docs/ARCHITECTURE.md``'s monitor stack
    heading lists exactly the fields of ``MonitorStackConfig``
-   (``dataclasses.fields``), both ways.
+   (``dataclasses.fields``), both ways;
+10. every backticked ``Class.member`` reference in ``TREE_DOCS`` (also
+    ``Class.member(...)`` and ``Class.one/other``) whose class name is
+    a class under ``src/repro`` names something a class of that name
+    defines or inherits: a method, a class attribute or a
+    ``self.<name>`` attribute (found with ``ast``).  The docs name a
+    few removed APIs on purpose, to say they are gone
+    (``REMOVED_MEMBERS``).
 
 Exit status is non-zero when any check fails, so the script can run as
 a pre-commit hook: ``python tools/docs_check.py``.
@@ -90,6 +97,12 @@ _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 #: suffix, e.g. ``tests/test_fleet.py::TestScheduler``.
 _PATH_REF = re.compile(r"((?:tests|benchmarks|bench|tools|examples|src)"
                        r"/[\w./-]*\.py)((?:::\w+)*)")
+#: a code span that names a class member, e.g. ``Cache._install_run``,
+#: ``Cache.load(paddr, size)`` or ``Cache.fast_read/fast_write``.
+_MEMBER_REF = re.compile(r"([A-Z]\w*)\.(\w+(?:/\w+)*)(?:\(.*\))?")
+#: ``Class.member`` names of removed APIs, which the docs keep to say
+#: they are gone.
+REMOVED_MEMBERS = frozenset({"Machine.perf_counters", "SafeMem.statistics"})
 
 
 def source_subpackages(src_root):
@@ -494,6 +507,72 @@ def check_path_references(root=REPO_ROOT):
     return problems
 
 
+def _class_definitions(root):
+    """``{class name: (names it defines, base class names)}`` for the
+    classes under ``src/repro``, merged over classes of one name."""
+    classes = {}
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names, bases = classes.setdefault(node.name, (set(), set()))
+            bases.update(base.id if isinstance(base, ast.Name) else
+                         base.attr for base in node.bases
+                         if isinstance(base, (ast.Name, ast.Attribute)))
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef,
+                                      ast.AsyncFunctionDef)):
+                    names.add(child.name)
+                targets = (child.targets if isinstance(child, ast.Assign)
+                           else [child.target]
+                           if isinstance(child, ast.AnnAssign) else [])
+                names.update(target.id for target in targets
+                             if isinstance(target, ast.Name))
+            names.update(
+                target.attr for target in ast.walk(node)
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.ctx, ast.Store)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self")
+    return classes
+
+
+def class_members(root=REPO_ROOT):
+    """``{class name: every member name}`` for the classes under
+    ``src/repro``, inherited members included."""
+    classes = _class_definitions(root)
+
+    def members(name, seen):
+        own, bases = classes[name]
+        found = set(own)
+        for base in bases - seen:
+            if base in classes:
+                found |= members(base, seen | {base})
+        return found
+
+    return {name: members(name, {name}) for name in classes}
+
+
+def check_member_references(root=REPO_ROOT, members=None):
+    """Check 10: backticked ``Class.member`` references resolve."""
+    if members is None:
+        members = class_members(root)
+    problems = []
+    for doc in markdown_files(root, TREE_DOCS):
+        where = doc.relative_to(root)
+        for span in _CODE_SPAN.findall(doc.read_text()):
+            match = _MEMBER_REF.fullmatch(span)
+            if match is None or match.group(1) not in members:
+                continue
+            cls = match.group(1)
+            for name in match.group(2).split("/"):
+                if (name not in members[cls]
+                        and f"{cls}.{name}" not in REMOVED_MEMBERS):
+                    problems.append(f"{where}: `{span}`: no class {cls} "
+                                    f"under src/repro defines {name}")
+    return problems
+
+
 def run_checks(root=REPO_ROOT):
     return check_architecture_references(root) + \
         check_markdown_links(root) + \
@@ -503,7 +582,8 @@ def run_checks(root=REPO_ROOT):
         check_schema_sections(root) + \
         check_field_tables(root) + \
         check_path_references(root) + \
-        check_stack_config_table(root)
+        check_stack_config_table(root) + \
+        check_member_references(root)
 
 
 def main():

@@ -151,24 +151,26 @@ class EccWatchManager:
         """Arm a watchpoint.  Returns the Watch, or ``None`` when the
         kernel refused (pin budget, overlap) -- monitoring degrades
         gracefully rather than breaking the program."""
-        original = self.machine.read_virtual_raw(vaddr, size)
+        return self._arm(Watch(vaddr=vaddr, size=size, tag=tag,
+                               original=b"", on_hit=on_hit,
+                               started_cycle=0, payload=payload or {}))
+
+    def _arm(self, watch):
+        """Arm ``watch``'s region, saving its current contents as the
+        watch's original; the watch goes last in arming order.  Re-arming
+        a disarmed watch keeps its identity, so whoever holds it (a
+        buffer layout, the quarantine) still holds the armed one."""
+        original = self.machine.read_virtual_raw(watch.vaddr, watch.size)
         try:
-            self.kernel.watch_memory(vaddr, size)
+            self.kernel.watch_memory(watch.vaddr, watch.size)
         except PinLimitExceeded:
             self.pin_failures += 1
             return None
         except SyscallError:
             return None
-        watch = Watch(
-            vaddr=vaddr,
-            size=size,
-            tag=tag,
-            original=original,
-            on_hit=on_hit,
-            started_cycle=self.machine.clock.cycles,
-            payload=payload or {},
-        )
-        self._by_region[vaddr] = watch
+        watch.original = original
+        watch.started_cycle = self.machine.clock.cycles
+        self._by_region[watch.vaddr] = watch
         self.arm_count += 1
         return watch
 
@@ -213,8 +215,7 @@ class EccWatchManager:
         """Re-arm the regions suspended for scrubbing."""
         suspended, self._suspended = self._suspended, []
         for watch in suspended:
-            self.watch(watch.vaddr, watch.size, watch.tag, watch.on_hit,
-                       payload=watch.payload)
+            self._arm(watch)
 
     # ------------------------------------------------------------------
     # the user-level ECC fault handler
@@ -247,5 +248,4 @@ class EccWatchManager:
         # watchpoint stays armed with consistent contents: disarm the
         # whole region and re-arm it.
         self.unwatch(watch, restore=True)
-        self.watch(watch.vaddr, watch.size, watch.tag, watch.on_hit,
-                   payload=watch.payload)
+        self._arm(watch)

@@ -102,7 +102,9 @@ class Mmu:
 
         The page table has no bound of its own, so its present entries
         are checked here, against the frame allocator's frame count;
-        every TLB frame must lie inside DRAM too.
+        every TLB frame must lie inside DRAM too, and every TLB slot
+        must sit at its page's index and cache a present page with the
+        frame and protection of its page-table entry.
         """
         load_fields(self, state, self.STATE_FIELDS)
         total = self.frames.total_frames
@@ -115,7 +117,7 @@ class Mmu:
         if len(slots) != TLB_SIZE:
             raise ValueError(f"{len(slots)} TLB slots, expected {TLB_SIZE}")
         tlb = []
-        for slot in slots:
+        for index, slot in enumerate(slots):
             if slot is None:
                 tlb.append(None)
                 continue
@@ -123,11 +125,25 @@ class Mmu:
             entry = self.page_table.entry(integer(vpn, "TLB vpn"))
             if entry is None:
                 raise ValueError(f"TLB slot caches unmapped page {vpn:#x}")
+            if vpn % TLB_SIZE != index:
+                raise ValueError(f"TLB slot {index} caches page {vpn:#x}, "
+                                 f"which belongs in slot {vpn % TLB_SIZE}")
             if not 0 <= integer(frame_base, "TLB frame") < self.dram.size:
                 raise ValueError(f"TLB slot caches frame {frame_base:#x}, "
                                  f"outside DRAM of {self.dram.size:#x} "
                                  f"bytes")
-            tlb.append((vpn, frame_base, integer(prot, "TLB prot"), entry))
+            integer(prot, "TLB prot")
+            if not entry.present:
+                raise ValueError(f"TLB slot caches page {vpn:#x}, which is "
+                                 f"not present")
+            if (frame_base, prot) != (entry.pfn * PAGE_SIZE, entry.prot):
+                raise ValueError(
+                    f"TLB slot caches page {vpn:#x} at frame "
+                    f"{frame_base:#x} with protection {prot}, but its "
+                    f"page-table entry maps frame "
+                    f"{entry.pfn * PAGE_SIZE:#x} with protection "
+                    f"{entry.prot}")
+            tlb.append((vpn, frame_base, prot, entry))
         self._tlb = tlb
 
     # ------------------------------------------------------------------

@@ -37,7 +37,8 @@ table and docs/OBSERVABILITY.md for the operational story.
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
 from repro.common.schema import Field, Table
@@ -260,8 +261,9 @@ class ResumeResult:
     program: object
     #: GroundTruth when the workload ran to completion, else None.
     truth: object
-    #: full event list of the resumed run.
-    events: list = field(default_factory=list)
+    #: every event of the resumed run, as a read-only
+    #: :class:`~repro.common.events.EventView`.
+    events: Sequence = ()
     #: cycle the checkpoint was recorded at.
     checkpoint_cycle: int = 0
     #: None = verification skipped; else the comparison outcome.
@@ -359,7 +361,7 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
         monitor=rerun.monitor,
         program=getattr(rerun.monitor, "program", None),
         truth=rerun.truth,
-        events=rerun.machine.events.query(),
+        events=rerun.machine.events.view(),
         checkpoint_cycle=checkpoint["cycle"],
         verified=state["verified"],
         verify_message=state["message"],

@@ -35,7 +35,8 @@ attached.  See ``docs/SCHEMAS.md`` for the full field tables.
 import json
 import pathlib
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind
@@ -237,8 +238,9 @@ class ReplayResult:
     program: object
     #: GroundTruth when the workload ran to completion, else None.
     truth: object
-    #: events recorded up to the break (the full log on a clean run).
-    events: list = field(default_factory=list)
+    #: events recorded up to the break (the full log on a clean run),
+    #: as a read-only :class:`~repro.common.events.EventView`.
+    events: Sequence = ()
     broke: bool = False
     break_cycle: int = 0
     #: panic message when the replay re-panicked (full replays only).
@@ -291,7 +293,7 @@ def replay_bundle(bundle, until_cycle=None, break_on=None):
             machine.events.unsubscribe(token)
 
     broke = rerun.break_index is not None
-    events = machine.events.query()
+    events = machine.events.view()
     if broke:
         events = events[:rerun.break_index]
     return ReplayResult(
@@ -320,15 +322,15 @@ def verify_replay(bundle, result):
     """
     tail = bundle["events"]["tail"]
     total = bundle["events"]["total"]
-    replayed = [event_to_dict(event) for event in result.events]
-    if len(replayed) >= total:
+    events = result.events
+    if len(events) >= total:
         expected = tail
-        got = replayed[:total]
+        got = events[:total]
         scope = f"the {total}-event capture prefix"
     else:
         cutoff = result.break_cycle
         expected = [record for record in tail if record["cycle"] < cutoff]
-        got = [record for record in replayed if record["cycle"] < cutoff]
+        got = [event for event in events if event.cycle < cutoff]
         scope = f"events below break cycle {cutoff}"
     if not expected:
         return True, f"nothing to compare in {scope}"
@@ -337,7 +339,7 @@ def verify_replay(bundle, result):
             f"replay produced {len(got)} event(s) in {scope}; the "
             f"bundle recorded {len(expected)}"
         )
-    window = got[-len(expected):]
+    window = map(event_to_dict, got[-len(expected):])
     for index, (want, have) in enumerate(zip(expected, window)):
         if want != have:
             return False, (

@@ -57,7 +57,7 @@ EVENTS = Table(EVENTS_SCHEMA, {
 STREAM = Field(LIST, items=EVENTS)
 
 #: event kinds streamed by default: operator-signal, not per-access
-#: noise (ALLOC/FREE/SYSCALL stay queryable in the EventLog).
+#: noise (WATCH/UNWATCH/SYSCALL stay queryable in the EventLog).
 DEFAULT_STREAM_KINDS = (
     EventKind.ECC_FAULT,
     EventKind.LEAK_SUSPECT,

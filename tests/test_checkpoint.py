@@ -459,6 +459,19 @@ def _tlb_frame_outside_dram(image, dram_size):
     slot[1] = dram_size
 
 
+def _tlb_frame_of_another_page(image, dram_size):
+    first, second = [slot for slot in image["mmu"]["tlb"]
+                     if slot is not None][:2]
+    first[1] = second[1]
+
+
+def _tlb_slot_at_another_index(image, dram_size):
+    tlb = image["mmu"]["tlb"]
+    index = next(i for i, slot in enumerate(tlb) if slot is not None)
+    free = next(i for i, slot in enumerate(tlb) if slot is None)
+    tlb[free], tlb[index] = tlb[index], None
+
+
 def _watched_run_outside_dram(image, dram_size):
     image["kernel"]["watches"]["regions"][0][2][0][1] = dram_size
 
@@ -468,8 +481,11 @@ def _watched_run_outside_dram(image, dram_size):
     (_stamp_after_the_clock, "cache", "later than the LRU clock"),
     (_page_outside_dram, "mmu", "outside DRAM"),
     (_tlb_frame_outside_dram, "mmu", "outside DRAM"),
+    (_tlb_frame_of_another_page, "mmu", "but its page-table entry maps"),
+    (_tlb_slot_at_another_index, "mmu", "which belongs in slot"),
     (_watched_run_outside_dram, "kernel", "outside DRAM"),
-], ids=["cache-line", "cache-stamp", "page-table", "tlb", "watched-run"])
+], ids=["cache-line", "cache-stamp", "page-table", "tlb", "tlb-frame",
+        "tlb-index", "watched-run"])
 def test_state_outside_the_machine_is_a_named_error(recorded_run, edit,
                                                     component, reason):
     """A well-typed image that names a place or time the machine does

@@ -144,40 +144,41 @@ class TestEventLog:
         clock = VirtualClock()
         log = EventLog(clock)
         clock.tick(42)
-        event = log.emit(EventKind.ALLOC, address=0x100, size=64)
+        log.emit(EventKind.WATCH, address=0x100, size=64)
+        event = log.last()
         assert event.cycle == 42
         assert event.address == 0x100
 
     def test_query_by_kind(self):
         clock = VirtualClock()
         log = EventLog(clock)
-        log.emit(EventKind.ALLOC, address=1)
-        log.emit(EventKind.FREE, address=2)
-        log.emit(EventKind.ALLOC, address=3)
-        assert log.count(EventKind.ALLOC) == 2
-        assert [e.address for e in log.of_kind(EventKind.FREE)] == [2]
+        log.emit(EventKind.WATCH, address=1)
+        log.emit(EventKind.UNWATCH, address=2)
+        log.emit(EventKind.WATCH, address=3)
+        assert log.count(EventKind.WATCH) == 2
+        assert [e.address for e in log.of_kind(EventKind.UNWATCH)] == [2]
 
     def test_last_with_filter(self):
         clock = VirtualClock()
         log = EventLog(clock)
         assert log.last() is None
-        log.emit(EventKind.ALLOC, address=1)
-        log.emit(EventKind.FREE, address=2)
+        log.emit(EventKind.WATCH, address=1)
+        log.emit(EventKind.UNWATCH, address=2)
         assert log.last().address == 2
-        assert log.last(EventKind.ALLOC).address == 1
+        assert log.last(EventKind.WATCH).address == 1
         assert log.last(EventKind.PANIC) is None
 
     def test_clear(self):
         clock = VirtualClock()
         log = EventLog(clock)
-        log.emit(EventKind.ALLOC)
+        log.emit(EventKind.WATCH)
         log.clear()
         assert len(log) == 0
 
     def test_event_str_is_informative(self):
         clock = VirtualClock()
         log = EventLog(clock)
-        event = log.emit(EventKind.WATCH, address=0x40, size=64, who="test")
-        text = str(event)
+        log.emit(EventKind.WATCH, address=0x40, size=64, who="test")
+        text = str(log.last())
         assert "watch" in text
         assert "who=test" in text

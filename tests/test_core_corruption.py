@@ -7,6 +7,7 @@ from repro.common.errors import InvalidFree, MonitorError
 from repro.core.config import SafeMemConfig, corruption_only_config
 from repro.core.reports import CorruptionKind
 from repro.core.safemem import SafeMem
+from repro.ecc.controller import EccMode
 from repro.machine.machine import Machine
 from repro.machine.program import Program
 
@@ -165,6 +166,31 @@ class TestUninitializedReads:
         program, safemem = make_program(self._config())
         buf = program.calloc(4, 16)
         assert program.load(buf, 64) == bytes(64)
+        assert safemem.corruption_reports == []
+
+    def test_first_write_after_a_scrub_pass_disarms(self):
+        """A scrub pass disarms and re-arms every watch; the buffer's
+        layout must still hold the re-armed uninit watch."""
+        program, safemem = make_program(
+            self._config(), ecc_mode=EccMode.CORRECT_AND_SCRUB)
+        buf = program.malloc(64)
+        program.machine.kernel.run_scrub_pass()
+        program.store(buf, b"init")
+        assert program.load(buf, 4) == b"init"
+        assert safemem.corruption_reports == []
+
+    def test_first_write_after_a_repaired_hardware_error_disarms(self):
+        """A hardware error in the armed line is repaired by re-arming
+        the region; the layout must still hold the re-armed watch."""
+        program, safemem = make_program(self._config())
+        machine = program.machine
+        buf = program.malloc(64)
+        paddr = machine.mmu.translate(buf)
+        machine.dram.flip_data_bit(paddr, 6)
+        machine.dram.flip_data_bit(paddr + 1, 7)
+        program.store(buf, b"init")
+        assert safemem.watcher.hardware_errors_repaired == 1
+        assert program.load(buf, 4) == b"init"
         assert safemem.corruption_reports == []
 
 

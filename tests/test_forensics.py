@@ -731,7 +731,7 @@ class TestForensicsCli:
         a = tmp_path / "a.json"
         write_metrics_json(a, machine.metrics.snapshot())
         machine.clock.tick(1000)
-        machine.events.emit(EventKind.ALLOC, address=0x40, size=64)
+        machine.events.emit(EventKind.WATCH, address=0x40, size=64)
         b = tmp_path / "b.json"
         write_metrics_json(b, machine.metrics.snapshot())
         code, output = run_cli("diff", str(a), str(b))

@@ -54,7 +54,7 @@ class TestMetricsSchemaRoundTrip:
     def test_write_parse_rebuild(self, tmp_path):
         machine = _machine()
         machine.clock.tick(500)
-        machine.events.emit(EventKind.ALLOC, address=0x40, size=64)
+        machine.events.emit(EventKind.WATCH, address=0x40, size=64)
         snapshot = machine.metrics.snapshot()
         path = tmp_path / "metrics.json"
         write_metrics_json(path, snapshot,

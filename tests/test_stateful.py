@@ -277,6 +277,22 @@ class MonitoredProgramMachine(RuleBasedStateMachine):
         monitor = self.program.monitor
         assert monitor.corruption_reports == []
 
+    @invariant()
+    def tlb_slots_match_their_pages(self):
+        """What ``Mmu.load_state`` demands of a state image's TLB holds
+        on a straight run: each slot sits at its page's index and
+        caches a present page with its entry's frame and protection."""
+        machine = self.program.machine
+        tlb = machine.mmu.state_dict()["tlb"]
+        for index, slot in enumerate(tlb):
+            if slot is not None:
+                vpn, frame_base, prot = slot
+                entry = machine.page_table.entry(vpn)
+                assert vpn % len(tlb) == index
+                assert entry.present
+                assert (frame_base, prot) == (entry.pfn * PAGE_SIZE,
+                                              entry.prot)
+
 
 AllocatorMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None,

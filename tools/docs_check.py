@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency checker (run in tier-1 via tests/test_docs.py).
 
-Ten checks keep the documentation layer from drifting away from the
+Eleven checks keep the documentation layer from drifting away from the
 code layout:
 
 1. every ``repro.<pkg>[.<module>]`` named in the markdown that
@@ -45,7 +45,11 @@ code layout:
     defines or inherits: a method, a class attribute or a
     ``self.<name>`` attribute (found with ``ast``).  The docs name a
     few removed APIs on purpose, to say they are gone
-    (``REMOVED_MEMBERS``).
+    (``REMOVED_MEMBERS``);
+11. the event-kind table under ``docs/OBSERVABILITY.md``'s
+    ``EventKind`` heading lists exactly the values of ``EventKind``'s
+    members (read from ``src/repro/common/events.py`` with ``ast``),
+    both ways.
 
 Exit status is non-zero when any check fails, so the script can run as
 a pre-commit hook: ``python tools/docs_check.py``.
@@ -467,11 +471,45 @@ def check_stack_config_table(root=REPO_ROOT, fields=None):
     documented = documented_field_tables(
         architecture.read_text() if architecture.is_file() else "",
         header="| field |").get("MonitorStackConfig", [])
-    where = "docs/ARCHITECTURE.md: `MonitorStackConfig` table"
-    return ([f"{where} does not list field `{name}`"
-             for name in fields if name not in documented]
-            + [f"{where} lists `{name}`, which is not a field"
-               for name in documented if name not in fields])
+    return _table_drift("docs/ARCHITECTURE.md: `MonitorStackConfig` table",
+                        fields, documented, "field")
+
+
+def _table_drift(where, names, documented, what):
+    """Problems with a documented table that should list exactly
+    ``names``, both ways."""
+    return ([f"{where} does not list {what} `{name}`"
+             for name in names if name not in documented]
+            + [f"{where} lists `{name}`, which is not a {what}"
+               for name in documented if name not in names])
+
+
+def event_kinds(root=REPO_ROOT):
+    """The values of ``EventKind``'s members, in definition order
+    (``[]`` for a tree without ``repro.common.events``)."""
+    path = root / "src" / "repro" / "common" / "events.py"
+    if not path.is_file():
+        return []
+    return [statement.value.value
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and node.name == "EventKind"
+            for statement in node.body
+            if isinstance(statement, ast.Assign)
+            and isinstance(statement.value, ast.Constant)]
+
+
+def check_event_kind_table(root=REPO_ROOT, kinds=None):
+    """Check 11: OBSERVABILITY.md's ``EventKind`` table vs the enum's
+    member values, both ways (``kinds`` overrides the code's)."""
+    kinds = event_kinds(root) if kinds is None else kinds
+    if not kinds:
+        return []
+    observability = root / "docs" / "OBSERVABILITY.md"
+    documented = documented_field_tables(
+        observability.read_text() if observability.is_file() else "",
+        header="| kind |").get("EventKind", [])
+    return _table_drift("docs/OBSERVABILITY.md: `EventKind` table",
+                        kinds, documented, "kind")
 
 
 def _defines(path, names):
@@ -583,7 +621,8 @@ def run_checks(root=REPO_ROOT):
         check_field_tables(root) + \
         check_path_references(root) + \
         check_stack_config_table(root) + \
-        check_member_references(root)
+        check_member_references(root) + \
+        check_event_kind_table(root)
 
 
 def main():

@@ -1,12 +1,4 @@
-"""Shared helpers for the paper-reproduction benchmarks.
-
-Each benchmark module regenerates one table or figure of the paper,
-prints it (captured into the pytest output / bench_output.txt), writes
-it to ``results/``, and asserts the paper's qualitative shape.  The
-``benchmark`` fixture times a short representative kernel of the same
-experiment so `--benchmark-only` also yields meaningful wall-clock
-numbers for the simulator itself.
-"""
+"""Shared helper of the ``bench_*`` timing scripts."""
 
 import json
 import os
@@ -14,19 +6,10 @@ import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_DIR = REPO_ROOT / "results"
 
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from bench_check import check_report  # noqa: E402
-
-
-def publish(name, rendered):
-    """Print a rendered table and persist it under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(rendered + "\n")
-    print()
-    print(rendered)
 
 
 def write_bench_json(name, report):

@@ -1,12 +1,5 @@
 """Experiment harnesses for the paper's tables and figures."""
 
-from repro.analysis.experiments import (
-    experiment_figure3,
-    experiment_table2,
-    experiment_table3,
-    experiment_table4,
-    experiment_table5,
-)
 from repro.analysis.runner import (
     MONITOR_FACTORIES,
     RunResult,
@@ -17,11 +10,6 @@ from repro.analysis.runner import (
 )
 
 __all__ = [
-    "experiment_figure3",
-    "experiment_table2",
-    "experiment_table3",
-    "experiment_table4",
-    "experiment_table5",
     "MONITOR_FACTORIES",
     "RunResult",
     "make_monitor",

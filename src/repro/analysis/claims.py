@@ -3,8 +3,8 @@
 Every qualitative statement in EXPERIMENTS.md is encoded here as a
 :class:`Claim` with a check function, so ``python -m repro validate``
 can re-verify the whole reproduction in one command and print a
-PASS/FAIL matrix.  The benchmarks assert the same properties; this
-module is the single-command, human-facing version.
+PASS/FAIL matrix.  Each claim reads one declared experiment's result
+(:data:`repro.analysis.experiments.EXPERIMENTS`).
 """
 
 from dataclasses import dataclass
@@ -81,11 +81,47 @@ def _t3_mc_dominates_ml(context):
         "MC > ML for all 7 apps"
 
 
+def _t3_whole_run(context):
+    # Whole-run overheads fold the fixed arming cost over the request
+    # count, so unlike T3-band this claim holds at the default
+    # 250-request length, not at any --requests (squid1 reads 25% at
+    # 20 requests).
+    rows = context["table3"].rows
+    outside = [f"{r.workload} {r.full_overhead:.2f}%" for r in rows
+               if not 0.0 < r.full_overhead < 16.0]
+    if outside:
+        return False, f"whole-run ML+MC outside 0-16%: {outside}"
+    gzip = next(r for r in rows if r.workload == "gzip")
+    overheads = [r.full_overhead for r in rows]
+    evidence = (f"whole-run ML+MC spans {min(overheads):.1f}%-"
+                f"{max(overheads):.1f}%, gzip {gzip.full_overhead:.2f}% "
+                f"(paper {paper.TABLE3_GZIP_SAFEMEM_OVERHEAD}%)")
+    return 2.0 < gzip.full_overhead < 5.0, evidence
+
+
+def _t3_purify_shape(context):
+    rows = context["table3"].rows
+    floor = min(rows, key=lambda r: r.purify_slowdown)
+    worst = max(rows, key=lambda r: r.purify_slowdown)
+    ok = floor.purify_slowdown > 4.5 and \
+        worst.workload in ("squid1", "squid2")
+    return ok, (f"Purify from {floor.purify_slowdown:.1f}x "
+                f"({floor.workload}) to {worst.purify_slowdown:.1f}x "
+                f"({worst.workload})")
+
+
 def _t4_reduction(context):
     reductions = context["table4"].reductions
     low, high = min(reductions), max(reductions)
     ok = low > 55 and high < 110
     return ok, f"reduction spans {low:.0f}x-{high:.0f}x (paper 64-74x)"
+
+
+def _t4_gzip(context):
+    gzip = next(r for r in context["table4"].rows if r.workload == "gzip")
+    return abs(gzip.reduction_factor - 64.0) < 2.0, (
+        f"gzip reduction {gzip.reduction_factor:.1f}x (granularity "
+        "ratio 64x)")
 
 
 def _t5_exact(context):
@@ -144,7 +180,19 @@ def _f3_stability(context):
             return False, (f"{series.workload}: stabilized at "
                            f"{series.last_warmup_seconds:.3f}s of "
                            f"{run_s:.3f}s")
+        if series.total_groups < 2:
+            return False, (f"{series.workload}: only "
+                           f"{series.total_groups} group measured")
     return True, "all groups stable within the first 10% of each run"
+
+
+def _f3_scale(context):
+    result = context["figure3_synthetic"]
+    warmups = [warmup for warmup, _percent in result.points]
+    early = sum(1 for w in warmups if w < 0.25 * result.run_seconds)
+    ok = len(warmups) >= 25 and early / len(warmups) >= 0.9
+    return ok, (f"{early}/{len(warmups)} groups stable within the first "
+                "quarter of the run")
 
 
 def _hw_codecs(context):
@@ -206,6 +254,98 @@ def _season_headtohead(context):
                   f"still caught")
 
 
+def _scramble(context):
+    one, two, chosen, unlucky = \
+        context["ablation_scramble"].column("outcome")
+    ok = ("silently corrected" in one and "FAULT" in two
+          and "FAULT" in chosen and "MIS-CORRECTED" in unlucky)
+    return ok, "; ".join(
+        f"{flips}: {outcome.split(' (')[0]}" for flips, outcome in
+        zip(("1 bit", "2 bits", "chosen triple", "unlucky triple"),
+            (one, two, chosen, unlucky)))
+
+
+def _hardware(context):
+    paper_hw, friendly, iwatcher = \
+        context["ablation_hardware"].column("overhead")
+    ok = paper_hw > friendly > iwatcher and iwatcher < 0.25 * paper_hw
+    return ok, (f"paper interface {paper_hw:.2f}% > direct check bits "
+                f"{friendly:.2f}% > free watchpoints {iwatcher:.2f}%")
+
+
+def _period(context):
+    result = context["ablation_period"]
+    overheads = result.column("overhead")
+    latencies = result.column("first_report_cycle")
+    if None in latencies:
+        return False, f"a period never reported the leak: {latencies}"
+    ok = overheads[0] >= overheads[-1] and overheads[0] < 5.0 \
+        and latencies[0] <= latencies[-1]
+    return ok, (f"1 ms: {overheads[0]:.3f}%, first report at cycle "
+                f"{latencies[0]:,}; 20 ms: {overheads[-1]:.3f}%, "
+                f"{latencies[-1]:,}")
+
+
+def _multiplier(context):
+    result = context["ablation_threshold"]
+    flagged = result.column("fp_flagged")
+    true_reported = result.column("true_reported")
+    ok = flagged[0] >= flagged[1] >= flagged[2] and true_reported[1] > 0
+    return ok, (f"false positives flagged at 1.2x/2x/6x: {flagged}; "
+                f"2x reports {true_reported[1]} true leak(s)")
+
+
+def _grouping(context):
+    full, size_only, callsig = (
+        row.values for row in context["ablation_grouping"].rows)
+    ok = (full["groups"] == 2 and full["true_reported"] > 0
+          and full["false_reported"] == 0 and size_only["groups"] == 1
+          and size_only["true_reported"] < full["true_reported"]
+          and callsig["groups"] == 2)
+    return ok, (f"(size, callsig): {full['groups']} groups, "
+                f"{full['true_reported']} true / "
+                f"{full['false_reported']} false reports; size only: "
+                f"{size_only['groups']} group, "
+                f"{size_only['true_reported']} true reports")
+
+
+def _padding(context):
+    result = context["ablation_padding"]
+    pads = result.column("pad_lines")
+    reaches = result.column("reach")
+    spaces = result.column("space")
+    ok = reaches == pads and all(
+        a < b for a, b in zip(spaces, spaces[1:]))
+    return ok, (f"reach {reaches} lines at pads {pads}; space "
+                + " < ".join(f"{space:.1f}%" for space in spaces))
+
+
+def _heap_growth(context):
+    bad = []
+    for row in context["extra_heap_growth"].rows:
+        v = row.values
+        if not (v["final_buggy"] > v["final_normal"]
+                and v["growth_buggy"] > 0
+                and v["growth_normal"] <= v["growth_buggy"] / 4
+                and v["rate_buggy"] > 0):
+            bad.append(row.cells[0])
+    return not bad, (f"buggy heap does not outgrow normal: {bad}" if bad
+                     else "every leak app's buggy heap keeps growing "
+                          "past a normal run's plateau")
+
+
+def _uninit(context):
+    base, uninit = (row.values
+                    for row in context["extra_uninit_mode"].rows)
+    ok = (base["clean"] and uninit["clean"]
+          and uninit["overhead"] > 1.5 * base["overhead"]
+          and uninit["uninit_read_caught"])
+    return ok, (f"ML+MC {base['overhead']:.2f}% -> with uninit reads "
+                f"{uninit['overhead']:.2f}%; uninit read "
+                + ("caught" if uninit["uninit_read_caught"]
+                   else "missed"))
+
+
 CLAIMS = [
     Claim("T2-values", "syscall costs match the paper's Table 2",
           _t2_microseconds, "table2"),
@@ -219,14 +359,24 @@ CLAIMS = [
           _t3_purify_gap, "table3"),
     Claim("T3-mc-ml", "corruption detection costs more than leak "
           "detection", _t3_mc_dominates_ml, "table3"),
+    Claim("T3-whole", "at the default length, whole-run ML+MC stays in "
+          "the production band, gzip near the paper's 3.0%",
+          _t3_whole_run, "table3"),
+    Claim("T3-purify", "Purify costs over 4.5x everywhere, most on a "
+          "copy-heavy squid", _t3_purify_shape, "table3"),
     Claim("T4-reduction", "page guards waste ~64-74x more than ECC "
           "guards", _t4_reduction, "table4"),
+    Claim("T4-gzip", "gzip's page-sized buffers waste exactly the 64x "
+          "granularity ratio", _t4_gzip, "table4"),
     Claim("T5-counts", "false positives match the paper exactly",
           _t5_exact, "table5"),
     Claim("T5-bugs", "pruning never hides the real leak",
           _t5_true_leaks, "table5"),
     Claim("F3-stability", "group maximal lifetimes stabilize early",
           _f3_stability, "figure3"),
+    Claim("F3-scale", "at a synthetic 25+-group population, 90% of "
+          "groups stabilize in the first quarter", _f3_scale,
+          "figure3_synthetic"),
     Claim("F4-sampling", "fleet sampling trades detection probability "
           "for overhead", _f4_sampling, "sampling"),
     Claim("HW-codecs", "the watchpoint contract holds on every ECC "
@@ -239,6 +389,29 @@ CLAIMS = [
           "alerts on clean diurnal traffic that false-alarms every "
           "flat detector, while still catching every injected leak",
           _season_headtohead, "season"),
+    Claim("ABL-scramble", "one flipped bit is silently corrected; two "
+          "or the chosen three fault; an unlucky triple mis-corrects",
+          _scramble, "ablation_scramble"),
+    Claim("ABL-hardware", "a friendlier ECC interface cuts SafeMem's "
+          "overhead; free watchpoints leave under a quarter",
+          _hardware, "ablation_hardware"),
+    Claim("ABL-period", "a shorter checking period costs no less (under "
+          "5%) and reports the leak no later", _period,
+          "ablation_period"),
+    Claim("ABL-sleak", "eager SLeak multipliers flag no fewer false "
+          "positives; the paper's 2x still finds the leak", _multiplier,
+          "ablation_threshold"),
+    Claim("ABL-grouping", "the (size, callsig) key separates same-size "
+          "sites; size-only grouping finds fewer leaks", _grouping,
+          "ablation_grouping"),
+    Claim("ABL-padding", "a guard pad catches overflows exactly as far "
+          "as it reaches, at growing space cost", _padding,
+          "ablation_padding"),
+    Claim("SUP-heap", "continuous leaks keep growing the heap while "
+          "normal runs plateau", _heap_growth, "extra_heap_growth"),
+    Claim("SUP-uninit", "the uninit-read extension catches uninit reads "
+          "at over 1.5x the ML+MC overhead", _uninit,
+          "extra_uninit_mode"),
 ]
 
 

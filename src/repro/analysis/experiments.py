@@ -1,12 +1,14 @@
 """Every validation experiment, declared once.
 
-Nine experiments regenerate the paper's Tables 2-5 and Figure 3 plus
-this repo's codec matrix, Figure 4 fleet-sampling curve, trend
-head-to-head and season head-to-head.  Each is built from a unit
-function that runs one self-contained simulation -- one Table 3 row,
-one Figure 3 series, one trend scenario -- and returns a row
-dataclass; a result object assembles the rows and ``render()`` prints
-the paper-style text table.
+Eighteen experiments: nine regenerate the paper's Tables 2-5 and
+Figure 3 plus this repo's codec matrix, Figure 4 fleet-sampling curve,
+trend head-to-head and season head-to-head; the other nine measure the
+paper's design arguments (six ablations and three supplementary
+experiments, :mod:`repro.analysis.ablations`).  Each is built from a
+unit function that runs one self-contained simulation -- one Table 3
+row, one Figure 3 series, one trend scenario, one ablation setting --
+and returns a row dataclass; a result object assembles the rows and
+``render()`` prints the paper-style text table.
 
 :data:`EXPERIMENTS` declares each experiment once: its jobs (ident and
 unit parameters, as a function of ``requests``), its :class:`JobKind`
@@ -23,7 +25,8 @@ bit-identical to ``--jobs 1``.
 
 from dataclasses import asdict, dataclass
 
-from repro.analysis import paper
+from repro.analysis import ablations, paper
+from repro.analysis.ablations import MeasuredRow
 from repro.analysis.runner import (
     boot_machine,
     make_monitor,
@@ -117,26 +120,6 @@ def run_experiment(name, requests=None):
     experiment = EXPERIMENTS[name]
     return experiment.result(
         run_jobs(experiment.specs(requests), jobs=1).payloads)
-
-
-def experiment_table2():
-    return run_experiment("table2")
-
-
-def experiment_table3(requests=250):
-    return run_experiment("table3", requests)
-
-
-def experiment_table4(requests=250):
-    return run_experiment("table4", requests)
-
-
-def experiment_table5(requests=None):
-    return run_experiment("table5", requests)
-
-
-def experiment_figure3(requests=None):
-    return run_experiment("figure3", requests)
 
 
 # ----------------------------------------------------------------------
@@ -1141,6 +1124,67 @@ EXPERIMENTS = {experiment.name: experiment for experiment in (
              "seasonal_phases": SEASON_PHASES}, requests),
         assemble=lambda rows: SeasonHeadToHeadResult(
             sample_every=SEASON_SAMPLE_EVERY, rows=rows)),
+    Experiment(
+        "ablation_scramble", JobKind("scramble-row", ablations.scramble_row,
+                                     MeasuredRow),
+        jobs=lambda requests: [
+            (f"scramble:{'-'.join(map(str, bits))}",
+             {"flips": flips, "bits": list(bits)})
+            for flips, bits in ablations.scramble_patterns()],
+        assemble=ablations.scramble_table),
+    Experiment(
+        "ablation_hardware", JobKind("hardware-row", ablations.hardware_row,
+                                     MeasuredRow),
+        jobs=lambda requests: [(f"hardware:{scenario}",
+                                {"scenario": scenario})
+                               for scenario in ablations.HARDWARE_SCENARIOS],
+        assemble=ablations.hardware_table),
+    Experiment(
+        "ablation_period", JobKind("period-row", ablations.period_row,
+                                   MeasuredRow),
+        jobs=lambda requests: [(f"period:{period:g}", {"period_s": period})
+                               for period in ablations.PERIODS_S],
+        assemble=ablations.period_table),
+    Experiment(
+        "ablation_threshold", JobKind("multiplier-row",
+                                      ablations.multiplier_row,
+                                      MeasuredRow),
+        jobs=lambda requests: [(f"multiplier:{multiplier:g}",
+                                {"multiplier": multiplier})
+                               for multiplier in ablations.MULTIPLIERS],
+        assemble=ablations.multiplier_table),
+    Experiment(
+        "ablation_grouping", JobKind("grouping-row", ablations.grouping_row,
+                                     MeasuredRow),
+        jobs=lambda requests: [(f"grouping:{grouping}",
+                                {"grouping": grouping})
+                               for grouping in ablations.GROUPINGS],
+        assemble=ablations.grouping_table),
+    Experiment(
+        "ablation_padding", JobKind("padding-row", ablations.padding_row,
+                                    MeasuredRow),
+        jobs=lambda requests: [(f"padding:{lines}", {"pad_lines": lines})
+                               for lines in ablations.PAD_LINES],
+        assemble=ablations.padding_table),
+    Experiment(
+        "extra_heap_growth", JobKind("heap-growth-row",
+                                     ablations.heap_growth_row,
+                                     MeasuredRow),
+        jobs=lambda requests: [(f"heap-growth:{name}", {"name": name})
+                               for name in LEAK_WORKLOADS],
+        assemble=ablations.heap_growth_table),
+    Experiment(
+        "extra_uninit_mode", JobKind("uninit-row", ablations.uninit_row,
+                                     MeasuredRow),
+        jobs=lambda requests: [(f"uninit:{mode}", {"mode": mode})
+                               for mode in ablations.UNINIT_MODES],
+        assemble=ablations.uninit_table),
+    Experiment(
+        "figure3_synthetic", JobKind("figure3-synthetic",
+                                     ablations.synthetic_figure3,
+                                     ablations.SyntheticFigure3),
+        jobs=lambda requests: [("figure3-synthetic", {})],
+        assemble=lambda rows: rows[0]),
 )}
 
 #: the paper's tables and figures: ``repro report``'s sections and the

@@ -530,12 +530,8 @@ RESULT_FILES = tuple(experiment.name
 
 
 def write_result_artifacts(context, results_dir):
-    """Render every experiment into ``results/`` (benchmark layout).
-
-    Same file names and format as the benchmark suite's ``publish``
-    helper, so serial benchmarks, serial validate, and sharded validate
-    all converge on one artifact layout.
-    """
+    """Render every experiment in :data:`RESULT_FILES` into
+    ``results_dir/<name>.txt``: the one writer of ``results/``."""
     results_dir = pathlib.Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
     written = []

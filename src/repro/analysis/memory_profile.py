@@ -4,14 +4,13 @@ Section 1/3 of the paper: trivial leaks only waste memory, but
 *continuous* leaks grow the heap without bound, increase paging, and
 eventually crash the program -- which is why they matter for
 availability and are exploited for denial of service.  This module
-samples a workload's live heap over time so experiments can show the
-divergence between normal and buggy runs (and the swap pressure that
-follows).
+samples a workload's live heap over time so the ``extra_heap_growth``
+experiment can show the divergence between normal and buggy runs.
 """
 
 from dataclasses import dataclass, field
 
-from repro.analysis.runner import HEAP_SIZE, boot_machine, run_workload
+from repro.analysis.runner import boot_machine, run_workload
 from repro.common.constants import CYCLES_PER_SECOND
 
 
@@ -23,7 +22,6 @@ class HeapProfile:
     buggy: bool
     #: (cpu_seconds, live_bytes) samples, one per request.
     samples: list = field(default_factory=list)
-    swap_outs: int = 0
 
     @property
     def final_live_bytes(self):
@@ -52,9 +50,9 @@ class HeapProfile:
         return self.samples[-1][1] - self.samples[half][1]
 
 
-def profile_heap(workload_name, monitor_name="native", buggy=False,
-                 requests=None, seed=0, heap_size=HEAP_SIZE):
-    """Run a workload and sample its live heap after every request."""
+def profile_heap(workload_name, buggy=False, requests=None):
+    """Run a workload natively and sample its live heap after every
+    request."""
     machine = boot_machine()
     profile = HeapProfile(workload=workload_name, buggy=buggy)
 
@@ -64,8 +62,6 @@ def profile_heap(workload_name, monitor_name="native", buggy=False,
             machine.metrics.value("heap.live_bytes"),
         ))
 
-    run_workload(workload_name, monitor_name, buggy=buggy,
-                 requests=requests, seed=seed, heap_size=heap_size,
+    run_workload(workload_name, buggy=buggy, requests=requests,
                  machine=machine, request_hook=sample)
-    profile.swap_outs = machine.swap.swap_outs
     return profile

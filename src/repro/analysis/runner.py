@@ -141,12 +141,13 @@ def make_monitor(name, sampling=None):
         ) from None
 
 
-def boot_machine(profile=None):
+def boot_machine(profile=None, cost_model=None):
     """The experiment machine: :data:`DRAM_SIZE` of DRAM behind a
     :data:`CACHE_SIZE` 16-way last-level cache, built for chipset
-    ``profile`` (default e7500)."""
+    ``profile`` (default e7500), charging ``cost_model`` (default
+    :func:`~repro.common.costs.default_cost_model`)."""
     return Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
-                   cache_ways=16, profile=profile)
+                   cache_ways=16, cost_model=cost_model, profile=profile)
 
 
 def run_workload(workload_name, monitor_name="native", buggy=False,

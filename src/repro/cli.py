@@ -145,8 +145,8 @@ def build_parser():
     )
     validate_parser.add_argument(
         "--write-results", action="store_true",
-        help="also render every experiment into --results-dir "
-             "(the benchmark suite's results/ layout)",
+        help="also render every experiment into --results-dir, one "
+             "<experiment>.txt each (the committed results/)",
     )
     validate_parser.add_argument("--results-dir", default="results")
     validate_parser.add_argument(

@@ -282,7 +282,7 @@ class EventLog:
             positions = [position for position in positions
                          if columns.address(position) == address]
         if limit is not None:
-            positions = positions[-limit:]
+            positions = positions[max(len(positions) - limit, 0):]
         return list(map(columns.event, positions))
 
     def of_kind(self, kind):

@@ -1,6 +1,5 @@
 """ECC memory substrate: pluggable codecs, DRAM model, controller, scrubber."""
 
-from repro.ecc.chipset import Chipset, LoggedError
 from repro.ecc.codec import (
     CODECS,
     DATA_POSITIONS,
@@ -32,8 +31,6 @@ from repro.ecc.profile import (
 from repro.ecc.scrubber import Scrubber
 
 __all__ = [
-    "Chipset",
-    "LoggedError",
     "CODECS",
     "DATA_POSITIONS",
     "ChipkillCodec",

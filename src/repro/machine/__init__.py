@@ -1,13 +1,10 @@
 """Machine assembly: the booted system, the program model, monitors."""
 
-from repro.machine.dma import DmaEngine, DmaTransfer
 from repro.machine.machine import MAX_FAULT_RETRIES, Machine
 from repro.machine.monitor import Monitor, NullMonitor
 from repro.machine.program import GLOBALS_BASE, HEAP_BASE, WORD_SIZE, Program
 
 __all__ = [
-    "DmaEngine",
-    "DmaTransfer",
     "MAX_FAULT_RETRIES",
     "Machine",
     "Monitor",

@@ -46,9 +46,6 @@ from repro.common.state import INT, LIST, NULL, OBJECT, TEXT
 from repro.obs import state as images
 from repro.obs.snapshot import (
     CAPTURE,
-    EVENT_TAIL_LIMIT,
-    GROUP_LIMIT,
-    HEAP_MAP_LIMIT,
     Rerun,
     capture_state,
     safe_label,
@@ -99,10 +96,7 @@ VERIFIED_SECTIONS = (
 # ----------------------------------------------------------------------
 def capture_checkpoint(machine, monitor=None, run_info=None,
                        request_index=None, sampler=None, engine=None,
-                       trend=None, history=None, truth=None,
-                       event_tail=EVENT_TAIL_LIMIT,
-                       heap_map_limit=HEAP_MAP_LIMIT,
-                       group_limit=GROUP_LIMIT):
+                       trend=None, history=None, truth=None):
     """Freeze one machine + monitoring stack into a checkpoint dict.
 
     ``request_index`` is the zero-based index of the request boundary
@@ -116,10 +110,7 @@ def capture_checkpoint(machine, monitor=None, run_info=None,
     (:func:`repro.obs.state.covers`) also gets a ``state`` section, so
     resume restores instead of replaying.
     """
-    document = capture_state(machine, monitor=monitor, run_info=run_info,
-                             event_tail=event_tail,
-                             heap_map_limit=heap_map_limit,
-                             group_limit=group_limit)
+    document = capture_state(machine, monitor=monitor, run_info=run_info)
     document.update({
         "schema": CHECKPOINT_SCHEMA,
         "progress": {

@@ -45,9 +45,6 @@ from repro.common.state import BOOL, INT, LIST, NULL, NUMBER, OBJECT, TEXT
 from repro.obs.export import snapshot_from_document
 from repro.obs.snapshot import (
     CAPTURE,
-    EVENT_TAIL_LIMIT,
-    GROUP_LIMIT,
-    HEAP_MAP_LIMIT,
     Rerun,
     capture_state,
     event_to_dict,
@@ -82,9 +79,7 @@ DUMP = Table(DUMP_SCHEMA, {
 # capture
 # ----------------------------------------------------------------------
 def capture_bundle(machine, monitor=None, run_info=None, reason="manual",
-                   trigger=None, event_tail=EVENT_TAIL_LIMIT,
-                   heap_map_limit=HEAP_MAP_LIMIT, group_limit=GROUP_LIMIT,
-                   trend=None):
+                   trigger=None, trend=None):
     """Freeze one machine (and its attached monitor) into a bundle dict.
 
     ``run_info`` records how to re-drive the run (workload / monitor /
@@ -95,10 +90,7 @@ def capture_bundle(machine, monitor=None, run_info=None, reason="manual",
     run's :class:`~repro.obs.trend.TrendEngine`, whose per-series
     verdicts land under the bundle's ``trends`` key.
     """
-    bundle = capture_state(machine, monitor=monitor, run_info=run_info,
-                           event_tail=event_tail,
-                           heap_map_limit=heap_map_limit,
-                           group_limit=group_limit)
+    bundle = capture_state(machine, monitor=monitor, run_info=run_info)
     tracer = machine.tracer
     bundle.update({
         "schema": DUMP_SCHEMA,
@@ -137,8 +129,7 @@ class ForensicRecorder:
 
     def __init__(self, machine, monitor=None, run_info=None,
                  dump_dir="dumps", label="run", on_panic=True,
-                 on_alert=False, max_bundles=4,
-                 event_tail=EVENT_TAIL_LIMIT, trend=None):
+                 on_alert=False, max_bundles=4, trend=None):
         self.machine = machine
         self.monitor = monitor
         self.trend = trend
@@ -146,7 +137,6 @@ class ForensicRecorder:
         self.dump_dir = pathlib.Path(dump_dir)
         self.label = safe_label(label)
         self.max_bundles = max_bundles
-        self.event_tail = event_tail
         self.bundle_paths = []
         self.bundles_skipped = 0
         self._seen_alert_rules = set()
@@ -185,8 +175,7 @@ class ForensicRecorder:
             return None
         bundle = capture_bundle(
             self.machine, monitor=self.monitor, run_info=self.run_info,
-            reason=reason, trigger=trigger, event_tail=self.event_tail,
-            trend=self.trend,
+            reason=reason, trigger=trigger, trend=self.trend,
         )
         path = self.dump_dir / (
             f"{self.label}-{reason}-c{bundle['cycle']}"

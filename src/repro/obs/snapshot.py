@@ -65,8 +65,9 @@ def event_to_dict(event):
     }
 
 
-def heap_map(allocator, limit=HEAP_MAP_LIMIT):
-    """Allocator totals plus the ``limit`` largest live blocks."""
+def heap_map(allocator):
+    """Allocator totals plus the :data:`HEAP_MAP_LIMIT` largest live
+    blocks."""
     blocks = sorted(allocator.live_allocations(),
                     key=lambda a: (-a.size, a.address))
     return {
@@ -75,11 +76,11 @@ def heap_map(allocator, limit=HEAP_MAP_LIMIT):
         "total_allocs": allocator.total_allocs,
         "total_frees": allocator.total_frees,
         "peak_live_bytes": allocator.peak_live_bytes,
-        "truncated": max(0, len(blocks) - limit),
+        "truncated": max(0, len(blocks) - HEAP_MAP_LIMIT),
         "allocations": [
             {"address": block.address, "size": block.size,
              "requested_size": block.requested_size}
-            for block in blocks[:limit]
+            for block in blocks[:HEAP_MAP_LIMIT]
         ],
     }
 
@@ -178,9 +179,7 @@ def machine_from_config(config):
     return Machine(**kwargs)
 
 
-def capture_state(machine, monitor=None, run_info=None,
-                  event_tail=EVENT_TAIL_LIMIT,
-                  heap_map_limit=HEAP_MAP_LIMIT, group_limit=GROUP_LIMIT):
+def capture_state(machine, monitor=None, run_info=None):
     """The sections a bundle and a checkpoint share, as one dict."""
     cycle = machine.clock.cycles
     kernel = machine.kernel
@@ -194,7 +193,8 @@ def capture_state(machine, monitor=None, run_info=None,
         "events": {
             "total": len(machine.events),
             "tail": [event_to_dict(event)
-                     for event in machine.events.query(limit=event_tail)],
+                     for event in machine.events.query(
+                         limit=EVENT_TAIL_LIMIT)],
         },
         "watches": [
             {"vaddr": region.vaddr, "size": region.size,
@@ -215,10 +215,10 @@ def capture_state(machine, monitor=None, run_info=None,
     }
     program = getattr(monitor, "program", None)
     if getattr(program, "allocator", None) is not None:
-        state["heap"] = heap_map(program.allocator, heap_map_limit)
+        state["heap"] = heap_map(program.allocator)
     leak = getattr(monitor, "leak", None)
     if leak is not None:
-        state["groups"] = group_stats(leak.groups, limit=group_limit,
+        state["groups"] = group_stats(leak.groups, limit=GROUP_LIMIT,
                                       now=cycle)
     return state
 

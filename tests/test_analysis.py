@@ -1,21 +1,19 @@
 """Tests for the analysis layer: runner, experiments, tables, report.
 
 These validate structure and invariants at reduced request counts; the
-paper-shape assertions live in the benchmarks.
+paper-shape assertions are the claims ``repro validate`` checks
+(:mod:`repro.analysis.claims`).
 """
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.analysis import paper
-from repro.analysis.experiments import (
-    Table3Row,
-    Table4Row,
-    experiment_figure3,
-    experiment_table2,
-    experiment_table3,
-    experiment_table4,
-    experiment_table5,
-)
+from repro.analysis.experiments import Table3Row, Table4Row, run_experiment
 from repro.analysis.memory_profile import HeapProfile, profile_heap
 from repro.analysis.runner import (
     MONITOR_FACTORIES,
@@ -48,6 +46,20 @@ class TestRunner:
         assert slowdown_factor(500, 100) == pytest.approx(5.0)
         assert overhead_percent(100, 0) == 0.0
         assert slowdown_factor(100, 0) == 0.0
+
+    def test_a_run_does_not_import_the_experiment_table(self):
+        """The modules every run and bench child imports leave the
+        experiment table (``repro validate``'s code) unloaded."""
+        probe = ("import sys, repro.obs.stack, repro.analysis.runner, "
+                 "repro.obs.checkpoint; "
+                 "print('repro.analysis.experiments' in sys.modules)")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True,
+            text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
 
     def test_run_result_fields(self):
         result = run_workload("gzip", "native", requests=5)
@@ -90,7 +102,7 @@ class TestTableRendering:
 
 class TestExperimentStructures:
     def test_table2_rows(self):
-        result = experiment_table2()
+        result = run_experiment("table2")
         assert [row[0] for row in result.rows] == [
             "WatchMemory", "DisableWatchMemory", "mprotect",
         ]
@@ -118,7 +130,7 @@ class TestExperimentStructures:
         assert row.reduction_factor == pytest.approx(64.0)
 
     def test_table5_structure_small_runs(self):
-        result = experiment_table5(requests=120)
+        result = run_experiment("table5", 120)
         assert {row.workload for row in result.rows} == set(
             paper.TABLE5_FALSE_POSITIVES
         )
@@ -126,7 +138,7 @@ class TestExperimentStructures:
         assert "Table 5" in text
 
     def test_figure3_structure_small_runs(self):
-        result = experiment_figure3(requests=80)
+        result = run_experiment("figure3", 80)
         assert len(result.series) == 3
         for series in result.series:
             assert series.points
@@ -149,7 +161,7 @@ class TestExperimentStructures:
         monkeypatch.setattr(experiments, "run_workload", sabotaged)
         with pytest.raises(FleetError,
                            match="unexpectedly reported a bug"):
-            experiments.experiment_table3(requests=5)
+            experiments.run_experiment("table3", 5)
 
 
 class TestMemoryProfile:

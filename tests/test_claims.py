@@ -1,12 +1,17 @@
 """Tests for the claims validation machinery (with a synthetic context,
-so they run fast; the real end-to-end validation is a benchmark/CLI
-concern)."""
+so they run fast; the real end-to-end validation is ``repro validate``
+and the differential test in tests/test_fleet.py)."""
 
 from dataclasses import dataclass, field
 
 import pytest
 
 from repro.analysis import paper
+from repro.analysis.ablations import (
+    MeasuredRow,
+    MeasuredTable,
+    SyntheticFigure3,
+)
 from repro.analysis.claims import (
     CLAIMS,
     Claim,
@@ -33,6 +38,13 @@ from repro.analysis.experiments import (
     TrendScenarioRow,
 )
 from repro.obs.trend import DETECTORS
+from repro.workloads.registry import LEAK_WORKLOADS
+
+
+def measured(*rows):
+    """A one-table result of ``(first cell, values)`` rows."""
+    return MeasuredTable("T", ["x"], [MeasuredRow([label], values)
+                                      for label, values in rows])
 
 
 def good_context():
@@ -44,10 +56,12 @@ def good_context():
     ])
     table3 = Table3Result(rows=[
         Table3Row(workload=name, bug_class="ML", detected=True,
-                  ml_overhead=0.2, mc_overhead=8.0, full_overhead=8.2,
-                  purify_slowdown=6.0)
-        for name in ("ypserv1", "proftpd", "squid1", "ypserv2",
-                     "gzip", "tar", "squid2")
+                  ml_overhead=0.2, mc_overhead=overhead - 0.2,
+                  full_overhead=overhead, purify_slowdown=purify)
+        for name, overhead, purify in (
+            ("ypserv1", 8.2, 6.0), ("proftpd", 8.2, 6.0),
+            ("squid1", 8.2, 15.0), ("ypserv2", 8.2, 6.0),
+            ("gzip", 3.0, 6.0), ("tar", 8.2, 6.0), ("squid2", 8.2, 9.0))
     ])
     table4 = Table4Result(rows=[
         Table4Row(workload="gzip", ecc_overhead_pct=3.125,
@@ -141,6 +155,47 @@ def good_context():
         "table2": table2, "table3": table3, "table4": table4,
         "table5": table5, "figure3": figure3, "codecs": codecs,
         "sampling": sampling, "trend": trend, "season": season,
+        "ablation_scramble": measured(
+            ("1 bit", {"outcome": "silently corrected"}),
+            ("2 bits", {"outcome": "FAULT"}),
+            ("3 bits (chosen)", {"outcome": "FAULT"}),
+            ("3 bits (unlucky)", {"outcome": "MIS-CORRECTED"})),
+        "ablation_hardware": measured(
+            ("paper-hw", {"overhead": 12.0}),
+            ("friendly-ecc", {"overhead": 5.0}),
+            ("iwatcher", {"overhead": 0.5})),
+        "ablation_period": measured(
+            ("1 ms", {"overhead": 0.11, "first_report_cycle": 70}),
+            ("5 ms", {"overhead": 0.10, "first_report_cycle": 72}),
+            ("20 ms", {"overhead": 0.09, "first_report_cycle": 96})),
+        "ablation_threshold": measured(
+            ("1.2x", {"fp_flagged": 14, "true_reported": 8}),
+            ("2.0x", {"fp_flagged": 13, "true_reported": 5}),
+            ("6.0x", {"fp_flagged": 7, "true_reported": 0})),
+        "ablation_grouping": measured(
+            ("size_callsig", {"groups": 2, "true_reported": 40,
+                              "false_reported": 0}),
+            ("size", {"groups": 1, "true_reported": 22,
+                      "false_reported": 0}),
+            ("callsig", {"groups": 2, "true_reported": 40,
+                         "false_reported": 0})),
+        "ablation_padding": measured(*(
+            (lines, {"pad_lines": lines, "reach": lines,
+                     "space": 100.0 * lines})
+            for lines in (1, 2, 4))),
+        "extra_heap_growth": measured(*(
+            (app, {"final_normal": 1000, "final_buggy": 20_000,
+                   "growth_normal": 0, "growth_buggy": 9000,
+                   "rate_buggy": 5000.0})
+            for app in LEAK_WORKLOADS)),
+        "extra_uninit_mode": measured(
+            ("ml+mc", {"overhead": 10.0, "clean": True,
+                       "uninit_read_caught": False}),
+            ("ml+mc+uninit", {"overhead": 23.0, "clean": True,
+                              "uninit_read_caught": True})),
+        "figure3_synthetic": SyntheticFigure3(
+            points=[(0.0005 * i, i / 30 * 100.0) for i in range(1, 31)],
+            run_seconds=0.1),
     }
 
 
@@ -216,6 +271,40 @@ class TestClaimChecks:
                     row.first_cycle[detector] = row.baseline_cycle + 1
         results = {r.claim.ident: r for r in validate(context=context)}
         assert not results["TREND-pr"].passed
+
+    @pytest.mark.parametrize("ident, spoil", [
+        ("T3-whole", lambda c: setattr(
+            c["table3"].rows[4], "full_overhead", 6.0)),
+        ("T3-purify", lambda c: setattr(
+            c["table3"].rows[5], "purify_slowdown", 20.0)),
+        ("T4-gzip", lambda c: setattr(
+            c["table4"].rows[0], "page_overhead_pct", 230.0)),
+        ("F3-stability", lambda c: setattr(
+            c["figure3"].series[0], "total_groups", 1)),
+        ("F3-scale", lambda c: setattr(
+            c["figure3_synthetic"], "run_seconds", 0.01)),
+        ("ABL-scramble", lambda c: c["ablation_scramble"].rows[0]
+         .values.update(outcome="FAULT")),
+        ("ABL-hardware", lambda c: c["ablation_hardware"].rows[2]
+         .values.update(overhead=4.0)),
+        ("ABL-period", lambda c: c["ablation_period"].rows[0]
+         .values.update(first_report_cycle=None)),
+        ("ABL-sleak", lambda c: c["ablation_threshold"].rows[1]
+         .values.update(true_reported=0)),
+        ("ABL-grouping", lambda c: c["ablation_grouping"].rows[1]
+         .values.update(groups=2)),
+        ("ABL-padding", lambda c: c["ablation_padding"].rows[2]
+         .values.update(reach=3)),
+        ("SUP-heap", lambda c: c["extra_heap_growth"].rows[0]
+         .values.update(growth_normal=5000)),
+        ("SUP-uninit", lambda c: c["extra_uninit_mode"].rows[1]
+         .values.update(uninit_read_caught=False)),
+    ])
+    def test_broken_property_fails_its_claim(self, ident, spoil):
+        context = good_context()
+        spoil(context)
+        results = {r.claim.ident: r for r in validate(context=context)}
+        assert not results[ident].passed, results[ident].evidence
 
     def test_reduction_out_of_range_fails_t4(self):
         context = good_context()

@@ -439,10 +439,10 @@ class TestStackAndFleetWiring:
         assert [ident for _, ident, _ in codec_jobs] == \
             [f"codec:{name}" for name in profile_names()]
         assert "codec-row" in JOB_KINDS
-        # Canonical-order pin: season scenarios close the list, codec
-        # rows ride between figure3 and sampling.
+        # Canonical-order pin: codec rows ride between figure3 and
+        # sampling, and the synthetic Figure 3 closes the list.
         idents = [ident for _, ident, _ in specs]
-        assert idents[-1].startswith("season:")
+        assert idents[-1] == "figure3-synthetic"
         assert idents.index("codec:e7500") < idents.index(
             "trend:ypserv1:buggy")
         assert idents.index("codec:e7500") > idents.index(

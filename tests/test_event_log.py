@@ -88,7 +88,9 @@ class ListLog:
                  if (kind is None or event.kind is kind)
                  and (since_cycle is None or event.cycle >= since_cycle)
                  and (address is None or event.address == address)]
-        return found if limit is None else found[-limit:]
+        if limit is None:
+            return found
+        return found[-limit:] if limit else []
 
     def state(self):
         return {"events": [

@@ -14,6 +14,7 @@ Covers the four scheduler contracts:
 """
 
 import json
+import pathlib
 from dataclasses import asdict, dataclass
 
 import pytest
@@ -24,7 +25,7 @@ from repro.analysis.experiments import (
     EXPERIMENTS,
     SAMPLING_CURVE_RATES,
     JobKind,
-    experiment_table2,
+    run_experiment,
 )
 from repro.common.digest import file_digest, package_digest, tree_digest
 from repro.common.errors import ConfigurationError, FleetError
@@ -35,6 +36,9 @@ from repro.obs.stack import MonitorStackConfig
 #: request count for the tier-1 differential (full-size validation is a
 #: benchmark concern; identity holds at any deterministic config).
 DIFF_REQUESTS = 20
+
+#: the committed ``repro validate --write-results`` output.
+RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +59,9 @@ class TestJobEnumeration:
             < idents.index("trend:ypserv1:buggy")
         assert idents.index("trend:ypserv1:buggy") < idents.index(
             "season:ypserv1-diurnal:buggy")
-        assert idents[-1].startswith("season:")
+        assert idents.index("season:ypserv2-diurnal:clean") < \
+            idents.index("scramble:0")
+        assert idents[-1] == "figure3-synthetic"
 
     def test_requests_declared_in_params(self):
         specs = fleet.enumerate_validation_jobs(requests=33)
@@ -80,7 +86,7 @@ class TestJobEnumeration:
         assert {kind for kind, _i, _p in specs} == \
             set(fleet.JOB_KINDS) - {"fleet-machine"}
 
-        result = experiment_table2()
+        result = run_experiment("table2")
         codec = fleet.JOB_KINDS["table2"]
         wire = json.loads(json.dumps(codec.encode(result)))
         assert codec.decode(wire).render() == result.render()
@@ -94,8 +100,22 @@ class TestJobEnumeration:
         assert "sampling:0.02" in idents
         assert idents.index("trend:ypserv1:buggy") + 1 == \
             idents.index("trend:ypserv1:clean")
-        assert idents[-1] == "season:ypserv2-diurnal:clean"
-        assert len(idents) == 46
+        assert idents[45] == "season:ypserv2-diurnal:clean"
+        # The ablation and supplementary experiments follow.
+        assert idents[46:] == [
+            "scramble:0", "scramble:0-8", "scramble:0-8-57",
+            "scramble:0-1-2",
+            "hardware:paper-hw", "hardware:friendly-ecc",
+            "hardware:iwatcher",
+            "period:0.001", "period:0.005", "period:0.02",
+            "multiplier:1.2", "multiplier:2", "multiplier:6",
+            "grouping:size_callsig", "grouping:size", "grouping:callsig",
+            "padding:1", "padding:2", "padding:4",
+            "heap-growth:ypserv1", "heap-growth:proftpd",
+            "heap-growth:squid1", "heap-growth:ypserv2",
+            "uninit:ml+mc", "uninit:ml+mc+uninit",
+            "figure3-synthetic",
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +300,7 @@ class TestScheduler:
     def test_single_job_matches_direct_call(self):
         outcome = fleet.run_jobs([("table2", "table2", {})], jobs=1)
         assert outcome.payloads["table2"].render() == \
-            experiment_table2().render()
+            run_experiment("table2").render()
         # table2 drives the machine directly (no run_workload), so the
         # telemetry tap sees nothing -- documented behavior.
         assert outcome.metrics is None
@@ -374,6 +394,17 @@ class TestDifferentialValidation:
         for ident, row in serial_rows.items():
             assert asdict(run.outcome.payloads[ident]) == asdict(row), \
                 ident
+        # The experiments --requests does not scale ran full length
+        # here: they render their committed results/ files, and their
+        # claims hold.
+        for name in fleet.RESULT_FILES:
+            if not EXPERIMENTS[name].scales:
+                assert run.context[name].render() + "\n" == \
+                    (RESULTS_DIR / f"{name}.txt").read_text(), name
+        for result in run.results:
+            if not EXPERIMENTS[result.claim.source].scales:
+                assert result.passed, (result.claim.ident,
+                                       result.evidence)
 
     def test_t3_band_is_run_length_and_shard_independent(self):
         """The T3 production-band claim must not flip with run length.
@@ -417,3 +448,8 @@ class TestDifferentialValidation:
             f"{name}.txt" for name in fleet.RESULT_FILES)
         for path in written:
             assert path.read_text().endswith("\n")
+
+    def test_results_dir_holds_one_file_per_experiment(self):
+        """``write_result_artifacts`` is the one writer of results/."""
+        assert sorted(path.stem for path in RESULTS_DIR.glob("*.txt")) \
+            == sorted(fleet.RESULT_FILES)

@@ -13,8 +13,8 @@ from repro.workloads.registry import (
     get_workload,
 )
 
-#: small request counts keep unit tests fast; detection-quality tests
-#: live in the benchmarks, which use full-length runs.
+#: small request counts keep unit tests fast; detection quality is
+#: checked by the claims of ``repro validate``, on full-length runs.
 SMALL = 30
 
 
@@ -51,6 +51,13 @@ class TestNormalRuns:
         assert result.truth.leaked_addresses == set()
         assert result.truth.corruption is None
         assert result.cycles > 0
+
+    @pytest.mark.parametrize("name", CORRUPTION_WORKLOADS)
+    def test_no_corruption_report_on_normal_input(self, name):
+        """Guard hits are true corruption by definition (paper Section
+        6.4): a clean run reports nothing."""
+        result = run_workload(name, "safemem-mc", requests=60)
+        assert result.monitor.corruption_reports == []
 
     @pytest.mark.parametrize("name", all_workload_names())
     def test_normal_run_is_leak_free(self, name):
@@ -162,7 +169,8 @@ def _trigger_of(workload):
 
 class TestOverheadShape:
     """Coarse overhead-band checks at reduced request counts; the
-    full-length numbers live in benchmarks/test_table3_overhead.py."""
+    full-length Table 3 numbers are the T3-* claims of ``repro
+    validate``."""
 
     def test_safemem_cheaper_than_purify_everywhere(self):
         for name in ("ypserv1", "gzip", "tar"):

@@ -37,7 +37,7 @@ Commands:
 - ``list``    shows the available workloads, monitors, and chipset
   profiles.
 
-``run``, ``monitor``, ``fleet``, and ``validate`` all mount the same
+``run``, ``monitor`` and ``fleet`` all mount the same
 monitoring-stack argument group (one argparse parent, one
 :class:`~repro.obs.stack.MonitorStackConfig` built by
 ``MonitorStackConfig.from_args``): ``--sample-rate``/``--sample-seed``/
@@ -48,9 +48,11 @@ analytics (slope/changepoint detectors feeding ``trend``-kind alert
 rules), ``--stream`` ships ``repro.events/v1`` records, and
 ``--dump-dir``/``--dump-on-alert`` arm forensic ``repro.dump/v1``
 recording -- identically spelled everywhere (see
-``docs/ARCHITECTURE.md``).  ``run``, ``stats``, ``validate``, and
-``fleet`` accept ``--emit-metrics PATH`` to write the run's (merged)
-registry snapshot as a ``repro.metrics/v1`` JSON document.
+``docs/ARCHITECTURE.md``).  ``validate`` mounts only that forensic
+pair, the one part of the stack its shard machines read.  ``run``,
+``stats``, ``validate``, and ``fleet`` accept ``--emit-metrics PATH``
+to write the run's (merged) registry snapshot as a
+``repro.metrics/v1`` JSON document.
 """
 
 import argparse
@@ -74,6 +76,7 @@ from repro.obs.export import (
 from repro.obs.stack import (
     DEFAULT_SAMPLE_EVERY,
     MonitorStackConfig,
+    add_forensic_arguments,
     add_monitoring_arguments,
     build_monitor_stack,
 )
@@ -104,7 +107,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # One monitoring flag set, shared verbatim by every command that
-    # runs workloads; each command turns it into a MonitorStackConfig.
+    # runs workloads under a stack; each command turns it into a
+    # MonitorStackConfig (validate mounts only its forensic pair).
     monitoring = add_monitoring_arguments()
 
     for experiment in PAPER_EXPERIMENTS:
@@ -126,7 +130,7 @@ def build_parser():
     validate_parser = sub.add_parser(
         "validate",
         help="re-verify every reproduction claim (PASS/FAIL matrix)",
-        parents=[monitoring],
+        parents=[add_forensic_arguments()],
     )
     validate_parser.add_argument("--requests", type=COUNT, default=250)
     validate_parser.add_argument(
@@ -704,8 +708,7 @@ def command_monitor(args, out):
                   + "\n")
         out.write(f"requests:  {result.truth.requests_completed}"
                   f"/{result.requests}\n")
-        out.write(f"samples:   {sampler.samples_taken} "
-                  f"({sampler.samples_evicted} evicted from the ring)\n")
+        out.write(f"samples:   {sampler.samples_taken}\n")
         _write_sampling(config, result, out)
         summary = stack.alert_summary()
         if summary:

@@ -23,7 +23,7 @@ from repro.common.constants import (
 )
 from repro.common.errors import PinLimitExceeded, SyscallError
 from repro.common.events import EventKind
-from repro.common.state import fields_state, integers, load_fields, mapping
+from repro.common.state import fields_state, load_fields
 from repro.ecc.scrubber import Scrubber
 from repro.kernel.interrupts import EccFaultInfo, InterruptController
 from repro.kernel.watchregistry import WatchedRegion, WatchRegistry
@@ -57,7 +57,6 @@ class Kernel:
         if max_pinned_pages is None:
             max_pinned_pages = max(1, (dram.size // PAGE_SIZE) // 2)
         self.max_pinned_pages = max_pinned_pages
-        self.syscall_counts = {}
         #: syscall name -> its ``kernel.syscall.<Name>`` counter, kept
         #: after the registry lookup that registers it.
         self._syscall_counters = {}
@@ -90,13 +89,12 @@ class Kernel:
     STATE_FIELDS = ("pinned_pages", "ecc_traps")
 
     def state_dict(self):
-        """Pin and trap counters, per-syscall counts (in first-use
-        order), the watch registry, the scrubber and the interrupt
-        controller.  The user handlers are re-registered by the
-        monitor that owns them."""
+        """Pin and trap counters, the watch registry, the scrubber and
+        the interrupt controller.  The per-syscall counts are the
+        registry's ``kernel.syscall.<Name>`` counters; the user
+        handlers are re-registered by the monitor that owns them."""
         return {
             **fields_state(self, self.STATE_FIELDS),
-            "syscall_counts": dict(self.syscall_counts),
             "watches": self.watches.state_dict(),
             "scrubber": self.scrubber.state_dict(),
             "interrupts": self.interrupts.state_dict(),
@@ -105,9 +103,6 @@ class Kernel:
     def load_state(self, state):
         """Restore :meth:`state_dict` output."""
         load_fields(self, state, self.STATE_FIELDS)
-        counts = mapping(state["syscall_counts"], "syscall_counts")
-        integers(list(counts.values()), "syscall_counts")
-        self.syscall_counts = dict(counts)
         self.watches.load_state(state["watches"], self.dram.size)
         self.scrubber.load_state(state["scrubber"])
         self.interrupts.load_state(state["interrupts"])
@@ -416,7 +411,6 @@ class Kernel:
         return pages
 
     def _count(self, name):
-        self.syscall_counts[name] = self.syscall_counts.get(name, 0) + 1
         if self.metrics is not None:
             counter = self._syscall_counters.get(name)
             if counter is None:

@@ -9,7 +9,7 @@ requests, where no span is mid-flight and no allocation is half done:
   monitoring stack into one versioned JSON document: boot config,
   clock, DRAM/check-bit digests, the metrics snapshot, the event-log
   tail, watch registry, interrupt state, the allocator heap map and
-  leak-group tables, plus the profiler ring, alert-engine state
+  leak-group tables, plus the profiler counters, alert-engine state
   machines, trend-detector accumulators/latches/seasonal baselines,
   and history tiers (their ``state_dict`` payloads embedded verbatim).
   Given the live run's ground truth, it also packs a ``state`` image
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
 from repro.common.schema import Field, Table
-from repro.common.state import INT, LIST, NULL, OBJECT, TEXT
+from repro.common.state import INT, NULL, NUMBER, OBJECT, TEXT
 from repro.obs import state as images
 from repro.obs.snapshot import (
     CAPTURE,
@@ -66,7 +66,7 @@ CHECKPOINT = Table(CHECKPOINT_SCHEMA, {
     "dram.check": TEXT,
     "monitoring_state.sampler": OBJECT | NULL,
     "monitoring_state.sampler.samples_taken": INT,
-    "monitoring_state.sampler.ring": LIST,
+    "monitoring_state.sampler.overhead_fraction": NUMBER,
     "monitoring_state.alerts": OBJECT | NULL,
     "monitoring_state.alerts.alerts.<name>.state": TEXT,
     "monitoring_state.trend": OBJECT | NULL,
@@ -425,8 +425,8 @@ def render_checkpoint_summary(document):
         if sampler_state:
             lines.append(
                 f"    sampler: {sampler_state['samples_taken']} "
-                f"sample(s) taken, {len(sampler_state['ring'])} in "
-                f"ring"
+                f"sample(s) taken, overhead "
+                f"{sampler_state['overhead_fraction'] * 100:.2f}%"
             )
         trend_state = monitoring_state["trend"]
         if trend_state:

@@ -1,11 +1,11 @@
 """Bounded-memory tiered metric history (``repro.history/v1``).
 
-The sampler ring answers "what happened recently" -- 512 samples at a
-200k-cycle interval is ~100 Mcycles of lookback.  Long-horizon runs
-(billions of cycles, the ROADMAP's production-service target) need the
-classic round-robin-database shape instead: keep **raw** points for the
-recent past and progressively coarser **aggregates** for the deep past,
-so memory stays O(configured capacity) no matter how long the run is.
+The sampling profiler keeps no past samples, and a ``--stream`` file
+keeps every one.  Long-horizon runs (billions of cycles, the ROADMAP's
+production-service target) need the classic round-robin-database
+shape instead: keep **raw** points for the recent past and
+progressively coarser **aggregates** for the deep past, so memory stays
+O(configured capacity) no matter how long the run is.
 
 A :class:`HistoryStore` observes every profiler sample (subscribed
 last by :func:`~repro.obs.stack.assemble_monitor_stack`) and, for each

@@ -21,19 +21,17 @@ and, every ``interval_cycles`` of CPU time, captures one
   syscalls and ECC fault handling over total CPU cycles -- the live
   version of the paper's Table 3 overhead number.
 
-Samples accumulate in a bounded ring (``capacity``), so a sampler's
-memory footprint is O(capacity) regardless of run length; evicted
-samples are counted, never silently lost.  Sampling is **off by
-default**: a freshly booted machine registers no timers, and the
-profiler only observes once :meth:`SamplingProfiler.start` runs.
+Each sample goes to the profiler's listeners (trend engine, alert
+engine, history store, stream sink) and is not kept: the profiler
+holds only its sample count and the newest sample's overhead fraction,
+so its footprint does not grow with the run.  The ``--history`` store
+and the ``--stream`` sink are the records of past samples.  Sampling
+is **off by default**: a freshly booted machine registers no timers,
+and the profiler only observes once :meth:`SamplingProfiler.start`
+runs.
 """
 
-from collections import deque
-
-from repro.common.state import integer, number, scalars, sequence, text
-
-#: samples retained by the ring buffer.
-DEFAULT_CAPACITY = 512
+from repro.common.state import integer, number
 
 #: span histograms whose ``.sum`` is pure monitoring work -- the
 #: numerator of the live overhead fraction.  ``ecc.fault`` covers the
@@ -92,23 +90,6 @@ class Sample:
             "overhead_fraction": self.overhead_fraction,
         }
 
-    @classmethod
-    def from_dict(cls, record):
-        """Rebuild a sample from :meth:`to_dict` output (checkpoints)."""
-        metrics = scalars(record["metrics"], "sample metrics")
-        return cls(
-            index=integer(record["index"], "sample index"),
-            cycle=integer(record["cycle"], "sample cycle"),
-            metrics=dict(metrics),
-            spans=[text(span, "sample span")
-                   for span in sequence(record["spans"], "sample spans")],
-            groups=[dict(scalars(group, "sample group"))
-                    for group in sequence(record["groups"],
-                                          "sample groups")],
-            overhead_fraction=number(record["overhead_fraction"],
-                                     "overhead_fraction"),
-        )
-
     def __repr__(self):
         return (f"Sample(#{self.index} @ {self.cycle}, "
                 f"{len(self.metrics)} metrics, "
@@ -165,38 +146,33 @@ class SamplingProfiler:
     ``benchmarks/bench_monitor.py`` measures.
     """
 
-    def __init__(self, machine, interval_cycles, capacity=DEFAULT_CAPACITY,
-                 group_source=None, group_limit=DEFAULT_GROUP_LIMIT):
+    def __init__(self, machine, interval_cycles, group_source=None,
+                 group_limit=DEFAULT_GROUP_LIMIT):
         if interval_cycles <= 0:
             raise ValueError(
                 f"sampling interval must be positive: {interval_cycles}"
             )
-        if capacity <= 0:
-            raise ValueError(f"ring capacity must be positive: {capacity}")
         self.machine = machine
         self.interval_cycles = interval_cycles
         self.group_source = group_source
         self.group_limit = group_limit
-        self._ring = deque(maxlen=capacity)
         self._listeners = []
         self._timer = None
         self.samples_taken = 0
-        self.samples_evicted = 0
+        #: the newest sample's overhead fraction (0.0 before the first).
+        self.overhead_fraction = 0.0
         self._register_metrics(machine.metrics)
 
     def _register_metrics(self, metrics):
         metrics.probe("sampler.samples", lambda: self.samples_taken,
                       kind="counter",
                       description="samples captured by the profiler")
-        metrics.probe("sampler.evicted", lambda: self.samples_evicted,
-                      kind="counter",
-                      description="samples evicted from the ring")
         metrics.probe("sampler.interval_cycles",
                       lambda: self.interval_cycles if self.running else 0,
                       kind="gauge",
                       description="active sampling interval (0 = off)")
         metrics.probe("sampler.overhead_fraction",
-                      self._current_overhead_fraction, kind="gauge",
+                      lambda: self.overhead_fraction, kind="gauge",
                       description="monitoring cycles / total CPU cycles "
                                   "(live Table 3 view)")
 
@@ -216,7 +192,7 @@ class SamplingProfiler:
         return self
 
     def stop(self):
-        """Cancel the timer (retained samples stay readable)."""
+        """Cancel the timer."""
         if self._timer is not None:
             self.machine.clock.cancel(self._timer)
             self._timer = None
@@ -254,9 +230,7 @@ class SamplingProfiler:
             groups=groups,
             overhead_fraction=_overhead_fraction(metrics, cycle),
         )
-        if len(self._ring) == self._ring.maxlen:
-            self.samples_evicted += 1
-        self._ring.append(sample)
+        self.overhead_fraction = sample.overhead_fraction
         self.samples_taken += 1
         # The engine and sinks read the sample *after* its own
         # sampler.samples count: expose the derived gauge too.
@@ -266,48 +240,19 @@ class SamplingProfiler:
             listener(sample)
         return sample
 
-    def _current_overhead_fraction(self):
-        latest = self.latest()
-        return latest.overhead_fraction if latest is not None else 0.0
-
-    # ------------------------------------------------------------------
-    # reading the ring
-    # ------------------------------------------------------------------
-    def samples(self):
-        """Retained samples, oldest first."""
-        return list(self._ring)
-
-    def latest(self):
-        return self._ring[-1] if self._ring else None
-
-    def series(self, name):
-        """``[(cycle, value), ...]`` of one metric across the ring."""
-        return [(sample.cycle, sample.metrics.get(name, 0))
-                for sample in self._ring]
-
-    def __len__(self):
-        return len(self._ring)
-
     # ------------------------------------------------------------------
     # durable state (repro.checkpoint/v1)
     # ------------------------------------------------------------------
     def state_dict(self):
-        """JSON-able ring contents and counters for checkpoints."""
+        """JSON-able counters and interval for checkpoints."""
         return {
             "interval_cycles": self.interval_cycles,
-            "capacity": self._ring.maxlen,
             "samples_taken": self.samples_taken,
-            "samples_evicted": self.samples_evicted,
-            "ring": [sample.to_dict() for sample in self._ring],
+            "overhead_fraction": self.overhead_fraction,
         }
 
     def load_state(self, payload):
         """Restore :meth:`state_dict` output into this profiler."""
-        if payload["capacity"] != self._ring.maxlen:
-            raise ValueError(
-                f"sampler state mismatch: recorded capacity "
-                f"{payload['capacity']}, profiler has {self._ring.maxlen}"
-            )
         if payload["interval_cycles"] != self.interval_cycles:
             raise ValueError(
                 f"sampler state mismatch: recorded interval "
@@ -316,11 +261,8 @@ class SamplingProfiler:
             )
         self.samples_taken = integer(payload["samples_taken"],
                                      "samples_taken")
-        self.samples_evicted = integer(payload["samples_evicted"],
-                                       "samples_evicted")
-        self._ring.clear()
-        for record in payload["ring"]:
-            self._ring.append(Sample.from_dict(record))
+        self.overhead_fraction = number(payload["overhead_fraction"],
+                                        "overhead_fraction")
         return self
 
 

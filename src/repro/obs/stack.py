@@ -244,7 +244,8 @@ class MonitorStackConfig:
         """Build the stack config from parsed monitoring arguments.
 
         Works for any command that mounted
-        :func:`add_monitoring_arguments`; flags a command does not
+        :func:`add_monitoring_arguments` or
+        :func:`add_forensic_arguments`; flags a command does not
         expose fall back to their defaults.  ``monitor`` overrides the
         parsed ``--monitor`` (``validate`` has no monitor choice).
         """
@@ -281,11 +282,13 @@ class MonitorStackConfig:
 def add_monitoring_arguments(parent=None, sample_every_default=None):
     """The shared monitoring flag set, as a reusable argparse parent.
 
-    Every command that runs workloads mounts this parent (``monitor``,
-    ``fleet``, ``validate``, ``run``), so the same ``--sample-rate`` /
+    Every command that runs workloads under a stack mounts this parent
+    (``monitor``, ``fleet``, ``run``), so the same ``--sample-rate`` /
     ``--sample-every`` / ``--rules`` / ``--stream`` / ``--dump-dir`` /
     ``--dump-on-alert`` spelling works everywhere and feeds one
-    :meth:`MonitorStackConfig.from_args`.
+    :meth:`MonitorStackConfig.from_args`.  It ends with the forensic
+    pair of :func:`add_forensic_arguments`, the only part ``validate``
+    reads.
 
     ``sample_every_default`` overrides the profiler interval default
     for commands whose whole point is the profiler (``repro monitor``
@@ -377,6 +380,19 @@ def add_monitoring_arguments(parent=None, sample_every_default=None):
         "--stream-max-bytes", type=int, default=None,
         help="rotation threshold for --stream (default 1 MiB)",
     )
+    return add_forensic_arguments(parent)
+
+
+def add_forensic_arguments(parent=None):
+    """The forensic flag pair, ``--dump-dir`` and ``--dump-on-alert``,
+    as an argparse parent.
+
+    :func:`add_monitoring_arguments` includes it, and ``validate``
+    mounts it alone: the claim experiments pin their own monitors and
+    stacks, so a shard machine reads only where its bundles go.
+    """
+    parent = parent or argparse.ArgumentParser(add_help=False)
+    group = parent.add_argument_group("monitoring stack")
     group.add_argument(
         "--dump-dir", default=None, metavar="DIR",
         help="write repro.dump/v1 forensic bundles here on kernel "

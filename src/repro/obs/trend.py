@@ -49,7 +49,9 @@ simulated clock, so forensic replay reproduces them bit-exactly -- and
 the latest verdicts are served to the :class:`~repro.obs.alerts.
 AlertEngine` through :meth:`TrendEngine.judge`, which interprets
 ``trend``-kind rule metrics as ``<detector>/<series-pattern>``
-selectors.
+selectors.  A verdict is not stored: each read builds it from the
+series' current statistic, latch and last observed cycle, which is
+what the latest observation left behind.
 
 A tracked group series that vanishes from a sample (the workload freed
 the site, or it fell out of the sampler's top-N) is **ended**: its
@@ -73,7 +75,8 @@ docs/OBSERVABILITY.md.
 The whole engine state -- windows, CUSUM/Page-Hinkley accumulators,
 hysteresis latches, seasonal baselines -- round-trips bit-exactly
 through :meth:`TrendEngine.state_dict` / :meth:`TrendEngine.load_state`
-for ``repro.checkpoint/v1`` documents.
+for ``repro.checkpoint/v1`` documents; verdicts read after a restore
+equal the uninterrupted engine's, since they derive from that state.
 
 The engine exports a ``trend.*`` probe namespace (documented in
 docs/OBSERVABILITY.md); note that probe values captured *in* a sample
@@ -87,14 +90,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind
-from repro.common.state import (
-    boolean,
-    integer,
-    mapping,
-    number,
-    numbers,
-    text,
-)
+from repro.common.state import boolean, integer, mapping, number, numbers
 
 #: detector names accepted in ``trend``-rule selectors and ``--trend``.
 DETECTORS = ("theil-sen", "cusum", "page-hinkley")
@@ -352,9 +348,6 @@ class TrendEngine:
         #: the replayable event stream.
         self.emit_events = emit_events
         self._series = {}
-        #: series name -> {detector -> TrendVerdict} from the latest
-        #: observation of that series.
-        self._verdicts = {}
         self.evaluations = 0
         self.series_ended = 0
         self.breach_onsets = 0
@@ -395,12 +388,40 @@ class TrendEngine:
         )
 
     def _max_slope(self):
-        slopes = [
-            verdicts["theil-sen"].value
-            for verdicts in self._verdicts.values()
-            if "theil-sen" in verdicts
-        ]
-        return max(slopes) if slopes else 0.0
+        return max((verdict.value
+                    for verdict in self.judge("theil-sen/*")),
+                   default=0.0)
+
+    def _statistics(self, state):
+        """Each detector's statistic over one series' current state.
+
+        Theil-Sen is judged only on a full window: the median of
+        pairwise slopes then dilutes a one-off level step (clean
+        warmup) to ~0, so only a sustained ramp reports a slope.  The
+        median is read off the sorted slopes; it equals
+        ``theil_sen_slope(state.window)``.
+        """
+        slope = 0.0
+        if len(state.window) == self.window and state.slopes:
+            slope = _middle(state.slopes) * MEGACYCLE
+        return {
+            "theil-sen": slope,
+            "cusum": state.cusum,
+            "page-hinkley": state.ph_m - state.ph_min,
+        }
+
+    def _verdicts_of(self, name, state, detectors=DETECTORS):
+        """One series' latest verdicts, one per detector; none while a
+        seasonal series is in warmup (its baseline freezes at its
+        first post-warmup point, the first one the detectors judge)."""
+        if self.seasonal_period and state.baseline is None:
+            return []
+        statistics = self._statistics(state)
+        return [TrendVerdict(series=name, detector=detector,
+                             cycle=state.last_cycle,
+                             value=statistics[detector],
+                             breached=state.breached[detector])
+                for detector in detectors]
 
     # ------------------------------------------------------------------
     # observation (the sampler listener)
@@ -424,7 +445,6 @@ class TrendEngine:
 
     def _end_series(self, name, cycle):
         state = self._series.pop(name)
-        self._verdicts.pop(name, None)
         self.series_ended += 1
         for detector, latched in sorted(state.breached.items()):
             if latched and self.emit_events:
@@ -505,20 +525,7 @@ class TrendEngine:
         state.ph_m += value - state.ph_mean - self.ph_delta
         state.ph_min = min(state.ph_min, state.ph_m)
         state.last_value = value
-        # Theil-Sen is judged only on a full window: the median of
-        # pairwise slopes then dilutes a one-off level step (clean
-        # warmup) to ~0, so only a sustained ramp reports a slope.
-        # The median is read off the sorted slopes; it equals
-        # theil_sen_slope(state.window).
-        slope = 0.0
-        if len(state.window) == self.window and state.slopes:
-            slope = _middle(state.slopes) * MEGACYCLE
-        statistics = {
-            "theil-sen": slope,
-            "cusum": state.cusum,
-            "page-hinkley": state.ph_m - state.ph_min,
-        }
-        verdicts = {}
+        statistics = self._statistics(state)
         for detector in DETECTORS:
             stat = statistics[detector]
             threshold = self.thresholds[detector]
@@ -544,11 +551,6 @@ class TrendEngine:
                         value=stat,
                     )
             state.breached[detector] = latched
-            verdicts[detector] = TrendVerdict(
-                series=name, detector=detector, cycle=cycle,
-                value=stat, breached=latched,
-            )
-        self._verdicts[name] = verdicts
 
     # ------------------------------------------------------------------
     # queries
@@ -559,19 +561,16 @@ class TrendEngine:
         Sorted by series name; used by ``trend``-kind alert rules.
         """
         detector, pattern = parse_selector(selector)
-        return [
-            self._verdicts[name][detector]
-            for name in sorted(self._verdicts)
-            if series_matches(pattern, name)
-        ]
+        return [verdict
+                for name in sorted(self._series)
+                if series_matches(pattern, name)
+                for verdict in self._verdicts_of(
+                    name, self._series[name], (detector,))]
 
     def verdicts(self):
         """Every latest verdict, sorted by (series, detector)."""
-        return [
-            self._verdicts[name][detector]
-            for name in sorted(self._verdicts)
-            for detector in DETECTORS
-        ]
+        return [verdict for name in sorted(self._series)
+                for verdict in self._verdicts_of(name, self._series[name])]
 
     def summary(self):
         """JSON-able engine state for forensic bundles."""
@@ -584,11 +583,8 @@ class TrendEngine:
                 "points_seen": state.points_seen,
                 "last_cycle": state.last_cycle,
                 "last_value": state.last_value,
-                "verdicts": [
-                    self._verdicts[name][detector].to_dict()
-                    for detector in DETECTORS
-                    if name in self._verdicts
-                ],
+                "verdicts": [verdict.to_dict() for verdict
+                             in self._verdicts_of(name, state)],
             }
             if self.seasonal_period:
                 row["baseline_ready"] = state.baseline is not None
@@ -618,10 +614,10 @@ class TrendEngine:
 
         Everything a resumed engine needs to continue producing the
         same verdicts: windows, CUSUM/Page-Hinkley accumulators,
-        hysteresis latches, seasonal bins/baselines, counters, and the
-        latest verdicts.  Floats survive a JSON round-trip exactly
-        (repr round-trip), so ``load_state(state_dict())`` is the
-        identity.
+        hysteresis latches, seasonal bins/baselines and counters (the
+        latest verdicts derive from these).  Floats survive a JSON
+        round-trip exactly (repr round-trip), so
+        ``load_state(state_dict())`` is the identity.
         """
         series = {}
         # Creation order: series that end together emit their TREND
@@ -660,12 +656,6 @@ class TrendEngine:
             "breach_onsets": self.breach_onsets,
             "onsets": [dict(onset) for onset in self.onsets],
             "series": series,
-            "verdicts": {
-                name: {detector: verdict.to_dict()
-                       for detector, verdict in
-                       sorted(self._verdicts[name].items())}
-                for name in sorted(self._verdicts)
-            },
         }
 
     def load_state(self, payload):
@@ -701,7 +691,6 @@ class TrendEngine:
         self.onsets = [dict(mapping(onset, "onset"))
                        for onset in payload["onsets"]]
         self._series = {}
-        self._verdicts = {}
         for name, record in payload["series"].items():
             state = _SeriesState(
                 self.window,
@@ -729,15 +718,4 @@ class TrendEngine:
                 state.baseline = list(numbers(record["baseline"],
                                               "baseline"))
             self._series[name] = state
-        for name, verdicts in payload["verdicts"].items():
-            self._verdicts[name] = {
-                detector: TrendVerdict(
-                    series=text(record["series"], "verdict series"),
-                    detector=text(record["detector"], "verdict detector"),
-                    cycle=integer(record["cycle"], "verdict cycle"),
-                    value=number(record["value"], "verdict value"),
-                    breached=boolean(record["breached"], "verdict breached"),
-                )
-                for detector, record in verdicts.items()
-            }
         return self

@@ -852,18 +852,26 @@ class TestDetectorDurability:
         with pytest.raises(ConfigurationError, match="heap-high"):
             restored.load_state(source.state_dict())
 
-    def test_sampler_ring_round_trips(self):
+    def test_sampler_state_round_trips(self):
         machine = Machine(dram_size=8 * 1024 * 1024)
         sampler = SamplingProfiler(machine, interval_cycles=1000)
+        with machine.tracer.span("syscall.WatchMemory"):
+            machine.clock.tick(300)
         for _ in range(5):
             machine.clock.tick(1000)
             sampler.sample_now()
         state = json.loads(json.dumps(sampler.state_dict()))
-        restored = SamplingProfiler(Machine(dram_size=8 * 1024 * 1024),
-                                    interval_cycles=1000)
+        # Counters only, however many samples were taken.
+        assert set(state) == {"interval_cycles", "samples_taken",
+                              "overhead_fraction"}
+        assert state["overhead_fraction"] == 300 / 5300
+        twin = Machine(dram_size=8 * 1024 * 1024)
+        restored = SamplingProfiler(twin, interval_cycles=1000)
         restored.load_state(state)
         assert restored.state_dict() == sampler.state_dict()
         assert restored.samples_taken == 5
+        assert twin.metrics.value("sampler.overhead_fraction") \
+            == machine.metrics.value("sampler.overhead_fraction")
 
     def test_sampler_rejects_mismatched_interval(self):
         machine = Machine(dram_size=8 * 1024 * 1024)
@@ -946,7 +954,15 @@ class TestCheckpointCli:
              op=[]),
          "alert rule 'ecc-fault-storm' field 'op' must be a string, "
          "got []"),
-    ], ids=["history-raw", "inspect-watches", "resume-rule-op"])
+        # A checkpoint written when the profiler kept a sample ring.
+        ("resume",
+         lambda document: document["monitoring_state"].update(sampler={
+             "interval_cycles": SAMPLE_EVERY, "capacity": 512,
+             "samples_taken": 1, "samples_evicted": 0, "ring": []}),
+         "checkpoint field 'monitoring_state.sampler.overhead_fraction' "
+         "is missing"),
+    ], ids=["history-raw", "inspect-watches", "resume-rule-op",
+            "resume-ring-era-sampler"])
     def test_malformed_field_is_one_line(self, recorded_run, tmp_path,
                                          capsys, command, edit, message):
         """A retyped field deep in a document read by ``history``,

@@ -56,9 +56,11 @@ class TestParser:
                 in help_text
 
     def test_monitoring_flags_identical_across_commands(self):
-        # The api_redesign contract: monitor, fleet, validate, and run
-        # all mount the same shared monitoring-flags parent, so no
-        # command can drift its own hand-copied flag set again.
+        # The api_redesign contract: monitor, fleet and run all mount
+        # the same shared monitoring-flags parent, so no command can
+        # drift its own hand-copied flag set again.  validate mounts
+        # only the forensic pair that parent includes: its shard
+        # machines read nothing else.
         import argparse
         parser = build_parser()
         subparsers = next(
@@ -81,8 +83,10 @@ class TestParser:
                     "--checkpoint-dir",
                     "--stream", "--stream-max-bytes", "--dump-dir",
                     "--dump-on-alert"}
-        for command in ("monitor", "fleet", "validate", "run"):
+        for command in ("monitor", "fleet", "run"):
             assert monitoring_flags(command) == expected, command
+        assert monitoring_flags("validate") == {"--dump-dir",
+                                                "--dump-on-alert"}
 
     def test_monitor_keeps_its_profiler_default(self):
         # The shared parent must not leak monitor's sample-every
@@ -93,7 +97,6 @@ class TestParser:
             == 100_000
         assert parser.parse_args(["fleet", "gzip"]).sample_every is None
         assert parser.parse_args(["run", "gzip"]).sample_every is None
-        assert parser.parse_args(["validate"]).sample_every is None
 
     @pytest.mark.parametrize("argv", [
         *[(command, "--requests", "0")
@@ -125,11 +128,23 @@ class TestParser:
             MonitorStackConfig.from_args(
                 parser.parse_args([command, "gzip"] + flags))
             for command in ("fleet", "run")
-        ] + [MonitorStackConfig.from_args(
-            parser.parse_args(["validate"] + flags))]
-        assert configs[0] == configs[1] == configs[2]
+        ]
+        assert configs[0] == configs[1]
         assert configs[0].sampling == SamplingPolicy(rate=0.25, seed=3,
                                                      budget=8)
+
+    def test_validate_takes_only_the_forensic_flags(self, capsys):
+        # validate's shard machines read --dump-dir and --dump-on-alert
+        # only, so a stack flag is a usage error, not silently ignored.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["validate", "--sample-every", "1"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --sample-every 1" \
+            in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["validate", "--dump-dir", "d", "--dump-on-alert"])
+        assert MonitorStackConfig.from_args(args) == MonitorStackConfig(
+            dump_dir="d", dump_on_alert=True)
 
 
 class TestCommands:

@@ -2,13 +2,16 @@
 
 Runs ``tools/docs_check.py`` against the real repo -- ARCHITECTURE.md
 must reference only packages that exist, every subpackage must be
-documented, and every intra-repo markdown link must resolve -- and pins
+documented, and every intra-repo markdown link must resolve -- pins
 the machine-written claim matrix in EXPERIMENTS.md to the code's claim
-list so the two cannot drift.
+list so the two cannot drift, and checks OBSERVABILITY.md's metric
+table against the metrics a few simulated runs register (which needs
+the simulator, so the static checker does not do it).
 """
 
 import importlib.util
 import pathlib
+import re
 
 from repro.analysis.claims import (
     CLAIMS,
@@ -38,6 +41,86 @@ docs_check = _load_docs_check()
 def test_repo_docs_are_consistent():
     problems = docs_check.run_checks()
     assert problems == [], "\n".join(problems)
+
+
+#: the "Metric namespace" table of docs/OBSERVABILITY.md, up to the
+#: next heading.
+_METRIC_TABLE = re.compile(r"^## Metric namespace\n(.*?)^#", re.MULTILINE
+                           | re.DOTALL)
+
+
+def documented_metric_patterns(text):
+    """``{documented name: regex}`` for every metric the table lists:
+    the row's backticked prefixes times the backticked names of its
+    Metrics cell (parenthesised asides left out), where ``<name>`` or
+    ``<Name>`` stands for any dotted tail."""
+    patterns = {}
+    for line in _METRIC_TABLE.search(text).group(1).splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].startswith("`"):
+            continue
+        for prefix in docs_check._CODE_SPAN.findall(cells[0]):
+            for name in docs_check._CODE_SPAN.findall(
+                    docs_check._ASIDE.sub("", cells[1])):
+                documented = prefix + name
+                patterns[documented] = re.compile(".+".join(
+                    map(re.escape, re.split(r"<name>|<Name>", documented))))
+    return patterns
+
+
+def registered_metric_names(requests=12):
+    """Every metric a few ypserv1 requests register: under each monitor
+    of ``MONITOR_FACTORIES``, SafeMem with the profiler, trend engine
+    and history, SafeMem with allocation sampling, and a two-level
+    cache machine."""
+    from repro.analysis.runner import (
+        CACHE_SIZE,
+        DRAM_SIZE,
+        MONITOR_FACTORIES,
+    )
+    from repro.core.sampling import SamplingPolicy
+    from repro.machine.machine import Machine
+    from repro.obs.stack import MonitorStackConfig, build_monitor_stack
+
+    runs = [(MonitorStackConfig(monitor=monitor), 1)
+            for monitor in sorted(MONITOR_FACTORIES)]
+    runs += [
+        (MonitorStackConfig(sample_every=100_000, trend="cusum",
+                            history=True), 1),
+        (MonitorStackConfig(sampling=SamplingPolicy(rate=0.5)), 1),
+        (MonitorStackConfig(), 2),
+    ]
+    names = set()
+    for config, cache_levels in runs:
+        machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
+                          cache_ways=16, cache_levels=cache_levels)
+        run_info = {"workload": "ypserv1", "monitor": config.monitor,
+                    "buggy": True, "requests": requests, "seed": 0}
+        stack = build_monitor_stack(config, machine=machine,
+                                    run_info=run_info)
+        try:
+            stack.run()
+        finally:
+            stack.close()
+        names.update(machine.metrics.names())
+    return names
+
+
+def test_metric_table_matches_the_registered_metrics():
+    """docs/OBSERVABILITY.md's metric table and the registry agree
+    both ways: every metric the runs register is documented, and
+    every documented metric is registered by one of them."""
+    patterns = documented_metric_patterns(
+        (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text())
+    names = registered_metric_names()
+    undocumented = sorted(
+        name for name in names
+        if not any(pattern.fullmatch(name)
+                   for pattern in patterns.values()))
+    unregistered = sorted(
+        documented for documented, pattern in patterns.items()
+        if not any(pattern.fullmatch(name) for name in names))
+    assert (undocumented, unregistered) == ([], [])
 
 
 def test_experiments_md_pins_the_generated_claim_block():

@@ -322,6 +322,6 @@ class TestSyscallAccounting:
     def test_syscall_counts(self, machine):
         arm(machine, BASE)
         machine.kernel.disable_watch_memory(BASE)
-        counts = machine.kernel.syscall_counts
-        assert counts["WatchMemory"] == 1
-        assert counts["DisableWatchMemory"] == 1
+        metrics = machine.metrics
+        assert metrics.value("kernel.syscall.WatchMemory") == 1
+        assert metrics.value("kernel.syscall.DisableWatchMemory") == 1

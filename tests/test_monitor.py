@@ -1,7 +1,7 @@
 """Tests for the live production-monitoring stack.
 
-Covers the clock's periodic timers, the sampling profiler (ring
-buffer, histogram fast reads, overhead fraction, group capture), the
+Covers the clock's periodic timers, the sampling profiler (sample
+counts, histogram fast reads, overhead fraction, group capture), the
 alert-rule engine (rule validation, debounce/hysteresis state
 machines, the built-in rule set), the streaming sinks (rotation,
 ``repro.events/v1`` conformance), and the end-to-end acceptance
@@ -127,7 +127,7 @@ class TestSamplingProfiler:
         machine = _machine()
         sampler = SamplingProfiler(machine, interval_cycles=1000)
         machine.clock.tick(10_000)
-        assert len(sampler) == 0
+        assert sampler.samples_taken == 0
         assert not sampler.running
         assert machine.metrics.value("sampler.interval_cycles") == 0
 
@@ -138,10 +138,10 @@ class TestSamplingProfiler:
         assert machine.metrics.value("sampler.interval_cycles") == 1000
         for _ in range(5):
             machine.clock.tick(1000)
-        assert len(sampler) == 5
+        assert sampler.samples_taken == 5
         sampler.stop()
         machine.clock.tick(5000)
-        assert len(sampler) == 5
+        assert sampler.samples_taken == 5
         assert machine.metrics.value("sampler.samples") == 5
 
     def test_histograms_sampled_as_count_and_sum(self):
@@ -176,28 +176,6 @@ class TestSamplingProfiler:
         assert second.get("test.lat.sum") == 5
         assert list(second.metrics) == list(first.metrics) + [
             "test.level", "test.lat.count", "test.lat.sum"]
-
-    def test_ring_bounded_and_evictions_counted(self):
-        machine = _machine()
-        sampler = SamplingProfiler(machine, interval_cycles=100,
-                                   capacity=4)
-        for _ in range(10):
-            sampler.sample_now()
-        assert len(sampler) == 4
-        assert sampler.samples_evicted == 6
-        assert sampler.samples_taken == 10
-        # the ring keeps the newest samples.
-        assert [s.index for s in sampler.samples()] == [6, 7, 8, 9]
-        assert sampler.latest().index == 9
-
-    def test_series_reads_one_metric(self):
-        machine = _machine()
-        sampler = SamplingProfiler(machine, interval_cycles=100)
-        sampler.sample_now()
-        machine.clock.tick(50)
-        sampler.sample_now()
-        series = sampler.series("machine.load.slow")
-        assert [cycle for cycle, _ in series] == [0, 50]
 
     def test_active_span_stack_captured(self):
         machine = _machine()
@@ -240,8 +218,9 @@ class TestSamplingProfiler:
         machine = _machine()
         with pytest.raises(ValueError):
             SamplingProfiler(machine, interval_cycles=0)
-        with pytest.raises(ValueError):
-            SamplingProfiler(machine, interval_cycles=10, capacity=0)
+        # The profiler retains no samples, so it takes no capacity.
+        with pytest.raises(TypeError):
+            SamplingProfiler(machine, interval_cycles=10, capacity=4)
 
     def test_sample_serializes(self):
         machine = _machine()
@@ -662,10 +641,13 @@ class TestLeakAlertLifecycle:
             ["firing", "resolved"]
         assert all(r["alert"]["severity"] == "critical"
                    for r in alert_records)
-        assert len(sink.of_type("sample")) == sampler.samples_taken
+        samples = sink.of_type("sample")
+        assert len(samples) == sampler.samples_taken
         # the firing sample really saw suspect growth.
         firing_cycle = alert_records[0]["cycle"]
-        suspects = dict(sampler.series("safemem.leak.suspects"))
+        suspects = {record["cycle"]:
+                    record["sample"]["metrics"]["safemem.leak.suspects"]
+                    for record in samples}
         assert suspects[firing_cycle] > 0
 
 

@@ -106,6 +106,11 @@ class CorruptionDetector:
         self.config = config
         self.events = event_log
         self.reports = []
+        #: each watch tag's hit callback, bound once and shared by
+        #: every watch of that tag.
+        self._on_hit = {WatchTag.PAD: self._on_guard_hit,
+                        WatchTag.FREED: self._on_freed_hit,
+                        WatchTag.UNINIT: self._on_uninit_hit}
         self._layouts = {}
         self._quarantine = deque()
         self._quarantine_bytes = 0
@@ -182,17 +187,14 @@ class CorruptionDetector:
         ``layouts`` maps user addresses to the restored layouts."""
         if tag is WatchTag.PAD:
             address, side = record(reference, 2, "guard watch")
-            on_hit = self._on_guard_hit
             payload = {"side": text(side, "guard side")}
         else:
             address, = record(reference, 1, f"{tag.value} watch")
-            on_hit = (self._on_freed_hit if tag is WatchTag.FREED
-                      else self._on_uninit_hit)
             payload = {}
         layout = layouts.get(integer(address, "watched buffer"))
         if layout is None:
             raise ValueError(f"watch on unknown buffer {address:#x}")
-        return on_hit, {"layout": layout, **payload}
+        return self._on_hit[tag], {"layout": layout, **payload}
 
     def link_watches(self, links, watches):
         """Point layouts and the quarantine at the restored watches
@@ -231,11 +233,12 @@ class CorruptionDetector:
             pad_bytes=pad,
         )
         layout.left_watch = self.watcher.watch(
-            block, pad, WatchTag.PAD, self._on_guard_hit,
+            block, pad, WatchTag.PAD, self._on_hit[WatchTag.PAD],
             payload={"layout": layout, "side": "left"},
         )
         layout.right_watch = self.watcher.watch(
-            user + user_span, pad, WatchTag.PAD, self._on_guard_hit,
+            user + user_span, pad, WatchTag.PAD,
+            self._on_hit[WatchTag.PAD],
             payload={"layout": layout, "side": "right"},
         )
         if self.config.detect_uninit_reads:
@@ -260,7 +263,7 @@ class CorruptionDetector:
         self._disarm_uninit(layout)
         freed_watch = self.watcher.watch(
             layout.user_address, layout.user_span, WatchTag.FREED,
-            self._on_freed_hit, payload={"layout": layout},
+            self._on_hit[WatchTag.FREED], payload={"layout": layout},
         )
         self._quarantine.append((layout, freed_watch))
         self._quarantine_bytes += layout.block_size
@@ -340,12 +343,13 @@ class CorruptionDetector:
     # uninitialized-read watches (per line, so writes disarm lazily)
     # ------------------------------------------------------------------
     def _arm_uninit(self, layout):
+        on_hit = self._on_hit[WatchTag.UNINIT]
         for vline in range(layout.user_address,
                            layout.user_address + layout.user_span,
                            CACHE_LINE_SIZE):
             watch = self.watcher.watch(
-                vline, CACHE_LINE_SIZE, WatchTag.UNINIT,
-                self._on_uninit_hit, payload={"layout": layout},
+                vline, CACHE_LINE_SIZE, WatchTag.UNINIT, on_hit,
+                payload={"layout": layout},
             )
             if watch is not None:
                 layout.uninit_watches.append(watch)

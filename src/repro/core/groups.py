@@ -25,9 +25,10 @@ from repro.common.state import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class LiveObject:
-    """One live allocation as tracked by the leak detector."""
+    """One live allocation as tracked by the leak detector (slotted:
+    a run tracks thousands)."""
 
     address: int
     size: int

@@ -54,6 +54,8 @@ class LeakDetector:
         self.config = config
         self.events = event_log
         self.groups = GroupTable(tolerance=config.lifetime_tolerance)
+        #: the suspect watches' hit callback, bound once and shared.
+        self._on_hit = self._on_suspect_hit
         self.reports = []
         self.pruned = []
         #: every suspicion ever raised -- the "before pruning" number.
@@ -105,8 +107,8 @@ class LeakDetector:
         if obj is None:
             raise ValueError(f"suspect watch on untracked object "
                              f"{address:#x}")
-        return self._on_suspect_hit, {"group": group, "object": obj,
-                                      "kind": text(kind, "suspect kind")}
+        return self._on_hit, {"group": group, "object": obj,
+                              "kind": text(kind, "suspect kind")}
 
     def link_watches(self, state, watches):
         """Fill the watched map from :meth:`state_dict`'s pairs and the
@@ -233,7 +235,7 @@ class LeakDetector:
         start = line_base(obj.address)
         end = align_up(obj.address + obj.size, CACHE_LINE_SIZE)
         watch = self.watcher.watch(
-            start, end - start, WatchTag.LEAK_SUSPECT, self._on_suspect_hit,
+            start, end - start, WatchTag.LEAK_SUSPECT, self._on_hit,
             payload={"group": group, "object": obj, "kind": kind},
         )
         if watch is None:

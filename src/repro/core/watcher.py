@@ -41,9 +41,13 @@ class WatchTag(Enum):
     UNINIT = "uninit"
 
 
-@dataclass
+@dataclass(slots=True)
 class Watch:
-    """One armed region plus its saved original contents."""
+    """One armed region plus its saved original contents.
+
+    Slotted, and its ``on_hit`` is the owning detector's callback for
+    the tag, bound once and shared by every watch of that tag.
+    """
 
     vaddr: int
     size: int
@@ -72,6 +76,9 @@ class EccWatchManager:
         # kernel armed the lines with (chipset profiles vary it).
         self._scramble_bytes = self.kernel.controller.codec.scramble_bytes
         self._by_region = {}
+        #: size -> the one all-zero original of that size that every
+        #: watch over zero-filled memory (fresh guard lines) shares.
+        self._zeros = {}
         self.arm_count = 0
         self.disarm_count = 0
         self.pin_failures = 0
@@ -122,7 +129,8 @@ class EccWatchManager:
             on_hit, payload = resolve(tag, reference)
             self._by_region[vaddr] = Watch(
                 vaddr=vaddr, size=size, tag=tag,
-                original=decode_bytes(original, "watch original"),
+                original=self._shared(
+                    decode_bytes(original, "watch original")),
                 on_hit=on_hit, started_cycle=started, payload=payload)
 
     def register_metrics(self, metrics):
@@ -168,11 +176,18 @@ class EccWatchManager:
             return None
         except SyscallError:
             return None
-        watch.original = original
+        watch.original = self._shared(original)
         watch.started_cycle = self.machine.clock.cycles
         self._by_region[watch.vaddr] = watch
         self.arm_count += 1
         return watch
+
+    def _shared(self, original):
+        """``original``, or the shared all-zero original of its size
+        when every byte is zero."""
+        if original.count(0) != len(original):
+            return original
+        return self._zeros.setdefault(len(original), original)
 
     def unwatch(self, watch, restore=True):
         """Disarm; by default the saved original contents are restored."""

@@ -8,7 +8,8 @@ kernel enforces a pinned-memory budget, reproducing the paper's noted
 limitation that pinning bounds the total amount of monitored memory.
 """
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from repro.common.constants import PAGE_SIZE
 from repro.common.errors import ConfigurationError
@@ -27,9 +28,9 @@ PROT_WRITE = 2
 PROT_RW = PROT_READ | PROT_WRITE
 
 
-@dataclass
+@dataclass(slots=True)
 class PageTableEntry:
-    """State of one virtual page."""
+    """State of one virtual page (slotted: a run maps thousands)."""
 
     vpn: int
     prot: int = PROT_RW
@@ -45,7 +46,8 @@ class PageTableEntry:
 
 
 class FrameAllocator:
-    """Free-list allocator over the installed physical frames."""
+    """Free-list allocator over the installed physical frames, kept in
+    one ``array("q")`` (8 bytes a frame, not a Python int each)."""
 
     def __init__(self, dram_size, reserved=0):
         if dram_size % PAGE_SIZE:
@@ -54,7 +56,7 @@ class FrameAllocator:
             )
         first = reserved // PAGE_SIZE
         self.total_frames = dram_size // PAGE_SIZE
-        self._free = list(range(self.total_frames - 1, first - 1, -1))
+        self._free = array("q", range(self.total_frames - 1, first - 1, -1))
 
     @property
     def free_frames(self):
@@ -71,14 +73,14 @@ class FrameAllocator:
 
     def state_dict(self):
         """The free list, in the order frames will be handed out."""
-        return {"free": list(self._free)}
+        return {"free": self._free.tolist()}
 
     def load_state(self, state):
         """Restore :meth:`state_dict` output."""
         free = integers(state["free"], "free")
         if not all(0 <= pfn < self.total_frames for pfn in free):
             raise ValueError("free list names a frame outside DRAM")
-        self._free = list(free)
+        self._free = array("q", free)
 
 
 class PageTable:

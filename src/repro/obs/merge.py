@@ -6,11 +6,11 @@ machines across many worker processes, so their telemetry has to cross a
 process boundary and then collapse into one snapshot.  The unit of
 transfer is a **dump** -- a plain picklable/JSON-able dict produced by
 :func:`dump_registry` that, unlike a flattened
-:class:`~repro.obs.metrics.Snapshot`, keeps every raw histogram
-observation.  That is the load-bearing difference: merged percentiles
-must be recomputed from the *union* of observations, never averaged
-from per-worker percentiles (the average of two medians is not the
-median of the merged data).
+:class:`~repro.obs.metrics.Snapshot`, keeps every histogram's exact
+``[value, count]`` pairs.  That is the load-bearing difference: merged
+percentiles must be recomputed from the *union* of the distributions,
+never averaged from per-worker percentiles (the average of two medians
+is not the median of the merged data).
 
 Merge semantics (:func:`merge_dumps`):
 
@@ -19,7 +19,7 @@ Merge semantics (:func:`merge_dumps`):
   ``heap.live_bytes`` or ``kernel.pinned_pages`` reads as "across the
   whole fleet" (per-machine values remain available in the individual
   dumps);
-- **histograms** concatenate their observations, then flatten through
+- **histograms** sum the counts of equal values, then flatten through
   the same :func:`~repro.obs.metrics.flatten_histogram` helper the
   registry snapshot uses, so ``.count``/``.sum`` are exact totals and
   ``.min``/``.max``/``.p50``/``.p90``/``.p99`` are computed over the
@@ -45,7 +45,8 @@ DUMP_SCHEMA = "repro.metrics-dump/v1"
 
 
 def dump_registry(registry):
-    """Serialize a registry to a picklable dump (raw histograms kept).
+    """Serialize a registry to a picklable dump (each histogram as its
+    ``[value, count]`` pairs).
 
     Probes are sampled at dump time, exactly as a snapshot would.
     """
@@ -53,7 +54,7 @@ def dump_registry(registry):
     histograms = {}
     for name, metric in registry.instruments().items():
         if isinstance(metric, Histogram):
-            histograms[name] = metric.values
+            histograms[name] = metric.state_dict()
         else:
             scalars[name] = {"kind": metric.kind, "value": metric.value}
     return {
@@ -76,11 +77,11 @@ def merge_dumps(dumps):
     """Collapse registry dumps into one fleet-wide :class:`Snapshot`.
 
     Deterministic: the output depends only on the multiset of inputs
-    (values are summed / concatenated-then-sorted), not on their order.
+    (values and counts are summed), not on their order.
     """
     values = {}
     kinds = {}
-    observations = {}
+    histograms = {}
     cycle = 0
     for dump in dumps:
         _check_dump(dump)
@@ -93,20 +94,19 @@ def merge_dumps(dumps):
                     f"and {kind} in another; refusing to merge"
                 )
             values[name] = values.get(name, 0) + entry["value"]
-        for name, series in dump["histograms"].items():
-            observations.setdefault(name, []).extend(series)
-    for name in sorted(observations):
+        for name, pairs in dump["histograms"].items():
+            histogram = histograms.get(name)
+            if histogram is None:
+                histogram = histograms[name] = Histogram(name)
+            histogram.merge(pairs)
+    for name in sorted(histograms):
         # Empty and single-observation unions are legitimate: a worker
         # registers a histogram (so the name must survive the merge
         # with its full flattened key set) but may observe nothing, or
-        # exactly one value.  Pre-sorting keeps the percentile pass
-        # from re-sorting inside flatten_histogram; an empty union
-        # keeps zero count/sum counters while its min/max/percentile
-        # gauges flatten to None (no observations -> no statistics).
-        merged = Histogram(name)
-        for value in sorted(observations[name]):
-            merged.observe(value)
-        flatten_histogram(merged, values, kinds)
+        # exactly one value.  An empty union keeps zero count/sum
+        # counters while its min/max/percentile gauges flatten to None
+        # (no observations -> no statistics).
+        flatten_histogram(histograms[name], values, kinds)
     return Snapshot(cycle, values, kinds)
 
 

@@ -23,11 +23,11 @@ import math
 
 from repro.common.errors import ConfigurationError
 from repro.common.state import (
-    boolean,
+    INT,
     number,
-    numbers,
     record,
     sequence,
+    table,
     text,
 )
 
@@ -77,54 +77,80 @@ class Gauge:
 class Histogram:
     """Distribution of observed values (cycle durations, sizes, ...).
 
-    Keeps every observation; the simulation is bounded by requests, not
-    wall time, so exact percentiles are affordable and reproducible.
+    Keeps an exact ``{value: count}`` map, so its memory grows with the
+    number of distinct values, not with the number of observations;
+    count, sum, min, max and nearest-rank percentiles are computed from
+    that map and equal those of the full list of observations.
     """
 
     kind = "histogram"
-    __slots__ = ("name", "description", "_values", "_sorted", "sum")
+    __slots__ = ("name", "description", "counts", "count", "sum")
 
     def __init__(self, name, description=""):
         self.name = name
         self.description = description
-        self._values = []
-        self._sorted = True
+        #: value -> how many times it was observed (always >= 1).
+        self.counts = {}
+        self.count = 0
         self.sum = 0
 
     def observe(self, value):
-        if self._values and value < self._values[-1]:
-            self._sorted = False
-        self._values.append(value)
+        counts = self.counts
+        counts[value] = counts.get(value, 0) + 1
+        self.count += 1
         self.sum += value
 
     @property
-    def count(self):
-        return len(self._values)
-
-    @property
     def min(self):
-        return min(self._values) if self._values else 0
+        return min(self.counts) if self.counts else 0
 
     @property
     def max(self):
-        return max(self._values) if self._values else 0
-
-    @property
-    def values(self):
-        """A copy of every observation (cross-process merge input)."""
-        return list(self._values)
+        return max(self.counts) if self.counts else 0
 
     def percentile(self, p):
         """Nearest-rank percentile (p in [0, 100]); 0 when empty."""
-        if not self._values:
+        if not self.count:
             return 0
         if not 0 <= p <= 100:
             raise ConfigurationError(f"percentile out of range: {p}")
-        if not self._sorted:
-            self._values.sort()
-            self._sorted = True
-        rank = max(1, math.ceil(p / 100.0 * len(self._values)))
-        return self._values[rank - 1]
+        rank = max(1, math.ceil(p / 100.0 * self.count))
+        counts = self.counts
+        for value in sorted(counts):
+            rank -= counts[value]
+            if rank <= 0:
+                return value
+
+    def merge(self, pairs):
+        """Fold ``[value, count]`` pairs in (another histogram's
+        :meth:`state_dict`): counts of equal values add."""
+        counts = self.counts
+        for value, count in pairs:
+            counts[value] = counts.get(value, 0) + count
+            self.count += count
+            self.sum += value * count
+
+    def state_dict(self):
+        """Every distinct value as ``[value, count]``, ascending (the
+        state image's and the fleet dump's form)."""
+        return [[value, count] for value, count in sorted(self.counts.items())]
+
+    def load_state(self, pairs):
+        """Replace the distribution with :meth:`state_dict` output: int
+        values, each listed once with a count of at least 1."""
+        rows = table(pairs, (INT, INT), f"histogram {self.name!r}")
+        seen = set()
+        for value, count in rows:
+            if count < 1:
+                raise ValueError(f"histogram {self.name!r} counts value "
+                                 f"{value} {count} times")
+            if value in seen:
+                raise ValueError(f"histogram {self.name!r} repeats value "
+                                 f"{value}")
+            seen.add(value)
+        self.counts = {}
+        self.count = self.sum = 0
+        self.merge(rows)
 
 
 def attr_reader(obj, attr):
@@ -397,8 +423,7 @@ class MetricsRegistry:
 
         A probe records only its name (kind ``"probe"``): its value
         lives in the component it reads.  A histogram's value is its
-        observations in their current order plus whether that order
-        is sorted.
+        ``[value, count]`` pairs (:meth:`Histogram.state_dict`).
         """
         instruments = []
         for name, metric in self._metrics.items():
@@ -406,7 +431,7 @@ class MetricsRegistry:
                 value = None
                 kind = "probe"
             elif isinstance(metric, Histogram):
-                value = [list(metric._values), metric._sorted]
+                value = metric.state_dict()
                 kind = metric.kind
             else:
                 value = metric.value
@@ -444,10 +469,7 @@ class MetricsRegistry:
             metric = existing or cls(name, text(description,
                                                 "description"))
             if cls is Histogram:
-                values, ordered = record(value, 2, f"histogram {name}")
-                metric._values = list(numbers(values, name))
-                metric._sorted = boolean(ordered, f"{name} sorted")
-                metric.sum = sum(metric._values)
+                metric.load_state(value)
             else:
                 metric.value = number(value, name)
             metrics[name] = metric

@@ -500,6 +500,57 @@ def test_state_outside_the_machine_is_a_named_error(recorded_run, edit,
         resume_checkpoint(document)
 
 
+def _first_histogram(image):
+    """``[name, pairs]`` of the image's first histogram."""
+    name, _, _, pairs = next(
+        instrument for instrument in image["metrics"]["instruments"]
+        if instrument[1] == "histogram")
+    return name, pairs
+
+
+def _observation_era_histograms(image):
+    """Every histogram as images held it before histograms kept value
+    counts: ``[observations, sorted]``."""
+    for instrument in image["metrics"]["instruments"]:
+        if instrument[1] == "histogram":
+            instrument[3] = [[value for value, count in instrument[3]
+                              for _ in range(count)], True]
+
+
+def _float_value(pairs):
+    pairs[0][0] += 0.5
+    return "item 0 has a value of the wrong type"
+
+
+def _zero_count(pairs):
+    pairs[0][1] = 0
+    return f"counts value {pairs[0][0]} 0 times"
+
+
+def _repeated_value(pairs):
+    pairs.append(list(pairs[0]))
+    return f"repeats value {pairs[0][0]}"
+
+
+@pytest.mark.parametrize("edit", [_float_value, _zero_count,
+                                  _repeated_value],
+                         ids=["float-value", "zero-count", "repeated-value"])
+def test_malformed_histogram_is_a_named_error(recorded_run, edit):
+    """A histogram's ``[value, count]`` pairs load only with int values,
+    each listed once with a count of at least 1."""
+    reasons = []
+
+    def apply(image):
+        name, pairs = _first_histogram(image)
+        reasons.append(f"histogram {name!r} {edit(pairs)}")
+
+    document = _repacked(recorded_run[0], apply)
+    with pytest.raises(ConfigurationError) as error:
+        resume_checkpoint(document)
+    assert str(error.value) == (f"state image component 'metrics' does "
+                                f"not load: {reasons[0]}")
+
+
 @pytest.mark.parametrize("mutation", [
     "truncated", "not-base64", "zlib", "digest", "schema",
     *(f"{change}:{name}" for name in COMPONENTS
@@ -961,8 +1012,14 @@ class TestCheckpointCli:
              "samples_taken": 1, "samples_evicted": 0, "ring": []}),
          "checkpoint field 'monitoring_state.sampler.overhead_fraction' "
          "is missing"),
+        # A state image written when histograms kept every observation.
+        ("resume",
+         lambda document: document.update(state=_repacked(
+             document, _observation_era_histograms)["state"]),
+         "state image component 'metrics' does not load: histogram "
+         "'span.syscall.WatchMemory.cycles' must hold lists of 2 items"),
     ], ids=["history-raw", "inspect-watches", "resume-rule-op",
-            "resume-ring-era-sampler"])
+            "resume-ring-era-sampler", "resume-observation-era-histogram"])
     def test_malformed_field_is_one_line(self, recorded_run, tmp_path,
                                          capsys, command, edit, message):
         """A retyped field deep in a document read by ``history``,

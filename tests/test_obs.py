@@ -7,7 +7,12 @@ removal of the legacy counter-dict shims, event-log
 subscriptions/queries, and the machine-reuse accounting regression.
 """
 
+import json
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.runner import run_workload
 from repro.common.clock import VirtualClock
@@ -25,7 +30,8 @@ from repro.obs.export import (
     render_span_tree,
     snapshot_document,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.merge import dump_registry, merge_dumps
+from repro.obs.metrics import MetricsRegistry, flatten_histogram
 from repro.obs.trace import Tracer
 
 
@@ -207,6 +213,111 @@ class TestHistogramPercentiles:
     def test_empty_histogram_is_zero(self):
         registry = MetricsRegistry()
         assert registry.histogram("h").percentile(99) == 0
+
+
+class ListHistogram:
+    """Reference model: the histogram that kept every observation in a
+    list and read nearest-rank percentiles from the sorted list."""
+
+    def __init__(self, name):
+        self.name = name
+        self.observations = []
+
+    def observe(self, value):
+        self.observations.append(value)
+
+    @property
+    def count(self):
+        return len(self.observations)
+
+    @property
+    def sum(self):
+        return sum(self.observations)
+
+    @property
+    def min(self):
+        return min(self.observations) if self.observations else 0
+
+    @property
+    def max(self):
+        return max(self.observations) if self.observations else 0
+
+    def percentile(self, p):
+        if not self.observations:
+            return 0
+        rank = max(1, math.ceil(p / 100.0 * len(self.observations)))
+        return sorted(self.observations)[rank - 1]
+
+
+#: durations with heavy repeats, 0, and values above 2**62.
+durations = st.one_of(
+    st.sampled_from([0, 1, 7, 7, 4096, 2 ** 62 + 1, 2 ** 63 + 5]),
+    st.integers(0, 12),
+    st.integers(2 ** 62, 2 ** 64))
+
+#: the percentiles every step compares (HISTOGRAM_PERCENTILES and the
+#: ends of the rank range).
+CHECKED_PERCENTILES = (0, 1, 50, 90, 99, 100)
+
+HISTOGRAM = "span.op.cycles"
+
+
+def _flat(histogram):
+    values, kinds = {}, {}
+    flatten_histogram(histogram, values, kinds)
+    return values, kinds
+
+
+class TestExactHistogram:
+    @given(streams=st.lists(st.lists(durations, max_size=40),
+                            min_size=1, max_size=4),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_value_counts_match_the_list_model(self, streams, data):
+        """A value-count histogram reads like the list of every
+        observation: after each observation, on a fleet merge of 1-4
+        registries in any order, and after a JSON round trip of the
+        registry's state; it stores one entry per distinct value."""
+        registries = []
+        models = []
+        for stream in streams:
+            registry = MetricsRegistry()
+            histogram = registry.histogram(HISTOGRAM)
+            model = ListHistogram(HISTOGRAM)
+            for value in stream:
+                histogram.observe(value)
+                model.observe(value)
+                assert (histogram.count, histogram.sum, histogram.min,
+                        histogram.max) == (model.count, model.sum,
+                                           model.min, model.max)
+                for p in CHECKED_PERCENTILES:
+                    assert histogram.percentile(p) == model.percentile(p)
+                assert _flat(histogram) == _flat(model)
+                assert len(histogram.counts) \
+                    == len(set(model.observations))
+            registries.append(registry)
+            models.append(model)
+
+            restored = MetricsRegistry()
+            # Loading replaces what a live histogram already holds.
+            restored.histogram(HISTOGRAM).observe(3)
+            restored.load_state(json.loads(json.dumps(
+                registry.state_dict())))
+            assert restored.state_dict() == registry.state_dict()
+            assert restored.snapshot().values \
+                == registry.snapshot().values
+            assert restored.snapshot().kinds == registry.snapshot().kinds
+
+        order = data.draw(st.permutations(range(len(registries))))
+        merged = merge_dumps([dump_registry(registries[index])
+                              for index in order])
+        union = ListHistogram(HISTOGRAM)
+        for model in models:
+            for value in model.observations:
+                union.observe(value)
+        values, kinds = _flat(union)
+        assert merged.values == values
+        assert merged.kinds == kinds
 
 
 class TestTracer:

@@ -15,7 +15,7 @@ import json
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
@@ -160,6 +160,13 @@ trend_steps = st.lists(
               st.tuples(*[levels] * len(GROUP_KEYS))),
     min_size=42, max_size=90)
 
+#: Hypothesis phases of the ``trend_steps`` properties: no shrinking.
+#: A failing 42-90-step stream took Hypothesis 3-5 minutes to shrink
+#: (each attempt replays a whole stream), holding a test run that
+#: long before it reported; without the shrink phase the first
+#: failing stream is reported as drawn, within seconds.
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate)
+
 #: None (flat) or (period, phases, warmup periods).
 seasons = st.one_of(st.none(),
                     st.tuples(st.integers(200_000, 2_000_000),
@@ -204,7 +211,7 @@ def _same_float(a, b):
 class TestIncrementalTheilSen:
     @given(window=st.integers(MIN_SLOPE_POINTS, 40), season=seasons,
            steps=trend_steps, restore_at=st.integers(0, 10 ** 6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=UNSHRUNK)
     def test_matches_reference_and_survives_restore(self, window, season,
                                                     steps, restore_at):
         """After every observation each series' Theil-Sen verdict is
@@ -245,7 +252,7 @@ restore_seasons = st.one_of(
 class TestVerdictsAfterRestore:
     @given(window=st.integers(4, 8), season=restore_seasons,
            steps=trend_steps)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, phases=UNSHRUNK)
     def test_restored_engine_reads_the_same_verdicts(self, window, season,
                                                      steps):
         """Verdicts are read from the state ``state_dict`` carries, so

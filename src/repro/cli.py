@@ -20,15 +20,17 @@ Commands:
   deterministically to an optional breakpoint and differentially
   verifies the event stream against the recording;
 - ``resume``  resumes a ``repro.checkpoint/v1`` run: restores its state
-  image (or, without one, re-executes the recorded run from its
-  seed), verifies the state bit-exactly at the recorded request
-  boundary, and continues to the requested horizon
-  (``--checkpoint-every`` writes the checkpoints);
+  image and verifies that it re-captures bit-exactly (or, without one,
+  re-executes the recorded run from its seed and verifies every
+  section bit-exactly at the recorded request boundary), and
+  continues to the requested horizon (``--checkpoint-every`` writes
+  the checkpoints);
 - ``history`` renders -- and, given several files, merges -- tiered
   ``repro.history/v1`` metric history (``--history`` records it);
 - ``inspect`` summarizes a ``repro.dump/v1`` bundle, a
   ``repro.metrics/v1`` snapshot, a ``repro.events/v1`` stream, a
-  ``repro.checkpoint/v1`` document, or a ``repro.history/v1``
+  ``repro.checkpoint/v1`` document (deriving an image checkpoint's
+  sections by restoring its image), or a ``repro.history/v1``
   document;
 - ``diff``    compares two bundles / metrics snapshots (counter
   deltas, histogram shift, alerts appearing/disappearing);
@@ -848,8 +850,11 @@ def command_inspect(args, out):
         out.write(forensics.render_stream_summary(payload) + "\n")
         return 0
     if kind == "checkpoint":
-        from repro.obs.checkpoint import render_checkpoint_summary
-        out.write(render_checkpoint_summary(payload) + "\n")
+        from repro.obs.checkpoint import (
+            render_checkpoint_summary,
+            with_sections,
+        )
+        out.write(render_checkpoint_summary(with_sections(payload)) + "\n")
         return 0
     if kind == "history":
         from repro.obs.history import render_history

@@ -133,7 +133,7 @@ class Table:
     ``name`` is the schema tag or shared table name SCHEMAS.md files it
     under, ``label`` names it in errors and ``whole`` a value that is
     not an object; ``key`` names each object by that field instead, and
-    a ``closed`` table rejects keys it does not declare."""
+    a ``closed`` table rejects keys no row path starts with."""
 
     def __init__(self, name, rows, label=None, whole=None, key=None,
                  closed=False, base=None):
@@ -166,11 +166,12 @@ class Table:
         """Check every row over all ``entries`` (objects) at once;
         ``namer(index)`` names an entry in an error."""
         if self.closed:
+            keys = dict.fromkeys(path.split(".")[0] for path in self.rows)
             for index, entry in enumerate(entries):
-                for key in sorted(entry.keys() - self.rows.keys())[:1]:
+                for key in sorted(entry.keys() - keys.keys())[:1]:
                     raise ConfigurationError(
                         f"{namer(index)} field {key!r} is unknown; "
-                        f"expected one of {', '.join(self.rows)}")
+                        f"expected one of {', '.join(keys)}")
         for path, field in self.rows.items():
             spots = self._reach(entries, path, namer)
             bad = field.misfit([value for _, _, value in spots])

@@ -6,33 +6,41 @@ every time the host process dies.  This module makes a run durable at
 requests, where no span is mid-flight and no allocation is half done:
 
 - :func:`capture_checkpoint` freezes the machine *and* the whole
-  monitoring stack into one versioned JSON document: boot config,
-  clock, DRAM/check-bit digests, the metrics snapshot, the event-log
-  tail, watch registry, interrupt state, the allocator heap map and
-  leak-group tables, plus the profiler counters, alert-engine state
-  machines, trend-detector accumulators/latches/seasonal baselines,
-  and history tiers (their ``state_dict`` payloads embedded verbatim).
-  Given the live run's ground truth, it also packs a ``state`` image
-  (``repro.state/v1``, :mod:`repro.obs.state`) of everything the run
-  reads after the boundary;
+  monitoring stack into one versioned JSON document of one of two
+  shapes.  Given the live run's ground truth, a run the state image
+  covers (:func:`repro.obs.state.covers`) gets an *image checkpoint*:
+  its recipe (clock, ``run`` section, boot config), its request
+  boundary and a ``state`` image (``repro.state/v1``,
+  :mod:`repro.obs.state`) of everything the run reads after the
+  boundary -- the image is the checkpoint's one copy of the run.  Any
+  other capture gets the :data:`SECTIONS` instead: DRAM/check-bit
+  digests, the metrics snapshot, the event-log tail, watch registry,
+  interrupt state, the allocator heap map and leak-group tables, plus
+  the profiler counters, alert-engine state machines, trend-detector
+  accumulators/latches/seasonal baselines, and history tiers (their
+  ``state_dict`` payloads embedded verbatim);
 - :class:`CheckpointScheduler` captures automatically every
   ``--checkpoint-every N`` cycles, evaluated at request boundaries via
   pure arithmetic -- **no clock timer is registered**, so a run
   behaves bit-identically with checkpointing on or off;
 - :func:`resume_checkpoint` boots the recorded machine, monitor and
-  stack and, when the checkpoint carries a state image, **restores**
-  it and continues from the next request; without one it **replays**
-  the recorded run from its seed (the simulation has no wall clock
-  and no unseeded randomness) to the boundary.  Either way it
-  verifies the state at the boundary against the checkpoint (every
-  verified section must match bit-exactly, DRAM via SHA-256 digests)
-  and continues to the requested horizon.  The differential contract:
-  run-to-N -> checkpoint -> resume-to-M equals a straight run to M in
-  events, metrics, ALERT/TREND cycles, and verdict.
+  stack.  An image checkpoint is **restored**: the image loads into
+  them, the restored state must re-capture the image exactly, and the
+  workload continues from the next request.  A sectioned checkpoint
+  **replays** the recorded run from its seed (the simulation has no
+  wall clock and no unseeded randomness) to the boundary, where every
+  verified section must match bit-exactly (DRAM via SHA-256 digests).
+  Either way the run continues to the requested horizon.  The
+  differential contract: run-to-N -> checkpoint -> resume-to-M equals
+  a straight run to M in events, metrics, ALERT/TREND cycles, and
+  verdict;
+- :func:`with_sections` derives an image checkpoint's sections for
+  ``repro inspect``: it restores the image the way resume does and
+  captures at the boundary.
 
 Capture is observation-only (reads registries, rings, digests; never
 ticks the clock or emits events).  See docs/SCHEMAS.md for the field
-table and docs/OBSERVABILITY.md for the operational story.
+tables and docs/OBSERVABILITY.md for the operational story.
 """
 
 import json
@@ -47,6 +55,7 @@ from repro.obs import state as images
 from repro.obs.snapshot import (
     CAPTURE,
     Rerun,
+    capture_recipe,
     capture_state,
     safe_label,
     write_document,
@@ -55,9 +64,8 @@ from repro.obs.snapshot import (
 #: schema tag of a checkpoint document.
 CHECKPOINT_SCHEMA = "repro.checkpoint/v1"
 
-#: a ``repro.checkpoint/v1`` document: the capture sections plus what
-#: :func:`capture_checkpoint` adds (the ``state`` image's components
-#: check their own payloads when it loads, :mod:`repro.obs.state`).
+#: a ``repro.checkpoint/v1`` document without a state image: the
+#: capture sections plus what :func:`capture_checkpoint` adds.
 CHECKPOINT = Table(CHECKPOINT_SCHEMA, {
     "schema": Field(TEXT, choices=(CHECKPOINT_SCHEMA,)),
     "progress.request_index": Field(INT | NULL, low=0),
@@ -72,23 +80,46 @@ CHECKPOINT = Table(CHECKPOINT_SCHEMA, {
     "monitoring_state.trend": OBJECT | NULL,
     "monitoring_state.trend.series.<name>.breached": OBJECT,
     "monitoring_state.trend.breach_onsets": INT,
-    "state": Field(OBJECT, required=False),
+}, label="checkpoint", base=CAPTURE)
+
+#: a ``repro.checkpoint/v1`` document with a state image: its recipe,
+#: its boundary and the packed image, and nothing else (the image's
+#: components check their own payloads when it loads,
+#: :mod:`repro.obs.state`).
+IMAGE_CHECKPOINT = Table(CHECKPOINT_SCHEMA, {
+    "schema": Field(TEXT, choices=(CHECKPOINT_SCHEMA,)),
+    **{path: CAPTURE.rows[path]
+       for path in ("cycle", "idle_cycles", "run", "machine")},
+    "progress.request_index": Field(INT, low=0),
+    "progress.requests_completed": INT,
     "state.image": TEXT,
     "state.sha256": TEXT,
-}, label="checkpoint", base=CAPTURE)
+}, label="checkpoint", closed=True)
+
+
+def checkpoint_table(document):
+    """The field table a checkpoint is checked against: an image
+    checkpoint (one with a ``state`` section) has its own."""
+    if type(document) is dict and "state" in document:
+        return IMAGE_CHECKPOINT
+    return CHECKPOINT
+
 
 #: checkpoints a scheduler writes before it starts skipping (counted,
 #: never silent) -- bounds disk output on very long runs.
 DEFAULT_MAX_CHECKPOINTS = 16
 
+#: what a checkpoint without a state image carries beyond its recipe
+#: and boundary; an image checkpoint's image fixes every one of them
+#: (:func:`with_sections` derives them).
+SECTIONS = ("dram", "metrics", "events", "watches", "interrupts", "heap",
+            "groups", "monitoring_state")
+
 #: document sections compared by :func:`compare_checkpoints`.  ``run``
 #: is deliberately absent: resume may override the request horizon, so
 #: the recorded run spec legitimately differs from the fresh capture's.
-VERIFIED_SECTIONS = (
-    "cycle", "idle_cycles", "progress", "machine", "dram", "metrics",
-    "events", "watches", "interrupts", "heap", "groups",
-    "monitoring_state",
-)
+VERIFIED_SECTIONS = ("cycle", "idle_cycles", "progress", "machine",
+                     *SECTIONS)
 
 
 # ----------------------------------------------------------------------
@@ -103,22 +134,33 @@ def capture_checkpoint(machine, monitor=None, run_info=None,
     the capture sits on; ``run_info`` records how to re-drive the run
     (as in forensic bundles -- without it the checkpoint is
     inspectable but not resumable).  ``sampler``/``engine``/``trend``/
-    ``history`` are the live stack components whose ``state_dict``
-    payloads are embedded for durability tests and resume
-    verification.  ``truth`` is the live run's ground truth at the
-    boundary: with it, a run the state image covers
-    (:func:`repro.obs.state.covers`) also gets a ``state`` section, so
-    resume restores instead of replaying.
+    ``history`` are the live stack components whose state is captured.
+    ``truth`` is the live run's ground truth at the boundary: with it,
+    a run the state image covers (:func:`repro.obs.state.covers`) gets
+    an image checkpoint (its recipe, boundary and ``state`` image, so
+    resume restores); every other capture carries the
+    :data:`SECTIONS`, and resume replays it.
     """
+    progress = {
+        "request_index": request_index,
+        "requests_completed": (request_index + 1
+                               if request_index is not None else None),
+    }
+    if request_index is not None and images.covers(machine, monitor,
+                                                   run_info, truth):
+        return {
+            **capture_recipe(machine, run_info),
+            "schema": CHECKPOINT_SCHEMA,
+            "progress": progress,
+            "state": images.encode_image(images.capture_image(
+                machine, monitor, truth,
+                {"sampler": sampler, "alerts": engine, "trend": trend,
+                 "history": history})),
+        }
     document = capture_state(machine, monitor=monitor, run_info=run_info)
     document.update({
         "schema": CHECKPOINT_SCHEMA,
-        "progress": {
-            "request_index": request_index,
-            "requests_completed": (request_index + 1
-                                   if request_index is not None
-                                   else None),
-        },
+        "progress": progress,
         "dram": machine.dram.digest(),
         "monitoring_state": {
             "sampler": (sampler.state_dict()
@@ -131,12 +173,6 @@ def capture_checkpoint(machine, monitor=None, run_info=None,
                         if history is not None else None),
         },
     })
-    if request_index is not None and images.covers(machine, monitor,
-                                                   run_info, truth):
-        document["state"] = images.encode_image(images.capture_image(
-            machine, monitor, truth,
-            {"sampler": sampler, "alerts": engine, "trend": trend,
-             "history": history}))
     return document
 
 
@@ -145,8 +181,8 @@ write_checkpoint = write_document
 
 
 def load_checkpoint(path):
-    """Load one ``repro.checkpoint/v1`` document, checked against
-    :data:`CHECKPOINT`."""
+    """Load one ``repro.checkpoint/v1`` document, checked against its
+    shape's field table (:func:`checkpoint_table`)."""
     from repro.obs.forensics import load_document
     return load_document(path, CHECKPOINT)[1]
 
@@ -267,6 +303,13 @@ class ResumeResult:
     restored: bool = False
 
 
+def _stack_components(rerun):
+    """A rerun's monitoring-stack components, by state-image name."""
+    stack = rerun.stack
+    return {"sampler": stack.sampler, "alerts": stack.engine,
+            "trend": stack.trend, "history": stack.history}
+
+
 def _capture_rerun(rerun, index):
     """The verified sections of a rerun at request boundary ``index``."""
     stack = rerun.stack
@@ -276,22 +319,56 @@ def _capture_rerun(rerun, index):
         trend=stack.trend, history=stack.history)
 
 
+def _where(checkpoint):
+    """``(request boundary, cycle, idle cycles)`` a checkpoint records."""
+    return (checkpoint["progress"]["request_index"], checkpoint["cycle"],
+            checkpoint["idle_cycles"])
+
+
+def _restore_image(rerun, section, where, program, workload):
+    """Load a checkpoint's ``state`` section into a booted rerun.
+
+    ``where`` is what the checkpoint records (:func:`_where`); the
+    image must sit at the same request boundary and clock.  Returns
+    the restored ground truth and each image member's digest, for
+    :func:`~repro.obs.state.verify_image`.
+    """
+    boundary, cycle, idle_cycles = where
+    truth, digests = images.load_image(
+        images.unpack_image(section), rerun.machine, rerun.monitor,
+        program, workload, _stack_components(rerun))
+    if truth.requests_completed != boundary + 1:
+        raise ConfigurationError(
+            f"state image sits after {truth.requests_completed} "
+            f"request(s), not at request boundary {boundary}")
+    clock = rerun.machine.clock
+    if (clock.cycles, clock.idle_cycles) != (cycle, idle_cycles):
+        raise ConfigurationError(
+            f"state image sits at cycle {clock.cycles} "
+            f"(+{clock.idle_cycles} idle), not at the checkpoint's "
+            f"cycle {cycle} (+{idle_cycles} idle)")
+    return truth, digests
+
+
 def resume_checkpoint(checkpoint, requests=None, verify=True):
     """Resume a checkpointed run: restore or replay, verify, continue.
 
-    Boots the recorded machine, monitor and monitoring stack.  A
-    checkpoint with a ``state`` image is restored into them and the
-    workload continues from the next request; the image's SHA-256 is
-    always checked.  Without an image (or for a horizon at or before
-    the boundary) the recorded workload re-runs from its seed.  With
-    ``verify`` on, the state at the recorded request boundary must
-    match the checkpoint's verified sections bit-exactly, and a
-    restored state must also re-capture its image exactly; the run
-    then continues to ``requests`` total requests (default: the
+    Boots the recorded machine, monitor and monitoring stack.  An image
+    checkpoint is restored into them and the workload continues from
+    the next request; the image's SHA-256 is always checked, and with
+    ``verify`` on the restored state must re-capture the image member
+    by member.  A checkpoint without an image (or a horizon at or
+    before the boundary) re-runs the recorded workload from its seed;
+    with ``verify`` on, the state at the recorded request boundary
+    must match the checkpoint's verified sections bit-exactly.  The
+    run then continues to ``requests`` total requests (default: the
     recorded horizon).
     """
-    rerun = Rerun(checkpoint, CHECKPOINT, "resumed", requests=requests)
-    boundary = checkpoint["progress"]["request_index"]
+    rerun = Rerun(checkpoint, checkpoint_table(checkpoint), "resumed",
+                  requests=requests)
+    where = _where(checkpoint)
+    boundary, cycle, _ = where
+    section = checkpoint.get("state")
     if verify and boundary is None:
         raise ConfigurationError(
             "checkpoint records no request boundary; resume it with "
@@ -307,9 +384,7 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
         )
 
     state = {"verified": None, "message": "verification disabled"}
-    section = checkpoint.get("state")
-    restore = (section is not None and boundary is not None
-               and (target is None or target > boundary))
+    restore = section is not None and (target is None or target > boundary)
 
     def _hook(index, truth):
         if not verify or index != boundary:
@@ -320,26 +395,17 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
         state["message"] = message
 
     def _restore(program, workload):
-        stack = rerun.stack
-        components = {"sampler": stack.sampler, "alerts": stack.engine,
-                      "trend": stack.trend, "history": stack.history}
-        truth, digests = images.load_image(
-            images.unpack_image(section), rerun.machine, rerun.monitor,
-            program, workload, components)
-        if truth.requests_completed != boundary + 1:
-            raise ConfigurationError(
-                f"state image sits after {truth.requests_completed} "
-                f"request(s), not at request boundary {boundary}")
+        truth, digests = _restore_image(rerun, section, where, program,
+                                        workload)
         if verify:
-            ok, message = compare_checkpoints(
-                checkpoint, _capture_rerun(rerun, boundary))
-            if ok:
-                ok, diverged = images.verify_image(
-                    digests, rerun.machine, rerun.monitor, truth,
-                    components)
-                if not ok:
-                    message = ("restored state does not re-capture its "
-                               "image in: " + ", ".join(diverged))
+            ok, diverged = images.verify_image(
+                digests, rerun.machine, rerun.monitor, truth,
+                _stack_components(rerun))
+            message = (f"{len(digests)} image members verified bit-exact "
+                       f"at cycle {cycle:,}")
+            if not ok:
+                message = ("restored state does not re-capture its image "
+                           "in: " + ", ".join(diverged))
             state["verified"] = ok
             state["message"] = message
 
@@ -353,7 +419,7 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
         program=getattr(rerun.monitor, "program", None),
         truth=rerun.truth,
         events=rerun.machine.events.view(),
-        checkpoint_cycle=checkpoint["cycle"],
+        checkpoint_cycle=cycle,
         verified=state["verified"],
         verify_message=state["message"],
         panic=rerun.panic,
@@ -364,13 +430,39 @@ def resume_checkpoint(checkpoint, requests=None, verify=True):
 # ----------------------------------------------------------------------
 # inspection
 # ----------------------------------------------------------------------
+def with_sections(checkpoint):
+    """``checkpoint`` with its :data:`SECTIONS`.
+
+    A checkpoint without a state image carries them.  An image
+    checkpoint's are derived the way resume restores it: boot the
+    recorded run, load the image at its boundary (the same checks as
+    :func:`resume_checkpoint`), capture there, and stop before the next
+    request.  The document itself is left as it is.
+    """
+    section = checkpoint.get("state")
+    if section is None:
+        return checkpoint
+    rerun = Rerun(checkpoint, IMAGE_CHECKPOINT, "inspected")
+    where = _where(checkpoint)
+    captured = {}
+
+    def _capture(program, workload):
+        _restore_image(rerun, section, where, program, workload)
+        captured.update(_capture_rerun(rerun, where[0]))
+        rerun.break_here(rerun.machine.clock.cycles)
+
+    rerun.run(restore=_capture)
+    return {**checkpoint, **{name: captured[name] for name in SECTIONS}}
+
+
 def render_checkpoint_summary(document):
-    """The `repro inspect` headline view of one checkpoint."""
+    """The `repro inspect` headline view of one checkpoint: its recipe
+    and boundary, then its :data:`SECTIONS` when the document has them
+    (an image checkpoint has them once :func:`with_sections` derived
+    them)."""
     run = document["run"]
     machine = document["machine"]
     progress = document["progress"]
-    events = document["events"]
-    monitoring_state = document["monitoring_state"]
     lines = [
         f"checkpoint ({document['schema']}) @ cycle "
         f"{document['cycle']:,} (+{document['idle_cycles']:,} idle)",
@@ -402,9 +494,12 @@ def render_checkpoint_summary(document):
                      f"{len(document['state']['image']) // 1024:,} KiB")
     else:
         lines.append("  restore:   none (resume replays from the seed)")
+    if "dram" not in document:
+        return "\n".join(lines)
     dram = document["dram"]
     lines.append(f"  dram:      data sha256 {dram['data'][:16]}..., "
                  f"check {dram['check'][:16]}...")
+    events = document["events"]
     lines.append(f"  events:    {events['total']:,} total, "
                  f"{len(events['tail'])} in tail")
     watches = document["watches"]
@@ -417,6 +512,7 @@ def render_checkpoint_summary(document):
             f"  heap:      {heap['live_bytes']:,} B live in "
             f"{heap['live_blocks']} block(s)"
         )
+    monitoring_state = document["monitoring_state"]
     present = sorted(name for name, payload
                      in monitoring_state.items() if payload)
     if present:

@@ -357,7 +357,7 @@ def load_document(path, expected=None):
     the offending string and every schema this build understands, so
     documents written by newer builds degrade loudly, not obscurely.
     """
-    from repro.obs.checkpoint import CHECKPOINT
+    from repro.obs.checkpoint import CHECKPOINT, checkpoint_table
     from repro.obs.export import METRICS
     from repro.obs.history import HISTORY
     from repro.obs.sink import EVENTS, STREAM, read_jsonl
@@ -391,6 +391,8 @@ def load_document(path, expected=None):
         if kind == "stream":
             # A one-record stream parses as a single JSON document.
             return kind, STREAM.check([document], str(path))
+        if kind == "checkpoint":
+            table = checkpoint_table(document)
         return kind, table.check(document)
     if expected is not None:
         raise ConfigurationError(

@@ -6,9 +6,11 @@ run (``run`` + ``machine`` sections) plus a frozen picture of the
 machine, and a way to re-drive the recipe from its seed.  This module
 holds both halves once:
 
-- :func:`capture_state` -- the sections every document carries (clock,
-  run, boot config, metrics, event tail, watches, interrupts, heap map,
-  leak groups); :func:`~repro.obs.forensics.capture_bundle` and
+- :func:`capture_state` -- the sections a bundle and a checkpoint
+  without a state image carry (the recipe of :func:`capture_recipe`:
+  clock, run, boot config; then metrics, event tail, watches,
+  interrupts, heap map, leak groups);
+  :func:`~repro.obs.forensics.capture_bundle` and
   :func:`~repro.obs.checkpoint.capture_checkpoint` add only their own;
 - :class:`Rerun` -- the one re-execution driver: check the document
   against its schema's field table (:data:`CAPTURE`, :data:`RUN`,
@@ -20,7 +22,7 @@ holds both halves once:
   state image (:mod:`repro.obs.state`).
   ``replay_bundle`` arms breakpoints on it; ``resume_checkpoint``
   restores through it, or replays and verifies from its request
-  hook.
+  hook; ``with_sections`` restores through it and breaks at once.
 
 Capture is observation-only: it reads registries, rings and tables but
 never ticks the simulated clock or emits events.
@@ -179,16 +181,24 @@ def machine_from_config(config):
     return Machine(**kwargs)
 
 
+def capture_recipe(machine, run_info=None):
+    """The sections every bundle and checkpoint starts with: the clock,
+    the ``run`` recipe and the boot config."""
+    return {
+        "cycle": machine.clock.cycles,
+        "idle_cycles": machine.clock.idle_cycles,
+        "run": dict(run_info or {}),
+        "machine": dict(getattr(machine, "boot_config", {})),
+    }
+
+
 def capture_state(machine, monitor=None, run_info=None):
     """The sections a bundle and a checkpoint share, as one dict."""
     cycle = machine.clock.cycles
     kernel = machine.kernel
     irq = kernel.interrupts
     state = {
-        "cycle": cycle,
-        "idle_cycles": machine.clock.idle_cycles,
-        "run": dict(run_info or {}),
-        "machine": dict(getattr(machine, "boot_config", {})),
+        **capture_recipe(machine, run_info),
         "metrics": snapshot_document(machine.metrics.snapshot()),
         "events": {
             "total": len(machine.events),

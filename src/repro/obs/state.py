@@ -5,7 +5,8 @@ straight run reads after the boundary -- clock, event log, metrics,
 tracer, DRAM, caches, page table, TLB, kernel, heap, monitor,
 workload, ground truth and monitoring stack -- so resume can load it
 into a freshly booted twin and continue, instead of re-running the
-recorded prefix from its seed.
+recorded prefix from its seed.  The checkpoint keeps no other copy of
+that state: ``repro inspect`` derives its sections from the image.
 
 Each component exports its own payload through the ``state_dict`` /
 ``load_state`` pair next to its code; this module only assembles them
@@ -108,12 +109,11 @@ def _dumps(value):
 
 
 def encode_image(image):
-    """A checkpoint ``state`` section: the packed image, its size and
-    the SHA-256 of its JSON bytes."""
+    """A checkpoint ``state`` section: the packed image and the SHA-256
+    of its JSON bytes."""
     data = _dumps(image).encode()
     return {
         "sha256": hashlib.sha256(data).hexdigest(),
-        "size": len(data),
         "image": base64.b64encode(
             zlib.compress(data, COMPRESSION_LEVEL)).decode("ascii"),
     }

@@ -2,8 +2,11 @@
 
 Covers the differential contract the whole feature hangs on -- run to
 N requests, checkpoint, resume to M equals a straight run to M in
-events, metrics, ALERT/TREND cycles, and verdict -- plus checkpoint
-capture contents, the observation-only invariant, the request-boundary
+events, metrics, ALERT/TREND cycles, and verdict -- plus the two
+checkpoint shapes (an image checkpoint holds only its recipe and its
+state image, which restore alone verifies and ``repro inspect``
+derives the sections from; any other capture carries the sections and
+replays), the observation-only invariant, the request-boundary
 scheduler arithmetic (due multiples, the checkpoint cap, skip
 counting), section-by-section verification (``compare_checkpoints``),
 detector-state durability (sampler ring, alert state machines, trend
@@ -25,10 +28,14 @@ from repro.analysis.fleet import run_fleet
 from repro.cli import main
 from repro.common.errors import ConfigurationError
 from repro.machine.machine import Machine
+from repro.obs import checkpoint as checkpoint_module
+from repro.obs import snapshot as snapshot_module
+from repro.obs import state as state_module
 from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.checkpoint import (
     CHECKPOINT_SCHEMA,
     DEFAULT_MAX_CHECKPOINTS,
+    SECTIONS,
     VERIFIED_SECTIONS,
     CheckpointScheduler,
     capture_checkpoint,
@@ -36,6 +43,7 @@ from repro.obs.checkpoint import (
     load_checkpoint,
     render_checkpoint_summary,
     resume_checkpoint,
+    with_sections,
     write_checkpoint,
 )
 from repro.obs.export import snapshot_document
@@ -61,11 +69,15 @@ def run_cli(*argv):
 
 
 def run_with_stack(requests, checkpoint_every=None, checkpoint_dir=None,
-                   workload="ypserv1", buggy=True, **settings):
+                   workload="ypserv1", buggy=True, sections=None,
+                   **settings):
     """One monitored run under the full stack; returns (stack, result).
 
     ``settings`` override the stack defaults (profiler, theil-sen
-    trend analytics, history)."""
+    trend analytics, history).  ``sections``, a list, receives an
+    image-free capture of the live run (``capture_checkpoint`` without
+    its ground truth, as loaded from disk) at each boundary the
+    scheduler checkpoints."""
     settings = {"sample_every": SAMPLE_EVERY, "trend": "theil-sen",
                 "history": True, **settings}
     config = MonitorStackConfig(
@@ -77,8 +89,18 @@ def run_with_stack(requests, checkpoint_every=None, checkpoint_dir=None,
     run_info = {"workload": workload, "monitor": "safemem",
                 "buggy": buggy, "requests": requests, "seed": 0}
     stack = build_monitor_stack(config, run_info=run_info)
+
+    def hook(index, truth):
+        if stack.request_hook(index, truth) is not None:
+            sections.append(json.loads(json.dumps(capture_checkpoint(
+                stack.machine, monitor=stack.monitor,
+                run_info=stack.scheduler.run_info, request_index=index,
+                sampler=stack.sampler, engine=stack.engine,
+                trend=stack.trend, history=stack.history))))
+
     try:
-        result = stack.run()
+        result = stack.run(request_hook=hook if sections is not None
+                           else None)
     finally:
         stack.close()
     return stack, result
@@ -173,9 +195,11 @@ class TestDifferentialContract:
 
     def test_latched_trend_state_rides_in_the_checkpoint(self, runs):
         """The buggy ypserv1 leak latches trend detectors well before
-        the final checkpoint; the document carries the latch."""
+        the final checkpoint; the image carries the latch (read from
+        the sections ``repro inspect`` derives from it)."""
         _, _, short_stack = runs
-        checkpoint = load_checkpoint(short_stack.checkpoint_paths[-1])
+        checkpoint = with_sections(
+            load_checkpoint(short_stack.checkpoint_paths[-1]))
         trend_state = checkpoint["monitoring_state"]["trend"]
         assert trend_state is not None
         latched = [
@@ -220,16 +244,30 @@ def test_fleet_machine_checkpoint_resumes(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def recorded_run(tmp_path_factory):
-    """A real ypserv1 checkpoint and a bundle of the same run, both
-    recording the full monitoring stack."""
+def recorded(tmp_path_factory):
+    """One real ypserv1 run recording the full monitoring stack: its
+    first (image) checkpoint, an image-free capture of the live run at
+    the same boundary, and a bundle of the run."""
     tmp = tmp_path_factory.mktemp("recorded")
+    sections = []
     stack, _ = run_with_stack(40, checkpoint_every=10_000_000,
-                              checkpoint_dir=tmp)
+                              checkpoint_dir=tmp, sections=sections)
     checkpoint = load_checkpoint(stack.checkpoint_paths[0])
     bundle = capture_bundle(stack.machine, monitor=stack.monitor,
                             run_info=checkpoint["run"])
-    return checkpoint, bundle
+    return checkpoint, bundle, sections[0]
+
+
+@pytest.fixture(scope="module")
+def recorded_run(recorded):
+    """A real ypserv1 checkpoint and a bundle of the same run."""
+    return recorded[:2]
+
+
+@pytest.fixture(scope="module")
+def recorded_sections(recorded):
+    """The image-free capture at the recorded checkpoint's boundary."""
+    return recorded[2]
 
 
 def _with_monitoring_field(document, field, value):
@@ -371,6 +409,28 @@ def test_malformed_progress_is_a_named_error(recorded_run, value):
         resume_checkpoint(checkpoint)
 
 
+@pytest.mark.parametrize("field, named", [
+    (("progress", "request_index"), "request(s), not at request boundary"),
+    (("cycle",), "not at the checkpoint's cycle"),
+    (("idle_cycles",), "not at the checkpoint's cycle"),
+], ids=["boundary", "cycle", "idle-cycles"])
+def test_recipe_that_disagrees_with_its_image_is_a_named_error(
+        recorded_run, field, named):
+    """The image alone is verified, so an image checkpoint's boundary
+    and clock must be where its image sits, on resume and on
+    inspect."""
+    checkpoint = copy.deepcopy(recorded_run[0])
+    *outer, name = field
+    parent = checkpoint
+    for key in outer:
+        parent = parent[key]
+    parent[name] += 1
+    for read in (resume_checkpoint, with_sections):
+        with pytest.raises(ConfigurationError,
+                           match=f"^state image sits .*{re.escape(named)}"):
+            read(checkpoint)
+
+
 # ----------------------------------------------------------------------
 # the state image: restore, fallback, malformed input
 # ----------------------------------------------------------------------
@@ -388,17 +448,62 @@ def _fingerprint(result):
 
 
 def test_checkpoint_without_state_replays_and_equals_the_restore(
-        recorded_run):
+        recorded_run, recorded_sections):
+    """The image checkpoint restores, its image-free twin (the same
+    live run captured at the same boundary) replays, and both end in
+    the same state."""
     checkpoint = recorded_run[0]
-    assert "state" in checkpoint
+    assert "state" in checkpoint and "state" not in recorded_sections
     restored = resume_checkpoint(checkpoint, requests=50)
-    replayed = resume_checkpoint(
-        {key: value for key, value in checkpoint.items()
-         if key != "state"}, requests=50)
+    replayed = resume_checkpoint(recorded_sections, requests=50)
     assert restored.restored is True and replayed.restored is False
     assert restored.verified is True, restored.verify_message
     assert replayed.verified is True, replayed.verify_message
     assert _fingerprint(restored) == _fingerprint(replayed)
+
+
+def test_image_checkpoint_holds_the_run_once(recorded_run,
+                                            recorded_sections):
+    """A scheduler's checkpoint of a covered run is its recipe, its
+    boundary and its image; the sections are the image-free shape's."""
+    checkpoint = recorded_run[0]
+    assert set(checkpoint) == {"schema", "cycle", "idle_cycles", "run",
+                               "machine", "progress", "state"}
+    assert set(checkpoint["state"]) == {"image", "sha256"}
+    assert set(SECTIONS) <= set(recorded_sections)
+    assert {key: recorded_sections[key] for key in checkpoint
+            if key != "state"} == \
+        {key: value for key, value in checkpoint.items() if key != "state"}
+
+
+class _Forbidden(Exception):
+    """Raised by a function the restore path must not call."""
+
+
+def _forbidden(*args, **kwargs):
+    raise _Forbidden
+
+
+def test_restore_verifies_by_the_image_alone(recorded_run,
+                                             recorded_sections,
+                                             monkeypatch):
+    """Restore neither captures nor compares the sections; the replay
+    path still does both."""
+    for module in (checkpoint_module, snapshot_module):
+        monkeypatch.setattr(module, "capture_state", _forbidden)
+    monkeypatch.setattr(checkpoint_module, "compare_checkpoints",
+                        _forbidden)
+    resumed = resume_checkpoint(recorded_run[0])
+    assert resumed.restored is True
+    assert resumed.verified is True, resumed.verify_message
+    assert "image members verified bit-exact" in resumed.verify_message
+    with pytest.raises(_Forbidden):
+        resume_checkpoint(recorded_sections)
+    monkeypatch.undo()
+    monkeypatch.setattr(checkpoint_module, "compare_checkpoints",
+                        _forbidden)
+    with pytest.raises(_Forbidden):
+        resume_checkpoint(recorded_sections)
 
 
 def test_adhoc_capture_carries_no_state(recorded_run):
@@ -992,40 +1097,46 @@ class TestCheckpointCli:
             "repro: error: recorded machine field 'cache_ways' must be "
             "an integer, got 'eight'\n")
 
-    @pytest.mark.parametrize("command, edit, message", [
-        ("history",
+    @pytest.mark.parametrize("command, shape, edit, message", [
+        ("history", "sections",
          lambda document: document["monitoring_state"]["history"]["series"]
          ["heap.live_bytes"].update(raw="x"),
          "history document field 'series.heap.live_bytes.raw' must be a "
          "list, got 'x'"),
-        ("inspect", lambda document: document.update(watches="x"),
+        ("inspect", "sections", lambda document: document.update(
+            watches="x"),
          "checkpoint field 'watches' must be a list, got 'x'"),
-        ("resume",
+        ("resume", "image",
          lambda document: document["run"]["monitoring"]["rules"][0].update(
              op=[]),
          "alert rule 'ecc-fault-storm' field 'op' must be a string, "
          "got []"),
         # A checkpoint written when the profiler kept a sample ring.
-        ("resume",
+        ("resume", "sections",
          lambda document: document["monitoring_state"].update(sampler={
              "interval_cycles": SAMPLE_EVERY, "capacity": 512,
              "samples_taken": 1, "samples_evicted": 0, "ring": []}),
          "checkpoint field 'monitoring_state.sampler.overhead_fraction' "
          "is missing"),
         # A state image written when histograms kept every observation.
-        ("resume",
+        ("resume", "image",
          lambda document: document.update(state=_repacked(
              document, _observation_era_histograms)["state"]),
          "state image component 'metrics' does not load: histogram "
          "'span.syscall.WatchMemory.cycles' must hold lists of 2 items"),
     ], ids=["history-raw", "inspect-watches", "resume-rule-op",
             "resume-ring-era-sampler", "resume-observation-era-histogram"])
-    def test_malformed_field_is_one_line(self, recorded_run, tmp_path,
-                                         capsys, command, edit, message):
+    def test_malformed_field_is_one_line(self, recorded_run,
+                                         recorded_sections, tmp_path,
+                                         capsys, command, shape, edit,
+                                         message):
         """A retyped field deep in a document read by ``history``,
         ``inspect`` or ``resume`` is one line naming it, not a
-        ValueError or TypeError traceback."""
-        checkpoint = copy.deepcopy(recorded_run[0])
+        ValueError or TypeError traceback.  ``shape`` picks the image
+        checkpoint or its image-free twin (the sections live only
+        there)."""
+        checkpoint = copy.deepcopy(recorded_run[0] if shape == "image"
+                                   else recorded_sections)
         edit(checkpoint)
         document = (checkpoint["monitoring_state"]["history"]
                     if command == "history" else checkpoint)
@@ -1033,6 +1144,74 @@ class TestCheckpointCli:
         code, _ = run_cli(command, str(path))
         assert code == 2
         assert capsys.readouterr().err == f"repro: error: {message}\n"
+
+    def test_inspect_derives_the_sections_of_the_live_run(
+            self, recorded_run, recorded_sections, tmp_path):
+        """``repro inspect`` of an image checkpoint prints the summary
+        of the image-free capture of the same live run at the same
+        boundary (plus the image's restore line)."""
+        checkpoint = recorded_run[0]
+        path = write_checkpoint(checkpoint, tmp_path / "image.ckpt.json")
+        code, output = run_cli("inspect", str(path))
+        assert code == 0
+        assert output == render_checkpoint_summary(
+            {**recorded_sections, "state": checkpoint["state"]}) + "\n"
+        assert "  watches:   " in output
+
+    def test_resume_restores_once(self, recorded_run, tmp_path,
+                                  monkeypatch):
+        """Before it resumes, ``repro resume`` prints only the lines
+        the image checkpoint carries: it derives no sections, so the
+        image loads once."""
+        checkpoint = recorded_run[0]
+        path = write_checkpoint(checkpoint, tmp_path / "image.ckpt.json")
+        loads = []
+        load_image = state_module.load_image
+
+        def counted(*args):
+            loads.append(args)
+            return load_image(*args)
+
+        monkeypatch.setattr(state_module, "load_image", counted)
+        code, output = run_cli("resume", str(path), "--requests", "20")
+        assert code == 0
+        assert len(loads) == 1
+        summary = render_checkpoint_summary(checkpoint)
+        assert [line.split(":")[0].strip()
+                for line in summary.splitlines()[1:]] == [
+            "boundary", "run", "machine", "restore"]
+        assert output.startswith(
+            summary + "\nresumed:   restored from the state image\n")
+
+    @pytest.mark.parametrize("command", ["inspect", "resume"])
+    def test_corrupted_image_is_one_line(self, recorded_run, tmp_path,
+                                         capsys, command):
+        document = copy.deepcopy(recorded_run[0])
+        document["state"]["sha256"] = "0" * 64
+        path = write_checkpoint(document, tmp_path / "bad.ckpt.json")
+        code, _ = run_cli(command, str(path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: state image does not match its SHA-256 "
+            "digest\n")
+
+    @pytest.mark.parametrize("command", ["inspect", "resume"])
+    def test_checkpoint_with_image_and_sections_fails_loudly(
+            self, recorded_run, recorded_sections, tmp_path, capsys,
+            command):
+        """A checkpoint written when an image checkpoint also carried
+        the sections (and ``state.size``) names its first unknown
+        field."""
+        state = recorded_run[0]["state"]
+        document = {**recorded_sections,
+                    "state": {**state, "size": len(state["image"])}}
+        path = write_checkpoint(document, tmp_path / "old.ckpt.json")
+        code, _ = run_cli(command, str(path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: checkpoint field 'dram' is unknown; expected "
+            "one of schema, cycle, idle_cycles, run, machine, progress, "
+            "state\n")
 
     def test_resume_malformed_run_section_is_one_line(
             self, recorded_run, tmp_path, capsys):

@@ -323,7 +323,8 @@ def _field_table_doc(tmp_path, schemas_text):
     return root
 
 
-FIELD_TABLES = {"repro.x/v1": ["a", "b.<name>.c"], "part": ["d"]}
+FIELD_TABLES = {"repro.x.X": ["repro.x/v1", ["a", "b.<name>.c"]],
+                "repro.x.PART": ["part", ["d"]]}
 
 
 def test_checker_flags_field_table_keys_missing_from_the_docs(tmp_path):
@@ -348,6 +349,39 @@ def test_checker_flags_documented_keys_the_field_table_lacks(tmp_path):
     assert docs_check.check_field_tables(root, FIELD_TABLES) == [
         "docs/SCHEMAS.md: `repro.x/v1` documents key `e`, which its "
         "field table does not declare"]
+
+
+def test_checker_flags_keys_missing_from_either_shape_of_a_schema(
+        tmp_path):
+    """Two tables of one schema (named alike, defined apart) are both
+    found and each checked against the section its attribute heads."""
+    src = tmp_path / "src" / "repro"
+    (src / "common").mkdir(parents=True)
+    for package in (src, src / "common"):
+        (package / "__init__.py").write_text("")
+    (src / "common" / "schema.py").write_text(
+        "class Table:\n"
+        "    def __init__(self, name, rows):\n"
+        "        self.name, self.own = name, rows\n")
+    (src / "shapes.py").write_text(
+        "from repro.common.schema import Table\n"
+        "SECTIONED = Table('repro.y/v1', {'a': 1, 'b': 1})\n"
+        "IMAGE = Table('repro.y/v1', {'a': 1, 'c': 1})\n")
+    root = _field_table_doc(
+        tmp_path,
+        "## `repro.y/v1` — y\n\n"
+        "### `SECTIONED` — with sections\n\n| Key | Type |\n|---|---|\n"
+        "| `a` | int |\n\n"
+        "### `IMAGE` — with an image\n\n| Key | Type |\n|---|---|\n"
+        "| `a` | int |\n")
+    tables = docs_check.code_field_tables(root)
+    assert tables == {"repro.shapes.SECTIONED": ["repro.y/v1", ["a", "b"]],
+                      "repro.shapes.IMAGE": ["repro.y/v1", ["a", "c"]]}
+    assert docs_check.check_field_tables(root, tables) == [
+        "docs/SCHEMAS.md: `IMAGE` does not document key `c` of its field "
+        "table",
+        "docs/SCHEMAS.md: `SECTIONED` does not document key `b` of its "
+        "field table"]
 
 
 def test_checker_flags_stack_config_table_drift(tmp_path):
@@ -396,8 +430,12 @@ def test_repo_field_tables_are_found():
     tables = docs_check.code_field_tables()
     assert {"repro.checkpoint/v1", "repro.dump/v1", "repro.history/v1",
             "repro.metrics/v1", "repro.events/v1", "capture", "run",
-            "machine", "monitoring", "sampling", "rule"} <= set(tables)
-    assert "progress.request_index" in tables["repro.checkpoint/v1"]
+            "machine", "monitoring", "sampling", "rule"} <= {
+        name for name, _ in tables.values()}
+    for shape in ("CHECKPOINT", "IMAGE_CHECKPOINT"):
+        name, paths = tables[f"repro.obs.checkpoint.{shape}"]
+        assert name == "repro.checkpoint/v1"
+        assert "progress.request_index" in paths
 
 
 def _fake_path_repo(tmp_path, readme_text):

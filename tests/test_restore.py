@@ -10,6 +10,13 @@ corruption reports.  Each example draws the workload (from every
 workload the image covers), buggy or normal input, the monitor, the
 monitoring stack on or off, a one- or two-level cache and the
 boundary.
+
+Restore verifies by the image alone, which cannot see state that
+``capture_state`` reads but no ``state_dict`` carries.  So each
+example also captures the checkpointing run's sections at the
+boundary (an image-free ``capture_checkpoint``) and requires the
+sections ``with_sections`` re-captures from the restored image to
+equal them (``compare_checkpoints``).
 """
 
 import gc
@@ -20,7 +27,12 @@ from hypothesis import strategies as st
 from repro.analysis.runner import CACHE_SIZE, run_workload
 from repro.core.sampling import SamplingPolicy
 from repro.machine.machine import Machine
-from repro.obs.checkpoint import capture_checkpoint, resume_checkpoint
+from repro.obs.checkpoint import (
+    capture_checkpoint,
+    compare_checkpoints,
+    resume_checkpoint,
+    with_sections,
+)
 from repro.obs.export import snapshot_document
 from repro.obs.snapshot import event_to_dict
 from repro.obs.stack import MonitorStackConfig, build_monitor_stack
@@ -38,9 +50,11 @@ DRAM_SIZE = 32 * 1024 * 1024
 
 def run(workload, monitor, buggy, requests, stack, levels, sampling,
         boundary=None):
-    """One run; with ``boundary``, capture a checkpoint there.
+    """One run; with ``boundary``, capture there a checkpoint and the
+    image-free capture of the same state.
 
-    Returns ``(machine, monitor, truth, checkpoint)``.
+    Returns ``(machine, monitor, truth, captured)``, ``captured``
+    holding the ``checkpoint`` and its ``sections`` twin.
     """
     machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
                       cache_ways=16, cache_levels=levels)
@@ -54,13 +68,16 @@ def run(workload, monitor, buggy, requests, stack, levels, sampling,
 
     def hook(index, truth):
         if index == boundary:
-            captured["checkpoint"] = capture_checkpoint(
-                machine, monitor=live.monitor,
-                run_info={**run_info,
-                          "monitoring": live.monitoring_info()},
-                request_index=index, sampler=live.sampler,
-                engine=live.engine, trend=live.trend,
-                history=live.history, truth=truth)
+            capture = {
+                "machine": machine, "monitor": live.monitor,
+                "run_info": {**run_info,
+                             "monitoring": live.monitoring_info()},
+                "request_index": index, "sampler": live.sampler,
+                "engine": live.engine, "trend": live.trend,
+                "history": live.history}
+            captured["sections"] = capture_checkpoint(**capture)
+            captured["checkpoint"] = capture_checkpoint(**capture,
+                                                        truth=truth)
 
     live.start()
     try:
@@ -72,7 +89,7 @@ def run(workload, monitor, buggy, requests, stack, levels, sampling,
             machine=machine, monitor=live.monitor, request_hook=hook)
     finally:
         live.stop()
-    return machine, live.monitor, result.truth, captured.get("checkpoint")
+    return machine, live.monitor, result.truth, captured
 
 
 def cache_lines(machine):
@@ -138,8 +155,12 @@ def test_restore_then_continue_equals_the_straight_run(spec):
     spec = dict(spec)
     boundary = spec.pop("boundary")
     straight = final_state(*run(**spec)[:3])
-    _, _, _, checkpoint = run(**spec, boundary=boundary)
+    _, _, _, captured = run(**spec, boundary=boundary)
+    checkpoint = captured["checkpoint"]
     assert "state" in checkpoint
+    ok, message = compare_checkpoints(captured["sections"],
+                                      with_sections(checkpoint))
+    assert ok, message
     resumed = resume_checkpoint(checkpoint)
     assert resumed.restored is True
     assert resumed.verified is True, resumed.verify_message

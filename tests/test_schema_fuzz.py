@@ -3,7 +3,10 @@
 The fixtures are built at test time from one monitored ypserv1 run: a
 checkpoint that carries a state image, a bundle of the same run, its
 ``repro.history/v1`` document, a ``repro.metrics/v1`` document, an
-alert-rules file and the run's ``repro.events/v1`` stream.  Each
+alert-rules file and the run's ``repro.events/v1`` stream; plus a
+checkpoint of the other shape, with sections and no image, from the
+same run under the ``profiler`` monitor (which the image does not
+cover).  Each
 example changes one field at any depth -- deletes it, retypes it (a
 string, -1, null, a list, an object, a bool or a float) or truncates
 it -- writes the document back and runs it through ``repro.cli.main``
@@ -50,28 +53,44 @@ class Documents(dict):
         return "Documents(...)"
 
 
-@pytest.fixture(scope="module")
-def documents(tmp_path_factory):
-    """The fuzzed documents of one monitored ypserv1 run."""
-    tmp = tmp_path_factory.mktemp("documents")
+def monitored_run(monitor, checkpoint_dir, **outputs):
+    """A 40-request buggy ypserv1 run under ``monitor`` and the full
+    monitoring stack, checkpointing into ``checkpoint_dir``; returns
+    ``(stack, run_info)``."""
     config = MonitorStackConfig(
-        sample_every=50_000, trend="theil-sen", history=True,
-        checkpoint_every=10_000_000, checkpoint_dir=str(tmp),
-        stream=str(tmp / "events.jsonl"))
-    run_info = {"workload": "ypserv1", "monitor": "safemem",
+        monitor=monitor, sample_every=50_000, trend="theil-sen",
+        history=True, checkpoint_every=10_000_000,
+        checkpoint_dir=str(checkpoint_dir), **outputs)
+    run_info = {"workload": "ypserv1", "monitor": monitor,
                 "buggy": True, "requests": 40, "seed": 0}
     stack = build_monitor_stack(config, run_info=run_info)
     stack.start()
     try:
-        run_workload("ypserv1", "safemem", buggy=True, requests=40,
+        run_workload("ypserv1", monitor, buggy=True, requests=40,
                      machine=stack.machine, monitor=stack.monitor,
                      request_hook=stack.request_hook)
     finally:
         stack.stop()
         stack.close()
+    return stack, run_info
+
+
+def resume_horizon(checkpoint):
+    """``--requests`` three requests past the checkpoint's boundary."""
+    return str(checkpoint["progress"]["request_index"] + 3)
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """The fuzzed documents of one monitored ypserv1 run."""
+    tmp = tmp_path_factory.mktemp("documents")
+    stack, run_info = monitored_run("safemem", tmp,
+                                    stream=str(tmp / "events.jsonl"))
     checkpoint = load_checkpoint(stack.checkpoint_paths[0])
     assert "state" in checkpoint
-    horizon = str(checkpoint["progress"]["request_index"] + 3)
+    profiled, _ = monitored_run("profiler", tmp / "profiler")
+    sectioned = load_checkpoint(profiled.checkpoint_paths[0])
+    assert "state" not in sectioned
     bundle = capture_bundle(stack.machine, monitor=stack.monitor,
                             run_info=checkpoint["run"], trend=stack.trend)
     metrics = snapshot_document(stack.machine.metrics.snapshot(),
@@ -81,7 +100,11 @@ def documents(tmp_path_factory):
              for rule in default_rules() + default_trend_rules("cusum")]
     documents = Documents({
         "checkpoint": (checkpoint, lambda path, original: [
-            ["inspect", path], ["resume", path, "--requests", horizon]]),
+            ["inspect", path],
+            ["resume", path, "--requests", resume_horizon(checkpoint)]]),
+        "sectioned-checkpoint": (sectioned, lambda path, original: [
+            ["inspect", path],
+            ["resume", path, "--requests", resume_horizon(sectioned)]]),
         "bundle": (bundle, lambda path, original: [
             *(["inspect", path, *view] for view in VIEWS),
             ["diff", original, path], ["replay", path]]),
@@ -177,13 +200,14 @@ FUZZ = settings(derandomize=True, deadline=None, database=None,
                 suppress_health_check=list(HealthCheck))
 
 
-@pytest.mark.parametrize("kind", ["checkpoint", "bundle"])
+@pytest.mark.parametrize("kind", ["checkpoint", "sectioned-checkpoint",
+                                  "bundle"])
 @settings(FUZZ, max_examples=40)
 @given(data=st.data())
 def test_one_mutated_field_of_a_run_document_never_raises(documents, kind,
                                                           data):
-    """Checkpoints and bundles: an example resumes or replays the
-    recorded run, so these get fewer examples."""
+    """Checkpoints of both shapes and bundles: an example resumes or
+    replays the recorded run, so these get fewer examples."""
     check_one_mutation(documents, kind, data)
 
 

@@ -27,9 +27,11 @@ code layout:
    Python source under ``src/`` has a matching ``## `repro.<name>/vN```
    section heading in ``docs/SCHEMAS.md``, and SCHEMAS.md documents no
    schema the code no longer mentions; and every named field table
-   (``repro.common.schema.Table``) has a SCHEMAS.md section, headed by
-   its backticked name, whose Key/Type tables list exactly the key
-   paths the code table declares;
+   (a module-level ``NAME = Table(...)`` under ``src/repro``, a
+   ``repro.common.schema.Table``) has a SCHEMAS.md section, headed by
+   its backticked name (or, where tables share a name, as the two
+   shapes of one schema do, by its attribute ``NAME``), whose Key/Type
+   tables list exactly the key paths the code table declares;
 8. every backticked ``.py`` path under ``tests/``, ``benchmarks/``,
    ``bench/``, ``tools/``, ``examples/`` or ``src/`` in the markdown
    that describes the current tree (``TREE_DOCS``) names an existing
@@ -56,6 +58,7 @@ a pre-commit hook: ``python tools/docs_check.py``.
 """
 
 import ast
+import collections
 import json
 import os
 import pathlib
@@ -362,30 +365,49 @@ def check_schema_sections(root=REPO_ROOT):
     return problems
 
 
-#: prints ``{table name: [own key paths]}`` for every named field table
-#: the modules that build ``Table``s define.
+#: prints ``{module.ATTRIBUTE: [table name, [own key paths]]}`` for the
+#: named field tables among the ``module.ATTRIBUTE`` arguments.
 _TABLES_SCRIPT = """
 import importlib, json, sys
-from repro.common.schema import Table
-for name in sys.argv[1:]:
-    importlib.import_module(name)
-print(json.dumps({table.name: sorted(table.own)
-                  for module in list(sys.modules.values())
-                  for table in list(vars(module).values())
-                  if isinstance(table, Table) and table.name}))
+tables = {}
+for qualified in sys.argv[1:]:
+    module, attribute = qualified.rsplit(".", 1)
+    table = getattr(importlib.import_module(module), attribute)
+    if table.name:
+        tables[qualified] = [table.name, sorted(table.own)]
+print(json.dumps(tables))
 """
 
 
+def table_definitions(src):
+    """``module.ATTRIBUTE`` of every module-level ``ATTRIBUTE =
+    Table(...)`` under ``src/repro``, where each table is defined (not
+    where it is imported)."""
+    found = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        text = path.read_text()
+        if " Table(" not in text:
+            continue
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.Assign) \
+                    and isinstance(node.value, ast.Call) \
+                    and isinstance(node.value.func, ast.Name) \
+                    and node.value.func.id == "Table":
+                found.extend(f"{module}.{target.id}"
+                             for target in node.targets
+                             if isinstance(target, ast.Name))
+    return found
+
+
 def code_field_tables(root=REPO_ROOT):
-    """``{table name: [key paths]}`` of the code's named field tables
-    (``{}`` for a tree without ``repro.common.schema``)."""
+    """``{module.ATTRIBUTE: [table name, [key paths]]}`` of the code's
+    named field tables (``{}`` for a tree without
+    ``repro.common.schema``)."""
     src = root / "src"
     if not (src / "repro" / "common" / "schema.py").is_file():
         return {}
-    modules = [".".join(path.relative_to(src).with_suffix("").parts)
-               for path in sorted((src / "repro").rglob("*.py"))
-               if " Table(" in path.read_text()]
-    return _script_output(src, _TABLES_SCRIPT, *modules)
+    return _script_output(src, _TABLES_SCRIPT, *table_definitions(src))
 
 
 def _script_output(src, script, *args):
@@ -420,15 +442,23 @@ def documented_field_tables(text, header="| Key | Type |"):
 
 def check_field_tables(root=REPO_ROOT, tables=None):
     """Check 7, second half: SCHEMAS.md's Key/Type tables vs the code's
-    field tables, both ways (``tables`` overrides the code's)."""
+    field tables, both ways (``tables`` overrides the code's).
+
+    Each table is documented in the section its name heads; tables
+    that share a name each have the section their attribute heads.
+    """
     tables = code_field_tables(root) if tables is None else tables
     schemas = root / "docs" / "SCHEMAS.md"
     if not tables:
         return []
     documented = documented_field_tables(
         schemas.read_text() if schemas.is_file() else "")
+    shared = collections.Counter(name for name, _ in tables.values())
+    sections = {(qualified.rsplit(".", 1)[1] if shared[name] > 1
+                 else name): paths
+                for qualified, (name, paths) in tables.items()}
     problems = []
-    for name, paths in sorted(tables.items()):
+    for name, paths in sorted(sections.items()):
         if name not in documented:
             problems.append(f"docs/SCHEMAS.md: field table `{name}` has "
                             f"no section with a Key/Type table")

@@ -2,14 +2,18 @@
 
 Public API tour:
 
-- :class:`repro.machine.Machine` -- boot a simulated ECC-memory system.
-- :class:`repro.machine.Program` -- run a process on it.
-- :class:`repro.core.SafeMem` -- attach the paper's detector as the
-  program's monitor.
+- :class:`repro.machine.machine.Machine` -- boot a simulated
+  ECC-memory system.
+- :class:`repro.machine.program.Program` -- run a process on it.
+- :class:`repro.core.safemem.SafeMem` -- attach the paper's detector
+  as the program's monitor.
 - :mod:`repro.baselines` -- Purify-style and page-protection baselines.
 - :mod:`repro.workloads` -- the seven buggy applications of Table 1.
 - :mod:`repro.analysis` -- harnesses that regenerate the paper's
   tables and figures.
+
+The subpackages re-export nothing: import any name other than the
+Quickstart ones below from the module that defines it.
 
 Quickstart::
 

@@ -57,11 +57,8 @@ from repro.analysis.runner import (
 )
 from repro.common.digest import package_digest
 from repro.common.errors import ConfigurationError, FleetError
-from repro.obs.merge import (
-    dump_registry,
-    merge_dumps,
-    merge_history_documents,
-)
+from repro.obs.history import merge_history_documents
+from repro.obs.merge import dump_registry, merge_dumps
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stack import MonitorStackConfig, build_monitor_stack
 from repro.workloads.registry import WORKLOADS

@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 from repro.baselines.pageprot import PageProtGuard
 from repro.baselines.purify import Purify
+from repro.common.constants import CYCLES_PER_SECOND
+from repro.common.errors import ConfigurationError
 from repro.core.config import (
     corruption_only_config,
     full_config,
@@ -48,7 +50,6 @@ class RunResult:
 
     @property
     def cpu_seconds(self):
-        from repro.common.constants import CYCLES_PER_SECOND
         return self.cycles / CYCLES_PER_SECOND
 
 
@@ -110,6 +111,7 @@ SAMPLING_CONFIGS = {
 
 
 def _make_profiler():
+    # Local: only the profiler monitor needs it.
     from repro.core.profiler import LifetimeProfiler
     return LifetimeProfiler()
 
@@ -126,7 +128,6 @@ def make_monitor(name, sampling=None):
         try:
             config = SAMPLING_CONFIGS[name]
         except KeyError:
-            from repro.common.errors import ConfigurationError
             raise ConfigurationError(
                 f"monitor {name!r} does not support allocation "
                 f"sampling; choose from {sorted(SAMPLING_CONFIGS)}"

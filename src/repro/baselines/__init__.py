@@ -1,13 +1,1 @@
 """Comparison baselines: Purify-style checker, page-protection guards."""
-
-from repro.baselines.pageprot import PageProtConfig, PageProtGuard
-from repro.baselines.purify import Purify, PurifyConfig
-from repro.machine.monitor import NullMonitor
-
-__all__ = [
-    "PageProtConfig",
-    "PageProtGuard",
-    "Purify",
-    "PurifyConfig",
-    "NullMonitor",
-]

@@ -1,6 +1,1 @@
 """CPU cache models (single level and two-level hierarchy)."""
-
-from repro.cache.cache import Cache
-from repro.cache.hierarchy import CacheHierarchy
-
-__all__ = ["Cache", "CacheHierarchy"]

@@ -1,75 +1,1 @@
 """Shared primitives: constants, clock, cost model, errors, event log."""
-
-from repro.common.clock import (
-    VirtualClock,
-    cycles_to_microseconds,
-    microseconds_to_cycles,
-    seconds_to_cycles,
-)
-from repro.common.constants import (
-    CACHE_LINE_SIZE,
-    CYCLES_PER_MICROSECOND,
-    CYCLES_PER_SECOND,
-    ECC_GROUP_BYTES,
-    PAGE_SIZE,
-    align_down,
-    align_up,
-    is_aligned,
-    line_base,
-    page_base,
-)
-from repro.common.costs import CostModel, default_cost_model, zero_cost_model
-from repro.common.errors import (
-    BusError,
-    ConfigurationError,
-    DoubleFree,
-    HeapError,
-    InvalidFree,
-    MachineError,
-    MachinePanic,
-    MonitorError,
-    OutOfMemory,
-    PageFault,
-    PinLimitExceeded,
-    ProtectionFault,
-    ReproError,
-    SyscallError,
-)
-from repro.common.events import Event, EventKind, EventLog
-
-__all__ = [
-    "VirtualClock",
-    "cycles_to_microseconds",
-    "microseconds_to_cycles",
-    "seconds_to_cycles",
-    "CACHE_LINE_SIZE",
-    "CYCLES_PER_MICROSECOND",
-    "CYCLES_PER_SECOND",
-    "ECC_GROUP_BYTES",
-    "PAGE_SIZE",
-    "align_down",
-    "align_up",
-    "is_aligned",
-    "line_base",
-    "page_base",
-    "CostModel",
-    "default_cost_model",
-    "zero_cost_model",
-    "BusError",
-    "ConfigurationError",
-    "DoubleFree",
-    "HeapError",
-    "InvalidFree",
-    "MachineError",
-    "MachinePanic",
-    "MonitorError",
-    "OutOfMemory",
-    "PageFault",
-    "PinLimitExceeded",
-    "ProtectionFault",
-    "ReproError",
-    "SyscallError",
-    "Event",
-    "EventKind",
-    "EventLog",
-]

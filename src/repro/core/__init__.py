@@ -1,51 +1,1 @@
 """SafeMem core: the paper's contribution."""
-
-from repro.core.config import (
-    SafeMemConfig,
-    corruption_only_config,
-    full_config,
-    leak_only_config,
-)
-from repro.core.corruption import BufferLayout, CorruptionDetector
-from repro.core.diagnostics import (
-    render_group_summary,
-    render_safemem_diagnostics,
-    render_watch_summary,
-)
-from repro.core.profiler import LifetimeProfiler
-from repro.core.groups import GroupTable, LiveObject, MemoryObjectGroup
-from repro.core.leak import LeakDetector, SuspectRecord
-from repro.core.reports import (
-    CorruptionKind,
-    CorruptionReport,
-    LeakReport,
-    PrunedSuspect,
-)
-from repro.core.safemem import SafeMem
-from repro.core.watcher import EccWatchManager, Watch, WatchTag
-
-__all__ = [
-    "SafeMemConfig",
-    "corruption_only_config",
-    "full_config",
-    "leak_only_config",
-    "BufferLayout",
-    "CorruptionDetector",
-    "render_group_summary",
-    "render_safemem_diagnostics",
-    "render_watch_summary",
-    "LifetimeProfiler",
-    "GroupTable",
-    "LiveObject",
-    "MemoryObjectGroup",
-    "LeakDetector",
-    "SuspectRecord",
-    "CorruptionKind",
-    "CorruptionReport",
-    "LeakReport",
-    "PrunedSuspect",
-    "SafeMem",
-    "EccWatchManager",
-    "Watch",
-    "WatchTag",
-]

@@ -1,14 +1,1 @@
 """Heap substrate: allocator and call-stack signatures."""
-
-from repro.heap.allocator import MIN_ALIGNMENT, Allocation, Allocator
-from repro.heap.callstack import CallStack, call_stack_signature
-from repro.heap.pool import PoolAllocator
-
-__all__ = [
-    "MIN_ALIGNMENT",
-    "Allocation",
-    "Allocator",
-    "CallStack",
-    "call_stack_signature",
-    "PoolAllocator",
-]

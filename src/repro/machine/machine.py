@@ -87,6 +87,7 @@ class Machine:
                                            codec=codec,
                                            metrics=self.metrics)
         if cache_levels == 2:
+            # Local: only a two-level machine needs it.
             from repro.cache.hierarchy import CacheHierarchy
             self.cache = CacheHierarchy(
                 self.controller,

@@ -1,26 +1,1 @@
 """Virtual memory substrate: page table, MMU, swap."""
-
-from repro.mmu.mmu import Mmu
-from repro.mmu.pagetable import (
-    PROT_NONE,
-    PROT_READ,
-    PROT_RW,
-    PROT_WRITE,
-    FrameAllocator,
-    PageTable,
-    PageTableEntry,
-)
-from repro.mmu.swap import EvictionPolicy, SwapDevice
-
-__all__ = [
-    "Mmu",
-    "PROT_NONE",
-    "PROT_READ",
-    "PROT_RW",
-    "PROT_WRITE",
-    "FrameAllocator",
-    "PageTable",
-    "PageTableEntry",
-    "EvictionPolicy",
-    "SwapDevice",
-]

@@ -12,105 +12,3 @@ records (see ``docs/OBSERVABILITY.md``).  Post-mortem forensics --
 ``repro.dump/v1`` crash bundles, deterministic replay, and run
 diffing -- live in :mod:`repro.obs.forensics`.
 """
-
-from repro.obs.alerts import (
-    AlertEngine,
-    AlertRule,
-    default_rules,
-    load_rules,
-    resolve_rules,
-)
-from repro.obs.export import (
-    SCHEMA,
-    render_metrics_table,
-    render_span_tree,
-    snapshot_document,
-    snapshot_from_document,
-    write_metrics_json,
-)
-from repro.obs.forensics import (
-    DUMP_SCHEMA,
-    ForensicRecorder,
-    ReplayResult,
-    capture_bundle,
-    diff_documents,
-    load_bundle,
-    load_document,
-    render_bundle_summary,
-    render_diff,
-    replay_bundle,
-    verify_replay,
-    write_bundle,
-)
-from repro.obs.merge import dump_registry, merge_dumps, merge_registries
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Snapshot,
-    attr_reader,
-)
-from repro.obs.sampler import Sample, SamplingProfiler, render_top
-from repro.obs.stack import (
-    DEFAULT_SAMPLE_EVERY,
-    MonitorStack,
-    MonitorStackConfig,
-    add_monitoring_arguments,
-    build_monitor_stack,
-)
-from repro.obs.sink import (
-    EVENTS_SCHEMA,
-    JsonlSink,
-    MemorySink,
-    TelemetryStream,
-)
-from repro.obs.trace import Span, Tracer
-
-__all__ = [
-    "DEFAULT_SAMPLE_EVERY",
-    "DUMP_SCHEMA",
-    "EVENTS_SCHEMA",
-    "SCHEMA",
-    "AlertEngine",
-    "AlertRule",
-    "Counter",
-    "ForensicRecorder",
-    "MonitorStack",
-    "MonitorStackConfig",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "MemorySink",
-    "MetricsRegistry",
-    "ReplayResult",
-    "Sample",
-    "SamplingProfiler",
-    "Snapshot",
-    "Span",
-    "TelemetryStream",
-    "Tracer",
-    "add_monitoring_arguments",
-    "attr_reader",
-    "build_monitor_stack",
-    "default_rules",
-    "diff_documents",
-    "dump_registry",
-    "load_bundle",
-    "load_document",
-    "load_rules",
-    "merge_dumps",
-    "merge_registries",
-    "render_bundle_summary",
-    "render_diff",
-    "render_metrics_table",
-    "render_span_tree",
-    "render_top",
-    "replay_bundle",
-    "resolve_rules",
-    "snapshot_document",
-    "snapshot_from_document",
-    "verify_replay",
-    "write_bundle",
-    "write_metrics_json",
-]

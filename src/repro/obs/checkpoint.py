@@ -183,6 +183,7 @@ write_checkpoint = write_document
 def load_checkpoint(path):
     """Load one ``repro.checkpoint/v1`` document, checked against its
     shape's field table (:func:`checkpoint_table`)."""
+    # Local: obs.forensics imports this module.
     from repro.obs.forensics import load_document
     return load_document(path, CHECKPOINT)[1]
 

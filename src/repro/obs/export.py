@@ -28,6 +28,7 @@ import json
 
 from repro.common.schema import Field, Table
 from repro.common.state import INT, NULL, NUMBER, OBJECT, TEXT
+from repro.obs.metrics import Snapshot
 
 SCHEMA = "repro.metrics/v1"
 
@@ -74,7 +75,6 @@ def snapshot_from_document(document):
     the human table, the diff engine -- work on persisted documents,
     including the one embedded in a ``repro.dump/v1`` bundle.
     """
-    from repro.obs.metrics import Snapshot
     METRICS.check(document)
     generated = document["generated"]
     return Snapshot(

@@ -39,7 +39,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
-from repro.common.events import EventKind
+from repro.common.events import EventKind, jsonable
 from repro.common.schema import Field, Table
 from repro.common.state import BOOL, INT, LIST, NULL, NUMBER, OBJECT, TEXT
 from repro.obs.export import snapshot_from_document
@@ -48,7 +48,6 @@ from repro.obs.snapshot import (
     Rerun,
     capture_state,
     event_to_dict,
-    jsonable,
     safe_label,
     write_document,
 )
@@ -357,6 +356,7 @@ def load_document(path, expected=None):
     the offending string and every schema this build understands, so
     documents written by newer builds degrade loudly, not obscurely.
     """
+    # Local: obs.checkpoint imports this module.
     from repro.obs.checkpoint import CHECKPOINT, checkpoint_table
     from repro.obs.export import METRICS
     from repro.obs.history import HISTORY

@@ -32,12 +32,11 @@ The result is an ordinary :class:`Snapshot`, so every existing exporter
 telemetry unchanged.
 
 Tiered history documents (``repro.history/v1``) cross the same process
-boundary; :func:`~repro.obs.history.merge_history_documents` is
-re-exported here so fleet code has one merge module to import.
+boundary and merge with
+:func:`~repro.obs.history.merge_history_documents`.
 """
 
 from repro.common.errors import ConfigurationError
-from repro.obs.history import merge_history_documents  # noqa: F401
 from repro.obs.metrics import Histogram, Snapshot, flatten_histogram
 
 #: schema tag stamped on dumps so foreign dicts are rejected loudly.

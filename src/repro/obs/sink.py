@@ -34,10 +34,9 @@ import json
 import pathlib
 
 from repro.common.errors import ConfigurationError
-from repro.common.events import EventKind
+from repro.common.events import EventKind, jsonable
 from repro.common.schema import Field, Table
 from repro.common.state import INT, LIST, OBJECT, TEXT
-from repro.obs.snapshot import jsonable
 
 EVENTS_SCHEMA = "repro.events/v1"
 

@@ -32,14 +32,18 @@ import json
 import pathlib
 import re
 
+from repro.analysis.runner import MONITOR_FACTORIES, make_monitor
 from repro.common.errors import ConfigurationError, MachinePanic, ReproError
 from repro.common.events import jsonable
 from repro.common.schema import Field, Table
 from repro.common.state import BOOL, INT, LIST, NULL, OBJECT, TEXT
 from repro.core.sampling import SamplingPolicy
+from repro.ecc.controller import EccMode
+from repro.machine.machine import Machine
 from repro.obs.export import METRICS, snapshot_document
 from repro.obs.sampler import group_stats
 from repro.obs.stack import MONITORING, assemble_monitor_stack
+from repro.workloads.registry import WORKLOADS
 
 #: events kept in a document's tail (newest; the full log stays in RAM).
 EVENT_TAIL_LIMIT = 256
@@ -149,8 +153,6 @@ CAPTURE = Table("capture", {
 def check_run_info(run):
     """Reject a recorded workload or monitor name nothing registers,
     with a :class:`ConfigurationError` naming the field."""
-    from repro.analysis.runner import MONITOR_FACTORIES
-    from repro.workloads.registry import WORKLOADS
     for field, names in (("workload", WORKLOADS),
                          ("monitor", MONITOR_FACTORIES)):
         if run[field] not in names:
@@ -167,8 +169,6 @@ def machine_from_config(config):
     field; values no machine can have (a cache geometry that does not
     divide, an unknown profile) raise the machine's own.
     """
-    from repro.ecc.controller import EccMode
-    from repro.machine.machine import Machine
     kwargs = dict(config)
     if "ecc_mode" in kwargs:
         try:
@@ -264,8 +264,6 @@ class Rerun:
     """
 
     def __init__(self, document, table, verb, requests=None):
-        from repro.analysis.runner import make_monitor
-
         run = table.check(document)["run"]
         if "workload" not in run or "monitor" not in run:
             raise ConfigurationError(

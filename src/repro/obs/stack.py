@@ -35,17 +35,27 @@ import copy
 import pathlib
 from dataclasses import dataclass, replace
 
+from repro.analysis import runner
 from repro.common.errors import ConfigurationError, MachinePanic
 from repro.common.schema import Field, Table
 from repro.common.state import INT, LIST, NULL, OBJECT
 from repro.core.sampling import SAMPLING, SamplingPolicy
-from repro.obs.alerts import RULE, AlertEngine, AlertRule
+from repro.ecc.profile import get_profile
+from repro.obs.alerts import (
+    RULE,
+    AlertEngine,
+    AlertRule,
+    default_trend_rules,
+    resolve_rules,
+)
+from repro.obs.sampler import SamplingProfiler, leak_group_source
 from repro.obs.trend import (
     DEFAULT_SEASONAL_PHASES,
     DEFAULT_SEASONAL_WARMUP,
     DEFAULT_WINDOW,
     DETECTORS,
     MIN_SLOPE_POINTS,
+    TrendEngine,
 )
 
 #: default profiler interval the ``repro monitor`` command uses.
@@ -110,7 +120,6 @@ class MonitorStackConfig:
     # validation / derived views
     # ------------------------------------------------------------------
     def validate(self):
-        from repro.ecc.profile import get_profile
         get_profile(self.profile)
         if self.sample_every is not None and self.sample_every < 1:
             raise ConfigurationError(
@@ -184,7 +193,6 @@ class MonitorStackConfig:
         plus the trend detector's rules), trend engine parameters and
         ``history``.
         """
-        from repro.obs.alerts import default_trend_rules, resolve_rules
         monitoring = {}
         if self.sampling is not None:
             monitoring["sampling"] = self.sampling.to_dict()
@@ -469,16 +477,14 @@ class MonitorStack:
         forensic recorder, which dumps the machine at the PANIC event,
         a panic is kept on :attr:`panic`; without one it propagates.
         """
-        from repro.analysis.runner import HEAP_SIZE, run_workload
-
         run = self.run_info
         self.start()
         try:
-            return run_workload(
+            return runner.run_workload(
                 run["workload"], run["monitor"],
                 buggy=run.get("buggy", False),
                 requests=run.get("requests"), seed=run.get("seed", 0),
-                heap_size=run.get("heap_size", HEAP_SIZE),
+                heap_size=run.get("heap_size", runner.HEAP_SIZE),
                 machine=self.machine, monitor=self.monitor,
                 request_hook=request_hook or self.request_hook,
                 restore=restore, run_info=self.recorded_run(),
@@ -495,9 +501,8 @@ class MonitorStack:
         """The same run with no monitor on a fresh experiment machine
         of this stack's chipset profile: the baseline a monitored
         run's ``overhead`` is measured against."""
-        from repro.analysis.runner import boot_machine, make_monitor
-        twin = MonitorStack(boot_machine(self.machine.profile.name),
-                            make_monitor("native"), {},
+        twin = MonitorStack(runner.boot_machine(self.machine.profile.name),
+                            runner.make_monitor("native"), {},
                             run_info=dict(self.run_info, monitor="native"))
         return twin.run(baseline=True)
 
@@ -580,9 +585,8 @@ def assemble_monitor_stack(monitoring, machine, monitor, run_info=None):
     an identical stack.  ``monitoring`` is trusted: a recorded one
     was checked against :data:`MONITORING` where its document entered.
     """
+    # Local: only a stack with ``history`` on needs it.
     from repro.obs.history import HistoryStore
-    from repro.obs.sampler import SamplingProfiler, leak_group_source
-    from repro.obs.trend import TrendEngine
 
     info = {}
     if monitoring.get("sampling") is not None:
@@ -647,20 +651,18 @@ def build_monitor_stack(config, machine=None, monitor=None,
     suffixes per-machine stream files, dump bundles and checkpoints in
     fleet runs.
     """
-    # Lazy imports: obs.stack is imported by the CLI front end, while
-    # the factories below pull in the whole analysis/machine layer.
-    from repro.analysis.runner import boot_machine, make_monitor
-
     config.validate()
     monitoring = config.monitoring()
     if machine is None:
-        machine = boot_machine(config.profile)
+        machine = runner.boot_machine(config.profile)
     if monitor is None:
-        monitor = make_monitor(config.monitor, sampling=config.sampling)
+        monitor = runner.make_monitor(config.monitor,
+                                      sampling=config.sampling)
     stack = assemble_monitor_stack(monitoring, machine, monitor,
                                    run_info=run_info)
 
     if config.stream is not None:
+        # Local: only --stream needs it.
         from repro.obs.sink import (
             DEFAULT_MAX_BYTES,
             JsonlSink,
@@ -677,6 +679,7 @@ def build_monitor_stack(config, machine=None, monitor=None,
     info = stack.recorded_run()
     label = label or info.get("workload", "run")
     if config.resolved_dump_dir() is not None:
+        # Local: only --dump-dir needs it.
         from repro.obs.forensics import ForensicRecorder
         stack.recorder = ForensicRecorder(
             machine, monitor=monitor, run_info=info,
@@ -684,6 +687,7 @@ def build_monitor_stack(config, machine=None, monitor=None,
             on_alert=config.dump_on_alert, trend=stack.trend,
         )
     if config.checkpoint_every is not None:
+        # Local: obs.checkpoint imports this module through obs.snapshot.
         from repro.obs.checkpoint import CheckpointScheduler
         stack.scheduler = CheckpointScheduler(
             machine, config.checkpoint_every, monitor=monitor,

@@ -26,6 +26,7 @@ import json
 import zlib
 
 from repro.common.errors import ConfigurationError, ReproError
+from repro.workloads.base import GroundTruth
 
 #: schema tag of a decoded state image.
 STATE_SCHEMA = "repro.state/v1"
@@ -181,8 +182,6 @@ def load_image(text, machine, monitor, program, workload, stack):
     :class:`~repro.workloads.base.GroundTruth` and each member's
     SHA-256, for :func:`verify_image`.
     """
-    from repro.workloads.base import GroundTruth
-
     program.workload = workload
     components = dict(_components(machine, monitor, stack))
     digests = {}

@@ -31,11 +31,11 @@ experiment comparable without re-running workloads):
     frees), but the slowest to react.
 ``cusum``
     One-sided cumulative sum over *increments*:
-    ``s = max(0, s + (x_t - x_{t-1}) - drift)``.  The statistic is net
-    growth in **bytes** above the allowed drift; fastest to react to a
-    step or a sustained ramp, least robust to a one-off spike.
+    ``s = max(0, s + (x_t - x_{t-1}))``.  The statistic is net growth
+    in **bytes**; fastest to react to a step or a sustained ramp, least
+    robust to a one-off spike.
 ``page-hinkley``
-    Page-Hinkley test: ``m_t += x_t - mean_t - delta`` with statistic
+    Page-Hinkley test: ``m_t += x_t - mean_t`` with statistic
     ``m_t - min(m)``, the **cumulative** bytes above the running mean
     (byte-samples).  Sits between the two: tolerates level shifts the
     series recovers from, flags ones it does not.
@@ -119,12 +119,6 @@ DEFAULT_CUSUM_THRESHOLD = 16_384.0
 #: default cumulative above-running-mean threshold for Page-Hinkley,
 #: in byte-samples.  Clean transients in the corpus stay under ~45k.
 DEFAULT_PH_THRESHOLD = 131_072.0
-
-#: per-sample growth tolerated by CUSUM before it accumulates, bytes.
-DEFAULT_CUSUM_DRIFT = 0.0
-
-#: per-sample magnitude ignored by Page-Hinkley, bytes.
-DEFAULT_PH_DELTA = 0.0
 
 #: breached latches clear below ``threshold * clear_ratio``.
 DEFAULT_CLEAR_RATIO = 0.5
@@ -296,9 +290,7 @@ class TrendEngine:
     def __init__(self, machine, window=DEFAULT_WINDOW,
                  slope_threshold=DEFAULT_SLOPE_THRESHOLD,
                  cusum_threshold=DEFAULT_CUSUM_THRESHOLD,
-                 cusum_drift=DEFAULT_CUSUM_DRIFT,
                  ph_threshold=DEFAULT_PH_THRESHOLD,
-                 ph_delta=DEFAULT_PH_DELTA,
                  clear_ratio=DEFAULT_CLEAR_RATIO,
                  seasonal_period=None,
                  seasonal_phases=DEFAULT_SEASONAL_PHASES,
@@ -337,8 +329,6 @@ class TrendEngine:
             "cusum": float(cusum_threshold),
             "page-hinkley": float(ph_threshold),
         }
-        self.cusum_drift = float(cusum_drift)
-        self.ph_delta = float(ph_delta)
         self.seasonal_period = seasonal_period
         self.seasonal_phases = seasonal_phases
         self.seasonal_warmup = seasonal_warmup
@@ -516,13 +506,11 @@ class TrendEngine:
         state.points_seen += 1
         # CUSUM over increments (needs a previous point).
         if previous is not None:
-            state.cusum = max(
-                0.0, state.cusum + (value - previous) - self.cusum_drift
-            )
+            state.cusum = max(0.0, state.cusum + (value - previous))
         # Page-Hinkley running mean / minimum.
         state.ph_count += 1
         state.ph_mean += (value - state.ph_mean) / state.ph_count
-        state.ph_m += value - state.ph_mean - self.ph_delta
+        state.ph_m += value - state.ph_mean
         state.ph_min = min(state.ph_min, state.ph_m)
         state.last_value = value
         statistics = self._statistics(state)
@@ -646,8 +634,6 @@ class TrendEngine:
             "window": self.window,
             "clear_ratio": self.clear_ratio,
             "thresholds": dict(self.thresholds),
-            "cusum_drift": self.cusum_drift,
-            "ph_delta": self.ph_delta,
             "seasonal_period": self.seasonal_period,
             "seasonal_phases": self.seasonal_phases,
             "seasonal_warmup": self.seasonal_warmup,
@@ -667,8 +653,6 @@ class TrendEngine:
         """
         for key, mine in (("window", self.window),
                           ("clear_ratio", self.clear_ratio),
-                          ("cusum_drift", self.cusum_drift),
-                          ("ph_delta", self.ph_delta),
                           ("seasonal_period", self.seasonal_period),
                           ("seasonal_phases", self.seasonal_phases),
                           ("seasonal_warmup", self.seasonal_warmup)):

@@ -1,52 +1,1 @@
 """Behavioural models of the paper's seven buggy applications."""
-
-from repro.workloads.base import GroundTruth, Workload
-from repro.workloads.fixtures import TouchedCache
-from repro.workloads.gzip_ import Gzip
-from repro.workloads.httpd import Httpd
-from repro.workloads.proftpd import Proftpd
-from repro.workloads.registry import (
-    CORRUPTION_WORKLOADS,
-    LEAK_WORKLOADS,
-    WORKLOADS,
-    all_workload_names,
-    get_workload,
-)
-from repro.workloads.squid import Squid1, Squid2
-from repro.workloads.tar_ import Tar
-from repro.workloads.traces import (
-    GroupSpec,
-    SyntheticTraceGenerator,
-    Trace,
-    TraceEvent,
-    TraceRecorder,
-    TraceReplayer,
-    default_server_population,
-)
-from repro.workloads.ypserv import Ypserv1, Ypserv2
-
-__all__ = [
-    "GroundTruth",
-    "Workload",
-    "TouchedCache",
-    "Gzip",
-    "Httpd",
-    "Proftpd",
-    "CORRUPTION_WORKLOADS",
-    "LEAK_WORKLOADS",
-    "WORKLOADS",
-    "all_workload_names",
-    "get_workload",
-    "Squid1",
-    "Squid2",
-    "Tar",
-    "GroupSpec",
-    "SyntheticTraceGenerator",
-    "Trace",
-    "TraceEvent",
-    "TraceRecorder",
-    "TraceReplayer",
-    "default_server_population",
-    "Ypserv1",
-    "Ypserv2",
-]

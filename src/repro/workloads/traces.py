@@ -21,10 +21,21 @@ import random
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
+from repro.common.schema import Field, Table
+from repro.common.state import INT, TEXT
 from repro.machine.monitor import Monitor
 
 #: event kinds understood by the replayer.
-KINDS = ("malloc", "free", "store", "load", "compute", "frame")
+KINDS = ("malloc", "free", "store", "load", "compute")
+
+#: one line of a trace file (:meth:`TraceEvent.to_json`): the kind and
+#: the fields that are not zero.
+TRACE = Table("trace", {
+    "k": Field(TEXT, choices=KINDS),
+    **{key: Field(INT, required=False, low=0)
+       for key in ("o", "s", "f", "l", "i")},
+    "c": Field(INT, required=False),
+}, label="trace event", closed=True)
 
 
 @dataclass
@@ -59,7 +70,14 @@ class TraceEvent:
 
     @classmethod
     def from_json(cls, line):
-        payload = json.loads(line)
+        """Parse one trace line; a line :data:`TRACE` rejects is a
+        :class:`ConfigurationError` naming the field."""
+        try:
+            payload = json.loads(line)
+        except ValueError as error:
+            raise ConfigurationError(
+                f"trace event is not JSON: {error.msg}") from None
+        TRACE.check(payload)
         return cls(
             kind=payload["k"],
             obj=payload.get("o"),
@@ -96,9 +114,24 @@ class Trace:
 
     @classmethod
     def load(cls, path):
-        with open(path) as handle:
-            return cls(TraceEvent.from_json(line)
-                       for line in handle if line.strip())
+        """Read a trace file; an unreadable file, or a malformed line,
+        is a :class:`ConfigurationError` naming the file (and the
+        line)."""
+        try:
+            with open(path) as handle:
+                lines = handle.read().split("\n")
+        except (OSError, ValueError) as error:
+            raise ConfigurationError(f"cannot read {path}: {error}") from None
+        events = []
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                events.append(TraceEvent.from_json(line))
+            except ConfigurationError as error:
+                raise ConfigurationError(
+                    f"{path} line {number}: {error}") from None
+        return cls(events)
 
     # ------------------------------------------------------------------
     # summary statistics
@@ -138,7 +171,6 @@ class TraceRecorder(Monitor):
         self.inner = inner
         self.trace = Trace()
         self._object_ids = {}
-        self._spans = []
         self._next_id = 0
 
     def on_attach(self):

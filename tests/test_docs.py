@@ -157,10 +157,34 @@ def test_checker_flags_dotted_module_names_in_every_tree_doc(tmp_path):
         tmp_path, "repro.core\n",
         readme_text="`repro.core.leak` and repro.core.thing.Class, "
                     "schemas `repro.dump/v1` and `repro.fleet-cache/v1`\n")
-    (root / "src" / "repro" / "core" / "thing.py").write_text("")
+    (root / "src" / "repro" / "core" / "thing.py").write_text(
+        "class Class:\n    pass\n")
     problems = docs_check.check_architecture_references(root)
     assert problems == ["README.md: references repro.core.leak, which "
                         "does not exist under src/repro"]
+
+
+def test_checker_flags_dotted_names_nothing_defines(tmp_path):
+    """A dotted name resolves only to a module and a name that module
+    binds; a package followed by a name is a facade path."""
+    root = _fake_repo(
+        tmp_path, "repro.core\n",
+        readme_text="repro.core.thing.Class, repro.core.thing.ALIAS, "
+                    "repro.core.Class, repro.core.Ghost, "
+                    "repro.core.thing.Ghost and "
+                    "repro.core.thing.Class.method\n")
+    (root / "src" / "repro" / "core" / "thing.py").write_text(
+        "from os import path as ALIAS\n\n\nclass Class:\n    pass\n")
+    problems = docs_check.check_architecture_references(root)
+    assert problems == [
+        "README.md: references repro.core.Class, but package repro.core "
+        "re-exports nothing; name the module that defines Class",
+        "README.md: references repro.core.Ghost, which does not exist "
+        "under src/repro",
+        "README.md: references repro.core.thing.Class.method, which does "
+        "not exist under src/repro",
+        "README.md: references repro.core.thing.Ghost, but "
+        "src/repro/core/thing.py defines no Ghost"]
 
 
 def test_checker_flags_design_modules_column_only(tmp_path):

@@ -1,5 +1,11 @@
 """Coverage for the workload fixtures and the documented public API."""
 
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro import Machine, Monitor, NullMonitor, Program, SafeMem
@@ -32,6 +38,50 @@ class TestPublicApi:
     def test_version_is_set(self):
         import repro
         assert repro.__version__
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def loaded_modules(statement):
+    """The ``repro`` modules a fresh interpreter holds after
+    ``statement``."""
+    probe = (f"import sys; {statement}; print(' '.join(sorted("
+             f"name for name in sys.modules if name.startswith('repro'))))")
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+class TestImportBoundary:
+    """Packages re-export nothing, so a module loads only what it
+    imports."""
+
+    def test_package_inits_hold_only_their_docstring(self):
+        inits = sorted((SRC / "repro").glob("*/__init__.py"))
+        assert len(inits) == 12
+        for init in inits:
+            tree = ast.parse(init.read_text())
+            assert len(tree.body) == 1 and ast.get_docstring(tree), init
+
+    def test_import_repro_loads_no_harness(self):
+        loaded = loaded_modules("import repro")
+        assert "repro.core.safemem" in loaded
+        for package in ("analysis", "baselines", "workloads"):
+            assert not {name for name in loaded
+                        if name.startswith(f"repro.{package}")}, package
+        assert {name for name in loaded if name.startswith("repro.obs")} \
+            == {"repro.obs", "repro.obs.metrics", "repro.obs.trace"}
+
+    def test_monitor_stack_loads_no_optional_obs_module(self):
+        loaded = loaded_modules("import repro.obs.stack")
+        assert "repro.obs.stack" in loaded
+        assert not loaded & {
+            f"repro.obs.{name}" for name in (
+                "forensics", "checkpoint", "snapshot", "sink", "history",
+                "merge")}
 
 
 class TestTouchedCache:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.core.config import full_config, leak_only_config
 from repro.core.safemem import SafeMem
 from repro.machine.machine import Machine
@@ -43,6 +44,38 @@ class TestTraceEvents:
         trace.save(path)
         loaded = Trace.load(path)
         assert loaded.events == trace.events
+
+    @pytest.mark.parametrize("line, message", [
+        ("not json", "trace event is not JSON: Expecting value"),
+        ('{"o":0}', "trace event field 'k' is missing"),
+        ('{"k":"malloc","o":0,"s":"big"}',
+         "trace event field 's' must be a non-negative integer, got "
+         "'big'"),
+        ('{"k":"frame"}',
+         "trace event field 'k' must be one of 'malloc', 'free', "
+         "'store', 'load', 'compute', got 'frame'"),
+        ('[1]', "trace event must be an object, got list"),
+        ('{"k":"free","o":-1}',
+         "trace event field 'o' must be a non-negative integer, got -1"),
+        ('{"k":"compute","i":5,"x":1}',
+         "trace event field 'x' is unknown; expected one of k, o, s, f, "
+         "l, i, c"),
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line,
+                                                message):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"k":"compute","i":5}\n\n' + line + "\n")
+        with pytest.raises(ConfigurationError) as error:
+            Trace.load(path)
+        assert str(error.value) == f"{path} line 3: {message}"
+
+    def test_unreadable_file_is_a_named_error(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'\xff{"k":"compute"}\n')
+        for unreadable in (path, tmp_path / "missing.jsonl"):
+            with pytest.raises(ConfigurationError,
+                               match=f"cannot read {unreadable}: "):
+                Trace.load(unreadable)
 
     def test_stats(self):
         trace = Trace([
@@ -145,7 +178,6 @@ class TestReplay:
     def test_unknown_event_kind_rejected(self):
         trace = Trace([TraceEvent(kind="teleport")])
         program = make_program()
-        from repro.common.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
             TraceReplayer(trace).run(program)
 

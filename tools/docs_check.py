@@ -4,12 +4,14 @@
 Eleven checks keep the documentation layer from drifting away from the
 code layout:
 
-1. every ``repro.<pkg>[.<module>]`` named in the markdown that
-   describes the current tree (``TREE_DOCS``; schema tags such as
-   ``repro.dump/v1`` are skipped), and every name in the Modules column
-   of DESIGN.md's tables (written without the ``repro.`` prefix),
-   exists as a package or module under ``src/repro`` (no docs for
-   deleted code);
+1. every dotted ``repro.…`` name in the markdown that describes the
+   current tree (``TREE_DOCS``; schema tags such as ``repro.dump/v1``
+   are skipped), and every name in the Modules column of DESIGN.md's
+   tables (written without the ``repro.`` prefix), names a package or
+   module under ``src/repro``, optionally followed by one name that
+   the module defines or imports at module level (no docs for deleted
+   code); a subpackage followed by a name is reported, since packages
+   re-export nothing;
 2. every subpackage under ``src/repro`` is mentioned in
    ``docs/ARCHITECTURE.md`` (no undocumented subsystem);
 3. every intra-repo markdown link in the repo's ``*.md`` files resolves
@@ -74,9 +76,10 @@ DOC_GLOBS = ("*.md", "docs/*.md")
 TREE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
              "docs/*.md")
 
-#: a ``repro.<pkg>[.<module>]`` name; one that goes on with ``/`` or
-#: ``-`` is a schema tag (``repro.dump/v1``, ``repro.fleet-cache/v1``).
-_MODULE_REF = re.compile(r"\brepro\.([a-z_]+(?:\.[a-z_]+)?)(?![\w/-])")
+#: a dotted ``repro.<pkg>[.<module>][.<name>]`` name; one that goes on
+#: with ``/`` or ``-`` is a schema tag (``repro.dump/v1``,
+#: ``repro.fleet-cache/v1``).
+_MODULE_REF = re.compile(r"\brepro\.(\w+(?:\.\w+)*)(?![\w/-])")
 #: a parenthesised aside inside a table cell.
 _ASIDE = re.compile(r"\([^)]*\)")
 #: a markdown heading line, its text captured.
@@ -127,6 +130,51 @@ def module_exists(root, dotted):
     return path.is_dir() or path.with_suffix(".py").is_file()
 
 
+def module_level_names(path):
+    """Names a module binds at module level: its functions, classes,
+    assigned names and imports."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(name.id for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return names
+
+
+def reference_problem(root, dotted):
+    """Why ``repro.<dotted>`` names nothing under ``src/repro``, or
+    None when it names a module, or a module and one name the module
+    binds at module level (the top-level package's own names too).
+    Subpackages re-export nothing, so a subpackage followed by a name
+    one of its modules binds is a facade path."""
+    if module_exists(root, dotted):
+        return None
+    *module, name = dotted.split(".")
+    path = root.joinpath("src", "repro", *module)
+    missing = "which does not exist under src/repro"
+    if module and path.is_dir():
+        if any(name in module_level_names(file)
+               for file in path.glob("*.py")):
+            return (f"but package repro.{'.'.join(module)} re-exports "
+                    f"nothing; name the module that defines {name}")
+        return missing
+    file = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    if not file.is_file():
+        return missing
+    if name not in module_level_names(file):
+        return f"but {file.relative_to(root)} defines no {name}"
+    return None
+
+
 def design_module_names(text):
     """Backticked names in the Modules column of a markdown file's
     tables, parenthesised asides (experiment names) left out."""
@@ -153,9 +201,10 @@ def check_architecture_references(root=REPO_ROOT):
         if doc.name == "DESIGN.md":
             names += sorted(set(design_module_names(text)) - set(names))
         for name in names:
-            if not module_exists(root, name):
-                problems.append(f"{where}: references repro.{name}, which "
-                                f"does not exist under src/repro")
+            problem = reference_problem(root, name)
+            if problem is not None:
+                problems.append(f"{where}: references repro.{name}, "
+                                f"{problem}")
     architecture = root / "docs" / "ARCHITECTURE.md"
     text = architecture.read_text()
     for name in source_subpackages(root / "src"):

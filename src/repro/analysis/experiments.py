@@ -23,6 +23,7 @@ deterministic per (workload, config, seed), so ``--jobs N`` is
 bit-identical to ``--jobs 1``.
 """
 
+import random
 from dataclasses import asdict, dataclass
 
 from repro.analysis import ablations, paper
@@ -41,10 +42,16 @@ from repro.analysis.tables import (
     render_table,
 )
 from repro.common.clock import cycles_to_microseconds
-from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
+from repro.common.constants import CACHE_LINE_SIZE, ECC_GROUP_BYTES, PAGE_SIZE
+from repro.common.events import EventKind
+from repro.core.sampling import SamplingPolicy
+from repro.ecc.controller import EccMode
 from repro.ecc.profile import profile_names
 from repro.machine.machine import Machine
 from repro.mmu.pagetable import PROT_NONE, PROT_RW
+from repro.obs.alerts import default_trend_rules
+from repro.obs.stack import MonitorStackConfig, assemble_monitor_stack
+from repro.obs.trend import DETECTORS, TrendEngine
 from repro.workloads.diurnal import SEASON_PERIOD_CYCLES
 from repro.workloads.registry import (
     LEAK_WORKLOADS,
@@ -554,16 +561,10 @@ def codec_tradeoff_row(profile):
     the next read.  Separately injects the profile's background
     fault-noise rate over an unwatched buffer and counts corrections.
     """
-    import random
-
-    from repro.common.constants import ECC_GROUP_BYTES
-    from repro.ecc.controller import EccMode
-    from repro.ecc.profile import get_profile
-
     machine = Machine(dram_size=4 * 1024 * 1024,
                       ecc_mode=EccMode.CORRECT_AND_SCRUB,
                       profile=profile)
-    profile = get_profile(profile)
+    profile = machine.profile
     kernel = machine.kernel
     codec = machine.controller.codec
     kernel.mmap(BASE, 4 * PAGE_SIZE)
@@ -729,9 +730,8 @@ def sampling_curve_point(rate, workload=SAMPLING_CURVE_WORKLOAD,
     Runs in-process (``jobs=1``): a curve point is itself a shardable
     validation job, and pool workers must not spawn children.
     """
+    # Late import: the fleet driver imports this module.
     from repro.analysis.fleet import run_fleet
-    from repro.core.sampling import SamplingPolicy
-    from repro.obs.stack import MonitorStackConfig
 
     stack = MonitorStackConfig(monitor="safemem",
                                sampling=SamplingPolicy(rate=rate))
@@ -827,11 +827,6 @@ def trend_scenario_row(name, buggy, requests, sample_every, trend):
     event stream, and its breach onsets are read from
     ``TrendEngine.onsets``.
     """
-    from repro.common.events import EventKind
-    from repro.obs.alerts import default_trend_rules
-    from repro.obs.stack import assemble_monitor_stack
-    from repro.obs.trend import DETECTORS, TrendEngine
-
     monitoring = {
         "sample_every": sample_every,
         "rules": [rule.to_dict() for detector in DETECTORS
@@ -926,7 +921,6 @@ class TrendHeadToHeadResult(ScenarioSweep):
         than the lifetime-outlier baseline's first LEAK_REPORT.  Any
         alert on a clean run is a false positive.
         """
-        from repro.obs.trend import DETECTORS
         stats = {}
         for detector in DETECTORS:
             tp = fp = fn = wins = 0
@@ -953,8 +947,6 @@ class TrendHeadToHeadResult(ScenarioSweep):
         return stats
 
     def render(self):
-        from repro.obs.trend import DETECTORS
-
         race_rows = []
         for row in self.rows:
             if not row.buggy:
@@ -1006,8 +998,6 @@ class SeasonHeadToHeadResult(ScenarioSweep):
                 if row.buggy and not any(row.fired.values())]
 
     def render(self):
-        from repro.obs.trend import DETECTORS
-
         clean_rows = []
         buggy_rows = []
         for row in self.rows:

@@ -1,1 +1,1 @@
-"""CPU cache models (single level and two-level hierarchy)."""
+"""The CPU cache model: one set-associative write-back level."""

@@ -87,25 +87,22 @@ class Cache:
     STATE_FIELDS = ("_tick", "hits", "misses", "evictions", "writebacks",
                     "flushes")
 
-    def __init__(self, controller, size=64 * 1024, ways=8,
-                 clock=None, cost_model=None, metrics=None,
-                 level="l1"):
+    def __init__(self, controller, clock, cost_model, size=64 * 1024,
+                 ways=8, metrics=None):
         if size <= 0:
             raise ConfigurationError(
-                f"{level} cache size must be positive, got {size}")
+                f"cache size must be positive, got {size}")
         if ways < 1:
             raise ConfigurationError(
-                f"{level} cache ways must be at least 1, got {ways}")
+                f"cache ways must be at least 1, got {ways}")
         if size % (ways * CACHE_LINE_SIZE):
             raise ConfigurationError(
                 f"cache size {size} not divisible into {ways}-way sets of "
                 f"{CACHE_LINE_SIZE}-byte lines"
             )
         self.controller = controller
-        #: the controller's multi-line read, or ``None`` when this cache
-        #: fills from another cache level (an L1 over an L2), whose
-        #: fills must each go through that level.
-        self._read_lines = getattr(controller, "read_lines", None)
+        #: the controller's multi-line read, which bursts fill from.
+        self._read_lines = controller.read_lines
         self.ways = ways
         self.num_sets = size // (ways * CACHE_LINE_SIZE)
         self._sets = [dict() for _ in range(self.num_sets)]
@@ -115,7 +112,6 @@ class Cache:
         self._tick = 0
         self.clock = clock
         self.cost_model = cost_model
-        self.level = level
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -127,18 +123,20 @@ class Cache:
             self.register_metrics(metrics)
 
     def register_metrics(self, metrics):
-        """Publish ``cache.<level>.*`` probes into a metrics registry."""
-        prefix = f"cache.{self.level}"
+        """Publish ``cache.l1.*`` probes into a metrics registry.
+
+        The machine's one level keeps the L1 name, which the benchmark
+        recipes and every recorded metrics snapshot read."""
         for name, attr in (
-            (f"{prefix}.hit", "hits"),
-            (f"{prefix}.miss", "misses"),
-            (f"{prefix}.eviction", "evictions"),
-            (f"{prefix}.writeback", "writebacks"),
-            (f"{prefix}.flush", "flushes"),
+            ("cache.l1.hit", "hits"),
+            ("cache.l1.miss", "misses"),
+            ("cache.l1.eviction", "evictions"),
+            ("cache.l1.writeback", "writebacks"),
+            ("cache.l1.flush", "flushes"),
         ):
             metrics.probe(name, _attr_reader(self, attr),
                           kind="counter")
-        metrics.probe(f"{prefix}.resident_lines",
+        metrics.probe("cache.l1.resident_lines",
                       _attr_reader(self, "resident_lines"), kind="gauge")
 
     # ------------------------------------------------------------------
@@ -183,7 +181,7 @@ class Cache:
         self._sets = [dict() for _ in range(self.num_sets)]
         self._frames = {}
         self.resident_lines = 0
-        dram_size = self._dram_size()
+        dram_size = self.controller.dram.size
         for tag, dirty, stamp, data in table(
                 state["lines"], (INT, BOOL, INT, TEXT), "lines"):
             data = decode_bytes(data, "line data")
@@ -210,15 +208,6 @@ class Cache:
             frame.resident += 1
             cache_set[tag] = frame
             self.resident_lines += 1
-
-    def _dram_size(self):
-        """Installed DRAM bytes behind this cache: its controller's, or
-        for an upper level (whose controller is the level below), that
-        level's."""
-        lower = getattr(self.controller, "lower", None)
-        if lower is not None:
-            return lower._dram_size()
-        return self.controller.dram.size
 
     # ------------------------------------------------------------------
     # program-visible access path
@@ -262,32 +251,30 @@ class Cache:
         With a timer registered, the hit count and tick are published
         before every charge, exactly as a per-line walk would.
 
-        Under the same condition, and only where the controller's
-        multi-line read is at hand, a miss whose line starts a run of
+        Under the same condition, a miss whose line starts a run of
         absent lines inside its frame and the span reads the whole run
-        with one burst.  The burst's clean prefix is installed in one
-        step (:meth:`_install_run`): one set-dict entry per line, the
-        slots' residency, consecutive LRU stamps and dirty bits by
-        slice, one byte copy into the frame, and one slice moving the
-        span's bytes over the installed lines.  That step stops at the
-        first line whose set is full and after ``num_sets`` lines, so
-        it never evicts and no two of its lines share a set; from there
-        each line fills through :meth:`_access_line` with the bytes of
-        the burst, so evictions and write-backs keep their per-line
-        order, until a line whose set has room starts the next one-step
-        run.  The first line whose check bytes differ takes the
-        one-line read, which corrects or raises as it always does.
-        Nothing the fills do can change the run's DRAM in between:
-        write-backs only go to resident lines, and the run's lines are
-        absent until filled.
+        with one controller burst.  The burst's clean prefix is
+        installed in one step (:meth:`_install_run`): one set-dict
+        entry per line, the slots' residency, consecutive LRU stamps
+        and dirty bits by slice, one byte copy into the frame, and one
+        slice moving the span's bytes over the installed lines.  That
+        step stops at the first line whose set is full and after
+        ``num_sets`` lines, so it never evicts and no two of its lines
+        share a set; from there each line fills through
+        :meth:`_access_line` with the bytes of the burst, so evictions
+        and write-backs keep their per-line order, until a line whose
+        set has room starts the next one-step run.  The first line
+        whose check bytes differ takes the one-line read, which
+        corrects or raises as it always does.  Nothing the fills do can
+        change the run's DRAM in between: write-backs only go to
+        resident lines, and the run's lines are absent until filled.
         """
         if size <= 0:
             if size < 0:
                 raise ConfigurationError(f"negative access size: {size}")
             return None if data is not None else b""
         clock = self.clock
-        charging = clock is not None and self.cost_model is not None
-        defer = not charging or clock.timer_count == 0
+        defer = clock.timer_count == 0
         if defer:
             if data is None:
                 hit = self.fast_read(paddr, size)
@@ -295,8 +282,8 @@ class Cache:
                     return hit
             elif self.fast_write(paddr, data):
                 return None
-        hit_cost = self.cost_model.cache_hit if charging else 0
-        fill_cost = hit_cost + self.cost_model.cache_miss if charging else 0
+        hit_cost = self.cost_model.cache_hit
+        fill_cost = hit_cost + self.cost_model.cache_miss
 
         sets = self._sets
         num_sets = self.num_sets
@@ -327,8 +314,7 @@ class Cache:
                 if pending:
                     clock.tick(pending)
                     pending = 0
-                if (base >= burst_end and base != unclean and defer
-                        and read_lines is not None):
+                if base >= burst_end and base != unclean and defer:
                     count = self._absent_run(base, end)
                     if count > 1:
                         burst = read_lines(base, count)
@@ -360,7 +346,7 @@ class Cache:
                                  base - burst_start + CACHE_LINE_SIZE]
                 frame = self._access_line(base, data is not None, fill)
                 tick = self._tick
-                defer = not charging or clock.timer_count == 0
+                defer = clock.timer_count == 0
             else:
                 tick += 1
                 hits += 1
@@ -731,13 +717,10 @@ class Cache:
         return (line_address // CACHE_LINE_SIZE) % self.num_sets
 
     def _charge_hit(self, lines=1):
-        if self.clock is not None and self.cost_model is not None:
-            self.clock.tick(lines * self.cost_model.cache_hit)
+        self.clock.tick(lines * self.cost_model.cache_hit)
 
     def _charge_miss(self):
-        if self.clock is not None and self.cost_model is not None:
-            self.clock.tick(self.cost_model.cache_miss)
+        self.clock.tick(self.cost_model.cache_miss)
 
     def _charge_writeback(self):
-        if self.clock is not None and self.cost_model is not None:
-            self.clock.tick(self.cost_model.writeback)
+        self.clock.tick(self.cost_model.writeback)

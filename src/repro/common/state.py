@@ -1,6 +1,6 @@
 """Helpers for the components' ``state_dict``/``load_state`` pairs.
 
-Every stateful component of a run (clock, caches, kernel, heap,
+Every stateful component of a run (clock, cache, kernel, heap,
 monitor, workload, ...) exports its exact state as JSON-able data next
 to its own code, and loads it back into a freshly constructed twin;
 ``repro.obs.state`` assembles those payloads into one state image.

@@ -2,13 +2,12 @@
 
 A :class:`ChipsetProfile` bundles the hardware knobs SafeMem's
 detection story depends on — which ECC codec the memory controller
-runs, the cache-line size, how often the background scrubber sweeps,
-and how noisy the DIMMs are (the fault-injection rate experiments use
-to model naturally occurring single-bit upsets).  Profiles are the
-single selection point threaded through ``Machine``,
-``MonitorStackConfig`` and the CLI (``--profile``), so "run this
-workload on chipkill hardware" is one flag rather than five
-constructor arguments.
+runs, how often the background scrubber sweeps, and how noisy the
+DIMMs are (the fault-injection rate experiments use to model naturally
+occurring single-bit upsets).  Profiles are the single selection point
+threaded through ``Machine``, ``MonitorStackConfig`` and the CLI
+(``--profile``), so "run this workload on chipkill hardware" is one
+flag rather than three constructor arguments.
 
 The registry is intentionally small and literal: every entry here must
 be documented in the hardware-diversity matrix (``docs/HARDWARE.md``)
@@ -17,7 +16,7 @@ be documented in the hardware-diversity matrix (``docs/HARDWARE.md``)
 
 from dataclasses import dataclass
 
-from repro.common.constants import CACHE_LINE_SIZE, CYCLES_PER_MICROSECOND
+from repro.common.constants import CYCLES_PER_MICROSECOND
 from repro.common.errors import ConfigurationError
 from repro.ecc.codec import CODECS, get_codec
 
@@ -38,7 +37,6 @@ class ChipsetProfile:
 
     name: str
     codec: str = "secded"
-    line_size: int = CACHE_LINE_SIZE
     scrub_interval_cycles: int = 2000 * CYCLES_PER_MICROSECOND
     fault_noise: float = 0.0
 
@@ -48,12 +46,6 @@ class ChipsetProfile:
             raise ConfigurationError(
                 f"profile {self.name!r} names unknown codec "
                 f"{self.codec!r}; choose from {tuple(sorted(CODECS))}"
-            )
-        if self.line_size != CACHE_LINE_SIZE:
-            raise ConfigurationError(
-                f"profile {self.name!r} wants {self.line_size}-byte "
-                f"lines but the cache hierarchy is built for "
-                f"{CACHE_LINE_SIZE}-byte lines"
             )
         if self.scrub_interval_cycles <= 0:
             raise ConfigurationError(

@@ -38,8 +38,7 @@ class EccFaultInfo:
 class InterruptController:
     """Routes uncorrectable ECC faults to the user handler or panics."""
 
-    def __init__(self, clock, cost_model, event_log=None, metrics=None,
-                 tracer=None):
+    def __init__(self, clock, cost_model, event_log, metrics, tracer):
         self.clock = clock
         self.costs = cost_model
         self.event_log = event_log
@@ -47,8 +46,7 @@ class InterruptController:
         self.user_handler = None
         self.delivered = 0
         self.panics = 0
-        if metrics is not None:
-            self.register_metrics(metrics)
+        self.register_metrics(metrics)
 
     def register_metrics(self, metrics):
         """Publish ``kernel.irq.*`` probes into a metrics registry."""
@@ -77,33 +75,28 @@ class InterruptController:
         Returns normally when the handler claimed the fault, in which
         case the machine retries the interrupted access.
         """
-        if self.event_log is not None:
-            self.event_log.emit(
-                EventKind.ECC_FAULT,
-                address=info.vaddr if info.vaddr is not None else info.paddr,
-                paddr=info.paddr,
-                watched=info.watched,
-                origin=info.origin,
-            )
+        self.event_log.emit(
+            EventKind.ECC_FAULT,
+            address=info.vaddr if info.vaddr is not None else info.paddr,
+            paddr=info.paddr,
+            watched=info.watched,
+            origin=info.origin,
+        )
         if self.user_handler is None:
             self._panic(info, "no ECC fault handler registered")
         self.clock.tick(self.costs.fault_delivery)
         self.delivered += 1
-        if self.tracer is not None:
-            with self.tracer.span("ecc.handler", paddr=info.paddr,
-                                  watched=info.watched):
-                handled = self.user_handler(info)
-        else:
+        with self.tracer.span("ecc.handler", paddr=info.paddr,
+                              watched=info.watched):
             handled = self.user_handler(info)
         if not handled:
             self._panic(info, "ECC fault handler did not claim the fault")
 
     def _panic(self, info, reason):
         self.panics += 1
-        if self.event_log is not None:
-            self.event_log.emit(
-                EventKind.PANIC, address=info.paddr, reason=reason
-            )
+        self.event_log.emit(
+            EventKind.PANIC, address=info.paddr, reason=reason
+        )
         raise MachinePanic(
             f"kernel panic: uncorrectable ECC error at physical "
             f"{info.paddr:#010x} ({reason})"

@@ -13,8 +13,6 @@ Every syscall charges its cycle cost to the program's clock, which is
 how monitoring overhead becomes measurable.
 """
 
-import contextlib
-
 from repro.common.constants import (
     CACHE_LINE_SIZE,
     PAGE_SIZE,
@@ -34,8 +32,8 @@ class Kernel:
     """OS services over the machine's hardware components."""
 
     def __init__(self, dram, controller, cache, mmu, page_table, clock,
-                 costs, event_log, max_pinned_pages=None, metrics=None,
-                 tracer=None, scrub_interval_cycles=None):
+                 costs, event_log, metrics, tracer, max_pinned_pages=None,
+                 scrub_interval_cycles=None):
         self.dram = dram
         self.controller = controller
         self.cache = cache
@@ -47,8 +45,7 @@ class Kernel:
         self.metrics = metrics
         self.tracer = tracer
         self.interrupts = InterruptController(clock, costs, event_log,
-                                              metrics=metrics,
-                                              tracer=tracer)
+                                              metrics, tracer)
         self.watches = WatchRegistry()
         self.scrubber = Scrubber(controller, clock, costs,
                                  interval_cycles=scrub_interval_cycles)
@@ -63,8 +60,7 @@ class Kernel:
         #: user-level SIGSEGV handler (page-protection guard tools).
         self.segv_handler = None
         controller.fault_listener = self._on_controller_event
-        if metrics is not None:
-            self.register_metrics(metrics)
+        self.register_metrics(metrics)
 
     def register_metrics(self, metrics):
         """Publish ``kernel.*`` probes into a metrics registry.
@@ -107,11 +103,6 @@ class Kernel:
         self.scrubber.load_state(state["scrubber"])
         self.interrupts.load_state(state["interrupts"])
 
-    def _span(self, name, **attrs):
-        if self.tracer is not None:
-            return self.tracer.span(name, **attrs)
-        return contextlib.nullcontext()
-
     # ------------------------------------------------------------------
     # the three paper syscalls
     # ------------------------------------------------------------------
@@ -126,7 +117,7 @@ class Kernel:
         ECC fault.
         """
         self._count("WatchMemory")
-        with self._span("syscall.WatchMemory", vaddr=vaddr, size=size):
+        with self.tracer.span("syscall.WatchMemory", vaddr=vaddr, size=size):
             return self._watch_memory(vaddr, size)
 
     def _watch_memory(self, vaddr, size):
@@ -200,7 +191,7 @@ class Kernel:
         re-encoded, which also clears the fault condition.
         """
         self._count("DisableWatchMemory")
-        with self._span("syscall.DisableWatchMemory", vaddr=vaddr):
+        with self.tracer.span("syscall.DisableWatchMemory", vaddr=vaddr):
             return self._disable_watch_memory(vaddr, restore_data)
 
     def _disable_watch_memory(self, vaddr, restore_data):
@@ -328,8 +319,8 @@ class Kernel:
             origin=fault.origin.value,
             access=access,
         )
-        with self._span("ecc.fault", paddr=fault.address,
-                        watched=watched, access=access):
+        with self.tracer.span("ecc.fault", paddr=fault.address,
+                              watched=watched, access=access):
             self.interrupts.deliver(info)
 
     def peek_watched_line(self, vaddr):
@@ -411,12 +402,11 @@ class Kernel:
         return pages
 
     def _count(self, name):
-        if self.metrics is not None:
-            counter = self._syscall_counters.get(name)
-            if counter is None:
-                counter = self._syscall_counters[name] = \
-                    self.metrics.counter(f"kernel.syscall.{name}")
-            counter.value += 1
+        counter = self._syscall_counters.get(name)
+        if counter is None:
+            counter = self._syscall_counters[name] = \
+                self.metrics.counter(f"kernel.syscall.{name}")
+        counter.value += 1
         self.event_log.emit(EventKind.SYSCALL, name=name)
 
     def _on_controller_event(self, fault):

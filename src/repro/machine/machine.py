@@ -50,11 +50,7 @@ class Machine:
 
     def __init__(self, dram_size=32 * 1024 * 1024, cache_size=256 * 1024,
                  cache_ways=8, ecc_mode=EccMode.CORRECT_ERROR,
-                 cost_model=None, max_pinned_pages=None, cache_levels=1,
-                 l1_size=16 * 1024, l1_ways=4, profile=None):
-        if cache_levels not in (1, 2):
-            raise ConfigurationError(
-                f"cache_levels must be 1 or 2, got {cache_levels!r}")
+                 cost_model=None, max_pinned_pages=None, profile=None):
         #: the chipset profile (codec, scrub cadence, fault noise)
         #: this machine's memory system is built for.
         self.profile = get_profile(profile)
@@ -68,9 +64,6 @@ class Machine:
             "cache_ways": cache_ways,
             "ecc_mode": ecc_mode.value,
             "max_pinned_pages": max_pinned_pages,
-            "cache_levels": cache_levels,
-            "l1_size": l1_size,
-            "l1_ways": l1_ways,
             "profile": self.profile.name,
         }
         codec = self.profile.build_codec()
@@ -86,28 +79,14 @@ class Machine:
         self.controller = MemoryController(self.dram, mode=ecc_mode,
                                            codec=codec,
                                            metrics=self.metrics)
-        if cache_levels == 2:
-            # Local: only a two-level machine needs it.
-            from repro.cache.hierarchy import CacheHierarchy
-            self.cache = CacheHierarchy(
-                self.controller,
-                l1_size=l1_size,
-                l1_ways=l1_ways,
-                l2_size=cache_size,
-                l2_ways=cache_ways,
-                clock=self.clock,
-                cost_model=self.costs,
-                metrics=self.metrics,
-            )
-        else:
-            self.cache = Cache(
-                self.controller,
-                size=cache_size,
-                ways=cache_ways,
-                clock=self.clock,
-                cost_model=self.costs,
-                metrics=self.metrics,
-            )
+        self.cache = Cache(
+            self.controller,
+            self.clock,
+            self.costs,
+            size=cache_size,
+            ways=cache_ways,
+            metrics=self.metrics,
+        )
         self.page_table = PageTable()
         self.frames = FrameAllocator(dram_size)
         self.swap = SwapDevice(metrics=self.metrics)
@@ -146,7 +125,7 @@ class Machine:
 
     def state_dict(self):
         """The machine's own access counters; each component (clock,
-        caches, kernel, ...) carries its own ``state_dict``."""
+        cache, kernel, ...) carries its own ``state_dict``."""
         return fields_state(self, self.STATE_FIELDS)
 
     def load_state(self, state):

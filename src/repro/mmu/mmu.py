@@ -42,7 +42,7 @@ class Mmu:
                     "tlb_flushes")
 
     def __init__(self, page_table, frame_allocator, swap, dram, cache,
-                 controller, metrics=None):
+                 controller, metrics):
         self.page_table = page_table
         self.frames = frame_allocator
         self.swap = swap
@@ -62,8 +62,7 @@ class Mmu:
         self.tlb_misses = 0
         self.tlb_invalidations = 0
         self.tlb_flushes = 0
-        if metrics is not None:
-            self.register_metrics(metrics)
+        self.register_metrics(metrics)
 
     def register_metrics(self, metrics):
         """Publish the MMU counters as ``mmu.*`` registry probes.

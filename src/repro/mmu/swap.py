@@ -23,12 +23,11 @@ from repro.common.state import (
 class SwapDevice:
     """Backing store for evicted pages, keyed by virtual page number."""
 
-    def __init__(self, metrics=None):
+    def __init__(self, metrics):
         self._slots = {}
         self.swap_outs = 0
         self.swap_ins = 0
-        if metrics is not None:
-            self.register_metrics(metrics)
+        self.register_metrics(metrics)
 
     def register_metrics(self, metrics):
         """Publish ``swap.*`` probes into a metrics registry."""
@@ -87,7 +86,7 @@ class EvictionPolicy:
     """LRU eviction over resident, unpinned pages."""
 
     def __init__(self, page_table, frame_allocator, swap, dram, cache,
-                 invalidate_translation=None):
+                 invalidate_translation):
         self.page_table = page_table
         self.frames = frame_allocator
         self.swap = swap
@@ -133,5 +132,4 @@ class EvictionPolicy:
         entry.pfn = None
         entry.present = False
         entry.in_swap = True
-        if self.invalidate_translation is not None:
-            self.invalidate_translation(entry.vpn)
+        self.invalidate_translation(entry.vpn)

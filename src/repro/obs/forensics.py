@@ -42,7 +42,11 @@ from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind, jsonable
 from repro.common.schema import Field, Table
 from repro.common.state import BOOL, INT, LIST, NULL, NUMBER, OBJECT, TEXT
-from repro.obs.export import snapshot_from_document
+from repro.obs.export import (
+    METRICS,
+    SCHEMA as METRICS_SCHEMA,
+    snapshot_from_document,
+)
 from repro.obs.snapshot import (
     CAPTURE,
     Rerun,
@@ -356,9 +360,9 @@ def load_document(path, expected=None):
     the offending string and every schema this build understands, so
     documents written by newer builds degrade loudly, not obscurely.
     """
-    # Local: obs.checkpoint imports this module.
+    # Local: obs.checkpoint imports this module, and the history and
+    # stream readers load only to read their documents.
     from repro.obs.checkpoint import CHECKPOINT, checkpoint_table
-    from repro.obs.export import METRICS
     from repro.obs.history import HISTORY
     from repro.obs.sink import EVENTS, STREAM, read_jsonl
     known = {table.name: (kind, table) for kind, table in (
@@ -640,7 +644,6 @@ def _metrics_of(document):
     if schema == DUMP_SCHEMA:
         document = document["metrics"]
         schema = document["schema"]
-    from repro.obs.export import SCHEMA as METRICS_SCHEMA
     if schema != METRICS_SCHEMA:
         raise ConfigurationError(
             f"cannot diff schema {schema!r}; expected {DUMP_SCHEMA} or "

@@ -112,8 +112,7 @@ RUN = Table("run", {
 #: must also be an ``EccMode``, see :func:`machine_from_config`).
 MACHINE = Table("machine", {
     **{field: Field(INT, required=False)
-       for field in ("dram_size", "cache_size", "cache_ways",
-                     "cache_levels", "l1_size", "l1_ways")},
+       for field in ("dram_size", "cache_size", "cache_ways")},
     "max_pinned_pages": Field(INT | NULL, required=False),
     "ecc_mode": Field(TEXT, required=False, what="an ECC mode name"),
     "profile": Field(TEXT | NULL, required=False, what="a profile name"),

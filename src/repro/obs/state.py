@@ -2,7 +2,7 @@
 
 A checkpoint's ``state`` section holds one image of everything a
 straight run reads after the boundary -- clock, event log, metrics,
-tracer, DRAM, caches, page table, TLB, kernel, heap, monitor,
+tracer, DRAM, cache, page table, TLB, kernel, heap, monitor,
 workload, ground truth and monitoring stack -- so resume can load it
 into a freshly booted twin and continue, instead of re-running the
 recorded prefix from its seed.  The checkpoint keeps no other copy of

@@ -22,15 +22,20 @@ def controller():
     return MemoryController(PhysicalMemory(1024 * 1024))
 
 
+def make_cache(controller, size=8 * 1024, ways=2):
+    return Cache(controller, VirtualClock(), default_cost_model(),
+                 size=size, ways=ways)
+
+
 @pytest.fixture
 def cache(controller):
-    return Cache(controller, size=8 * 1024, ways=2)
+    return make_cache(controller)
 
 
 class TestBasics:
     def test_size_must_divide_into_sets(self, controller):
         with pytest.raises(ConfigurationError):
-            Cache(controller, size=1000, ways=3)
+            make_cache(controller, size=1000, ways=3)
 
     def test_load_miss_then_hit(self, cache, controller):
         controller.write_line(0, LINE)
@@ -76,7 +81,7 @@ class TestWriteBack:
         assert cache.writebacks == writebacks_before
 
     def test_eviction_writes_back_dirty_victim(self, controller):
-        cache = Cache(controller, size=2 * CACHE_LINE_SIZE, ways=1)
+        cache = make_cache(controller, size=2 * CACHE_LINE_SIZE, ways=1)
         # Two addresses mapping to the same (single) set... with 2 sets
         # of 1 way, conflicting addresses differ by 2 lines.
         stride = 2 * CACHE_LINE_SIZE
@@ -87,7 +92,7 @@ class TestWriteBack:
         assert not cache.contains(0)
 
     def test_lru_choice(self, controller):
-        cache = Cache(controller, size=2 * CACHE_LINE_SIZE, ways=2)
+        cache = make_cache(controller, size=2 * CACHE_LINE_SIZE, ways=2)
         stride = CACHE_LINE_SIZE  # one set; all lines collide
         cache.load(0, 1)
         cache.load(stride, 1)
@@ -149,8 +154,7 @@ class TestCosts:
     def test_hit_and_miss_charge_cycles(self, controller):
         clock = VirtualClock()
         costs = default_cost_model()
-        cache = Cache(controller, size=8 * 1024, ways=2,
-                      clock=clock, cost_model=costs)
+        cache = Cache(controller, clock, costs, size=8 * 1024, ways=2)
         cache.load(0, 1)
         assert clock.cycles == costs.cache_hit + costs.cache_miss
         cache.load(0, 1)

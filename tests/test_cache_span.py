@@ -41,7 +41,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import Cache
-from repro.cache.hierarchy import CacheHierarchy
 from repro.common.clock import VirtualClock
 from repro.common.constants import (
     CACHE_LINE_SIZE,
@@ -108,12 +107,11 @@ def arm(controller, line):
 
 
 class _Rig:
-    """One cache (or an L1 over an L2) over its own DRAM and clock,
-    optionally with a timer, with ``armed`` lines scrambled and the
-    ``flipped`` ``(line, byte, bit)`` data bits flipped."""
+    """One cache over its own DRAM and clock, optionally with a timer,
+    with ``armed`` lines scrambled and the ``flipped``
+    ``(line, byte, bit)`` data bits flipped."""
 
-    def __init__(self, size, ways, cadence, armed=(), flipped=(),
-                 levels=1):
+    def __init__(self, size, ways, cadence, armed=(), flipped=()):
         dram = PhysicalMemory(DRAM_SIZE)
         self.controller = MemoryController(dram)
         # Distinct line contents, so a misplaced byte shows.
@@ -126,17 +124,8 @@ class _Rig:
         self.clock = VirtualClock()
         self.faults = []
         self.controller.fault_listener = self._on_fault
-        if levels == 1:
-            self.cache = Cache(self.controller, size=size, ways=ways,
-                               clock=self.clock,
-                               cost_model=default_cost_model())
-            self.levels = (self.cache,)
-        else:
-            self.cache = CacheHierarchy(
-                self.controller, l1_size=size, l1_ways=ways,
-                l2_size=4 * size, l2_ways=ways, clock=self.clock,
-                cost_model=default_cost_model())
-            self.levels = (self.cache.l1, self.cache.l2)
+        self.cache = Cache(self.controller, self.clock,
+                           default_cost_model(), size=size, ways=ways)
         self.observed = []
         if cadence is not None:
             self.clock.every(cadence, self._observe)
@@ -145,18 +134,17 @@ class _Rig:
         self.faults.append((self.clock.cycles, fault))
 
     def _observe(self, clock):
-        self.observed.append((clock.cycles, self.controller.reads)
-                             + tuple((level.hits, level.misses,
-                                      level._tick)
-                                     for level in self.levels))
+        cache = self.cache
+        self.observed.append((clock.cycles, self.controller.reads,
+                              cache.hits, cache.misses, cache._tick))
 
     def state(self):
+        cache = self.cache
         controller = self.controller
-        return (tuple((level.hits, level.misses, level.evictions,
-                       level.writebacks, level.flushes, level._tick,
-                       sorted((tag, stamp, dirty, data)
-                              for tag, dirty, stamp, data in level.lines()))
-                      for level in self.levels),
+        return ((cache.hits, cache.misses, cache.evictions,
+                 cache.writebacks, cache.flushes, cache._tick,
+                 sorted((tag, stamp, dirty, data)
+                        for tag, dirty, stamp, data in cache.lines())),
                 self.clock.cycles,
                 (controller.reads, controller.clean_line_reads,
                  controller.corrected_errors,
@@ -215,17 +203,16 @@ def apply(rig, kind, paddr, length, seed, reference):
     operations, or (``reference``) through the per-line loops.  Returns
     the loaded bytes, or the fault a raising span reported."""
     cache = rig.cache
-    top = rig.levels[0]
     lines = range(line_base(paddr), paddr + length, CACHE_LINE_SIZE)
     try:
         if kind == "load":
             if reference:
-                return reference_load(top, paddr, length)
+                return reference_load(cache, paddr, length)
             return cache.load(paddr, length)
         if kind == "store":
             data = PATTERN[seed:seed + length]
             if reference:
-                reference_store(top, paddr, data)
+                reference_store(cache, paddr, data)
             else:
                 cache.store(paddr, data)
         elif kind == "flush":
@@ -255,13 +242,12 @@ def assert_twins_agree(make_rig, plan):
         assert apply(span, kind, paddr, length, seed, False) == \
             apply(reference, kind, paddr, length, seed, True)
         assert span.state() == reference.state()
-        for level in span.levels + reference.levels:
-            assert_frame_index(level)
+        assert_frame_index(span.cache)
+        assert_frame_index(reference.cache)
     span.cache.flush_all()
     reference.cache.flush_all()
-    for level in span.levels:
-        assert level._frames == {}
-        assert level.resident_lines == 0
+    assert span.cache._frames == {}
+    assert span.cache.resident_lines == 0
     assert span.state() == reference.state()
     assert span.controller.dram.digest() == \
         reference.controller.dram.digest()
@@ -280,21 +266,6 @@ def test_span_walk_matches_per_line_reference(size, ways, cadence, armed,
     for timer in (None, cadence):
         assert_twins_agree(
             lambda: _Rig(size, ways, timer, armed, flipped), plan)
-
-
-@given(size=st.sampled_from([1024, 2048]),
-       ways=st.sampled_from([1, 2, 4]),
-       cadence=st.one_of(st.none(), st.integers(1, 500)),
-       armed=armed_lines, flipped=flipped_bits,
-       plan=accesses)
-@settings(max_examples=25, deadline=None)
-def test_hierarchy_matches_per_line_reference(size, ways, cadence, armed,
-                                              flipped, plan):
-    """An L1 over an L2: the L1 never bursts (its fills read through
-    the L2), and the hierarchy's range operations keep the per-line
-    L1 -> L2 order."""
-    assert_twins_agree(
-        lambda: _Rig(size, ways, cadence, armed, flipped, levels=2), plan)
 
 
 def test_burst_stops_at_the_first_unclean_line():
@@ -366,33 +337,33 @@ def test_fault_mid_span_leaves_reference_state(cadence, write):
 
 
 def test_resident_lines_gauges_read_each_level():
-    """``cache.l1.resident_lines`` and ``cache.l2.resident_lines`` are
-    each level's own counter, through fills, evictions, flushes and an
-    invalidate."""
+    """``cache.l1.resident_lines`` is the cache's own counter, through
+    fills, evictions, flushes and an invalidate."""
     controller = MemoryController(PhysicalMemory(DRAM_SIZE))
     metrics = MetricsRegistry()
-    hierarchy = CacheHierarchy(controller, l1_size=1024, l1_ways=2,
-                               l2_size=8192, l2_ways=4, metrics=metrics)
+    cache = Cache(controller, VirtualClock(), default_cost_model(),
+                  size=1024, ways=2, metrics=metrics)
 
-    def assert_gauges():
-        for level in (hierarchy.l1, hierarchy.l2):
-            assert_frame_index(level)
-            assert metrics.value(f"cache.{level.level}.resident_lines") \
-                == sum(len(s) for s in level._sets)
+    def assert_gauge():
+        assert_frame_index(cache)
+        assert metrics.value("cache.l1.resident_lines") \
+            == sum(len(s) for s in cache._sets)
 
-    hierarchy.load(0, 2 * PAGE_SIZE)
-    assert_gauges()
-    # 2 pages = 128 lines: L1 holds 16 of them, L2 all 128.
+    cache.load(0, 2 * PAGE_SIZE)
+    assert_gauge()
+    # 2 pages = 128 lines, of which the 16-line cache keeps the last 16.
     assert metrics.value("cache.l1.resident_lines") == 16
-    assert metrics.value("cache.l2.resident_lines") == 128
-    hierarchy.store(PAGE_SIZE + 8, b"\xa5" * 300)
-    hierarchy.flush_lines(range(0, 4 * CACHE_LINE_SIZE, CACHE_LINE_SIZE))
-    hierarchy.invalidate_line(PAGE_SIZE)
-    assert_gauges()
-    hierarchy.flush_all()
-    assert_gauges()
+    cache.store(PAGE_SIZE + 8, b"\xa5" * 300)
+    cache.flush_lines(range(PAGE_SIZE, PAGE_SIZE + 4 * CACHE_LINE_SIZE,
+                            CACHE_LINE_SIZE))
+    assert_gauge()
+    assert metrics.value("cache.l1.resident_lines") == 16 - 4
+    cache.invalidate_line(PAGE_SIZE + 4 * CACHE_LINE_SIZE)
+    assert_gauge()
+    assert metrics.value("cache.l1.resident_lines") == 16 - 5
+    cache.flush_all()
+    assert_gauge()
     assert metrics.value("cache.l1.resident_lines") == 0
-    assert metrics.value("cache.l2.resident_lines") == 0
 
 
 # ----------------------------------------------------------------------
@@ -519,8 +490,8 @@ def test_lru_order_matches_an_ordered_dict_model(num_sets, ways, cadence,
     clock = VirtualClock()
     if cadence is not None:
         clock.every(cadence, lambda clock: None)
-    cache = Cache(controller, size=num_sets * ways * CACHE_LINE_SIZE,
-                  ways=ways, clock=clock, cost_model=default_cost_model())
+    cache = Cache(controller, clock, default_cost_model(),
+                  size=num_sets * ways * CACHE_LINE_SIZE, ways=ways)
     model = _LruModel(num_sets, ways)
     for kind, paddr, size in plan:
         if kind == "load":

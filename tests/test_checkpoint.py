@@ -328,11 +328,12 @@ def test_malformed_recorded_sampling_policy_is_a_named_error(
     ({"cache_ways": -1}, "cache ways must be at least 1, got -1"),
     ({"cache_ways": 0}, "cache ways must be at least 1, got 0"),
     ({"cache_size": 0}, "cache size must be positive, got 0"),
-    ({"cache_levels": 2, "l1_ways": -1},
-     "l1 cache ways must be at least 1, got -1"),
-    ({"cache_levels": 3}, "cache_levels must be 1 or 2, got 3"),
-], ids=["cache_ways=-1", "cache_ways=0", "cache_size=0", "l1_ways=-1",
-        "cache_levels=3"])
+    ({"cache_size": 3000},
+     "cache size 3000 not divisible into 16-way sets of 64-byte lines"),
+    ({"cache_ways": 3},
+     "cache size 2097152 not divisible into 3-way sets of 64-byte lines"),
+], ids=["cache_ways=-1", "cache_ways=0", "cache_size=0", "cache_size=3000",
+        "cache_ways=3"])
 def test_invalid_recorded_cache_geometry_is_a_named_error(recorded_run,
                                                           fields, named):
     """Resume boots the recorded machine; an impossible cache geometry
@@ -349,12 +350,12 @@ def test_invalid_recorded_cache_geometry_is_a_named_error(recorded_run,
     ({"cache_sets": 4}, "field 'cache_sets' is unknown"),
     ({"ecc_mode": "bogus"}, "field 'ecc_mode' must be one of"),
     ({"dram_size": "x"}, "field 'dram_size' must be an integer"),
-    ({"cache_levels": True}, "field 'cache_levels' must be an integer"),
+    ({"cache_ways": True}, "field 'cache_ways' must be an integer"),
     ({"max_pinned_pages": "x"},
      "field 'max_pinned_pages' must be null or an integer"),
     ({"profile": ["secded"]}, "field 'profile' must be a profile name"),
     ([], "machine section must be an object, got list"),
-], ids=["unknown-key", "ecc_mode=bogus", "dram_size=x", "cache_levels=True",
+], ids=["unknown-key", "ecc_mode=bogus", "dram_size=x", "cache_ways=True",
         "max_pinned_pages=x", "profile=list", "list"])
 def test_malformed_recorded_machine_is_a_named_error(recorded_run,
                                                      section, named):
@@ -1096,6 +1097,35 @@ class TestCheckpointCli:
         assert capsys.readouterr().err == (
             "repro: error: recorded machine field 'cache_ways' must be "
             "an integer, got 'eight'\n")
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"cache_levels": 1, "l1_size": 16 * 1024, "l1_ways": 4},
+         "cache_levels"),
+        ({"l1_size": 16 * 1024}, "l1_size"),
+        ({"l1_ways": 4}, "l1_ways"),
+    ], ids=["all", "l1_size", "l1_ways"])
+    @pytest.mark.parametrize("command, shape", [
+        ("resume", "checkpoint"), ("inspect", "checkpoint"),
+        ("replay", "bundle"), ("inspect", "bundle"),
+    ], ids=["resume", "inspect-checkpoint", "replay", "inspect-bundle"])
+    def test_two_level_cache_machine_section_is_one_line(
+            self, recorded_run, tmp_path, capsys, fields, named, command,
+            shape):
+        """A checkpoint or bundle written while machines could boot an
+        L1 over an L2 records ``cache_levels``, ``l1_size`` and
+        ``l1_ways`` in its ``machine`` section; the first of them is one
+        unknown-field line."""
+        checkpoint, bundle = recorded_run
+        document = copy.deepcopy(checkpoint if shape == "checkpoint"
+                                 else bundle)
+        document["machine"].update(fields)
+        path = write_checkpoint(document, tmp_path / "old.json")
+        code, _ = run_cli(command, str(path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"repro: error: recorded machine field {named!r} is unknown; "
+            f"expected one of dram_size, cache_size, cache_ways, "
+            f"max_pinned_pages, ecc_mode, profile\n")
 
     @pytest.mark.parametrize("command, shape, edit, message", [
         ("history", "sections",

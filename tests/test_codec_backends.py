@@ -251,8 +251,6 @@ class TestChipsetProfiles:
         with pytest.raises(ConfigurationError):
             ChipsetProfile(name="x", codec="nope").validate()
         with pytest.raises(ConfigurationError):
-            ChipsetProfile(name="x", line_size=32).validate()
-        with pytest.raises(ConfigurationError):
             ChipsetProfile(name="x", scrub_interval_cycles=0).validate()
         with pytest.raises(ConfigurationError):
             ChipsetProfile(name="x", fault_noise=-1.0).validate()

@@ -71,8 +71,7 @@ def documented_metric_patterns(text):
 def registered_metric_names(requests=12):
     """Every metric a few ypserv1 requests register: under each monitor
     of ``MONITOR_FACTORIES``, SafeMem with the profiler, trend engine
-    and history, SafeMem with allocation sampling, and a two-level
-    cache machine."""
+    and history, and SafeMem with allocation sampling."""
     from repro.analysis.runner import (
         CACHE_SIZE,
         DRAM_SIZE,
@@ -82,18 +81,17 @@ def registered_metric_names(requests=12):
     from repro.machine.machine import Machine
     from repro.obs.stack import MonitorStackConfig, build_monitor_stack
 
-    runs = [(MonitorStackConfig(monitor=monitor), 1)
+    runs = [MonitorStackConfig(monitor=monitor)
             for monitor in sorted(MONITOR_FACTORIES)]
     runs += [
-        (MonitorStackConfig(sample_every=100_000, trend="cusum",
-                            history=True), 1),
-        (MonitorStackConfig(sampling=SamplingPolicy(rate=0.5)), 1),
-        (MonitorStackConfig(), 2),
+        MonitorStackConfig(sample_every=100_000, trend="cusum",
+                           history=True),
+        MonitorStackConfig(sampling=SamplingPolicy(rate=0.5)),
     ]
     names = set()
-    for config, cache_levels in runs:
+    for config in runs:
         machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
-                          cache_ways=16, cache_levels=cache_levels)
+                          cache_ways=16)
         run_info = {"workload": "ypserv1", "monitor": config.monitor,
                     "buggy": True, "requests": requests, "seed": 0}
         stack = build_monitor_stack(config, machine=machine,
@@ -198,6 +196,32 @@ def test_checker_flags_design_modules_column_only(tmp_path):
     problems = docs_check.check_architecture_references(root)
     assert problems == ["DESIGN.md: references repro.core.ghost, which "
                         "does not exist under src/repro"]
+
+
+def test_checker_flags_module_map_drift(tmp_path):
+    """DESIGN.md's module map lists exactly the modules under
+    ``src/repro``: a listed module that does not exist and a module
+    the map omits are each reported."""
+    root = _fake_repo(tmp_path, "repro.core\n")
+    core = root / "src" / "repro" / "core"
+    for name in ("leak.py", "watcher.py", "sampling.py"):
+        (core / name).write_text("")
+    (root / "src" / "repro" / "cli.py").write_text("")
+    (root / "DESIGN.md").write_text(
+        "## Module map\n\n"
+        "```\n"
+        "src/repro/\n"
+        "  core/        leak.py      leak detection, across\n"
+        "                            two lines naming no.py module\n"
+        "               ghost.py     deleted long ago\n"
+        "               watcher.py   the ECC watch manager\n"
+        "  cli.py       python -m repro\n"
+        "```\n")
+    problems = docs_check.check_architecture_references(root)
+    assert problems == [
+        "DESIGN.md: module map lists src/repro/core/ghost.py, which does "
+        "not exist",
+        "DESIGN.md: module map omits src/repro/core/sampling.py"]
 
 
 def test_checker_flags_undocumented_subpackage(tmp_path):

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import Cache
-from repro.cache.hierarchy import CacheHierarchy
+from repro.common.clock import VirtualClock
 from repro.common.constants import CACHE_LINE_SIZE, PAGE_SIZE
+from repro.common.costs import default_cost_model
 from repro.common.errors import BusError
 from repro.ecc.controller import EccMode, MemoryController
 from repro.ecc.dram import PhysicalMemory
@@ -174,34 +175,23 @@ line_states = st.lists(st.sampled_from(["absent", "clean", "dirty"]),
                        max_size=2 * LINES_PER_PAGE)
 
 
-def _cache(kind, controller):
-    if kind == "hierarchy":
-        return CacheHierarchy(controller, l1_size=4 * 1024, l1_ways=2,
-                              l2_size=32 * 1024, l2_ways=4)
-    return Cache(controller, size=32 * 1024, ways=4)
-
-
-def _levels(cache):
-    return [cache.l1, cache.l2] if isinstance(cache, CacheHierarchy) \
-        else [cache]
+def _cache(controller):
+    return Cache(controller, VirtualClock(), default_cost_model(),
+                 size=32 * 1024, ways=4)
 
 
 def _cache_state(cache):
-    return [
-        (level.hits, level.misses, level.evictions, level.writebacks,
-         level.flushes,
-         sorted((tag, data, dirty)
-                for tag, dirty, _stamp, data in level.lines()))
-        for level in _levels(cache)
-    ]
+    return (cache.hits, cache.misses, cache.evictions, cache.writebacks,
+            cache.flushes,
+            sorted((tag, data, dirty)
+                   for tag, dirty, _stamp, data in cache.lines()))
 
 
 class TestFlushLines:
-    @pytest.mark.parametrize("kind", ["cache", "hierarchy"])
     @given(states=line_states, frames=st.permutations(FRAMES),
            order=st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
-    def test_flush_lines_matches_per_line_flush(self, kind, states, frames,
+    def test_flush_lines_matches_per_line_flush(self, states, frames,
                                                 order):
         # The flushed lines: two frames' worth, visited in ascending
         # order within a frame (contiguous runs) but frames in random
@@ -215,7 +205,7 @@ class TestFlushLines:
         twins = []
         for batched in (True, False):
             controller, metrics = _controller()
-            cache = _cache(kind, controller)
+            cache = _cache(controller)
             for line, state in zip(lines, states):
                 if state == "clean":
                     cache.load(line, 8)
@@ -232,7 +222,7 @@ class TestFlushLines:
 
     def test_contiguous_dirty_lines_write_back_as_one_burst(self):
         controller, _ = _controller()
-        cache = Cache(controller, size=32 * 1024, ways=4)
+        cache = _cache(controller)
         bursts = []
         write_line = controller.write_line
 

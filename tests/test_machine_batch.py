@@ -79,11 +79,6 @@ class TestDifferentialEquivalence:
         assert batched.batched_loads + batched.batched_stores == len(plan)
         assert results[-1][5:8] == b"\x99" * 3
 
-    def test_two_level_hierarchy_identical(self):
-        plan = [("store", BASE + i * 64, b"x" * 64) for i in range(600)]
-        plan += [("load", BASE + i * 64, 64) for i in range(600)]
-        _run_twins(plan, machine_kwargs={"cache_levels": 2})
-
     def test_timer_inside_a_span_sees_scalar_hit_counts(self):
         # A clock timer that fires between two line hits of one access
         # must read the hit count a per-line walk has published by
@@ -157,7 +152,8 @@ def _watch_regions(spec):
                                 st.integers(1, 3)),
                       max_size=4, unique_by=lambda region: region[0]),
        period=st.none() | st.integers(2, 50),
-       geometry=st.sampled_from([{}, {"cache_levels": 2},
+       geometry=st.sampled_from([{},
+                                 {"cache_size": 16 * 1024, "cache_ways": 4},
                                  {"cache_size": 4096, "cache_ways": 2}]))
 @settings(max_examples=150, deadline=None)
 def test_random_plans_match_op_by_op_execution(ops, warm_pages, armed,
@@ -238,7 +234,7 @@ class TestWorkloadDifferential:
             }[monitor_name]
             if scalar:
                 monitor_cls = _scalarizing(monitor_cls)
-            machine = Machine(cache_levels=2)
+            machine = Machine()
             program = Program(machine, monitor=monitor_cls(*args))
             workload = workload_cls(requests=30)
             if hasattr(workload, "trigger_block"):

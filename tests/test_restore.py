@@ -3,13 +3,12 @@
 The differential contract of checkpoint restore: a run checkpointed at
 a random request boundary and resumed from its state image must end
 in exactly the state of the same run executed straight through --
-metrics, the full event trace, DRAM, every cache level's lines (tag,
-dirty bit, LRU stamp, bytes), the TLB, the ground truth, the
-workload's own state (its input RNG included) and the leak and
-corruption reports.  Each example draws the workload (from every
-workload the image covers), buggy or normal input, the monitor, the
-monitoring stack on or off, a one- or two-level cache and the
-boundary.
+metrics, the full event trace, DRAM, the cache's lines (tag, dirty
+bit, LRU stamp, bytes), the TLB, the ground truth, the workload's own
+state (its input RNG included) and the leak and corruption reports.
+Each example draws the workload (from every workload the image
+covers), buggy or normal input, the monitor, the monitoring stack on
+or off and the boundary.
 
 Restore verifies by the image alone, which cannot see state that
 ``capture_state`` reads but no ``state_dict`` carries.  So each
@@ -48,7 +47,7 @@ STACK = {"sample_every": 50_000, "trend": "page-hinkley", "history": True}
 DRAM_SIZE = 32 * 1024 * 1024
 
 
-def run(workload, monitor, buggy, requests, stack, levels, sampling,
+def run(workload, monitor, buggy, requests, stack, sampling,
         boundary=None):
     """One run; with ``boundary``, capture there a checkpoint and the
     image-free capture of the same state.
@@ -57,7 +56,7 @@ def run(workload, monitor, buggy, requests, stack, levels, sampling,
     holding the ``checkpoint`` and its ``sections`` twin.
     """
     machine = Machine(dram_size=DRAM_SIZE, cache_size=CACHE_SIZE,
-                      cache_ways=16, cache_levels=levels)
+                      cache_ways=16)
     config = MonitorStackConfig(
         monitor=monitor, **(STACK if stack else {}),
         sampling=(SamplingPolicy(rate=0.5, seed=3) if sampling else None))
@@ -93,11 +92,9 @@ def run(workload, monitor, buggy, requests, stack, levels, sampling,
 
 
 def cache_lines(machine):
-    """Every level's lines as ``(tag, dirty, stamp, bytes)``, in set
+    """The cache's lines as ``(tag, dirty, stamp, bytes)``, in set
     order, plus the LRU clock."""
-    cache = machine.cache
-    levels = (cache.l1, cache.l2) if hasattr(cache, "l1") else (cache,)
-    return [(level.lines(), level._tick) for level in levels]
+    return machine.cache.lines(), machine.cache._tick
 
 
 def tlb_slots(machine):
@@ -141,7 +138,6 @@ def runs(draw):
         "buggy": draw(st.booleans()),
         "requests": requests,
         "stack": draw(st.booleans()),
-        "levels": draw(st.sampled_from((1, 2))),
         "sampling": monitor != "native" and draw(st.booleans()),
         "boundary": draw(st.integers(min_value=0,
                                      max_value=requests - 2)),

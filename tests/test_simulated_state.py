@@ -2,10 +2,10 @@
 
 Host-time optimizations of the simulator must leave every simulated
 result unchanged.  This test pins that for short runs of the
-configurations ``bench/`` times, plus the cache and codec variants
-they do not: each run's cycle and idle-cycle counts, and SHA-256
-digests of its metrics snapshot, its whole event trace, and the DRAM
-data and check bytes, must equal the values committed in
+configurations ``bench/`` times, plus a codec variant they do not:
+each run's cycle and idle-cycle counts, and SHA-256 digests of its
+metrics snapshot, its whole event trace, and the DRAM data and check
+bytes, must equal the values committed in
 ``tests/data/simulated_state.json``.
 
 Each run also has a restore leg: the same run with one checkpoint
@@ -51,7 +51,6 @@ RUNS = {
     "squid1-safemem": ("squid1", False, 300, {}, {}),
     "squid1-safemem-buggy": ("squid1", True, 300, {}, {}),
     "ypserv1-monitored": ("ypserv1", True, 300, MONITORED, {}),
-    "gzip-safemem-l2": ("gzip", False, 200, {}, {"cache_levels": 2}),
     "gzip-safemem-chipkill": ("gzip", False, 200, {},
                               {"profile": "chipkill-server"}),
 }

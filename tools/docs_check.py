@@ -11,7 +11,9 @@ code layout:
    module under ``src/repro``, optionally followed by one name that
    the module defines or imports at module level (no docs for deleted
    code); a subpackage followed by a name is reported, since packages
-   re-export nothing;
+   re-export nothing; and DESIGN.md's module map (the fenced block
+   that starts with ``src/repro/``) lists exactly the modules under
+   ``src/repro``, package ``__init__.py`` files aside, both ways;
 2. every subpackage under ``src/repro`` is mentioned in
    ``docs/ARCHITECTURE.md`` (no undocumented subsystem);
 3. every intra-repo markdown link in the repo's ``*.md`` files resolves
@@ -82,6 +84,9 @@ TREE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
 _MODULE_REF = re.compile(r"\brepro\.(\w+(?:\.\w+)*)(?![\w/-])")
 #: a parenthesised aside inside a table cell.
 _ASIDE = re.compile(r"\([^)]*\)")
+#: DESIGN.md's module map: a fenced block starting with ``src/repro/``.
+_MODULE_MAP = re.compile(r"^```\n(src/repro/\n.*?)^```",
+                         re.MULTILINE | re.DOTALL)
 #: a markdown heading line, its text captured.
 _HEADING_LINE = re.compile(r"^#{1,6}\s+(.+?)\s*$")
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -191,6 +196,51 @@ def design_module_names(text):
     return names
 
 
+def module_map_entries(text):
+    """The modules DESIGN.md's module map lists, as paths relative to
+    ``src/repro`` (``cache/cache.py``, ``cli.py``); empty without a
+    map.  A package line (``  cache/``) opens a package; a line whose
+    first word, at the package column or the module column, ends in
+    ``.py`` lists a module of the open package, or at the package
+    column a top-level module."""
+    match = _MODULE_MAP.search(text)
+    if match is None:
+        return []
+    entries, package = [], None
+    for line in match.group(1).splitlines()[1:]:
+        opened = re.match(r"  (\w+)/\s*(.*)", line)
+        top = re.match(r"  (\S+\.py)\s", line)
+        if opened:
+            package, rest = opened.groups()
+        elif top:
+            package = None
+            entries.append(top.group(1))
+            continue
+        else:
+            rest = line.strip()
+        module = re.match(r"(\w+\.py)\b", rest)
+        if module and package is not None:
+            entries.append(f"{package}/{module.group(1)}")
+    return entries
+
+
+def check_module_map(root, design):
+    """Check 1 for DESIGN.md's module map: every listed module exists,
+    and every module under ``src/repro`` is listed."""
+    package = root / "src" / "repro"
+    modules = {path.relative_to(package).as_posix()
+               for path in package.rglob("*.py")
+               if path.name != "__init__.py"}
+    listed = module_map_entries(design.read_text())
+    where = design.relative_to(root)
+    problems = [f"{where}: module map lists src/repro/{entry}, which "
+                f"does not exist" for entry in listed
+                if entry not in modules]
+    problems += [f"{where}: module map omits src/repro/{module}"
+                 for module in sorted(modules - set(listed))]
+    return problems
+
+
 def check_architecture_references(root=REPO_ROOT):
     """Checks 1 + 2: module names in the docs vs the package layout."""
     problems = []
@@ -205,6 +255,8 @@ def check_architecture_references(root=REPO_ROOT):
             if problem is not None:
                 problems.append(f"{where}: references repro.{name}, "
                                 f"{problem}")
+        if doc.name == "DESIGN.md":
+            problems += check_module_map(root, doc)
     architecture = root / "docs" / "ARCHITECTURE.md"
     text = architecture.read_text()
     for name in source_subpackages(root / "src"):
